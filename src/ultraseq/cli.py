@@ -21,7 +21,6 @@ from ultraseq.genfun import (
     TestFunction,
     bump,
     const_fn,
-    constant_seq,
     pairing,
     seq_scale,
     square_seq,
@@ -123,11 +122,17 @@ def parse_kind(text: str) -> AssocKind:
     )
 
 
-def parse_expr(text: str) -> SeqRep:
+def parse_expr(text: str, label: str | None = None) -> SeqRep:
+    """The one expression parser of the command line and batch files;
+    `label` names the sequence in output and errors (default: the text)."""
+    name = label or repr(text)
     try:
-        return SeqRep.symbolic(growth.parse(text), label=text)
+        expr = growth.parse(text)
     except growth.ParseError as e:
-        raise CliError(f"cannot parse {text!r}: {e}") from None
+        raise CliError(f"cannot parse {name}: {e}") from None
+    except OverflowError:
+        raise CliError(f"cannot parse {name}: a number is out of floating-point range") from None
+    return SeqRep.symbolic(expr, label=label or text)
 
 
 _SCALAR_MAPS = ("identity", "exp", "expm1", "log1p", "power:K", "affine:A:B")
@@ -195,46 +200,44 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (lines, exit code)
+# command handlers: each returns (lines, exit code); single-shot commands
+# and batch queries both call them with parsed sequences
 
 
-def cmd_norm(expr_text: str, space: NumberSpace) -> tuple[list[str], int]:
+def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
     try:
         w = space.single_weight()
     except ValueError as e:
         raise CliError(str(e)) from None
-    rep = parse_expr(expr_text)
     v = ultranorm(rep, w)
-    lines = [f"norm({expr_text}) under {w.label}: {norm_text(v)}"]
+    lines = [f"norm({rep.label}) under {w.label}: {norm_text(v)}"]
     if v.witness:
         lines.append(f"  witness: {v.witness}")
     code = EXIT_OK if (v.exact or v.stable) else EXIT_INCONCLUSIVE
     return lines, code
 
 
-def cmd_classify(expr_text: str, space: NumberSpace) -> tuple[list[str], int]:
-    rep = parse_expr(expr_text)
+def cmd_classify(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
     report = space.classify(rep)
-    lines = [f"classify({expr_text}) in {space.name}:"]
+    lines = [f"classify({rep.label}) in {space.name}:"]
     lines.extend(f"  {ln}" for ln in report.report_lines())
     return lines, EXIT_OK if report.conclusive else EXIT_INCONCLUSIVE
 
 
 def cmd_assoc(
-    a_text: str,
-    b_text: str,
+    a_rep: SeqRep,
+    b_rep: SeqRep,
     kind: AssocKind,
     space: NumberSpace,
-    difference: str | None = None,
+    difference: SeqRep | None = None,
 ) -> tuple[list[str], int]:
     try:
-        a = gennum.make(parse_expr(a_text), space)
-        b = gennum.make(parse_expr(b_text), space)
+        a = gennum.make(a_rep, space)
+        b = gennum.make(b_rep, space)
     except NotModerate as e:
         raise CliError(str(e)) from None
-    diff = parse_expr(difference) if difference is not None else None
-    verdict = gennum.associate(a, b, kind, difference=diff)
-    lines = [f"assoc({a_text}, {b_text}) {kind.describe()}: {verdict.holds}"]
+    verdict = gennum.associate(a, b, kind, difference=difference)
+    lines = [f"assoc({a_rep.label}, {b_rep.label}) {kind.describe()}: {verdict.holds}"]
     if verdict.boundary:
         lines.append("  boundary: ultranorm sits exactly on the threshold")
     if verdict.witness:
@@ -360,8 +363,7 @@ def _fit_slope(ns: Sequence[int], logs: Sequence[float]) -> float:
     return float(slope)
 
 
-def cmd_demo_delta(seed: int = corpus.DEFAULT_SEED) -> tuple[list[str], int]:
-    del seed  # the walkthrough is deterministic; flag kept for uniformity
+def cmd_demo_delta() -> tuple[list[str], int]:
     space = colombeau_space()
     lines = ["delta walkthrough (colombeau space)"]
     ok = True
@@ -409,7 +411,7 @@ def cmd_demo_delta(seed: int = corpus.DEFAULT_SEED) -> tuple[list[str], int]:
         lambda x: float(moll.profile(np.asarray([x]), 0)[0]) ** 2, *moll.profile.support
     )
     candidates = [
-        ("0", constant_seq(const_fn(0.0))),
+        ("0", const_fn(0.0)),
         ("delta", delta),
         (f"{phi_sq_mass:.6g}*delta", seq_scale(phi_sq_mass, delta)),
     ]
@@ -467,9 +469,9 @@ def _parse_batch(path: str) -> tuple[dict, dict[str, SeqRep], list[tuple[int, li
             name, _, expr_text = text.partition("=")
             name = name.strip()
             try:
-                sequences[name] = SeqRep.symbolic(growth.parse(expr_text.strip()), label=name)
-            except growth.ParseError as e:
-                raise CliError(f"{path}:{idx}: cannot parse {name}: {e}") from None
+                sequences[name] = parse_expr(expr_text.strip(), label=name)
+            except CliError as e:
+                raise CliError(f"{path}:{idx}: {e}") from None
         elif section == "queries":
             words = text.split()
             positional = [w for w in words if "=" not in w]
@@ -480,10 +482,38 @@ def _parse_batch(path: str) -> tuple[dict, dict[str, SeqRep], list[tuple[int, li
     return space_opts, sequences, queries
 
 
-def _resolve(name: str, sequences: dict[str, SeqRep], path: str, idx: int) -> SeqRep:
+def _resolve(name: str, sequences: dict[str, SeqRep]) -> SeqRep:
     if name not in sequences:
-        raise CliError(f"{path}:{idx}: unknown sequence {name!r}")
+        raise CliError(f"unknown sequence {name!r}")
     return sequences[name]
+
+
+def _batch_query(
+    words: list[str], opts: dict, sequences: dict[str, SeqRep], space: NumberSpace
+) -> tuple[list[str], int]:
+    if not words:
+        raise CliError("empty query")
+    cmd, args = words[0], words[1:]
+    if cmd == "norm" and len(args) == 1:
+        return cmd_norm(_resolve(args[0], sequences), space)
+    if cmd == "classify" and len(args) == 1:
+        return cmd_classify(_resolve(args[0], sequences), space)
+    if cmd == "assoc" and len(args) == 2:
+        if "kind" not in opts:
+            raise CliError("assoc needs kind=...")
+        diff = opts.get("difference")
+        return cmd_assoc(
+            _resolve(args[0], sequences),
+            _resolve(args[1], sequences),
+            parse_kind(opts["kind"]),
+            space,
+            difference=_resolve(diff, sequences) if diff else None,
+        )
+    if cmd == "check" and len(args) == 1:
+        return cmd_check_map(args[0], space, opts.get("role"))
+    if cmd == "extend" and len(args) == 2:
+        return cmd_extend(args[0], args[1], space)
+    raise CliError(f"cannot understand query {' '.join(words)!r}")
 
 
 def cmd_batch(path: str) -> tuple[list[str], int]:
@@ -491,55 +521,15 @@ def cmd_batch(path: str) -> tuple[list[str], int]:
     space = parse_space(space_opts.get("family", "colombeau"), space_opts.get("mode"))
     lines: list[str] = [f"space: {space.name}"]
     worst = EXIT_OK
-
     for idx, words, opts in queries:
-        if not words:
-            raise CliError(f"{path}:{idx}: empty query")
-        cmd, args = words[0], words[1:]
         try:
-            if cmd == "norm" and len(args) == 1:
-                rep = _resolve(args[0], sequences, path, idx)
-                sub, code = _norm_rep(rep, space)
-            elif cmd == "classify" and len(args) == 1:
-                rep = _resolve(args[0], sequences, path, idx)
-                report = space.classify(rep)
-                sub = [f"classify {args[0]}:"] + [f"  {ln}" for ln in report.report_lines()]
-                code = EXIT_OK if report.conclusive else EXIT_INCONCLUSIVE
-            elif cmd == "assoc" and len(args) == 2:
-                if "kind" not in opts:
-                    raise CliError(f"{path}:{idx}: assoc needs kind=...")
-                kind = parse_kind(opts["kind"])
-                diff = opts.get("difference")
-                a = gennum.make(_resolve(args[0], sequences, path, idx), space)
-                b = gennum.make(_resolve(args[1], sequences, path, idx), space)
-                diff_rep = _resolve(diff, sequences, path, idx) if diff else None
-                verdict = gennum.associate(a, b, kind, difference=diff_rep)
-                sub = [f"assoc {args[0]} {args[1]} [{kind.describe()}]: {verdict.holds}"]
-                if verdict.witness:
-                    sub.append(f"  witness: {_witness_text(verdict.witness)}")
-                code = EXIT_OK if verdict.holds in ("yes", "no") else EXIT_INCONCLUSIVE
-            elif cmd == "check" and len(args) == 1:
-                sub, code = cmd_check_map(args[0], space, opts.get("role"))
-            elif cmd == "extend" and len(args) == 2:
-                sub, code = cmd_extend(args[0], args[1], space)
-            else:
-                raise CliError(f"{path}:{idx}: cannot understand query {' '.join(words)!r}")
-        except CliError:
-            raise
-        except (NotModerate, growth.NotRepresentable, ValueError) as e:
+            sub, code = _batch_query(words, opts, sequences, space)
+        except (CliError, NotModerate, growth.NotRepresentable, ValueError) as e:
             raise CliError(f"{path}:{idx}: {e}") from None
         lines.append(f"-- line {idx}")
         lines.extend(sub)
         worst = max(worst, code)
     return lines, worst
-
-
-def _norm_rep(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
-    w = space.single_weight()
-    v = ultranorm(rep, w)
-    lines = [f"norm {rep.label} under {w.label}: {norm_text(v)}"]
-    code = EXIT_OK if (v.exact or v.stable) else EXIT_INCONCLUSIVE
-    return lines, code
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("demo", help="guided walkthroughs")
     s.add_argument("topic", choices=["delta"])
-    s.add_argument("--seed", type=int, default=corpus.DEFAULT_SEED)
 
     s = sub.add_parser("batch", help="run a query file")
     s.add_argument("file")
@@ -599,16 +588,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "norm":
-            lines, code = cmd_norm(args.expr, parse_space(args.space, args.mode))
+            lines, code = cmd_norm(parse_expr(args.expr), parse_space(args.space, args.mode))
         elif args.command == "classify":
-            lines, code = cmd_classify(args.expr, parse_space(args.space, args.mode))
+            lines, code = cmd_classify(parse_expr(args.expr), parse_space(args.space, args.mode))
         elif args.command == "assoc":
             lines, code = cmd_assoc(
-                args.a,
-                args.b,
+                parse_expr(args.a),
+                parse_expr(args.b),
                 parse_kind(args.kind),
                 parse_space(args.space, args.mode),
-                difference=args.difference,
+                difference=None if args.difference is None else parse_expr(args.difference),
             )
         elif args.command == "convert-scale":
             lines, code = cmd_convert_scale(args.scale)
@@ -617,7 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "extend":
             lines, code = cmd_extend(args.map, args.func, parse_space(args.space, args.mode))
         elif args.command == "demo":
-            lines, code = cmd_demo_delta(args.seed)
+            lines, code = cmd_demo_delta()
         elif args.command == "batch":
             lines, code = cmd_batch(args.file)
         else:  # pragma: no cover - argparse enforces the choices

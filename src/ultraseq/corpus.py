@@ -17,7 +17,6 @@ from ultraseq import growth
 from ultraseq.genfun import (
     SmoothSeq,
     bump,
-    constant_seq,
     corrected_mollifier,
     make_mollifier,
     poly_fn,
@@ -130,12 +129,12 @@ def _named() -> dict[str, SmoothSeq]:
         "nsinv-delta-sq": seq_scale(
             growth.parse("n^-1"), square_seq(delta), label="n^-1 delta^2"
         ),
-        "sin": constant_seq(sin_fn()),
-        "poly": constant_seq(poly_fn([0.2, 0.1], label="0.2 + 0.1x")),
-        "bump": constant_seq(bump(0.0, 1.0)),
-        "bump-wide": constant_seq(bump(0.0, 1.6)),
+        "sin": sin_fn(),
+        "poly": poly_fn([0.2, 0.1], label="0.2 + 0.1x"),
+        "bump": bump(0.0, 1.0),
+        "bump-wide": bump(0.0, 1.6),
         "decaying-sin": seq_scale(
-            growth.parse("exp(-n)"), constant_seq(sin_fn()), label="e^-n sin"
+            growth.parse("exp(-n)"), sin_fn(), label="e^-n sin"
         ),
     }
 
@@ -157,9 +156,9 @@ def named_function(name: str) -> SmoothSeq:
 # random smooth pairs for stability suites
 
 _BASE_BUILDERS: Sequence[Callable[[], SmoothSeq]] = (
-    lambda: constant_seq(sin_fn()),
-    lambda: constant_seq(bump(0.0, 1.0)),
-    lambda: constant_seq(poly_fn([0.3, 0.2, 0.1], label="0.3 + 0.2x + 0.1x^2")),
+    sin_fn,
+    lambda: bump(0.0, 1.0),
+    lambda: poly_fn([0.3, 0.2, 0.1], label="0.3 + 0.2x + 0.1x^2"),
     lambda: standard_mollifier().sequence(),
 )
 

@@ -1,8 +1,11 @@
 """Smooth-function sequences: seminorms, mollifiers, pairings, association.
 
-Functions carry analytic derivative evaluators (grid differentiation loses
-too much precision at the orders the seminorms need); central differences
-are used in the tests only as a cross-check.  Everything is 1-D.
+There is one type, `SmoothSeq`.  A single smooth function f is the
+sequence f_n = f that does not depend on n; point masses enter as the
+mollifier sequences n * phi(n x).  Sequences carry analytic derivative
+evaluators (grid differentiation loses too much precision at the orders
+the seminorms need); central differences are used in the tests only as a
+cross-check.  Everything is 1-D.
 
 Seminorm values are grid suprema over the lattice spacing
 min(2^-10, 1/(8n)), clipped to the function's support, so the peak of an
@@ -16,26 +19,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from scipy import integrate
 
 from ultraseq import gennum, growth
-from ultraseq.gennum import AssocKind, AssocVerdict, GenNumber, NotModerate
+from ultraseq.gennum import AssocKind, AssocVerdict, NotModerate
 from ultraseq.spaces import (
     ClassificationReport,
     NumberSpace,
     SeqRep,
-    UltranormValue,
     colombeau_space,
-    format_value,
-    ultranorm,
 )
 
 __all__ = [
-    "SmoothFn",
     "SmoothSeq",
     "SeminormSpec",
     "Mollifier",
@@ -44,10 +43,7 @@ __all__ = [
     "bump",
     "poly_fn",
     "sin_fn",
-    "cos_fn",
     "const_fn",
-    "fn_linear",
-    "fn_product",
     "constant_seq",
     "mollified",
     "reindex",
@@ -64,10 +60,8 @@ __all__ = [
     "corrected_mollifier",
     "make_mollifier",
     "moment_class",
-    "mollify",
     "pairing",
     "weak_assoc_fun",
-    "extracted_membership",
     "default_test_set",
     "FunctionSpace",
     "FunctionElement",
@@ -84,22 +78,63 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# smooth functions with analytic derivatives
+# smooth sequences with analytic derivatives
+
+
+def _n_dependent(seq: SmoothSeq) -> ValueError:
+    return ValueError(f"{seq.label} depends on n: evaluate it with .at(n, xs) and support_fn(n)")
 
 
 @dataclass(frozen=True)
-class SmoothFn:
-    """A smooth function given by a vectorized (x, order) evaluator."""
+class SmoothSeq:
+    """A sequence of smooth functions f_n given by a vectorized (n, x, order)
+    evaluator, with per-index support information.
+
+    A single smooth function is a sequence that does not depend on n
+    (`n_free`).  Constructors record that fact and combinators propagate
+    it; only such sequences can be called without an index or asked for
+    their `support`.
+    """
 
     label: str
-    evaluator: Callable[[np.ndarray, int], np.ndarray]
-    support: tuple[float, float] | None
+    evaluator: Callable[[int, np.ndarray, int], np.ndarray]
     max_order: int
+    support_fn: Callable[[int], tuple[float, float] | None] = field(default=lambda n: None)
+    n_free: bool = field(default=False, init=False)
 
-    def __call__(self, xs, order: int = 0) -> np.ndarray:
+    def at(self, n: int, xs, order: int = 0) -> np.ndarray:
         if order > self.max_order:
             raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
-        return self.evaluator(np.asarray(xs, dtype=float), order)
+        return self.evaluator(n, np.asarray(xs, dtype=float), order)
+
+    def __call__(self, xs, order: int = 0) -> np.ndarray:
+        # calls the evaluator directly: this is the innermost call of every
+        # quadrature integrand, so it must not add a frame through `at`
+        if not self.n_free:
+            raise _n_dependent(self)
+        if order > self.max_order:
+            raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
+        return self.evaluator(1, np.asarray(xs, dtype=float), order)
+
+    @property
+    def support(self) -> tuple[float, float] | None:
+        if not self.n_free:
+            raise _n_dependent(self)
+        return self.support_fn(1)
+
+
+def _n_free_if(n_free: bool, seq: SmoothSeq) -> SmoothSeq:
+    """Record that `seq` does not depend on n (when `n_free` holds)."""
+    if n_free:
+        object.__setattr__(seq, "n_free", True)  # frozen, and deliberately not an init field
+    return seq
+
+
+def _function(label: str, evaluator, max_order: int, support=None) -> SmoothSeq:
+    """A single smooth function: its evaluator(n, xs, order) ignores n."""
+    return _n_free_if(
+        True, SmoothSeq(label=label, evaluator=evaluator, max_order=max_order, support_fn=lambda n: support)
+    )
 
 
 _BUMP_MAX_ORDER = 8
@@ -130,62 +165,44 @@ def _bump_profile_eval(us: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> SmoothFn:
+def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> SmoothSeq:
     """The compactly supported bump amplitude * exp(-1/(1 - u^2)), u = (x-c)/w."""
     if width <= 0:
         raise ValueError("width must be positive")
 
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
+    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
         us = (xs - center) / width
         return amplitude * width ** (-order) * _bump_profile_eval(us, order)
 
-    return SmoothFn(
-        label=f"bump({center:g},{width:g})",
-        evaluator=ev,
-        support=(center - width, center + width),
-        max_order=_BUMP_MAX_ORDER,
-    )
+    return _function(f"bump({center:g},{width:g})", ev, _BUMP_MAX_ORDER, (center - width, center + width))
 
 
-def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothFn:
+def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
     p = Polynomial(list(coeffs))
     derivs = [p]
     for _ in range(64):
         derivs.append(derivs[-1].deriv())
 
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
+    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
         return derivs[order](xs)
 
-    return SmoothFn(
-        label=label or f"poly{tuple(round(c, 6) for c in coeffs)}",
-        evaluator=ev,
-        support=None,
-        max_order=64,
-    )
+    return _function(label or f"poly{tuple(round(c, 6) for c in coeffs)}", ev, 64)
 
 
-def sin_fn(freq: float = 1.0) -> SmoothFn:
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
+def sin_fn(freq: float = 1.0) -> SmoothSeq:
+    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
         return freq ** order * np.sin(freq * xs + order * math.pi / 2)
 
-    return SmoothFn(label=f"sin({freq:g}x)", evaluator=ev, support=None, max_order=64)
+    return _function(f"sin({freq:g}x)", ev, 64)
 
 
-def cos_fn(freq: float = 1.0) -> SmoothFn:
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
-        return freq ** order * np.cos(freq * xs + order * math.pi / 2)
-
-    return SmoothFn(label=f"cos({freq:g}x)", evaluator=ev, support=None, max_order=64)
-
-
-def const_fn(c: float) -> SmoothFn:
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
+def const_fn(c: float) -> SmoothSeq:
+    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
         return np.full_like(xs, c if order == 0 else 0.0)
 
     # the zero function carries an empty support so that sums with it keep
     # their support interval (adaptive quadrature needs the clipping)
-    support = (0.0, 0.0) if c == 0 else None
-    return SmoothFn(label=f"const({c:g})", evaluator=ev, support=support, max_order=64)
+    return _function(f"const({c:g})", ev, 64, (0.0, 0.0) if c == 0 else None)
 
 
 def _hull(a, b):
@@ -202,39 +219,11 @@ def _meet(a, b):
     return (max(a[0], b[0]), min(a[1], b[1]))
 
 
-def fn_linear(ca: float, f: SmoothFn, cb: float, g: SmoothFn) -> SmoothFn:
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
-        return ca * f(xs, order) + cb * g(xs, order)
-
-    return SmoothFn(
-        label=f"{ca:g}*{f.label} + {cb:g}*{g.label}",
-        evaluator=ev,
-        support=_hull(f.support, g.support),
-        max_order=min(f.max_order, g.max_order),
-    )
-
-
-def fn_product(f: SmoothFn, g: SmoothFn) -> SmoothFn:
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
-        out = np.zeros_like(xs)
-        for k in range(order + 1):
-            out += math.comb(order, k) * f(xs, k) * g(xs, order - k)
-        return out
-
-    sup = f.support if g.support is None else (g.support if f.support is None else _meet(f.support, g.support))
-    return SmoothFn(
-        label=f"({f.label})*({g.label})",
-        evaluator=ev,
-        support=sup,
-        max_order=min(f.max_order, g.max_order),
-    )
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A compactly supported smooth probe for duality pairings."""
 
-    fn: SmoothFn
+    fn: SmoothSeq
 
     def __post_init__(self):
         if self.fn.support is None:
@@ -259,64 +248,52 @@ def default_test_set() -> tuple[TestFunction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# smooth sequences
+# sequence algebra
 
 
-@dataclass(frozen=True)
-class SmoothSeq:
-    """A sequence of smooth functions with per-index support information."""
-
-    label: str
-    evaluator: Callable[[int, np.ndarray, int], np.ndarray]
-    max_order: int
-    support_fn: Callable[[int], tuple[float, float] | None] = field(default=lambda n: None)
-
-    def at(self, n: int, xs, order: int = 0) -> np.ndarray:
-        if order > self.max_order:
-            raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
-        return self.evaluator(n, np.asarray(xs, dtype=float), order)
-
-
-def constant_seq(fn: SmoothFn, label: str | None = None) -> SmoothSeq:
-    return SmoothSeq(
-        label=label or fn.label,
-        evaluator=lambda n, xs, order: fn(xs, order),
-        max_order=fn.max_order,
-        support_fn=lambda n: fn.support,
+def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
+    """A function is already the constant sequence f_n = f: this only relabels."""
+    if label is None:
+        return fn
+    return _n_free_if(
+        fn.n_free,
+        SmoothSeq(label=label, evaluator=fn.evaluator, max_order=fn.max_order, support_fn=fn.support_fn),
     )
 
 
-def mollified(profile: SmoothFn, power: int = 1, label: str | None = None) -> SmoothSeq:
+def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> SmoothSeq:
     """The sequence n^power * profile(n x), with exact derivative scaling."""
     if profile.support is None:
         raise ValueError("mollified sequences need a compactly supported profile")
+    a, b = profile.support
 
     def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
         return float(n) ** (power + order) * profile(n * xs, order)
-
-    def sup(n: int):
-        a, b = profile.support
-        return (a / n, b / n)
 
     return SmoothSeq(
         label=label or f"n^{power}*{profile.label}(n x)",
         evaluator=ev,
         max_order=profile.max_order,
-        support_fn=sup,
+        support_fn=lambda n: (a / n, b / n),
     )
 
 
 def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
-    return SmoothSeq(
-        label=label or f"{seq.label} at {factor}n",
-        evaluator=lambda n, xs, order: seq.at(factor * n, xs, order),
-        max_order=seq.max_order,
-        support_fn=lambda n: seq.support_fn(factor * n),
+    return _n_free_if(
+        seq.n_free,
+        SmoothSeq(
+            label=label or f"{seq.label} at {factor}n",
+            evaluator=lambda n, xs, order: seq.at(factor * n, xs, order),
+            max_order=seq.max_order,
+            support_fn=lambda n: seq.support_fn(factor * n),
+        ),
     )
 
 
 def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    """Multiply by an index-dependent scalar (a callable or growth expression)."""
+    """Multiply by an index-dependent scalar (a callable or growth expression)
+    or by a constant; only a constant keeps an n-free input n-free."""
+    n_free = False
     if isinstance(scale, growth.GrowthExpr):
         expr = scale
         scale_fn = lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min)))
@@ -328,6 +305,8 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         c = float(scale)
         scale_fn = lambda n: c
         scale_label = f"{c:g}"
+        n_free = seq.n_free
+
     def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
         base = seq.at(n, xs, order)
         c = scale_fn(n)
@@ -337,20 +316,26 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
                 return np.where(base == 0.0, 0.0, c * base)
         return c * base
 
-    return SmoothSeq(
-        label=label or f"{scale_label} * {seq.label}",
-        evaluator=ev,
-        max_order=seq.max_order,
-        support_fn=seq.support_fn,
+    return _n_free_if(
+        n_free,
+        SmoothSeq(
+            label=label or f"{scale_label} * {seq.label}",
+            evaluator=ev,
+            max_order=seq.max_order,
+            support_fn=seq.support_fn,
+        ),
     )
 
 
 def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    return SmoothSeq(
-        label=label or f"{a.label} + {b.label}",
-        evaluator=lambda n, xs, order: a.at(n, xs, order) + b.at(n, xs, order),
-        max_order=min(a.max_order, b.max_order),
-        support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
+    return _n_free_if(
+        a.n_free and b.n_free,
+        SmoothSeq(
+            label=label or f"{a.label} + {b.label}",
+            evaluator=lambda n, xs, order: a.at(n, xs, order) + b.at(n, xs, order),
+            max_order=min(a.max_order, b.max_order),
+            support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
+        ),
     )
 
 
@@ -365,19 +350,14 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
             out += math.comb(order, k) * a.at(n, xs, k) * b.at(n, xs, order - k)
         return out
 
-    def sup(n: int):
-        sa, sb = a.support_fn(n), b.support_fn(n)
-        if sa is None:
-            return sb
-        if sb is None:
-            return sa
-        return _meet(sa, sb)
-
-    return SmoothSeq(
-        label=label or f"({a.label})*({b.label})",
-        evaluator=ev,
-        max_order=min(a.max_order, b.max_order),
-        support_fn=sup,
+    return _n_free_if(
+        a.n_free and b.n_free,
+        SmoothSeq(
+            label=label or f"({a.label})*({b.label})",
+            evaluator=ev,
+            max_order=min(a.max_order, b.max_order),
+            support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
+        ),
     )
 
 
@@ -404,22 +384,28 @@ def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
         d3 = a.at(n, xs, 3)
         return (d3 + 3 * d2 * d1 + d1 ** 3) * e
 
-    return SmoothSeq(
-        label=label or f"exp({a.label})",
-        evaluator=ev,
-        max_order=min(a.max_order, 3),
-        support_fn=lambda n: None,
+    return _n_free_if(
+        a.n_free,
+        SmoothSeq(
+            label=label or f"exp({a.label})",
+            evaluator=ev,
+            max_order=min(a.max_order, 3),
+            support_fn=lambda n: None,
+        ),
     )
 
 
 def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> SmoothSeq:
     if shift > a.max_order:
         raise ValueError("derivative shift exceeds the supported order")
-    return SmoothSeq(
-        label=label or f"D^{shift} {a.label}",
-        evaluator=lambda n, xs, order: a.at(n, xs, order + shift),
-        max_order=a.max_order - shift,
-        support_fn=a.support_fn,
+    return _n_free_if(
+        a.n_free,
+        SmoothSeq(
+            label=label or f"D^{shift} {a.label}",
+            evaluator=lambda n, xs, order: a.at(n, xs, order + shift),
+            max_order=a.max_order - shift,
+            support_fn=a.support_fn,
+        ),
     )
 
 
@@ -552,7 +538,7 @@ def _quad(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-9)
 class Mollifier:
     """A unit-integral profile with a verified vanishing-moment order."""
 
-    profile: SmoothFn
+    profile: SmoothSeq
     moment_class: int
     integral: float
     power: int = 1
@@ -565,7 +551,7 @@ class Mollifier:
         return mollified(self.profile, power=self.power, label=f"delta[{self.label}]")
 
 
-def moment_class(profile: SmoothFn, q_max: int = 8, tol: float = 1e-8) -> tuple[int, float]:
+def moment_class(profile: SmoothSeq, q_max: int = 8, tol: float = 1e-8) -> tuple[int, float]:
     """Largest q <= q_max with vanishing moments 1..q; also returns the integral.
 
     Raises when the profile does not integrate to one within tolerance.
@@ -585,7 +571,7 @@ def moment_class(profile: SmoothFn, q_max: int = 8, tol: float = 1e-8) -> tuple[
     return q, total
 
 
-def make_mollifier(profile: SmoothFn, q_max: int = 8, tol: float = 1e-8) -> Mollifier:
+def make_mollifier(profile: SmoothSeq, q_max: int = 8, tol: float = 1e-8) -> Mollifier:
     q, total = moment_class(profile, q_max=q_max, tol=tol)
     return Mollifier(profile=profile, moment_class=q, integral=total)
 
@@ -614,34 +600,8 @@ def corrected_mollifier() -> Mollifier:
     mu2, mu4 = moment(2), moment(4)
     det = mu4 - mu2 * mu2
     a, b = mu4 / det, -mu2 / det
-    x2phi = fn_product(poly_fn([0.0, 0.0, 1.0], label="x^2"), phi)
-    corrected = fn_linear(a, phi, b, x2phi)
-    return make_mollifier(
-        SmoothFn(
-            label="corrected-bump",
-            evaluator=corrected.evaluator,
-            support=phi.support,
-            max_order=corrected.max_order,
-        )
-    )
-
-
-def mollify(m: Mollifier, n: int) -> SmoothFn:
-    """The single function n^power * profile(n x)."""
-    if n < 1:
-        raise ValueError("mollification index must be >= 1")
-    prof = m.profile
-
-    def ev(xs: np.ndarray, order: int) -> np.ndarray:
-        return float(n) ** (m.power + order) * prof(n * xs, order)
-
-    a, b = prof.support
-    return SmoothFn(
-        label=f"{prof.label} at scale {n}",
-        evaluator=ev,
-        support=(a / n, b / n),
-        max_order=prof.max_order,
-    )
+    x2phi = product_seq(poly_fn([0.0, 0.0, 1.0], label="x^2"), phi)
+    return make_mollifier(add_seq(seq_scale(a, phi), seq_scale(b, x2phi), label="corrected-bump"))
 
 
 # ---------------------------------------------------------------------------
@@ -724,82 +684,6 @@ def weak_assoc_fun(
         kind=kind,
         witness={"per_test_function": per_psi},
         notes=f"with respect to the given test set ({len(probes)} test functions)",
-    )
-
-
-# ---------------------------------------------------------------------------
-# extracted membership at fixed probe mollifiers
-
-
-@dataclass(frozen=True)
-class ProbeMembership:
-    probe: str
-    norm: UltranormValue
-    in_moderate_ball: str  # yes | no | boundary | inconclusive
-    in_ideal: bool | None
-
-
-@dataclass(frozen=True)
-class ExtractedReport:
-    bound: float
-    nu: int
-    probes: tuple[ProbeMembership, ...]
-    all_in_ball: bool
-    notes: str
-
-    def lines(self) -> list[str]:
-        out = []
-        for p in self.probes:
-            out.append(
-                f"probe {p.probe}: norm={format_value(p.norm, with_band=True)} "
-                f"< {self.bound:g}: {p.in_moderate_ball}; ideal: {p.in_ideal}"
-            )
-        out.append(self.notes)
-        return out
-
-
-def extracted_membership(
-    extract: Callable[[Mollifier], SmoothSeq],
-    nu: int,
-    bound: int,
-    probes: Iterable[Mollifier],
-    space: NumberSpace | None = None,
-    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
-) -> ExtractedReport:
-    """Membership of extracted sequences in the norm ball of radius `bound`.
-
-    Every probe mollifier must have vanishing moments up to the bound's
-    order; the verdict is explicitly probe-scale (finitely many profiles
-    stand in for the whole moment class).
-    """
-    space = space or colombeau_space()
-    w = space.single_weight()
-    results = []
-    for m in probes:
-        if m.moment_class < bound:
-            raise ValueError(
-                f"probe {m.label!r} has moment class {m.moment_class} < required {bound}"
-            )
-        seq = extract(m)
-        rep = _seminorm_seqrep(seq, nu, tuple(sample_ns))
-        v = ultranorm(rep, w)
-        results.append(
-            ProbeMembership(
-                probe=m.label,
-                norm=v,
-                in_moderate_ball=v.below(math.log(bound)),
-                in_ideal=v.is_zero(),
-            )
-        )
-    return ExtractedReport(
-        bound=float(bound),
-        nu=nu,
-        probes=tuple(results),
-        all_in_ball=all(p.in_moderate_ball == "yes" for p in results),
-        notes=(
-            f"probe-scale verdict over {len(results)} mollifier(s); "
-            "quantification over the full moment class is not decided here"
-        ),
     )
 
 

@@ -30,7 +30,6 @@ from ultraseq.genfun import (
     SmoothSeq,
     add_seq,
     bump,
-    constant_seq,
     derivative_seq,
     exp_seq,
     poly_fn,
@@ -746,9 +745,9 @@ class TemperateMapReport:
 def _default_corpus() -> list[SmoothSeq]:
     return [
         standard_mollifier().sequence(),
-        seq_scale(0.5, constant_seq(sin_fn())),
-        constant_seq(poly_fn([0.2, 0.1], label="0.2 + 0.1x")),
-        seq_scale(growth.parse("log(n)"), constant_seq(bump(0.0, 1.5))),
+        seq_scale(0.5, sin_fn()),
+        poly_fn([0.2, 0.1], label="0.2 + 0.1x"),
+        seq_scale(growth.parse("log(n)"), bump(0.0, 1.5)),
     ]
 
 

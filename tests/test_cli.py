@@ -24,6 +24,12 @@ def test_norm_log_factor_collapses_to_one(capsys):
     assert "exact 1" in out
 
 
+def test_norm_overflowing_literal_is_a_parse_error(capsys):
+    rc, out, err = run(capsys, "norm", "1e300^2")
+    assert rc == 1
+    assert "error: cannot parse '1e300^2'" in err
+
+
 def test_classify_divergent(capsys):
     rc, out, _ = run(capsys, "classify", "exp(n)")
     assert rc == 0
@@ -141,6 +147,20 @@ def test_batch_reports_parse_error_with_position(capsys, tmp_path):
     assert rc == 1
     assert f"{path}:5: cannot parse f" in err
     assert "(at position 2)" in err
+
+
+def test_batch_reports_overflowing_literal_with_position(capsys, tmp_path):
+    path = tmp_path / "big.batch"
+    path.write_text(
+        "[sequences]\n"
+        "f = 1e300^2\n"
+        "\n"
+        "[queries]\n"
+        "norm f\n"
+    )
+    rc, out, err = run(capsys, "batch", str(path))
+    assert rc == 1
+    assert f"error: {path}:2: cannot parse f" in err
 
 
 def test_batch_rejects_unknown_query(capsys, tmp_path):

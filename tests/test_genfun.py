@@ -9,6 +9,7 @@ from ultraseq.gennum import AssocKind, NotModerate
 from ultraseq.genfun import (
     FunctionSpace,
     SeminormSpec,
+    add_seq,
     bump,
     classify_fun,
     const_fn,
@@ -16,15 +17,14 @@ from ultraseq.genfun import (
     corrected_mollifier,
     derivative_seq,
     exp_seq,
-    fn_linear,
-    fn_product,
     make_element,
     make_mollifier,
     moment_class,
     mollified,
-    mollify,
     pairing,
     poly_fn,
+    product_seq,
+    reindex,
     seminorm,
     seq_scale,
     sin_fn,
@@ -44,7 +44,7 @@ PROFILE_MOMENT2 = 0.15811363626379665
 
 
 # ---------------------------------------------------------------------------
-# smooth functions
+# smooth functions: sequences that do not depend on n
 
 
 def test_bump_support_and_values():
@@ -69,16 +69,45 @@ def test_poly_and_product_derivatives():
     xs = np.array([0.0, 1.0, 2.0])
     np.testing.assert_allclose(p(xs, order=1), 2.0 + 6.0 * xs)
     np.testing.assert_allclose(p(xs, order=2), [6.0, 6.0, 6.0])
-    q = fn_product(p, sin_fn())
+    q = product_seq(p, sin_fn())
     h = 1e-6
     fd = (q(xs + h) - q(xs - h)) / (2 * h)
     np.testing.assert_allclose(q(xs, order=1), fd, rtol=1e-6, atol=1e-8)
 
 
-def test_fn_linear_combination():
-    f = fn_linear(2.0, const_fn(1.0), -1.0, poly_fn([0.0, 1.0]))
+def test_linear_combination():
+    f = add_seq(seq_scale(2.0, const_fn(1.0)), seq_scale(-1.0, poly_fn([0.0, 1.0])))
     xs = np.array([0.0, 3.0])
     np.testing.assert_allclose(f(xs), [2.0, -1.0])
+
+
+def test_n_free_propagates_through_the_algebra():
+    f, g = sin_fn(), bump(0.0, 1.0)
+    for h in (add_seq(f, g), product_seq(f, g), seq_scale(2.0, g), sub_seq(f, g),
+              exp_seq(f), derivative_seq(g), reindex(g, 2), constant_seq(g, label="g")):
+        assert h.n_free, h.label
+        np.testing.assert_allclose(h(np.array([0.2])), h.at(7, np.array([0.2])))
+    d = standard_mollifier().sequence()
+    for h in (d, seq_scale(growth.parse("log(n)"), g), seq_scale(lambda n: 1.0, g),
+              add_seq(f, d), product_seq(d, g), reindex(d, 2)):
+        assert not h.n_free, h.label
+
+
+def test_n_dependent_sequence_needs_an_index():
+    d = standard_mollifier().sequence()
+    with pytest.raises(ValueError, match="depends on n"):
+        d(np.array([0.0]))
+    with pytest.raises(ValueError, match="depends on n"):
+        d.support
+    assert d.support_fn(8) == (-0.125, 0.125)
+
+
+def test_constant_seq_only_relabels():
+    f = sin_fn()
+    assert constant_seq(f) is f
+    g = constant_seq(f, label="s")
+    assert g.label == "s" and g.n_free
+    np.testing.assert_array_equal(g(np.array([0.3])), f(np.array([0.3])))
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +144,28 @@ def test_mollified_scaling():
     )
 
 
-def test_mollify_scales_kernel():
+def test_mollified_sequence_scales_kernel():
     m = standard_mollifier()
-    k = mollify(m, 8)
-    assert k.support == (-0.125, 0.125)
-    assert k(np.array([0.0]))[0] == pytest.approx(8 * PEAK, rel=1e-9)
+    k = m.sequence()
+    assert k.support_fn(8) == (-0.125, 0.125)
+    assert k.at(8, np.array([0.0]))[0] == pytest.approx(8 * PEAK, rel=1e-9)
     # each derivative brings another factor n from the chain rule
     inner = float(m.profile(np.array([0.4]), order=2)[0])
-    assert k(np.array([0.05]), order=2)[0] == pytest.approx(8**3 * inner, rel=1e-9)
+    assert k.at(8, np.array([0.05]), order=2)[0] == pytest.approx(8**3 * inner, rel=1e-9)
+
+
+def test_profiles_must_be_compact_functions():
+    d = standard_mollifier().sequence()
+    with pytest.raises(ValueError):
+        TF(d)
+    with pytest.raises(ValueError):
+        mollified(d)
+    with pytest.raises(ValueError):
+        moment_class(d)
+    with pytest.raises(ValueError):
+        mollified(sin_fn())
+    with pytest.raises(ValueError):
+        TF(sin_fn())
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +173,7 @@ def test_mollify_scales_kernel():
 
 
 def test_seminorm_sup_of_constant_function():
-    f = constant_seq(poly_fn([0.0, 1.0]))  # x on the probe box
+    f = poly_fn([0.0, 1.0])  # x on the probe box
     spec = SeminormSpec(nu=0)
     v = seminorm(f, 4, spec)
     # sup domain has radius max(nu, 2) = 2
@@ -168,19 +211,19 @@ def test_classify_fun_delta_moderate(colombeau):
 
 
 def test_classify_fun_negligible(colombeau):
-    j = seq_scale(growth.parse("exp(-n)"), constant_seq(sin_fn()))
+    j = seq_scale(growth.parse("exp(-n)"), sin_fn())
     r = classify_fun(j, 2, colombeau)
     assert r.verdict == "negligible"
 
 
 def test_classify_fun_divergent(colombeau):
-    f = seq_scale(growth.parse("exp(n)"), constant_seq(sin_fn()))
+    f = seq_scale(growth.parse("exp(n)"), sin_fn())
     r = classify_fun(f, 1, colombeau)
     assert r.verdict == "divergent"
 
 
 def test_make_element_rejects_divergent(colombeau):
-    f = seq_scale(growth.parse("exp(n)"), constant_seq(sin_fn()))
+    f = seq_scale(growth.parse("exp(n)"), sin_fn())
     with pytest.raises(NotModerate):
         make_element(f, FunctionSpace(colombeau, nu_max=1))
 
@@ -193,7 +236,7 @@ def test_square_seq_is_pointwise_square():
 
 
 def test_exp_seq_chain_rule():
-    f = constant_seq(poly_fn([0.0, 1.0]))  # x
+    f = poly_fn([0.0, 1.0])  # x
     e = exp_seq(f)
     xs = np.array([0.0, 0.5])
     np.testing.assert_allclose(e.at(4, xs), np.exp(xs))
@@ -227,14 +270,14 @@ def test_weak_assoc_delta_not_zero(colombeau):
     from ultraseq.genfun import weak_assoc_fun
 
     d = standard_mollifier().sequence()
-    z = constant_seq(const_fn(0.0))
+    z = const_fn(0.0)
     v = weak_assoc_fun(d, z, AssocKind.weak(), space=colombeau)
     assert v.holds == "no"
 
 
 def test_weak_assoc_mollification_converges(colombeau):
     # delta_n paired against psi tends to psi(0): delta_n - delta_2n ~ 0
-    from ultraseq.genfun import reindex, weak_assoc_fun
+    from ultraseq.genfun import weak_assoc_fun
 
     d = standard_mollifier().sequence()
     v = weak_assoc_fun(d, reindex(d, 2), AssocKind.weak(), space=colombeau)

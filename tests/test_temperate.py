@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ultraseq import growth
-from ultraseq.genfun import FunctionSpace, constant_seq, make_element, seq_scale, sin_fn
+from ultraseq.genfun import FunctionSpace, make_element, seq_scale, sin_fn
 from ultraseq.spaces import SeqRep
 from ultraseq.temperate import (
     ExtensionError,
@@ -219,11 +219,11 @@ def test_exp_seq_map_refuted():
 def test_square_difference_expansion():
     # (f+k)^2 - f^2 through the dedicated difference path
     phi = square_map()
-    f = constant_seq(sin_fn())
-    k = seq_scale(0.5, constant_seq(sin_fn()))
+    f = sin_fn()
+    k = seq_scale(0.5, sin_fn())
     xs = np.linspace(-1.0, 1.0, 7)
     lhs = phi.difference(f, k).at(5, xs)
-    rhs = phi.apply(seq_scale(1.5, constant_seq(sin_fn()))).at(5, xs) - phi.apply(f).at(5, xs)
+    rhs = phi.apply(seq_scale(1.5, sin_fn())).at(5, xs) - phi.apply(f).at(5, xs)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -261,9 +261,9 @@ def test_verify_f2_square(colombeau):
 
 
 def test_verify_f2_requires_negligible_perturbation(colombeau):
-    f = constant_seq(sin_fn())
+    f = sin_fn()
     with pytest.raises(ValueError):
-        verify_F2(square_map(), f, constant_seq(sin_fn()), colombeau)
+        verify_F2(square_map(), f, sin_fn(), colombeau)
 
 
 def test_verify_f2_exp_fails_on_tall_mollifier(colombeau):
