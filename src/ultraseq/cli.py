@@ -407,9 +407,7 @@ def cmd_demo_delta() -> tuple[list[str], int]:
     lines.append(f"   slope of log <delta_n^2, psi> vs log n = {slope:.9g} (target 1.0 +- 0.1)")
 
     lines.append("5. weak association through the test set:")
-    phi_sq_mass = genfun._quad(
-        lambda x: float(moll.profile(np.asarray([x]), 0)[0]) ** 2, *moll.profile.support
-    )
+    phi_sq_mass = genfun._quad(lambda x: moll.profile(x) ** 2, *moll.profile.support)
     candidates = [
         ("0", const_fn(0.0)),
         ("delta", delta),

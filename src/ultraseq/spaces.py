@@ -155,9 +155,7 @@ class UltranormValue:
 
     @property
     def value(self) -> float:
-        if self.log_value == math.inf:
-            return math.inf
-        return math.exp(self.log_value) if self.log_value > -math.inf else 0.0
+        return _exp(self.log_value)
 
     def _band(self) -> tuple[float, float]:
         if self.band_log is not None:
@@ -201,12 +199,20 @@ class UltranormValue:
         return "inconclusive"
 
 
+def _exp(log_value: float) -> float:
+    """exp that reads an overflow (log_value above about 709.78) as inf."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
+
+
 def _fmt_point(log_value: float) -> str:
     if log_value == math.inf:
         return "divergent"
     if log_value == -math.inf:
         return "0"
-    x = math.exp(log_value)
+    x = _exp(log_value)
     if x == 0.0 or x == math.inf:
         # magnitude representable only in the log domain
         return f"exp({log_value:.9g})"

@@ -1,7 +1,11 @@
-"""Every name a module exports through __all__ exists."""
+"""Every name a module exports through __all__ exists, and importing the
+package pulls in no optional heavy dependency."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,3 +22,12 @@ def test_all_names_resolve(name):
     exported = getattr(mod, "__all__", [])
     missing = [attr for attr in exported if not hasattr(mod, attr)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter: this test session may have loaded scipy elsewhere
+    src = os.path.dirname(os.path.dirname(ultraseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, {', '.join(MODULES)}; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -30,6 +30,14 @@ def test_norm_overflowing_literal_is_a_parse_error(capsys):
     assert "error: cannot parse '1e300^2'" in err
 
 
+def test_norm_beyond_float_range_prints_log_domain(capsys):
+    # e^(1e300) overflows a float; the value is shown as exp(<log value>)
+    rc, out, err = run(capsys, "norm", "n^1e300")
+    assert rc == 0
+    assert "exact e^1e+300 = exp(1e+300)" in out
+    assert "Traceback" not in err
+
+
 def test_classify_divergent(capsys):
     rc, out, _ = run(capsys, "classify", "exp(n)")
     assert rc == 0

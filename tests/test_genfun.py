@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ultraseq.gennum import AssocKind, NotModerate
+from ultraseq import genfun
 from ultraseq.genfun import (
     FunctionSpace,
+    QuadratureError,
     SeminormSpec,
     add_seq,
     bump,
@@ -166,6 +168,86 @@ def test_profiles_must_be_compact_functions():
         mollified(sin_fn())
     with pytest.raises(ValueError):
         TF(sin_fn())
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+
+def _counted(fn):
+    calls = []
+
+    def integrand(xs):
+        calls.append(len(xs))
+        return fn(xs)
+
+    return integrand, calls
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_quad_integrates_monomials_exactly(k):
+    exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+    assert genfun._quad(lambda x: x ** k, -1.0, 1.0) == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+
+def test_quad_sine_over_half_period():
+    assert genfun._quad(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_quad_bump_mass_matches_reference():
+    assert genfun._bump_mass() == pytest.approx(BUMP_MASS, rel=1e-10)
+
+
+def test_quad_odd_moments_of_even_bump_vanish():
+    phi = standard_mollifier().profile
+    for k in (1, 3, 5, 7):
+        assert abs(genfun._quad(lambda x: x ** k * phi(x), -1.0, 1.0)) < 1e-12
+    # an exactly odd integrand cancels to 0: a zero pairing must stay an
+    # exact zero for the sampled tier
+    assert genfun._quad(lambda x: x / (1e-3 + x * x), -1.0, 1.0) == 0.0
+
+
+def test_quad_matches_scipy_reference():
+    integrate = pytest.importorskip("scipy.integrate")
+    d = standard_mollifier().sequence()
+    phi = corrected_mollifier().profile
+    psi = bump(0.3, 0.7)
+    cases = [
+        (lambda x: square_seq(d).at(64, x) * psi(x), -1 / 64, 1 / 64),
+        (lambda x: d.at(512, x) * psi(x), -1 / 512, 1 / 512),
+        (phi, -1.0, 1.0),
+        (lambda x: x ** 4 * phi(x), -1.0, 1.0),
+        (lambda x: np.exp(x) * np.cos(3 * x), 0.0, 2.0),
+    ]
+    for fn, lo, hi in cases:
+        ref, _ = integrate.quad(lambda t: float(fn(np.asarray([t]))[0]), lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert genfun._quad(fn, lo, hi) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+def test_quad_high_frequency_hits_panel_cap():
+    integrand, calls = _counted(lambda x: np.sin(1e7 * x))
+    with pytest.raises(QuadratureError):
+        genfun._quad(integrand, 0.0, 1.0)
+    # one call per refinement level, each level at most doubling the panels
+    assert len(calls) <= genfun._QUAD_MAX_PANELS.bit_length()
+
+
+def test_quad_nan_integrand_raises_without_refining():
+    integrand, calls = _counted(lambda x: np.where(x > 0.5, np.nan, 1.0))
+    with pytest.raises(QuadratureError, match="nan"):
+        genfun._quad(integrand, 0.0, 1.0)
+    assert len(calls) == 1
+    with pytest.raises(QuadratureError):
+        pairing(seq_scale(lambda n: math.nan, bump(0, 1)), 8, TF(bump(0, 1)))
+
+
+def test_quad_infinite_integrand_is_infinite():
+    integrand, calls = _counted(lambda x: np.full_like(x, -math.inf))
+    assert genfun._quad(integrand, 0.0, 1.0) == -math.inf
+    assert len(calls) == 1
+    assert pairing(seq_scale(lambda n: math.inf, bump(0, 1)), 8, TF(bump(0, 1))) == math.inf
+    with pytest.raises(QuadratureError):
+        genfun._quad(lambda x: np.where(x < 0.5, math.inf, -math.inf), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,8 @@ def test_exact_norm_edge_values():
     assert norm_of("exp(-log(n)^2)") == 0.0
     v = ultranorm(SeqRep.symbolic(growth.ZERO), COL)
     assert v.exact and v.value == 0.0
+    # a finite log value beyond the float range reads as inf, not an overflow
+    assert norm_of("n^1e300") == math.inf
 
 
 def test_exact_norm_power_weight():
