@@ -22,10 +22,11 @@ from ultraseq.spaces import (
     NumberSpace,
     SeqRep,
     UltranormValue,
+    _tail_grid,
+    _window_sups,
     format_value,
     ultranorm,
 )
-from ultraseq.weights import WeightSeq
 
 __all__ = [
     "GenNumber",
@@ -43,7 +44,6 @@ __all__ = [
     "jx_well_defined",
     "null_predicate",
     "bounded_predicate",
-    "norm_below_predicate",
     "JXReport",
     "seq_add",
 ]
@@ -345,31 +345,24 @@ def _limit_is_zero(lv) -> bool:
 _TREND_TOL = 1e-3
 
 
-def _sampled_null_trend(diff: SeqRep, shift_log: Callable[[np.ndarray], np.ndarray] | None = None,
-                        tol: float = _TREND_TOL) -> tuple[str, dict]:
+def _sampled_null_trend(
+    diff: SeqRep, shift_log: Callable[[np.ndarray], np.ndarray] | None = None
+) -> tuple[str, dict]:
     """Does the (optionally reweighted) sequence tend to zero, judged from
     dyadic window maxima of its log values?"""
-    from ultraseq.spaces import _sample_grid
-
-    ns = (
-        np.asarray(sorted(set(diff.sample_ns)), dtype=np.int64)
-        if diff.sample_ns is not None
-        else _sample_grid(diff.n_min, diff.n_max)
-    )
+    ns = _tail_grid(diff, diff.n_min)
     logs = diff.log_values(ns)
     if shift_log is not None:
         logs = logs + shift_log(ns)
-    keys = np.floor(np.log2(ns)).astype(int)
-    sups = []
-    for k in np.unique(keys):
-        sups.append(float(np.max(logs[keys == k])))
-    tail = sups[-4:]
-    witness = {"last_window_sup_log": tail[-1], "tol_log": math.log(tol)}
+    sups, _ = _window_sups(ns, logs)
+    tail = [float(v) for v in sups[-4:]]
+    tol_log = math.log(_TREND_TOL)
+    witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
     nonincreasing = all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
-    if tail[-1] <= math.log(tol) and nonincreasing:
+    if tail[-1] <= tol_log and nonincreasing:
         return "yes", witness
     # stabilized or rising above tolerance: not tending to zero
-    if tail[-1] > math.log(tol) and tail[-1] >= tail[0] - 0.05:
+    if tail[-1] > tol_log and tail[-1] >= tail[0] - 0.05:
         return "no", witness
     return "inconclusive", witness
 
@@ -458,7 +451,7 @@ def associate(
                 pass
         sval = kind.s
         ans, witness = _sampled_null_trend(
-            diff, shift_log=lambda ns: sval / np.asarray(w.values(ns), dtype=float)
+            diff, shift_log=lambda ns: sval / w.values(ns)
         )
         return AssocVerdict(ans, kind, witness=witness)
 
@@ -565,29 +558,15 @@ def bounded_predicate(rep: SeqRep) -> bool | None:
         return True
     if rep.is_symbolic:
         return growth.is_bounded(rep.expr)
-    from ultraseq.spaces import _sample_grid
-
-    ns = _sample_grid(rep.n_min, rep.n_max)
-    logs = rep.log_values(ns)
-    keys = np.floor(np.log2(ns)).astype(int)
-    sups = [float(np.max(logs[keys == k])) for k in np.unique(keys)]
+    ns = _tail_grid(rep, rep.n_min)
+    sups, _ = _window_sups(ns, rep.log_values(ns))
+    if len(sups) < 2:
+        return None
     if sups[-1] <= sups[-2] + 1e-9 and sups[-1] < 50.0:
         return True
     if sups[-1] > 50.0 and sups[-1] > sups[-2]:
         return False
     return None
-
-
-def norm_below_predicate(s: float, weight: WeightSeq) -> Callable[[SeqRep], bool | None]:
-    """J = sequences with ultranorm strictly below e^-s (an additive group
-    by the ultrametric inequality)."""
-
-    def pred(rep: SeqRep) -> bool | None:
-        v = ultranorm(rep, weight)
-        ans = v.below(-s)
-        return {"yes": True, "no": False, "boundary": False, "inconclusive": None}[ans]
-
-    return pred
 
 
 @dataclass(frozen=True)

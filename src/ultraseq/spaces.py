@@ -68,6 +68,12 @@ class SeqRep:
             object.__setattr__(self, "n_min", max(self.n_min, self.expr.eval_n_min))
         if self.n_max < 10_000:
             raise ValueError("n_max must leave room for tail estimation (>= 10^4)")
+        if self.n_min >= self.n_max:
+            raise ValueError(f"need n_min < n_max, got {self.n_min} >= {self.n_max}")
+        if self.sample_ns is not None and not any(
+            self.n_min <= n <= self.n_max for n in self.sample_ns
+        ):
+            raise ValueError(f"sample_ns has no index in [{self.n_min}, {self.n_max}]")
 
     # -- constructors
 
@@ -274,20 +280,48 @@ def _exact_ultranorm(f: SeqRep, r: WeightSeq) -> UltranormValue:
 _WINDOW_FIT = 10
 _DIVERGE_LOG = 50.0
 _STABLE_WIDTH = 0.5
+_PER_WINDOW = 6
 
 
-def _sample_grid(n_min: int, n_max: int, per_window: int = 6) -> np.ndarray:
-    k_lo = int(math.floor(math.log2(max(n_min, 2))))
-    k_hi = int(math.floor(math.log2(n_max)))
+def _window_keys(ns) -> np.ndarray:
+    """The dyadic window of each index: floor(log2 n)."""
+    return np.floor(np.log2(ns)).astype(np.int64)
+
+
+def _sample_grid(n_min: int, n_max: int) -> np.ndarray:
+    k_lo, k_hi = _window_keys([max(n_min, 2), n_max])
     pts: list[int] = []
     for k in range(k_lo, k_hi + 1):
         lo, hi = 2 ** k, min(2 ** (k + 1) - 1, n_max)
         if hi < n_min:
             continue
         lo = max(lo, n_min)
-        qs = np.unique(np.round(np.geomspace(lo, hi, per_window)).astype(np.int64))
+        qs = np.unique(np.round(np.geomspace(lo, hi, _PER_WINDOW)).astype(np.int64))
         pts.extend(int(q) for q in qs)
     return np.unique(np.asarray(pts, dtype=np.int64))
+
+
+def _tail_grid(f: SeqRep, n_min: int) -> np.ndarray:
+    """The sorted indices at which f's tail is sampled, none below n_min:
+    f's own sample_ns when it has them, else the dyadic sample grid."""
+    if f.sample_ns is None:
+        return _sample_grid(n_min, f.n_max)
+    ns = np.asarray(sorted(set(f.sample_ns)), dtype=np.int64)
+    return ns[ns >= n_min]
+
+
+def _window_sups(ns: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max of t over each dyadic window of the sorted grid ns, and the
+    first n in each window where it is reached.
+
+    A NaN in a window makes its max NaN; the n reported for it is then
+    the last grid point, and callers drop such windows before using it.
+    """
+    starts = np.flatnonzero(np.diff(_window_keys(ns), prepend=-1))
+    sups = np.maximum.reduceat(t, starts)
+    at_sup = t == np.repeat(sups, np.diff(starts, append=len(t)))
+    first = np.minimum.reduceat(np.where(at_sup, np.arange(len(t)), len(t) - 1), starts)
+    return sups, ns[first]
 
 
 def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
@@ -300,13 +334,9 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
     tail, a steady drift in L commits to a +-inf limit, and anything else
     comes back wide and unstable.
     """
-    if f.sample_ns is not None:
-        ns = np.asarray(sorted(set(f.sample_ns)), dtype=np.int64)
-        ns = ns[ns >= max(f.n_min, r.n_min if not r.is_step else 2)]
-    else:
-        ns = _sample_grid(max(f.n_min, r.n_min if not r.is_step else 2), f.n_max)
+    ns = _tail_grid(f, max(f.n_min, r.n_min if not r.is_step else 2))
     logs = f.log_values(ns)
-    rs = np.asarray(r.values(ns), dtype=float)
+    rs = r.values(ns)
     with np.errstate(invalid="ignore"):
         t = rs * logs
     # conventions: 0 * (-inf) = -inf here (a zero weight flattens zeros to
@@ -314,18 +344,10 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
     t = np.where(np.isneginf(logs), -math.inf, t)
     t = np.where((rs == 0.0) & np.isfinite(logs), 0.0, t)
 
-    keys = np.floor(np.log2(ns)).astype(int)
-    # keep the location of each window sup: fitting at the true argmax
-    # instead of the window midpoint keeps the asymptote unbiased
-    windows: list[tuple[int, float, float]] = []
-    for k in np.unique(keys):
-        mask = keys == k
-        sub = t[mask]
-        i = int(np.argmax(sub))
-        windows.append((int(k), float(sub[i]), float(np.log(ns[mask][i]))))
-    windows.sort()
-    sups = np.asarray([w[1] for w in windows])
-    sup_ls = np.asarray([w[2] for w in windows])
+    # fitting at the location of each window sup instead of the window
+    # midpoint keeps the asymptote unbiased
+    sups, sup_ns = _window_sups(ns, t)
+    sup_ls = np.log(sup_ns)
 
     tail = sups[-min(len(sups), _WINDOW_FIT):]
     tail_ls = sup_ls[-len(tail):]
@@ -500,7 +522,6 @@ def classify(
     family: WeightFamily,
     mode: Mode | None = None,
     m_max: int = 16,
-    independent_channels: bool = False,
 ) -> ClassificationReport:
     """Classify a sequence bundle against a weight family.
 
@@ -509,9 +530,6 @@ def classify(
     moderate class requires every channel to pass; for indexed families
     the level quantifier follows the family direction (exists-m for
     decreasing levels, for-all-m for increasing ones), probed up to m_max.
-
-    With `independent_channels`, channel keys must be (group, probe) pairs
-    and the existential level choice is made per group over its probes.
     """
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}
@@ -544,17 +562,11 @@ def classify(
         in_F = level_in_F(m0)
         in_K = level_in_K(m0)
     elif family.direction is Direction.DECREASING:
-        if independent_channels:
-            in_F = _group_exists(per_level, mode, _channel_in_F)
-        else:
-            in_F = _tri_or(level_in_F(m) for m in levels)
+        in_F = _tri_or(level_in_F(m) for m in levels)
         in_K = _tri_and(level_in_K(m) for m in levels)
     else:
         in_F = _tri_and(level_in_F(m) for m in levels)
-        if independent_channels:
-            in_K = _group_exists(per_level, mode, _channel_in_K)
-        else:
-            in_K = _tri_or(level_in_K(m) for m in levels)
+        in_K = _tri_or(level_in_K(m) for m in levels)
 
     boundary = False
     if mode is Mode.UNIT_BALL and in_F is True and in_K is False:
@@ -592,21 +604,6 @@ def classify(
         lines=tuple(lines),
         channel_norms=flat,
     )
-
-
-def _group_exists(per_level, mode, channel_pred) -> bool | None:
-    """Per-group existential level choice: every (group, probe) channel must
-    pass at some level, with the level chosen independently per group."""
-    groups: dict[object, list[bool | None]] = {}
-    for m, norms in per_level.items():
-        per_group: dict[object, list[bool | None]] = {}
-        for key, v in norms.items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                raise ValueError("independent_channels needs (group, probe) channel keys")
-            per_group.setdefault(key[0], []).append(channel_pred(v, mode))
-        for g, vals in per_group.items():
-            groups.setdefault(g, []).append(_tri_and(vals))
-    return _tri_and(_tri_or(level_oks) for level_oks in groups.values())
 
 
 # ---------------------------------------------------------------------------

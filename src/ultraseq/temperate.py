@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -259,8 +260,19 @@ def _family_case(W: WeightFamily) -> str:
     return "II" if W.direction is Direction.DECREASING else "I"
 
 
-def _has_step(W: WeightFamily, m_probe: Iterable[int]) -> bool:
-    return any(W.member(m).is_step for m in m_probe)
+_Certificate = Callable[..., TemperateCertificate]
+
+
+def _step_guard(
+    cert: _Certificate, W: WeightFamily, levels: list[int]
+) -> TemperateCertificate | None:
+    """The no-decision certificate when a probed level is a step weight."""
+    if not any(W.member(m).is_step for m in levels):
+        return None
+    return cert(
+        status="inconclusive",
+        notes="step weights vanish on tails, so x^(1/r_n) is undefined; no decision",
+    )
 
 
 _N_WINDOWS = tuple(2 ** k for k in range(4, 21, 2))
@@ -276,8 +288,8 @@ def _levels(W: WeightFamily, m_max: int) -> list[int]:
     return list(range(W.m_start, W.m_start + m_max))
 
 
-def _log_g_factory(g: ScalarMap) -> Callable[[float], float]:
-    """log g(e^L) as a function of L, usable past double-precision range.
+def _log_g_factory(g: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
+    """log g(e^L) elementwise over an array of L, usable past double-precision range.
 
     Doubles cannot hold x^(1/r_n) once the weights are small, so the probe
     argument is kept in log scale.  Direct evaluation is used while g's value
@@ -318,60 +330,73 @@ def _log_g_factory(g: ScalarMap) -> Callable[[float], float]:
             drift = float(slopes[-1] - slopes[0])
             if drift > max(0.5, 0.1 * abs(slope)):
                 exp_like = True
+            anchor, anchor_log = float(ladder[-1]), float(logs[-1])
 
-    def log_g(arg_log: float) -> float:
-        if arg_log <= 709.0:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                v = float(g.fn(np.asarray(math.exp(arg_log))))
-            if math.isfinite(v):
-                return math.log(v) if v > 0 else -math.inf
+    def log_g(arg_log: np.ndarray) -> np.ndarray:
+        direct = arg_log <= 709.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = np.asarray(g.fn(np.exp(np.where(direct, arg_log, 0.0))), dtype=float)
+            out = np.where(v > 0, np.log(v), -math.inf)
         if exp_like or slope is None:
-            return math.inf
-        return math.log(float(g.fn(np.asarray(math.exp(0.9 * l_star))))) + slope * (
-            arg_log - 0.9 * l_star
-        )
+            beyond = math.inf
+        else:
+            beyond = anchor_log + slope * (arg_log - anchor)
+        return np.where(direct & np.isfinite(v), out, beyond)
 
     return log_g
 
 
-def _reweighted_log(
-    g: ScalarMap, x: float, r_m: float, r_M: float, log_g: Callable[[float], float] | None = None
-) -> float:
-    """log of (g(x^(1/r_m)))^(r_M), computed with overflow care."""
-    if r_m == 0.0:
-        return math.nan
-    if log_g is None:
-        log_g = _log_g_factory(g)
-    return r_M * log_g(math.log(x) / r_m)
+def _log_grid(
+    log_g: Callable[[np.ndarray], np.ndarray], W: WeightFamily, m: int, M: int, xs: Sequence[float]
+) -> np.ndarray:
+    """log of (g(x^(1/r^m_n)))^(r^M_n) on the n-windows (rows) by xs (columns)."""
+    wa, wb = W.member(m), W.member(M)
+    ns = [n for n in _N_WINDOWS if n >= max(wa.n_min, wb.n_min)]
+    r_m, r_M = wa.values(ns)[:, None], wb.values(ns)[:, None]
+    return r_M * log_g(np.log(xs) / r_m)
+
+
+def _level_search(
+    cert: _Certificate,
+    levels: list[int],
+    candidates: Callable[[int], list[tuple[int, int]]],
+    passes: Callable[[int, int], bool],
+    refutation: Callable[[int, int], dict],
+    notes: tuple[str, str],
+) -> TemperateCertificate:
+    """Certify with, for each lead level, the first candidate pair (m, M)
+    that passes; refute at the first lead level where none does, with the
+    witness of the last pair tried there.  `notes` reads (certified, refuted)."""
+    pairs = []
+    for lead in levels:
+        for pair in candidates(lead):
+            if passes(*pair):
+                pairs.append(pair)
+                break
+        else:
+            return cert(status="refuted", witness=refutation(*pair), notes=notes[1])
+    return cert(status="certified", pairs=tuple(pairs), notes=notes[0])
 
 
 def check_moderate(g: ScalarMap, W: WeightFamily, m_max: int = 16) -> TemperateCertificate:
     """Decide whether g preserves the moderate cone over the family W."""
     case = _family_case(W)
     levels = _levels(W, m_max)
-    if _has_step(W, levels):
-        return TemperateCertificate(
-            status="inconclusive",
-            role="moderate",
-            case=case,
-            map_label=g.label,
-            family=W.name,
-            notes="step weights vanish on tails, so x^(1/r_n) is undefined; no decision",
-        )
+    cert = partial(
+        TemperateCertificate, role="moderate", case=case, map_label=g.label, family=W.name
+    )
+    guard = _step_guard(cert, W, levels)
+    if guard is not None:
+        return guard
 
     r_top = max(W.member(m).value(W.member(m).n_min) for m in levels)
 
     if g.poly_bound is not None:
         a, k = g.poly_bound
         bound = max(a, 1.0) ** r_top
-        pairs = tuple((m, m) for m in levels)
-        return TemperateCertificate(
+        return cert(
             status="certified",
-            role="moderate",
-            case=case,
-            map_label=g.label,
-            family=W.name,
-            pairs=pairs,
+            pairs=tuple((m, m) for m in levels),
             value_bound=bound,
             exact=True,
             notes=(
@@ -382,15 +407,15 @@ def check_moderate(g: ScalarMap, W: WeightFamily, m_max: int = 16) -> TemperateC
 
     symbolic = all(W.member(m).is_symbolic for m in levels)
     if g.contains_exp and symbolic:
-        cert = _refute_exp_moderate(g, W, levels, case)
-        if cert is not None:
-            return cert
+        refuted = _refute_exp_moderate(cert, W, levels, case)
+        if refuted is not None:
+            return refuted
 
-    return _numeric_moderate(g, W, levels, case, m_max)
+    return _numeric_moderate(cert, g, W, levels, case, m_max)
 
 
 def _refute_exp_moderate(
-    g: ScalarMap, W: WeightFamily, levels: list[int], case: str
+    cert: _Certificate, W: WeightFamily, levels: list[int], case: str
 ) -> TemperateCertificate | None:
     """Exact divergence of exp-type maps: at x = e^2 the reweighted value is
     exp(e^(2/r^m_n) * r^M_n), which diverges whenever e^(2/r^m) * r^M does."""
@@ -431,84 +456,40 @@ def _refute_exp_moderate(
         if math.log(wb.value(n)) + math.log(x) / wa.value(n) > math.log(_LOG_CAP):
             n_star = n
             break
-    return TemperateCertificate(
+    return cert(
         status="refuted",
-        role="moderate",
-        case=case,
-        map_label=g.label,
-        family=W.name,
         witness={"m": m_w, "M": M_w, "x": x, "n": n_star, "log_value_exceeds": _LOG_CAP},
         exact=True,
         notes=note + f"; witness replay: reweighted log value at n={n_star} exceeds {_LOG_CAP:g}",
     )
 
 
-def _pair_sup(
-    g: ScalarMap,
-    W: WeightFamily,
-    m: int,
-    M: int,
-    xs: Sequence[float],
-    log_g: Callable[[float], float] | None = None,
-):
-    """Max reweighted log value per n-window."""
-    log_g = log_g if log_g is not None else _log_g_factory(g)
-    wa, wb = W.member(m), W.member(M)
-    n_lo = max(wa.n_min, wb.n_min)
-    sups = []
-    for n in _N_WINDOWS:
-        if n < n_lo:
-            continue
-        vals = [_reweighted_log(g, x, wa.value(n), wb.value(n), log_g) for x in xs]
-        sups.append(max(vals))
-    return sups
-
-
 def _numeric_moderate(
-    g: ScalarMap, W: WeightFamily, levels: list[int], case: str, m_max: int
+    cert: _Certificate, g: ScalarMap, W: WeightFamily, levels: list[int], case: str, m_max: int
 ) -> TemperateCertificate:
-    pairs = []
-    worst = None
     log_g = _log_g_factory(g)
-    outer = levels if case != "single" else levels[:1]
-    for lead in outer:
-        found = None
-        for other in levels:
-            m, M = (lead, other) if case in ("II", "single") else (other, lead)
-            if case in ("II", "single") and other < lead:
-                continue
-            sups = _pair_sup(g, W, m, M, _X_GRID_FULL, log_g)
-            bounded = sups[-1] < _LOG_CAP and (len(sups) < 2 or sups[-1] <= sups[-2] + 1.0)
-            if bounded:
-                found = (m, M, sups[-1])
-                break
-            worst = (m, M, sups[-1])
-        if found is None:
-            return TemperateCertificate(
-                status="refuted",
-                role="moderate",
-                case=case,
-                map_label=g.label,
-                family=W.name,
-                witness={
-                    "m": worst[0],
-                    "M": worst[1],
-                    "x": max(_X_GRID_FULL),
-                    "last_window_log": worst[2],
-                },
-                notes=f"no partner level up to {m_max} bounds the reweighted values on the probe grid",
-            )
-        pairs.append(found[:2])
-    return TemperateCertificate(
-        status="certified",
-        role="moderate",
-        case=case,
-        map_label=g.label,
-        family=W.name,
-        pairs=tuple(pairs),
-        value_bound=None,
-        exact=False,
-        notes=f"numeric search over x in [1e-8, 1e8], n-windows to 2^20, levels to {m_max}",
+
+    def window_sups(m: int, M: int) -> np.ndarray:
+        return _log_grid(log_g, W, m, M, _X_GRID_FULL).max(axis=1)
+
+    def bounded(m: int, M: int) -> bool:
+        sups = window_sups(m, M)
+        return sups[-1] < _LOG_CAP and (len(sups) < 2 or sups[-1] <= sups[-2] + 1.0)
+
+    def refutation(m: int, M: int) -> dict:
+        last = float(window_sups(m, M)[-1])
+        return {"m": m, "M": M, "x": max(_X_GRID_FULL), "last_window_log": last}
+
+    if case == "I":
+        candidates = lambda lead: [(m, lead) for m in levels]
+    else:
+        candidates = lambda lead: [(lead, M) for M in levels if M >= lead]
+    return _level_search(
+        cert, levels, candidates, bounded, refutation,
+        notes=(
+            f"numeric search over x in [1e-8, 1e8], n-windows to 2^20, levels to {m_max}",
+            f"no partner level up to {m_max} bounds the reweighted values on the probe grid",
+        ),
     )
 
 
@@ -516,31 +497,23 @@ def check_compatible(h: ScalarMap, W: WeightFamily, m_max: int = 16) -> Temperat
     """Decide whether h collapses the negligible cone over the family W."""
     case = _family_case(W)
     levels = _levels(W, m_max)
-    if _has_step(W, levels):
-        return TemperateCertificate(
-            status="inconclusive",
-            role="compatible",
-            case=case,
-            map_label=h.label,
-            family=W.name,
-            notes="step weights vanish on tails, so x^(1/r_n) is undefined; no decision",
-        )
+    cert = partial(
+        TemperateCertificate, role="compatible", case=case, map_label=h.label, family=W.name
+    )
+    guard = _step_guard(cert, W, levels)
+    if guard is not None:
+        return guard
 
     if h.zero_limit is not None and h.zero_limit > 0.0:
-        w = W.member(levels[0])
-        n_big = 2 ** 20
-        val = _reweighted_log(h, 1e-12, w.value(n_big), w.value(n_big))
-        return TemperateCertificate(
+        m = levels[0]
+        val = float(_log_grid(_log_g_factory(h), W, m, m, [1e-12])[-1, 0])
+        return cert(
             status="refuted",
-            role="compatible",
-            case=case,
-            map_label=h.label,
-            family=W.name,
             witness={
-                "m": levels[0],
-                "M": levels[0],
+                "m": m,
+                "M": m,
                 "x": 1e-12,
-                "n": n_big,
+                "n": _N_WINDOWS[-1],
                 "log_value": val,
                 "zero_limit": h.zero_limit,
             },
@@ -556,14 +529,9 @@ def check_compatible(h: ScalarMap, W: WeightFamily, m_max: int = 16) -> Temperat
         a, kappa, u0 = h.vanish_bound
         bound = max(a, 1.0) ** r_top
         x_cap = 1.0 if u0 >= 1.0 else u0 ** (1.0 / r_top)
-        pairs = tuple((m, m) for m in levels)
-        return TemperateCertificate(
+        return cert(
             status="certified",
-            role="compatible",
-            case=case,
-            map_label=h.label,
-            family=W.name,
-            pairs=pairs,
+            pairs=tuple((m, m) for m in levels),
             value_bound=bound,
             exact=True,
             notes=(
@@ -573,87 +541,35 @@ def check_compatible(h: ScalarMap, W: WeightFamily, m_max: int = 16) -> Temperat
             ),
         )
 
-    return _numeric_compatible(h, W, levels, case, m_max)
-
-
-def _uniform_threshold(
-    h: ScalarMap,
-    W: WeightFamily,
-    m: int,
-    M: int,
-    log_h: Callable[[float], float] | None = None,
-):
-    """Largest probe x below which the value is < eps in every n-window."""
-    log_h = log_h if log_h is not None else _log_g_factory(h)
-    wa, wb = W.member(m), W.member(M)
-    n_lo = max(wa.n_min, wb.n_min)
-    ok_x = None
-    for x in sorted(_X_GRID_SMALL, reverse=True):
-        good = True
-        for n in _N_WINDOWS:
-            if n < n_lo:
-                continue
-            if _reweighted_log(h, x, wa.value(n), wb.value(n), log_h) >= math.log(_EPS_UNIFORM):
-                good = False
-                break
-        if good:
-            ok_x = x
-            break
-    return ok_x
+    return _numeric_compatible(cert, h, W, levels, case, m_max)
 
 
 def _numeric_compatible(
-    h: ScalarMap, W: WeightFamily, levels: list[int], case: str, m_max: int
+    cert: _Certificate, h: ScalarMap, W: WeightFamily, levels: list[int], case: str, m_max: int
 ) -> TemperateCertificate:
-    pairs = []
-    worst = None
     log_h = _log_g_factory(h)
-    outer = levels if case != "single" else levels[:1]
-    for lead in outer:
-        found = None
-        for other in levels:
-            m, M = (other, lead) if case == "II" else (lead, other)
-            if case == "single":
-                m = M = lead
-            x_star = _uniform_threshold(h, W, m, M, log_h)
-            if x_star is not None:
-                found = (m, M, x_star)
-                break
-            worst = (m, M)
-            if case == "single":
-                break
-        if found is None:
-            wa, wb = W.member(worst[0]), W.member(worst[1])
-            n_big = _N_WINDOWS[-1]
-            return TemperateCertificate(
-                status="refuted",
-                role="compatible",
-                case=case,
-                map_label=h.label,
-                family=W.name,
-                witness={
-                    "m": worst[0],
-                    "M": worst[1],
-                    "x": min(_X_GRID_SMALL),
-                    "n": n_big,
-                    "log_value": _reweighted_log(h, min(_X_GRID_SMALL), wa.value(n_big), wb.value(n_big)),
-                    "eps": _EPS_UNIFORM,
-                },
-                notes=(
-                    "no probe x pushes the reweighted values below eps across all "
-                    "n-windows: uniform vanishing fails on the grid"
-                ),
-            )
-        pairs.append(found[:2])
-    return TemperateCertificate(
-        status="certified",
-        role="compatible",
-        case=case,
-        map_label=h.label,
-        family=W.name,
-        pairs=tuple(pairs),
-        exact=False,
-        notes=f"numeric uniformity scan: x in [1e-8, 1], n-windows to 2^20, levels to {m_max}",
+
+    def vanishes(m: int, M: int) -> bool:
+        # some probe x keeps the value below eps in every n-window
+        high = _log_grid(log_h, W, m, M, _X_GRID_SMALL) >= math.log(_EPS_UNIFORM)
+        return bool(np.any(~np.any(high, axis=0)))
+
+    def refutation(m: int, M: int) -> dict:
+        x = min(_X_GRID_SMALL)
+        last = float(_log_grid(log_h, W, m, M, [x])[-1, 0])
+        return {"m": m, "M": M, "x": x, "n": _N_WINDOWS[-1], "log_value": last, "eps": _EPS_UNIFORM}
+
+    if case == "II":
+        candidates = lambda lead: [(m, lead) for m in levels]
+    else:
+        candidates = lambda lead: [(lead, M) for M in levels]
+    return _level_search(
+        cert, levels, candidates, vanishes, refutation,
+        notes=(
+            f"numeric uniformity scan: x in [1e-8, 1], n-windows to 2^20, levels to {m_max}",
+            "no probe x pushes the reweighted values below eps across all "
+            "n-windows: uniform vanishing fails on the grid",
+        ),
     )
 
 

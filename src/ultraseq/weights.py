@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from ultraseq import growth
 from ultraseq.growth import GrowthExpr, NotRepresentable
 
@@ -59,12 +61,13 @@ class WeightSeq:
     weights, which are fully described by `step_m`: value 1 up to index
     step_m and 0 beyond, with the convention that a zero weight flattens
     any positive base to zero (0 as an exponent acts as annihilator here).
+    An `evaluator` maps an array of indices to an array of weight values.
     """
 
     label: str
     expr: GrowthExpr | None = None
     step_m: int | None = None
-    evaluator: Callable[[float], float] | None = None
+    evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     n_min: int = 2
 
     def __post_init__(self):
@@ -102,16 +105,17 @@ class WeightSeq:
         return self.expr is not None
 
     def value(self, n: float) -> float:
+        return float(self.values([n])[0])
+
+    def values(self, ns) -> np.ndarray:
+        ns = np.asarray(ns, dtype=float)
         if self.step_m is not None:
-            return 1.0 if n <= self.step_m else 0.0
-        if n < self.n_min:
+            return np.where(ns <= self.step_m, 1.0, 0.0)
+        if (ns < self.n_min).any():
             raise ValueError(f"weight {self.label} needs n >= {self.n_min}")
         if self.expr is not None:
-            return float(growth.eval_value(self.expr, n))
-        return self.evaluator(n)
-
-    def values(self, ns) -> list[float]:
-        return [self.value(n) for n in ns]
+            return growth.eval_value(self.expr, ns)
+        return np.asarray(self.evaluator(ns), dtype=float)
 
 
 def colombeau_weight() -> WeightSeq:
@@ -240,9 +244,8 @@ def _abs_log_weight(a_m: GrowthExpr, label: str) -> WeightSeq:
             return WeightSeq(label=label, expr=expr)
     n_min = a_m.eval_n_min
 
-    def ev(n: float) -> float:
-        lg = growth.eval_log(a_m, max(n, n_min))
-        return 1.0 / abs(lg)
+    def ev(ns: np.ndarray) -> np.ndarray:
+        return 1.0 / np.abs(growth.eval_log(a_m, np.maximum(ns, n_min)))
 
     return WeightSeq(label=label, evaluator=ev, n_min=max(n_min, 3))
 

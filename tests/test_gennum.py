@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +186,38 @@ def test_jx_well_definedness_audit():
     assert rep.passed and rep.checked_members >= 5
     rep = jx_well_defined(bounded_predicate, SPACE, j_label="bounded")
     assert rep.passed
+
+
+def _counting(values_fn, seen: list):
+    def fn(ns):
+        seen.extend(int(n) for n in ns)
+        return values_fn(np.asarray(ns, dtype=float))
+
+    return fn
+
+
+def test_sampled_bounded_predicate():
+    assert bounded_predicate(SeqRep.sampled_from_expr("2 + n^-1")) is True
+    assert bounded_predicate(SeqRep.sampled_from_expr("n^5")) is False
+    # a grid with a single dyadic window cannot show a trend
+    one_window = SeqRep.sampled(lambda ns: 1.0 / ns, "1/n", n_min=600_000)
+    assert bounded_predicate(one_window) is None
+
+
+def test_sampled_bounded_predicate_uses_sample_ns():
+    sample_ns = [2 ** k for k in range(4, 21)]
+    seen: list[int] = []
+    rep = SeqRep.sampled(_counting(lambda ns: 1.0 / ns, seen), "1/n", sample_ns=sample_ns)
+    assert bounded_predicate(rep) is True
+    assert sorted(seen) == sample_ns
+
+
+def test_sampled_null_predicate_respects_n_min():
+    seen: list[int] = []
+    sample_ns = [2, 50, *(2 ** k for k in range(7, 21))]
+    rep = SeqRep.sampled(_counting(lambda ns: 1.0 / ns, seen), "1/n", n_min=100, sample_ns=sample_ns)
+    assert null_predicate(rep) is True
+    assert seen and min(seen) >= 100
 
 
 # ---------------------------------------------------------------------------

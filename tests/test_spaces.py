@@ -100,6 +100,19 @@ def test_sampled_zero_signal():
     assert v.is_zero() is True
 
 
+def test_index_range_must_be_nonempty():
+    def ones(ns):
+        return np.ones(len(ns))
+
+    with pytest.raises(ValueError, match="n_min < n_max"):
+        SeqRep.sampled(ones, "one", n_min=2_000_000, n_max=1_000_000)
+    with pytest.raises(ValueError, match="n_min < n_max"):
+        SeqRep.sampled(ones, "one", n_min=20_000, n_max=20_000)
+    with pytest.raises(ValueError, match="sample_ns has no index"):
+        SeqRep.sampled(ones, "one", n_min=100, sample_ns=[2, 50])
+    assert SeqRep.sampled(ones, "one", n_min=9_999, n_max=10_000).n_min == 9_999
+
+
 def test_format_value():
     v = ultranorm(SeqRep.symbolic("n^2"), COL)
     assert format_value(v) == "7.38905610"[: len(format_value(v))] or "7.389" in format_value(v)

@@ -31,7 +31,7 @@ from ultraseq.temperate import (
     sum_maps,
     verify_F2,
 )
-from ultraseq.weights import catalog, power_scale, scale_to_weights
+from ultraseq.weights import catalog, expdecay_scale, power_scale, scale_to_weights
 
 COL = catalog("colombeau")
 SCALE_II = scale_to_weights(power_scale())  # decreasing levels
@@ -193,6 +193,97 @@ def test_black_box_log_reciprocal_refuted():
     assert cert.status == "refuted"
     # the witness records a small input whose image refuses to fall
     assert cert.witness["x"] <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# numeric level-pair search on black-box maps (results pinned)
+
+BLACK_BOX = {
+    "sqrt": np.sqrt,
+    "square": lambda u: u * u,
+    "x*log1p(x)": lambda u: u * np.log1p(u),
+    "exp": np.exp,
+    "exp(sqrt(x))": lambda u: np.exp(np.sqrt(u)),
+}
+SEARCH_FAMILIES = {
+    "colombeau": COL,
+    "ultra": ULTRA_I,
+    "scale-power": SCALE_II,
+    "scale-expdecay": scale_to_weights(expdecay_scale()),
+}
+# (map, family, role, status, witness (m, M, x) or None, certified pairs "m:M ...")
+PINNED_SEARCHES = [
+    ("sqrt", "colombeau", "moderate", "certified", None, "1:1"),
+    ("sqrt", "colombeau", "compatible", "certified", None, "1:1"),
+    ("sqrt", "ultra", "moderate", "certified", None,
+     "2:2 3:3 4:4 5:5 6:6 6:7 7:8 7:9 8:10 8:11 9:12 9:13 10:14 10:15 11:16 11:17"),
+    ("sqrt", "ultra", "compatible", "certified", None,
+     "2:2 3:2 4:2 5:2 6:2 7:2 8:2 9:2 10:2 11:2 12:2 13:2 14:2 15:2 16:3 17:3"),
+    ("sqrt", "scale-power", "moderate", "certified", None,
+     "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 10:10 11:11 12:12 13:13 14:14 15:15 16:16"),
+    ("sqrt", "scale-power", "compatible", "certified", None,
+     "1:1 1:2 1:3 1:4 1:5 1:6 1:7 1:8 1:9 1:10 1:11 1:12 1:13 2:14 2:15 2:16"),
+    ("sqrt", "scale-expdecay", "moderate", "certified", None,
+     "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 10:10 11:11 12:12 13:13 14:14 15:15 16:16"),
+    ("sqrt", "scale-expdecay", "compatible", "certified", None,
+     "1:1 1:2 1:3 1:4 1:5 1:6 1:7 1:8 1:9 1:10 1:11 1:12 1:13 2:14 2:15 2:16"),
+    ("square", "colombeau", "moderate", "certified", None, "1:1"),
+    ("square", "colombeau", "compatible", "certified", None, "1:1"),
+    ("square", "ultra", "moderate", "certified", None,
+     "2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 9:10 10:11 11:12 12:13 12:14 13:15 14:16 14:17"),
+    ("square", "ultra", "compatible", "certified", None,
+     "2:2 3:2 4:2 5:2 6:2 7:2 8:2 9:2 10:2 11:2 12:2 13:2 14:2 15:2 16:2 17:2"),
+    ("square", "scale-power", "moderate", "certified", None,
+     "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 10:10 11:11 12:12 13:13 14:14 15:15 16:16"),
+    ("square", "scale-power", "compatible", "certified", None,
+     "1:1 1:2 1:3 1:4 1:5 1:6 1:7 1:8 1:9 1:10 1:11 1:12 1:13 1:14 1:15 1:16"),
+    ("square", "scale-expdecay", "moderate", "certified", None,
+     "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 10:10 11:11 12:12 13:13 14:14 15:15 16:16"),
+    ("square", "scale-expdecay", "compatible", "certified", None,
+     "1:1 1:2 1:3 1:4 1:5 1:6 1:7 1:8 1:9 1:10 1:11 1:12 1:13 1:14 1:15 1:16"),
+    ("x*log1p(x)", "colombeau", "moderate", "certified", None, "1:1"),
+    ("x*log1p(x)", "colombeau", "compatible", "certified", None, "1:1"),
+    ("x*log1p(x)", "ultra", "moderate", "certified", None,
+     "2:2 3:3 4:4 5:5 6:6 7:7 7:8 8:9 9:10 9:11 10:12 11:13 11:14 12:15 12:16 13:17"),
+    ("x*log1p(x)", "ultra", "compatible", "certified", None,
+     "2:2 3:2 4:2 5:2 6:2 7:2 8:2 9:2 10:2 11:2 12:2 13:2 14:2 15:2 16:2 17:2"),
+    ("x*log1p(x)", "scale-power", "moderate", "certified", None,
+     "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 10:10 11:11 12:12 13:13 14:14 15:15 16:16"),
+    ("x*log1p(x)", "scale-power", "compatible", "certified", None,
+     "1:1 1:2 1:3 1:4 1:5 1:6 1:7 1:8 1:9 1:10 1:11 1:12 1:13 1:14 1:15 1:16"),
+    ("x*log1p(x)", "scale-expdecay", "moderate", "certified", None,
+     "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8 9:9 10:10 11:11 12:12 13:13 14:14 15:15 16:16"),
+    ("x*log1p(x)", "scale-expdecay", "compatible", "certified", None,
+     "1:1 1:2 1:3 1:4 1:5 1:6 1:7 1:8 1:9 1:10 1:11 1:12 1:13 1:14 1:15 1:16"),
+    ("exp", "colombeau", "moderate", "refuted", (1, 1, 100000000.0), ""),
+    ("exp", "colombeau", "compatible", "refuted", (1, 1, 1e-08), ""),
+    ("exp", "ultra", "moderate", "refuted", (17, 2, 100000000.0), ""),
+    ("exp", "ultra", "compatible", "refuted", (2, 17, 1e-08), ""),
+    ("exp", "scale-power", "moderate", "refuted", (1, 16, 100000000.0), ""),
+    ("exp", "scale-power", "compatible", "refuted", (16, 1, 1e-08), ""),
+    ("exp", "scale-expdecay", "moderate", "refuted", (1, 16, 100000000.0), ""),
+    ("exp", "scale-expdecay", "compatible", "refuted", (16, 1, 1e-08), ""),
+    ("exp(sqrt(x))", "colombeau", "moderate", "refuted", (1, 1, 100000000.0), ""),
+    ("exp(sqrt(x))", "colombeau", "compatible", "refuted", (1, 1, 1e-08), ""),
+    ("exp(sqrt(x))", "ultra", "moderate", "refuted", (17, 2, 100000000.0), ""),
+    ("exp(sqrt(x))", "ultra", "compatible", "refuted", (2, 17, 1e-08), ""),
+    ("exp(sqrt(x))", "scale-power", "moderate", "refuted", (1, 16, 100000000.0), ""),
+    ("exp(sqrt(x))", "scale-power", "compatible", "refuted", (16, 1, 1e-08), ""),
+    ("exp(sqrt(x))", "scale-expdecay", "moderate", "refuted", (1, 16, 100000000.0), ""),
+    ("exp(sqrt(x))", "scale-expdecay", "compatible", "refuted", (16, 1, 1e-08), ""),
+]
+
+
+@pytest.mark.parametrize("label,family,role,status,witness,pairs", PINNED_SEARCHES)
+def test_black_box_search_results_are_pinned(label, family, role, status, witness, pairs):
+    check = check_moderate if role == "moderate" else check_compatible
+    cert = check(ScalarMap(label=label, fn=BLACK_BOX[label]), SEARCH_FAMILIES[family])
+    assert cert.status == status and not cert.exact
+    assert cert.pairs == tuple(tuple(int(v) for v in p.split(":")) for p in pairs.split())
+    if witness is None:
+        assert cert.witness == {}
+    else:
+        assert (cert.witness["m"], cert.witness["M"], cert.witness["x"]) == witness
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ultraseq import growth
 from ultraseq.weights import (
+    AsymptoticScale,
     Direction,
     Mode,
     WeightSeq,
@@ -36,7 +38,7 @@ def test_weight_must_decrease_to_zero():
 def test_step_weight_values():
     w = catalog("egorov").member(3)
     assert w.is_step
-    assert w.values([2, 3, 4, 10]) == [1.0, 1.0, 0.0, 0.0]
+    assert w.values([2, 3, 4, 10]).tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_catalog_directions_hold_pointwise():
@@ -110,3 +112,35 @@ def test_scale_to_weights_level_one_matches_named_families():
     # the exponential scale at m=1 reproduces 1/n
     w = scale_to_weights(expdecay_scale()).member(1)
     assert w.value(17.0) == pytest.approx(1.0 / 17.0)
+
+
+def _every_weight() -> list[WeightSeq]:
+    ws = [catalog("colombeau").member(1), catalog("infra").member(1)]
+    ws += [catalog("egorov").member(m) for m in (1, 3, 8)]
+    ws += [catalog("ultra").member(m) for m in range(2, 18)]
+    # log(n^-m * exp(-n)) has two monomials, so these weights use an evaluator
+    mixed = AsymptoticScale("n^-m*exp(-n)", lambda m: growth.parse(f"n^-{m}*exp(-n)"))
+    for scale in (power_scale(), expdecay_scale(), mixed):
+        ws += [scale_to_weights(scale).member(m) for m in range(1, 17)]
+    return ws
+
+
+def test_values_equal_pointwise_values():
+    ns = np.unique(np.geomspace(3, 2 ** 20, 300).astype(np.int64))
+    weights = _every_weight()
+    assert any(w.evaluator is not None for w in weights)
+    for w in weights:
+        vals = w.values(ns)
+        assert vals.dtype == np.float64 and vals.shape == ns.shape
+        pointwise = np.array([w.value(int(n)) for n in ns])
+        assert vals.tobytes() == pointwise.tobytes(), w.label
+
+
+def test_values_reject_indices_below_n_min():
+    for w in _every_weight():
+        if w.is_step:
+            continue
+        with pytest.raises(ValueError, match="needs n >="):
+            w.values([w.n_min - 1, w.n_min])
+        with pytest.raises(ValueError, match="needs n >="):
+            w.value(w.n_min - 1)
