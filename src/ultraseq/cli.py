@@ -130,8 +130,6 @@ def parse_expr(text: str, label: str | None = None) -> SeqRep:
         expr = growth.parse(text)
     except growth.ParseError as e:
         raise CliError(f"cannot parse {name}: {e}") from None
-    except OverflowError:
-        raise CliError(f"cannot parse {name}: a number is out of floating-point range") from None
     return SeqRep.symbolic(expr, label=label or text)
 
 

@@ -2,16 +2,21 @@
 
 There is one type, `SmoothSeq`.  A single smooth function f is the
 sequence f_n = f that does not depend on n; point masses enter as the
-mollifier sequences n * phi(n x).  Sequences carry analytic derivative
-evaluators (grid differentiation loses too much precision at the orders
-the seminorms need); central differences are used in the tests only as a
-cross-check.  Everything is 1-D.
+mollifier sequences n * phi(n x).  Everything is 1-D.
+
+A sequence is evaluated through its jet: jet(n, xs, k) is the
+(k+1, len(xs)) array of the analytic derivatives of orders 0..k of f_n at
+xs.  Combinators compose jets (Leibniz sums for products, a recurrence
+for exp), so every order comes from one evaluation of each operand; grid
+differentiation would lose too much precision, and central differences
+serve only as a cross-check in the tests.
 
 Seminorm values are grid suprema over the lattice spacing
-min(2^-10, 1/(8n)), clipped to the function's support, so the peak of an
-n-scaled mollifier stays resolved at every index.  A grid supremum is a
-lower bound for the true supremum; the scaling laws the classification
-relies on are preserved because the peak region is always sampled.
+min(2^-10, 1/(8n)), clipped to the function's support and evaluated in
+fixed-size chunks, so the peak of an n-scaled mollifier stays resolved at
+every index.  A grid supremum is a lower bound for the true supremum; the
+scaling laws the classification relies on are preserved because the peak
+region is always sampled.
 
 Pairings, mollifier masses and moments are adaptive composite
 Gauss-Legendre integrals over the clipped support.  Each panel carries a
@@ -24,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyder, polyval
 
 from ultraseq import gennum, growth
 from ultraseq.gennum import AssocKind, AssocVerdict, NotModerate
@@ -84,7 +90,7 @@ class QuadratureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# smooth sequences with analytic derivatives
+# smooth sequences with analytic derivative jets
 
 
 def _n_dependent(seq: SmoothSeq) -> ValueError:
@@ -93,8 +99,9 @@ def _n_dependent(seq: SmoothSeq) -> ValueError:
 
 @dataclass(frozen=True)
 class SmoothSeq:
-    """A sequence of smooth functions f_n given by a vectorized (n, x, order)
-    evaluator, with per-index support information.
+    """A sequence of smooth functions f_n given by a vectorized jet
+    jet(n, xs, k): the (k+1, len(xs)) array of the derivatives of orders
+    0..k of f_n at the points xs, with per-index support information.
 
     A single smooth function is a sequence that does not depend on n
     (`n_free`).  Constructors record that fact and combinators propagate
@@ -103,7 +110,7 @@ class SmoothSeq:
     """
 
     label: str
-    evaluator: Callable[[int, np.ndarray, int], np.ndarray]
+    jet: Callable[[int, np.ndarray, int], np.ndarray]
     max_order: int
     support_fn: Callable[[int], tuple[float, float] | None] = field(default=lambda n: None)
     n_free: bool = field(default=False, init=False)
@@ -111,16 +118,16 @@ class SmoothSeq:
     def at(self, n: int, xs, order: int = 0) -> np.ndarray:
         if order > self.max_order:
             raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
-        return self.evaluator(n, np.asarray(xs, dtype=float), order)
+        return self.jet(n, np.asarray(xs, dtype=float), order)[order]
 
     def __call__(self, xs, order: int = 0) -> np.ndarray:
-        # calls the evaluator directly: this is the innermost call of every
+        # calls the jet directly: this is the innermost call of every
         # quadrature integrand, so it must not add a frame through `at`
         if not self.n_free:
             raise _n_dependent(self)
         if order > self.max_order:
             raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
-        return self.evaluator(1, np.asarray(xs, dtype=float), order)
+        return self.jet(1, np.asarray(xs, dtype=float), order)[order]
 
     @property
     def support(self) -> tuple[float, float] | None:
@@ -136,10 +143,10 @@ def _n_free_if(n_free: bool, seq: SmoothSeq) -> SmoothSeq:
     return seq
 
 
-def _function(label: str, evaluator, max_order: int, support=None) -> SmoothSeq:
-    """A single smooth function: its evaluator(n, xs, order) ignores n."""
+def _function(label: str, jet, max_order: int, support=None) -> SmoothSeq:
+    """A single smooth function: its jet(n, xs, k) ignores n."""
     return _n_free_if(
-        True, SmoothSeq(label=label, evaluator=evaluator, max_order=max_order, support_fn=lambda n: support)
+        True, SmoothSeq(label=label, jet=jet, max_order=max_order, support_fn=lambda n: support)
     )
 
 
@@ -148,27 +155,18 @@ _BUMP_GUARD = 0.005  # below this 1-u^2 the value is under e^-87 and flushed to 
 
 
 @lru_cache(maxsize=1)
-def _bump_polys() -> tuple[Polynomial, ...]:
+def _bump_coeffs() -> np.ndarray:
     # exp(-1/(1-u^2)) has k-th derivative E(u) * P_k(u) / (1-u^2)^(2k) with
-    # P_{k+1} = P_k' Q^2 + u (4k Q - 2) P_k, Q = 1 - u^2
+    # P_{k+1} = P_k' Q^2 + u (4k Q - 2) P_k, Q = 1 - u^2; row k holds the
+    # coefficients of P_k, whose degree is at most 3k
     q = Polynomial([1.0, 0.0, -1.0])
     u = Polynomial([0.0, 1.0])
-    polys = [Polynomial([1.0])]
-    for k in range(_BUMP_MAX_ORDER):
-        p = polys[-1]
-        polys.append(p.deriv() * q * q + u * (4.0 * k * q - 2.0) * p)
-    return tuple(polys)
-
-
-def _bump_profile_eval(us: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros_like(us, dtype=float)
-    q = 1.0 - us * us
-    safe = q > _BUMP_GUARD
-    if np.any(safe):
-        qs = q[safe]
-        vals = np.exp(-1.0 / qs) * _bump_polys()[order](us[safe]) / qs ** (2 * order)
-        out[safe] = vals
-    return out
+    p = Polynomial([1.0])
+    rows = np.zeros((_BUMP_MAX_ORDER + 1, 3 * _BUMP_MAX_ORDER + 1))
+    for k in range(_BUMP_MAX_ORDER + 1):
+        rows[k, : len(p.coef)] = p.coef
+        p = p.deriv() * q * q + u * (4.0 * k * q - 2.0) * p
+    return rows
 
 
 def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> SmoothSeq:
@@ -176,39 +174,50 @@ def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> Smo
     if width <= 0:
         raise ValueError("width must be positive")
 
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         us = (xs - center) / width
-        return amplitude * width ** (-order) * _bump_profile_eval(us, order)
+        q = 1.0 - us * us
+        safe = q > _BUMP_GUARD
+        out = np.zeros((k + 1,) + us.shape)
+        if np.any(safe):
+            qs = q[safe]
+            e = np.exp(-1.0 / qs)
+            ps = polyval(us[safe], _bump_coeffs()[: k + 1, : 3 * k + 1].T)
+            for j in range(k + 1):
+                out[j, safe] = amplitude * width ** (-j) * (e * ps[j] / qs ** (2 * j))
+        return out
 
-    return _function(f"bump({center:g},{width:g})", ev, _BUMP_MAX_ORDER, (center - width, center + width))
+    return _function(f"bump({center:g},{width:g})", jet, _BUMP_MAX_ORDER, (center - width, center + width))
 
 
 def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
-    p = Polynomial(list(coeffs))
-    derivs = [p]
-    for _ in range(64):
-        derivs.append(derivs[-1].deriv())
+    derivs = np.zeros((65, len(coeffs)))  # row j: the coefficients of the j-th derivative
+    for j in range(65):
+        d = polyder(np.asarray(coeffs, dtype=float), j)
+        derivs[j, : len(d)] = d
 
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        return derivs[order](xs)
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        return polyval(xs, derivs[: k + 1].T)
 
-    return _function(label or f"poly{tuple(round(c, 6) for c in coeffs)}", ev, 64)
+    return _function(label or f"poly{tuple(round(c, 6) for c in coeffs)}", jet, 64)
 
 
 def sin_fn(freq: float = 1.0) -> SmoothSeq:
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        return freq ** order * np.sin(freq * xs + order * math.pi / 2)
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        return np.stack([freq ** j * np.sin(freq * xs + j * math.pi / 2) for j in range(k + 1)])
 
-    return _function(f"sin({freq:g}x)", ev, 64)
+    return _function(f"sin({freq:g}x)", jet, 64)
 
 
 def const_fn(c: float) -> SmoothSeq:
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        return np.full_like(xs, c if order == 0 else 0.0)
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        out = np.zeros((k + 1,) + xs.shape)
+        out[0] = c
+        return out
 
     # the zero function carries an empty support so that sums with it keep
     # their support interval (adaptive quadrature needs the clipping)
-    return _function(f"const({c:g})", ev, 64, (0.0, 0.0) if c == 0 else None)
+    return _function(f"const({c:g})", jet, 64, (0.0, 0.0) if c == 0 else None)
 
 
 def _hull(a, b):
@@ -254,7 +263,7 @@ def default_test_set() -> tuple[TestFunction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# sequence algebra
+# sequence algebra on jets
 
 
 def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
@@ -263,7 +272,7 @@ def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
         return fn
     return _n_free_if(
         fn.n_free,
-        SmoothSeq(label=label, evaluator=fn.evaluator, max_order=fn.max_order, support_fn=fn.support_fn),
+        SmoothSeq(label=label, jet=fn.jet, max_order=fn.max_order, support_fn=fn.support_fn),
     )
 
 
@@ -273,12 +282,13 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
         raise ValueError("mollified sequences need a compactly supported profile")
     a, b = profile.support
 
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        return float(n) ** (power + order) * profile(n * xs, order)
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        scales = np.array([float(n) ** (power + j) for j in range(k + 1)])
+        return scales.reshape((-1,) + (1,) * xs.ndim) * profile.jet(1, n * xs, k)
 
     return SmoothSeq(
         label=label or f"n^{power}*{profile.label}(n x)",
-        evaluator=ev,
+        jet=jet,
         max_order=profile.max_order,
         support_fn=lambda n: (a / n, b / n),
     )
@@ -289,7 +299,7 @@ def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
         seq.n_free,
         SmoothSeq(
             label=label or f"{seq.label} at {factor}n",
-            evaluator=lambda n, xs, order: seq.at(factor * n, xs, order),
+            jet=lambda n, xs, k: seq.jet(factor * n, xs, k),
             max_order=seq.max_order,
             support_fn=lambda n: seq.support_fn(factor * n),
         ),
@@ -313,8 +323,8 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         scale_label = f"{c:g}"
         n_free = seq.n_free
 
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        base = seq.at(n, xs, order)
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        base = seq.jet(n, xs, k)
         c = scale_fn(n)
         if not math.isfinite(c):
             # an overflowed scalar must still annihilate zeros of the base
@@ -326,7 +336,7 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         n_free,
         SmoothSeq(
             label=label or f"{scale_label} * {seq.label}",
-            evaluator=ev,
+            jet=jet,
             max_order=seq.max_order,
             support_fn=seq.support_fn,
         ),
@@ -338,7 +348,7 @@ def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
         a.n_free and b.n_free,
         SmoothSeq(
             label=label or f"{a.label} + {b.label}",
-            evaluator=lambda n, xs, order: a.at(n, xs, order) + b.at(n, xs, order),
+            jet=lambda n, xs, k: a.jet(n, xs, k) + b.jet(n, xs, k),
             max_order=min(a.max_order, b.max_order),
             support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
         ),
@@ -350,17 +360,22 @@ def sub_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
 
 
 def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        out = np.zeros_like(xs)
-        for k in range(order + 1):
-            out += math.comb(order, k) * a.at(n, xs, k) * b.at(n, xs, order - k)
+    """f_n * g_n, each jet order the Leibniz sum over the factors' jets."""
+
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        fa = a.jet(n, xs, k)
+        fb = fa if b is a else b.jet(n, xs, k)
+        out = np.zeros_like(fa)
+        for j in range(k + 1):
+            for i in range(j + 1):
+                out[j] += math.comb(j, i) * fa[i] * fb[j - i]
         return out
 
     return _n_free_if(
         a.n_free and b.n_free,
         SmoothSeq(
             label=label or f"({a.label})*({b.label})",
-            evaluator=ev,
+            jet=jet,
             max_order=min(a.max_order, b.max_order),
             support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
         ),
@@ -372,30 +387,25 @@ def square_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
 
 
 def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    """exp(f_n), with derivatives written out up to order three.
+    """exp(f_n), its jet by e^(j) = sum_{i<j} C(j-1, i) f^(i+1) e^(j-1-i).
 
     The result is 1 wherever f vanishes, so it never has compact support.
     """
 
-    def ev(n: int, xs: np.ndarray, order: int) -> np.ndarray:
-        e = np.exp(a.at(n, xs, 0))
-        if order == 0:
-            return e
-        d1 = a.at(n, xs, 1)
-        if order == 1:
-            return d1 * e
-        d2 = a.at(n, xs, 2)
-        if order == 2:
-            return (d2 + d1 ** 2) * e
-        d3 = a.at(n, xs, 3)
-        return (d3 + 3 * d2 * d1 + d1 ** 3) * e
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        fa = a.jet(n, xs, k)
+        out = np.empty_like(fa)
+        out[0] = np.exp(fa[0])
+        for j in range(1, k + 1):
+            out[j] = sum(math.comb(j - 1, i) * fa[i + 1] * out[j - 1 - i] for i in range(j))
+        return out
 
     return _n_free_if(
         a.n_free,
         SmoothSeq(
             label=label or f"exp({a.label})",
-            evaluator=ev,
-            max_order=min(a.max_order, 3),
+            jet=jet,
+            max_order=a.max_order,
             support_fn=lambda n: None,
         ),
     )
@@ -408,7 +418,7 @@ def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> Sm
         a.n_free,
         SmoothSeq(
             label=label or f"D^{shift} {a.label}",
-            evaluator=lambda n, xs, order: a.at(n, xs, order + shift),
+            jet=lambda n, xs, k: a.jet(n, xs, k + shift)[shift:],
             max_order=a.max_order - shift,
             support_fn=a.support_fn,
         ),
@@ -447,6 +457,7 @@ class SeminormSpec:
 
 
 _MAX_GRID = 4_000_000
+_CHUNK = 2 ** 14  # lattice points per jet evaluation in `seminorm`
 
 
 def _grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -475,40 +486,36 @@ def seminorm(f: SmoothSeq, n: int, spec: SeminormSpec) -> float:
             return 0.0
     xs = _grid(lo, hi, h)
     best = 0.0
-    for order in range(spec.nu + 1):
+    for start in range(0, len(xs), _CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(f.at(n, xs, order))
-        # nan can only come from inf arithmetic in an evaluator chain
+            vals = np.abs(f.jet(n, xs[start : start + _CHUNK], spec.nu))
+        # nan can only come from inf arithmetic in a jet chain
         # (inf - inf, inf * 0); read it as overflow of the true value
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        m = float(np.max(vals)) if len(vals) else 0.0
-        best = max(best, m)
+        best = max(best, float(np.max(np.where(np.isnan(vals), np.inf, vals))))
     return best
 
 
-def _seminorm_seqrep(
-    f: SmoothSeq, nu: int, sample_ns: Sequence[int], cache: dict | None = None
-) -> SeqRep:
-    cache = cache if cache is not None else {}
-    spec = SeminormSpec(nu=nu)
+def _log_abs_channel(value: Callable[[int], float], label: str, sample_ns: Sequence[int]) -> SeqRep:
+    """The sampled sequence |value(n)| on sample_ns, kept as logs; each n computed once."""
+    cache: dict[int, float] = {}
 
-    def log_vals(ns: np.ndarray) -> np.ndarray:
+    def log_abs(ns: np.ndarray) -> np.ndarray:
         out = []
         for n in np.asarray(ns, dtype=np.int64):
-            key = (int(n), nu)
-            if key not in cache:
-                v = seminorm(f, int(n), spec)
-                cache[key] = math.log(v) if v > 0 else -math.inf
-            out.append(cache[key])
+            n = int(n)
+            if n not in cache:
+                v = abs(value(n))
+                cache[n] = math.log(v) if v > 0 else -math.inf
+            out.append(cache[n])
         return np.asarray(out)
 
     return SeqRep.sampled(
-        log_vals,
-        label=f"p_{nu}({f.label})",
+        log_abs,
+        label=label,
         log_scale=True,
         n_min=min(sample_ns),
         n_max=max(max(sample_ns), 10_000),
-        sample_ns=sample_ns,
+        sample_ns=tuple(sample_ns),
     )
 
 
@@ -522,8 +529,10 @@ def classify_fun(
     if nu_max > f.max_order:
         raise ValueError("nu_max exceeds the sequence's derivative support")
     space = space or colombeau_space()
-    cache: dict = {}
-    bundle = {f"p_{nu}": _seminorm_seqrep(f, nu, tuple(sample_ns), cache) for nu in range(nu_max + 1)}
+    bundle = {
+        f"p_{nu}": _log_abs_channel(partial(seminorm, f, spec=SeminormSpec(nu=nu)), f"p_{nu}({f.label})", sample_ns)
+        for nu in range(nu_max + 1)
+    }
     return space.classify(bundle)
 
 
@@ -646,7 +655,7 @@ def make_mollifier(profile: SmoothSeq, q_max: int = 8, tol: float = 1e-8) -> Mol
 
 @lru_cache(maxsize=1)
 def _bump_mass() -> float:
-    return _quad(lambda x: _bump_profile_eval(x, 0), -1.0, 1.0)
+    return _quad(bump(), -1.0, 1.0)
 
 
 def standard_mollifier() -> Mollifier:
@@ -688,31 +697,6 @@ def pairing(f: SmoothSeq, n: int, psi: TestFunction, tol: float = 1e-9) -> float
     return _quad(lambda x: f.at(n, x, 0) * psi(x), lo, hi, tol=tol)
 
 
-def _pairing_seqrep(
-    diff: SmoothSeq, psi: TestFunction, sample_ns: Sequence[int]
-) -> SeqRep:
-    cache: dict[int, float] = {}
-
-    def log_abs(ns: np.ndarray) -> np.ndarray:
-        out = []
-        for n in np.asarray(ns, dtype=np.int64):
-            n = int(n)
-            if n not in cache:
-                cache[n] = pairing(diff, n, psi)
-            v = abs(cache[n])
-            out.append(math.log(v) if v > 0 else -math.inf)
-        return np.asarray(out)
-
-    return SeqRep.sampled(
-        log_abs,
-        label=f"|<{diff.label}, {psi.label}>|",
-        log_scale=True,
-        n_min=min(sample_ns),
-        n_max=max(max(sample_ns), 10_000),
-        sample_ns=tuple(sample_ns),
-    )
-
-
 def weak_assoc_fun(
     f: SmoothSeq,
     g: SmoothSeq,
@@ -737,7 +721,7 @@ def weak_assoc_fun(
     worst = "yes"
     rank = {"yes": 0, "inconclusive": 1, "no": 2}
     for psi in probes:
-        rep = _pairing_seqrep(diff, psi, sample_ns)
+        rep = _log_abs_channel(partial(pairing, diff, psi=psi), f"|<{diff.label}, {psi.label}>|", sample_ns)
         a = gennum.GenNumber(space=space, magnitude=rep)
         v = gennum.associate(a, zero, kind, difference=rep)
         per_psi[psi.label] = v.holds

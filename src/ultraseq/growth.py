@@ -809,7 +809,10 @@ def parse(text: str) -> GrowthExpr:
     single term.  The exp argument is a signed sum of monomials
     c*n^d*log(n)^l that grow without bound.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except OverflowError:
+        raise ParseError("a number is out of floating-point range") from None
 
 
 def _fmt_num(x: float) -> str:

@@ -149,8 +149,9 @@ class UltranormValue:
     """An ultranorm, kept in the log domain alongside the plain value.
 
     `log_value` is the authoritative field: +inf marks divergence, -inf a
-    zero ultranorm.  Estimated results carry a log-scale uncertainty band
-    and a stability flag; exact ones have `exact=True` and no band.
+    zero ultranorm, NaN an estimate with no sample to rest on.  Estimated
+    results carry a log-scale uncertainty band and a stability flag; exact
+    ones have `exact=True` and no band.
     """
 
     log_value: float
@@ -334,7 +335,16 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
     tail, a steady drift in L commits to a +-inf limit, and anything else
     comes back wide and unstable.
     """
-    ns = _tail_grid(f, max(f.n_min, r.n_min if not r.is_step else 2))
+    n_min = max(f.n_min, r.n_min if not r.is_step else 2)
+    ns = _tail_grid(f, n_min)
+    if len(ns) == 0:
+        return UltranormValue(
+            log_value=math.nan,
+            exact=False,
+            band_log=(-math.inf, math.inf),
+            stable=False,
+            witness=f"no sample index at or above the weight's cut-off n={n_min}",
+        )
     logs = f.log_values(ns)
     rs = r.values(ns)
     with np.errstate(invalid="ignore"):

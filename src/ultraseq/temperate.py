@@ -860,16 +860,17 @@ def continuity_trend(
     """
     space = space or colombeau_space()
     w = space.single_weight()
+    spec = SeminormSpec(nu=nu)
+
+    def norm(seq: SmoothSeq) -> float:
+        rep = genfun._log_abs_channel(partial(seminorm, seq, spec=spec), f"p_{nu}({seq.label})", sample_ns)
+        return ultranorm(rep, w).value
+
     out = []
     for i in range(steps):
         scale = growth.term_expr(1.0, pow_n=-i * math.log(10.0))
         ki = seq_scale(scale, k) if i > 0 else k
-        rep_k = genfun._seminorm_seqrep(ki, nu, tuple(sample_ns))
-        vk = ultranorm(rep_k, w)
-        dseq = phi.difference(f, ki)
-        rep_d = genfun._seminorm_seqrep(dseq, nu, tuple(sample_ns))
-        vd = ultranorm(rep_d, w)
-        out.append((vk.value, vd.value))
+        out.append((norm(ki), norm(phi.difference(f, ki))))
     return out
 
 

@@ -95,6 +95,47 @@ def test_n_free_propagates_through_the_algebra():
         assert not h.n_free, h.label
 
 
+def _algebra_cases():
+    """(sequence, index, points inside its support): every constructor and
+    the combinators of the n-free propagation test."""
+    f, g = sin_fn(), bump(0.0, 1.0)
+    d = standard_mollifier().sequence()
+    near = np.linspace(-0.6, 0.6, 7)
+    cases = [(h, 1, near) for h in (
+        f, g, poly_fn([1.0, -2.0, 0.5, 3.0]), const_fn(2.5), add_seq(f, g), product_seq(f, g),
+        seq_scale(2.0, g), sub_seq(f, g), exp_seq(f), derivative_seq(g), reindex(g, 2),
+        constant_seq(g, label="g"), seq_scale(growth.parse("log(n)"), g), seq_scale(lambda n: 3.0, g),
+    )]
+    # n-dependent ones at n = 2, where the mollifier lives on (-1/2, 1/2)
+    cases += [(h, 2, near / 2) for h in (
+        d, mollified(bump(0.1, 0.8), power=2), add_seq(f, d), product_seq(d, g), square_seq(d),
+        reindex(d, 2),
+    )]
+    return cases
+
+
+def test_jet_rows_are_successive_derivatives():
+    step = 1e-5
+    for h, n, xs in _algebra_cases():
+        jet = h.jet(n, xs, 3)
+        assert jet.shape == (4, len(xs)), h.label
+        for j in range(3):
+            fd = (h.jet(n, xs + step, 3)[j] - h.jet(n, xs - step, 3)[j]) / (2 * step)
+            scale = np.max(np.abs(jet[j + 1]))
+            np.testing.assert_allclose(
+                fd, jet[j + 1], rtol=1e-6, atol=1e-6 * scale, err_msg=f"{h.label} order {j + 1}"
+            )
+            np.testing.assert_array_equal(jet[j], h.at(n, xs, j), err_msg=h.label)
+
+
+def test_exp_seq_has_no_order_cap():
+    e = exp_seq(poly_fn([0.0, 2.0]))  # exp(2x)
+    xs = np.array([-0.5, 0.0, 0.7])
+    assert e.max_order == 64
+    for k in (4, 5, 6):
+        np.testing.assert_allclose(e.at(1, xs, k), 2.0 ** k * np.exp(2 * xs), rtol=1e-12)
+
+
 def test_n_dependent_sequence_needs_an_index():
     d = standard_mollifier().sequence()
     with pytest.raises(ValueError, match="depends on n"):
@@ -274,12 +315,89 @@ def test_seminorm_delta_growth():
     assert slope == pytest.approx(2.0, rel=0.05)
 
 
+def test_chunked_seminorm_covers_the_whole_lattice():
+    n, spec = 2 ** 14, SeminormSpec(nu=2)
+    xs = genfun._grid(-2.0, 2.0, spec.lattice(n)[0])
+    assert len(xs) > 4 * genfun._CHUNK  # 524289 points: 32 full chunks and one point
+    f = sin_fn()
+    direct = max(float(np.max(np.abs(f.at(n, xs, j)))) for j in range(spec.nu + 1))
+    assert seminorm(f, n, spec) == direct
+    # |1 + x| peaks at the last lattice point, alone in the last chunk
+    assert seminorm(poly_fn([1.0, 1.0]), n, SeminormSpec(nu=0)) == 3.0
+
+
 def test_derivative_seq_shifts_order():
     d = standard_mollifier().sequence()
     dd = derivative_seq(d)
     xs = np.array([0.01])
     np.testing.assert_allclose(dd.at(32, xs, order=0), d.at(32, xs, order=1))
     np.testing.assert_allclose(dd.at(32, xs, order=1), d.at(32, xs, order=2))
+
+
+# ---------------------------------------------------------------------------
+# pinned seminorm values, recorded before seminorms moved to derivative jets
+
+_PINNED_SEMINORMS = [
+    ('delta', 16, 0, 13.25710143789266),
+    ('delta', 16, 2, 71268.70541257209),
+    ('delta', 1024, 0, 848.4544920251302),
+    ('delta', 1024, 2, 18682663511.673298),
+    ('delta', 16384, 0, 13575.271872402083),
+    ('delta', 16384, 2, 76524189743813.83),
+    ('delta-sq', 16, 0, 175.75073853457562),
+    ('delta-sq', 16, 2, 462471.1305077356),
+    ('delta-sq', 1024, 0, 719875.0250376217),
+    ('delta-sq', 1024, 2, 7758978050292.47),
+    ('delta-sq', 16384, 0, 184288006.40963116),
+    ('delta-sq', 16384, 2, 5.084923855039673e+17),
+    ('nsinv-delta-sq', 16, 0, 10.984421158410976),
+    ('nsinv-delta-sq', 16, 2, 28904.445656733475),
+    ('nsinv-delta-sq', 1024, 0, 703.0029541383025),
+    ('nsinv-delta-sq', 1024, 2, 7577127002.23874),
+    ('nsinv-delta-sq', 16384, 0, 11248.047266212845),
+    ('nsinv-delta-sq', 16384, 2, 31035912201169.895),
+    ('sin', 16, 0, 0.9999998829558185),
+    ('sin', 16, 2, 1.0),
+    ('sin', 1024, 0, 0.9999999999900789),
+    ('sin', 1024, 2, 1.0),
+    ('sin', 16384, 0, 0.9999999999949599),
+    ('sin', 16384, 2, 1.0),
+    ('bump', 16, 0, 0.36787944117144233),
+    ('bump', 16, 2, 7.749398724674113),
+    ('bump', 1024, 0, 0.36787944117144233),
+    ('bump', 1024, 2, 7.749704745762358),
+    ('bump', 16384, 0, 0.36787944117144233),
+    ('bump', 16384, 2, 7.749704933954609),
+    ('corrected', 16, 0, 25.10142038406156),
+    ('corrected', 16, 2, 149476.0367490657),
+    ('corrected', 1024, 0, 1606.4909045799398),
+    ('corrected', 1024, 2, 39184246177.54708),
+    ('corrected', 16384, 0, 25703.854473279036),
+    ('corrected', 16384, 2, 160498672343232.84),
+    ('exp-sin', 16, 0, 2.718281510299992),
+    ('exp-sin', 16, 2, 2.718281510299992),
+    ('exp-sin', 1024, 0, 2.718281828432077),
+    ('exp-sin', 1024, 2, 2.718281828432077),
+    ('exp-sin', 16384, 0, 2.718281828445345),
+    ('exp-sin', 16384, 2, 2.718281828445345),
+]
+
+
+def _pinned_sequence(name):
+    from ultraseq import corpus
+
+    if name == "corrected":
+        return corrected_mollifier().sequence()
+    if name == "exp-sin":
+        return exp_seq(sin_fn())
+    return corpus.named_function(name)
+
+
+def test_seminorm_values_are_pinned():
+    seqs = {}
+    for name, n, nu, expected in _PINNED_SEMINORMS:
+        f = seqs.setdefault(name, _pinned_sequence(name))
+        assert seminorm(f, n, SeminormSpec(nu=nu)) == pytest.approx(expected, rel=1e-12), (name, n, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ def test_parse_errors_carry_positions():
         parse("-n")  # sequences here are magnitudes, no negative terms
 
 
+def test_parse_overflowing_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="a number is out of floating-point range"):
+        parse("1e300^2")
+
+
 def test_format_parse_round_trip_on_handwritten_cases():
     cases = [
         "n^2 + n*log(n) + 5",

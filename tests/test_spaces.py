@@ -19,7 +19,7 @@ from ultraseq.spaces import (
     pseudometric,
     ultranorm,
 )
-from ultraseq.weights import Mode, catalog, colombeau_weight, single_family
+from ultraseq.weights import AsymptoticScale, Mode, catalog, colombeau_weight, scale_to_weights, single_family
 
 COL = colombeau_weight()
 
@@ -111,6 +111,20 @@ def test_index_range_must_be_nonempty():
     with pytest.raises(ValueError, match="sample_ns has no index"):
         SeqRep.sampled(ones, "one", n_min=100, sample_ns=[2, 50])
     assert SeqRep.sampled(ones, "one", n_min=9_999, n_max=10_000).n_min == 9_999
+
+
+def test_no_sample_above_the_weight_cut_off_is_inconclusive():
+    # log(n^-m * exp(-n)) has two monomials: the weights use an evaluator,
+    # defined from n = 3 on, above the only sample index
+    scale = AsymptoticScale("n^-m*exp(-n)", lambda m: growth.parse(f"n^-{m}*exp(-n)"))
+    fam = scale_to_weights(scale)
+    f = SeqRep.sampled(lambda ns: 1.0 / ns, "1/n", sample_ns=[2])
+    v = ultranorm(f, fam.member(1))
+    assert not v.exact and not v.stable
+    assert v.band_log == (-math.inf, math.inf)
+    assert "n=3" in v.witness
+    assert v.is_finite() is None and v.is_zero() is None
+    assert classify(f, fam).verdict == "inconclusive"
 
 
 def test_format_value():
