@@ -372,8 +372,9 @@ def cmd_demo_delta() -> tuple[list[str], int]:
 
     lines.append("1. seminorm growth p_nu(delta_n), slope of log p vs log n:")
     ns = [16, 32, 64, 128, 256, 512, 1024]
+    p_delta = genfun._seminorm_table(delta)  # shared with the classification below
     for nu in range(4):
-        logs = [math.log(genfun.seminorm(delta, n, genfun.SeminormSpec(nu=nu))) for n in ns]
+        logs = [math.log(p_delta(n, nu)) for n in ns]
         slope = _fit_slope(ns, logs)
         want = nu + 1
         good = abs(slope - want) <= 0.05 * want
@@ -381,8 +382,8 @@ def cmd_demo_delta() -> tuple[list[str], int]:
         lines.append(f"   nu={nu}: slope={slope:.9g} (target {want}, within 5%: {good})")
 
     lines.append("2. classification:")
-    for label, seq in (("delta", delta), ("delta^2", delta_sq)):
-        rep = genfun.classify_fun(seq, nu_max=2, space=space)
+    for label, seq, p in (("delta", delta, p_delta), ("delta^2", delta_sq, genfun._seminorm_table(delta_sq))):
+        rep = genfun._classify_table(p, seq.label, nu_max=2, space=space)
         good = rep.verdict == "moderate"
         ok = ok and good
         lines.append(f"   {label}: {rep.verdict}")

@@ -16,7 +16,10 @@ min(2^-10, 1/(8n)), clipped to the function's support and evaluated in
 fixed-size chunks, so the peak of an n-scaled mollifier stays resolved at
 every index.  A grid supremum is a lower bound for the true supremum; the
 scaling laws the classification relies on are preserved because the peak
-region is always sampled.
+region is always sampled.  One lattice walk yields the suprema of every
+order 0..nu, and the lattice depends on nu only through its radius
+max(nu, 2); callers that read several orders share one walk per
+(sequence, n, radius).
 
 Pairings, mollifier masses and moments are adaptive composite
 Gauss-Legendre integrals over the clipped support.  Each panel carries a
@@ -204,7 +207,9 @@ def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
 
 def sin_fn(freq: float = 1.0) -> SmoothSeq:
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        return np.stack([freq ** j * np.sin(freq * xs + j * math.pi / 2) for j in range(k + 1)])
+        # the derivatives cycle through freq^j * (sin, cos, -sin, -cos)
+        waves = (np.sin(freq * xs), np.cos(freq * xs) if k else None)
+        return np.stack([(-1) ** (j // 2) * freq ** j * waves[j % 2] for j in range(k + 1)])
 
     return _function(f"sin({freq:g}x)", jet, 64)
 
@@ -440,24 +445,19 @@ class SeminormSpec:
     """
 
     nu: int
-    h: float | None = None
-    radius: float | None = None
 
     def lattice(self, n: int, support_width: float | None = None) -> tuple[float, float]:
-        radius = self.radius if self.radius is not None else float(max(self.nu, 2))
-        if self.h is not None:
-            return self.h, radius
         h = min(2.0 ** -10, 1.0 / (8.0 * n))
         # a compact support always gets >= 256 lattice points, so the scaled
         # grid of an n-dilated profile is the same at every index and grid
         # suprema of high derivatives track the true scaling exactly
         if support_width is not None and support_width > 0:
             h = min(h, support_width / 256.0)
-        return h, radius
+        return h, float(max(self.nu, 2))
 
 
 _MAX_GRID = 4_000_000
-_CHUNK = 2 ** 14  # lattice points per jet evaluation in `seminorm`
+_CHUNK = 2 ** 14  # lattice points per jet evaluation in a lattice walk
 
 
 def _grid(lo: float, hi: float, h: float) -> np.ndarray:
@@ -469,30 +469,45 @@ def _grid(lo: float, hi: float, h: float) -> np.ndarray:
     return np.linspace(lo, hi, max(count, 2))
 
 
+def _order_sups(f: SmoothSeq, n: int, nu: int) -> np.ndarray:
+    """The lattice walk: sup |f_n^(j)| for j = 0..nu over the lattice of
+    SeminormSpec(nu), from one jet call per chunk of lattice points."""
+    if nu > f.max_order:
+        raise ValueError(f"seminorm order {nu} exceeds max_order {f.max_order}")
+    sup = f.support_fn(n)
+    h, radius = SeminormSpec(nu).lattice(n, None if sup is None else sup[1] - sup[0])
+    lo, hi = -radius, radius
+    rows = np.zeros(nu + 1)
+    if sup is not None:
+        lo, hi = max(lo, sup[0]), min(hi, sup[1])
+        if hi <= lo:
+            return rows
+    xs = _grid(lo, hi, h)
+    for start in range(0, len(xs), _CHUNK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.abs(f.jet(n, xs[start : start + _CHUNK], nu))
+        # nan can only come from inf arithmetic in a jet chain
+        # (inf - inf, inf * 0); read it as overflow of the true value
+        rows = np.maximum(rows, np.where(np.isnan(vals), np.inf, vals).max(axis=1))
+    return rows
+
+
 def seminorm(f: SmoothSeq, n: int, spec: SeminormSpec) -> float:
     """Grid supremum of |f_n^(order)| over orders <= nu and |x| <= radius.
 
     A lattice supremum bounds the true one from below; spacing shrinks
-    like 1/(8n) so n-scaled peaks remain resolved.
+    like 1/(8n) so n-scaled peaks remain resolved.  Callers that read
+    several orders of one sequence use `_seminorm_table` instead.
     """
-    if spec.nu > f.max_order:
-        raise ValueError(f"seminorm order {spec.nu} exceeds max_order {f.max_order}")
-    sup = f.support_fn(n)
-    h, radius = spec.lattice(n, None if sup is None else sup[1] - sup[0])
-    lo, hi = -radius, radius
-    if sup is not None:
-        lo, hi = max(lo, sup[0]), min(hi, sup[1])
-        if hi <= lo:
-            return 0.0
-    xs = _grid(lo, hi, h)
-    best = 0.0
-    for start in range(0, len(xs), _CHUNK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(f.jet(n, xs[start : start + _CHUNK], spec.nu))
-        # nan can only come from inf arithmetic in a jet chain
-        # (inf - inf, inf * 0); read it as overflow of the true value
-        best = max(best, float(np.max(np.where(np.isnan(vals), np.inf, vals))))
-    return best
+    return float(_order_sups(f, n, spec.nu).max())
+
+
+def _seminorm_table(f: SmoothSeq) -> Callable[[int, int], float]:
+    """p(n, nu) = seminorm(f, n, SeminormSpec(nu)) for nu <= f.max_order,
+    walking each (n, radius) lattice once: orders up to 2 share the
+    radius-2 walk, and a higher order nu walks the radius-nu lattice alone."""
+    walk = lru_cache(maxsize=None)(lambda n, top: np.maximum.accumulate(_order_sups(f, n, top)))
+    return lambda n, nu: float(walk(n, nu if nu > 2 else min(2, f.max_order))[nu])
 
 
 def _log_abs_channel(value: Callable[[int], float], label: str, sample_ns: Sequence[int]) -> SeqRep:
@@ -525,12 +540,24 @@ def classify_fun(
     space: NumberSpace | None = None,
     sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
 ) -> ClassificationReport:
-    """Classify a smooth sequence through its seminorm channels p_0..p_nu_max."""
+    """Classify a smooth sequence through its seminorm channels p_0..p_nu_max,
+    all read from one seminorm table: one walk per (sequence, n, radius)."""
     if nu_max > f.max_order:
         raise ValueError("nu_max exceeds the sequence's derivative support")
+    return _classify_table(_seminorm_table(f), f.label, nu_max, space, sample_ns)
+
+
+def _classify_table(
+    p: Callable[[int, int], float],
+    label: str,
+    nu_max: int,
+    space: NumberSpace | None = None,
+    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
+) -> ClassificationReport:
+    """`classify_fun` on the channels read from the seminorm table p."""
     space = space or colombeau_space()
     bundle = {
-        f"p_{nu}": _log_abs_channel(partial(seminorm, f, spec=SeminormSpec(nu=nu)), f"p_{nu}({f.label})", sample_ns)
+        f"p_{nu}": _log_abs_channel(partial(p, nu=nu), f"p_{nu}({label})", sample_ns)
         for nu in range(nu_max + 1)
     }
     return space.classify(bundle)

@@ -280,12 +280,13 @@ _X_GRID_FULL = tuple(float(x) for x in np.geomspace(1e-8, 1e8, 33))
 _X_GRID_SMALL = tuple(float(x) for x in np.geomspace(1e-8, 1.0, 17))
 _LOG_CAP = 230.0
 _EPS_UNIFORM = 0.5
+_M_MAX = 16  # levels probed from the family's first level
 
 
-def _levels(W: WeightFamily, m_max: int) -> list[int]:
+def _levels(W: WeightFamily) -> list[int]:
     if W.single:
         return [W.m_start]
-    return list(range(W.m_start, W.m_start + m_max))
+    return list(range(W.m_start, W.m_start + _M_MAX))
 
 
 def _log_g_factory(g: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
@@ -378,10 +379,10 @@ def _level_search(
     return cert(status="certified", pairs=tuple(pairs), notes=notes[0])
 
 
-def check_moderate(g: ScalarMap, W: WeightFamily, m_max: int = 16) -> TemperateCertificate:
+def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     """Decide whether g preserves the moderate cone over the family W."""
     case = _family_case(W)
-    levels = _levels(W, m_max)
+    levels = _levels(W)
     cert = partial(
         TemperateCertificate, role="moderate", case=case, map_label=g.label, family=W.name
     )
@@ -411,7 +412,7 @@ def check_moderate(g: ScalarMap, W: WeightFamily, m_max: int = 16) -> TemperateC
         if refuted is not None:
             return refuted
 
-    return _numeric_moderate(cert, g, W, levels, case, m_max)
+    return _numeric_moderate(cert, g, W, levels, case)
 
 
 def _refute_exp_moderate(
@@ -465,7 +466,7 @@ def _refute_exp_moderate(
 
 
 def _numeric_moderate(
-    cert: _Certificate, g: ScalarMap, W: WeightFamily, levels: list[int], case: str, m_max: int
+    cert: _Certificate, g: ScalarMap, W: WeightFamily, levels: list[int], case: str
 ) -> TemperateCertificate:
     log_g = _log_g_factory(g)
 
@@ -487,16 +488,16 @@ def _numeric_moderate(
     return _level_search(
         cert, levels, candidates, bounded, refutation,
         notes=(
-            f"numeric search over x in [1e-8, 1e8], n-windows to 2^20, levels to {m_max}",
-            f"no partner level up to {m_max} bounds the reweighted values on the probe grid",
+            f"numeric search over x in [1e-8, 1e8], n-windows to 2^20, levels to {_M_MAX}",
+            f"no partner level up to {_M_MAX} bounds the reweighted values on the probe grid",
         ),
     )
 
 
-def check_compatible(h: ScalarMap, W: WeightFamily, m_max: int = 16) -> TemperateCertificate:
+def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     """Decide whether h collapses the negligible cone over the family W."""
     case = _family_case(W)
-    levels = _levels(W, m_max)
+    levels = _levels(W)
     cert = partial(
         TemperateCertificate, role="compatible", case=case, map_label=h.label, family=W.name
     )
@@ -541,11 +542,11 @@ def check_compatible(h: ScalarMap, W: WeightFamily, m_max: int = 16) -> Temperat
             ),
         )
 
-    return _numeric_compatible(cert, h, W, levels, case, m_max)
+    return _numeric_compatible(cert, h, W, levels, case)
 
 
 def _numeric_compatible(
-    cert: _Certificate, h: ScalarMap, W: WeightFamily, levels: list[int], case: str, m_max: int
+    cert: _Certificate, h: ScalarMap, W: WeightFamily, levels: list[int], case: str
 ) -> TemperateCertificate:
     log_h = _log_g_factory(h)
 
@@ -566,7 +567,7 @@ def _numeric_compatible(
     return _level_search(
         cert, levels, candidates, vanishes, refutation,
         notes=(
-            f"numeric uniformity scan: x in [1e-8, 1], n-windows to 2^20, levels to {m_max}",
+            f"numeric uniformity scan: x in [1e-8, 1], n-windows to 2^20, levels to {_M_MAX}",
             "no probe x pushes the reweighted values below eps across all "
             "n-windows: uniform vanishing fails on the grid",
         ),
@@ -667,115 +668,73 @@ def _default_corpus() -> list[SmoothSeq]:
     ]
 
 
-def check_temperate(
-    phi: SeqMap,
-    W: WeightFamily,
-    corpus: Sequence[SmoothSeq] | None = None,
-    nu_max: int = 2,
-    sample_ns: Sequence[int] = (16, 64, 256, 1024),
-    rtol: float = 1e-3,
-) -> TemperateMapReport:
+_CORPUS_NU_MAX = 2
+_CORPUS_NS = (16, 64, 256, 1024)
+_RTOL, _ATOL = 1e-3, 1e-12
+_INEQUALITY_NAMES = {"alpha": "growth", "beta": "difference"}
+
+
+def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
     """Certify a function-sequence map: scalar certificates plus numeric
-    spot checks of the two seminorm inequalities on a corpus."""
-    ga = check_moderate(phi.g_alpha, W)
-    gb = check_moderate(phi.g_beta, W)
-    hb = check_compatible(phi.h_beta, W)
-    if any(c.status == "refuted" for c in (ga, gb, hb)):
-        bad = next(c for c in (ga, gb, hb) if c.status == "refuted")
-        return TemperateMapReport(
+    spot checks of the two seminorm inequalities on a fixed corpus.
+
+    Each case bounds the seminorms of a left-hand sequence through the
+    seminorms of its inputs at the paired order: the growth inequality
+    ("alpha") p_nu(phi(f)) <= g_alpha(p(f)), and the difference inequality
+    ("beta") p_nu(phi(f+k) - phi(f)) <= g_beta(p(f)) h_beta(p(k)).  Each
+    sequence reads its seminorms from one table, so every (sequence, n,
+    radius) lattice is walked once.
+    """
+    certs = {
+        "g_alpha_cert": check_moderate(phi.g_alpha, W),
+        "g_beta_cert": check_moderate(phi.g_beta, W),
+        "h_beta_cert": check_compatible(phi.h_beta, W),
+    }
+    report = partial(TemperateMapReport, map_name=phi.name, **certs)
+    bad = next((c for c in certs.values() if c.status == "refuted"), None)
+    if bad is not None:
+        return report(
             status="refuted",
-            map_name=phi.name,
-            g_alpha_cert=ga,
-            g_beta_cert=gb,
-            h_beta_cert=hb,
             alpha_checked=0,
             beta_checked=0,
             witness=dict(bad.witness),
             notes=f"scalar certificate refuted for {bad.map_label!r} ({bad.role})",
         )
 
-    fs = list(corpus) if corpus is not None else _default_corpus()
-    alpha_checked = beta_checked = 0
-    atol = 1e-12
-    for f in fs:
-        out = phi.apply(f)
-        for nu in range(nu_max + 1):
-            if nu > out.max_order or phi.order_pairing(nu) > f.max_order:
+    fs = _default_corpus()
+    tables = {f: genfun._seminorm_table(f) for f in fs}
+    # (inequality, left-hand sequence, inputs, bound on the inputs' seminorms)
+    cases = [("alpha", phi.apply(f), (f,), lambda pf: float(phi.g_alpha(pf))) for f in fs]
+    cases += [
+        ("beta", phi.difference(f, k), (f, k), lambda pf, pk: float(phi.g_beta(pf)) * float(phi.h_beta(pk)))
+        for f in fs
+        for k in fs
+    ]
+    checked = {"alpha": 0, "beta": 0}
+    for inequality, lhs, inputs, bound in cases:
+        p_lhs = genfun._seminorm_table(lhs)
+        for nu in range(_CORPUS_NU_MAX + 1):
+            if nu > lhs.max_order or phi.order_pairing(nu) > min(x.max_order for x in inputs):
                 continue
-            for n in sample_ns:
-                lhs = seminorm(out, n, SeminormSpec(nu=nu))
-                p_in = seminorm(f, n, SeminormSpec(nu=phi.order_pairing(nu)))
-                rhs = float(phi.g_alpha.fn(np.asarray(p_in)))
-                alpha_checked += 1
-                if lhs > rhs * (1 + rtol) + atol:
-                    return TemperateMapReport(
+            for n in _CORPUS_NS:
+                p_out = p_lhs(n, nu)
+                rhs = bound(*(tables[x](n, phi.order_pairing(nu)) for x in inputs))
+                checked[inequality] += 1
+                if p_out > rhs * (1 + _RTOL) + _ATOL:
+                    labels = dict(zip(("f", "k"), (x.label for x in inputs)))
+                    return report(
                         status="refuted",
-                        map_name=phi.name,
-                        g_alpha_cert=ga,
-                        g_beta_cert=gb,
-                        h_beta_cert=hb,
-                        alpha_checked=alpha_checked,
-                        beta_checked=beta_checked,
-                        witness={
-                            "inequality": "alpha",
-                            "f": f.label,
-                            "nu": nu,
-                            "n": n,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        },
-                        notes="growth inequality fails on the corpus",
+                        alpha_checked=checked["alpha"],
+                        beta_checked=checked["beta"],
+                        witness={"inequality": inequality, **labels, "nu": nu, "n": n,
+                                 "lhs": p_out, "rhs": rhs},
+                        notes=f"{_INEQUALITY_NAMES[inequality]} inequality fails on the corpus",
                     )
-    for f in fs:
-        for k in fs:
-            dseq = phi.difference(f, k)
-            for nu in range(nu_max + 1):
-                if (
-                    nu > dseq.max_order
-                    or phi.order_pairing(nu) > min(f.max_order, k.max_order)
-                ):
-                    continue
-                for n in sample_ns:
-                    lhs = seminorm(dseq, n, SeminormSpec(nu=nu))
-                    pf = seminorm(f, n, SeminormSpec(nu=phi.order_pairing(nu)))
-                    pk = seminorm(k, n, SeminormSpec(nu=phi.order_pairing(nu)))
-                    rhs = float(phi.g_beta.fn(np.asarray(pf))) * float(
-                        phi.h_beta.fn(np.asarray(pk))
-                    )
-                    beta_checked += 1
-                    if lhs > rhs * (1 + rtol) + atol:
-                        return TemperateMapReport(
-                            status="refuted",
-                            map_name=phi.name,
-                            g_alpha_cert=ga,
-                            g_beta_cert=gb,
-                            h_beta_cert=hb,
-                            alpha_checked=alpha_checked,
-                            beta_checked=beta_checked,
-                            witness={
-                                "inequality": "beta",
-                                "f": f.label,
-                                "k": k.label,
-                                "nu": nu,
-                                "n": n,
-                                "lhs": lhs,
-                                "rhs": rhs,
-                            },
-                            notes="difference inequality fails on the corpus",
-                        )
-    status = (
-        "certified"
-        if all(c.status == "certified" for c in (ga, gb, hb))
-        else "inconclusive"
-    )
-    return TemperateMapReport(
-        status=status,
-        map_name=phi.name,
-        g_alpha_cert=ga,
-        g_beta_cert=gb,
-        h_beta_cert=hb,
-        alpha_checked=alpha_checked,
-        beta_checked=beta_checked,
+    certified = all(c.status == "certified" for c in certs.values())
+    return report(
+        status="certified" if certified else "inconclusive",
+        alpha_checked=checked["alpha"],
+        beta_checked=checked["beta"],
         notes=f"numeric checks passed on {len(fs)} corpus functions",
     )
 

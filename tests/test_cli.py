@@ -202,3 +202,12 @@ def test_batch_exit_code_is_worst_of_queries(capsys, tmp_path):
     assert rc == 2
     assert "verdict: moderate" in out
     assert "inconclusive" in out
+
+
+def test_demo_delta_walks_each_lattice_once(lattice_walks):
+    # the slope table and the classification of delta share their radius-2 walks
+    lines, code = cli.cmd_demo_delta()
+    assert code == 0 and lines[-1].endswith("True")
+    keys = [(id(f), n, radius) for f, n, radius in lattice_walks]
+    assert len(keys) == len(set(keys))
+    assert {radius for _, _, radius in keys} == {2, 3}

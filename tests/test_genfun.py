@@ -401,6 +401,62 @@ def test_seminorm_values_are_pinned():
 
 
 # ---------------------------------------------------------------------------
+# one lattice walk per (sequence, n, radius)
+
+
+def _chunks(n, nu):
+    """Jet calls of one walk of the SeminormSpec(nu) lattice at index n,
+    for a sequence without compact support."""
+    h, radius = SeminormSpec(nu).lattice(n)
+    return math.ceil(len(genfun._grid(-radius, radius, h)) / genfun._CHUNK)
+
+
+@pytest.mark.parametrize("nu_max", [1, 2, 3])
+def test_classify_fun_walks_each_lattice_once(colombeau, counting_seq, nu_max):
+    # unbounded support, so the radius-3 lattice is not the radius-2 one
+    f, calls = counting_seq(add_seq(standard_mollifier().sequence(), sin_fn()))
+    classify_fun(f, nu_max, colombeau)
+    walks = {}
+    for n, k, _, _ in calls:
+        walks[n, k] = walks.get((n, k), 0) + 1
+    # per index: one walk of orders 0..2 on radius 2, and one of order 3 on radius 3
+    orders = {2} | ({3} if nu_max == 3 else set())
+    assert set(walks) == {(n, k) for n in genfun.DEFAULT_SAMPLE_NS for k in orders}
+    for (n, k), chunks in walks.items():
+        assert chunks == _chunks(n, k), (n, k)
+
+
+class _RecordingSpace:
+    """A number space that keeps the channel bundle it was asked to classify."""
+
+    def __init__(self, space):
+        self.space, self.bundle = space, None
+
+    def classify(self, bundle):
+        self.bundle = bundle
+        return self.space.classify(bundle)
+
+
+@pytest.mark.parametrize("nu_max", [2, 3])
+def test_classify_fun_channels_are_the_seminorms(colombeau, nu_max):
+    f = add_seq(standard_mollifier().sequence(), sin_fn())
+    space = _RecordingSpace(colombeau)
+    classify_fun(f, nu_max, space)
+    ns = genfun.DEFAULT_SAMPLE_NS
+    for nu in range(nu_max + 1):
+        logs = space.bundle[f"p_{nu}"].log_values(np.asarray(ns)).tolist()
+        assert logs == [math.log(seminorm(f, n, SeminormSpec(nu=nu))) for n in ns], nu
+
+
+def test_seminorm_table_walks_each_radius_once(lattice_walks):
+    f = sin_fn()
+    p = genfun._seminorm_table(f)
+    values = [p(64, nu) for nu in (0, 3, 1, 2, 3, 0)]
+    assert sorted(r for _, _, r in lattice_walks) == [2, 3]
+    assert values == [seminorm(f, 64, SeminormSpec(nu=nu)) for nu in (0, 3, 1, 2, 3, 0)]
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 

@@ -1,6 +1,7 @@
 """Certificates for maps on the quotient algebras and the induced extensions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,6 +306,72 @@ def test_exp_seq_map_refuted():
     report = check_temperate(exp_seq_map(), COL)
     assert report.status == "refuted"
     assert report.witness
+
+
+def _square_with_small_g_alpha():
+    # x^2 drops the 2^nu factor: p_2((0.5 sin)^2) = 0.5 > p_2(0.5 sin)^2 = 0.25
+    return replace(square_map(), name="square, g_alpha = x^2", g_alpha=power_map(2.0))
+
+
+def _square_with_small_h_beta():
+    small = scaled_map(1e-3, sum_maps(power_map(1.0), power_map(2.0)))
+    return replace(square_map(), name="square, h_beta / 1000", h_beta=small)
+
+
+# (status, alpha_checked, beta_checked, witness, notes) on colombeau,
+# recorded before the growth and difference loops were merged into one
+_PINNED_TEMPERATE = [
+    (square_map, ("certified", 48, 192, {}, "numeric checks passed on 4 corpus functions")),
+    (derivative_map, ("certified", 48, 192, {}, "numeric checks passed on 4 corpus functions")),
+    (
+        exp_seq_map,
+        (
+            "refuted", 0, 0,
+            {"m": 1, "M": 1, "x": 7.38905609893065, "n": 64, "log_value_exceeds": 230.0},
+            "scalar certificate refuted for 'exp(x)' (moderate)",
+        ),
+    ),
+    (
+        _square_with_small_g_alpha,
+        (
+            "refuted", 21, 0,
+            {"inequality": "alpha", "f": "0.5 * sin(1x)", "nu": 2, "n": 16, "lhs": 0.5, "rhs": 0.25},
+            "growth inequality fails on the corpus",
+        ),
+    ),
+    (
+        _square_with_small_h_beta,
+        (
+            "refuted", 48, 25,
+            {
+                "inequality": "beta", "f": "delta[bump(0,1)]", "k": "0.2 + 0.1x", "nu": 0, "n": 16,
+                "lhs": 5.344173495731246, "rhs": 1.8212538750368341,
+            },
+            "difference inequality fails on the corpus",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make_map, expected",
+    _PINNED_TEMPERATE,
+    ids=["square", "derivative", "exp", "small-g_alpha", "small-h_beta"],
+)
+def test_check_temperate_reports_are_pinned(make_map, expected):
+    r = check_temperate(make_map(), COL)
+    got = (r.status, r.alpha_checked, r.beta_checked, list(r.witness.items()), r.notes)
+    status, alpha, beta, witness, notes = expected
+    assert got == (status, alpha, beta, list(witness.items()), notes)
+
+
+@pytest.mark.parametrize("make_map, radii", [(square_map, {2}), (derivative_map, {2, 3})])
+def test_check_temperate_walks_each_lattice_once(lattice_walks, make_map, radii):
+    # the derivative map bounds p_nu(f') by p_(nu+1)(f): orders 1..3, so radii 2 and 3
+    assert check_temperate(make_map(), COL).status == "certified"
+    keys = [(id(f), n, radius) for f, n, radius in lattice_walks]
+    assert len(keys) == len(set(keys))
+    assert {radius for _, _, radius in keys} == radii
 
 
 def test_square_difference_expansion():
