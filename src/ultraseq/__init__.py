@@ -58,6 +58,7 @@ from ultraseq.weights import (
 from ultraseq.spaces import (
     ClassificationReport,
     NumberSpace,
+    SampleError,
     SeqRep,
     UltranormValue,
     classify,
@@ -137,6 +138,7 @@ __all__ = [
     "single_family",
     "verify_scale_axioms",
     "ClassificationReport",
+    "SampleError",
     "NumberSpace",
     "SeqRep",
     "UltranormValue",

@@ -5,8 +5,8 @@ sequence f_n = f that does not depend on n; point masses enter as the
 mollifier sequences n * phi(n x).  Everything is 1-D.
 
 A sequence is evaluated through its jet: jet(n, xs, k) is the
-(k+1, len(xs)) array of the analytic derivatives of orders 0..k of f_n at
-xs.  Combinators compose jets (Leibniz sums for products, a recurrence
+(k+1,) + xs.shape array of the analytic derivatives of orders 0..k of f_n
+at xs.  Combinators compose jets (Leibniz sums for products, a recurrence
 for exp), so every order comes from one evaluation of each operand; grid
 differentiation would lose too much precision, and central differences
 serve only as a cross-check in the tests.
@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyder, polyval
 
 from ultraseq import gennum, growth
 from ultraseq.gennum import AssocKind, AssocVerdict, NotModerate
@@ -103,8 +102,14 @@ def _n_dependent(seq: SmoothSeq) -> ValueError:
 @dataclass(frozen=True)
 class SmoothSeq:
     """A sequence of smooth functions f_n given by a vectorized jet
-    jet(n, xs, k): the (k+1, len(xs)) array of the derivatives of orders
-    0..k of f_n at the points xs, with per-index support information.
+    jet(n, xs, k): the derivatives of orders 0..k of f_n at the points xs,
+    with per-index support information.
+
+    The jet contract: xs is a float array of any shape (0-d included), and
+    the result is a freshly allocated array of shape (k+1,) + xs.shape that
+    the caller owns and may overwrite; combinators and the lattice walk
+    work in place on it.  The sign of a zero in the result is not
+    significant.
 
     A single smooth function is a sequence that does not depend on n
     (`n_free`).  Constructors record that fact and combinators propagate
@@ -157,8 +162,28 @@ _BUMP_MAX_ORDER = 8
 _BUMP_GUARD = 0.005  # below this 1-u^2 the value is under e^-87 and flushed to 0
 
 
+def _horner(rows: Sequence[np.ndarray], x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[j] = the polynomial with coefficients rows[j] (lowest first,
+    trailing zeros trimmed) at x, by Horner from the row's own leading
+    coefficient.  Each step is the multiply and the add that `polyval` makes
+    on the zero-padded matrix, whose leading zeros only add exact zeros."""
+    for j, c in enumerate(rows):
+        acc = out[j, ...]
+        acc[...] = c[-1] if len(c) else 0.0
+        for a in c[-2::-1]:
+            acc *= x
+            acc += a
+    return out
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing (leading-power) zero coefficients."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:0]
+
+
 @lru_cache(maxsize=1)
-def _bump_coeffs() -> np.ndarray:
+def _bump_rows() -> tuple[np.ndarray, ...]:
     # exp(-1/(1-u^2)) has k-th derivative E(u) * P_k(u) / (1-u^2)^(2k) with
     # P_{k+1} = P_k' Q^2 + u (4k Q - 2) P_k, Q = 1 - u^2; row k holds the
     # coefficients of P_k, whose degree is at most 3k
@@ -169,7 +194,7 @@ def _bump_coeffs() -> np.ndarray:
     for k in range(_BUMP_MAX_ORDER + 1):
         rows[k, : len(p.coef)] = p.coef
         p = p.deriv() * q * q + u * (4.0 * k * q - 2.0) * p
-    return rows
+    return tuple(_trim(row) for row in rows)
 
 
 def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> SmoothSeq:
@@ -178,38 +203,64 @@ def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> Smo
         raise ValueError("width must be positive")
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        us = (xs - center) / width
+        out = np.zeros((k + 1,) + xs.shape)
+        flat = out.reshape(k + 1, -1)
+        us = ((xs - center) / width).ravel()
         q = 1.0 - us * us
         safe = q > _BUMP_GUARD
-        out = np.zeros((k + 1,) + us.shape)
-        if np.any(safe):
-            qs = q[safe]
-            e = np.exp(-1.0 / qs)
-            ps = polyval(us[safe], _bump_coeffs()[: k + 1, : 3 * k + 1].T)
-            for j in range(k + 1):
-                out[j, safe] = amplitude * width ** (-j) * (e * ps[j] / qs ** (2 * j))
+        count = np.count_nonzero(safe)
+        if not count:
+            return out
+        # {q > guard} is an interval in u: one slice of a sorted lattice,
+        # written in place; other point sets go through integer indices
+        first = int(safe.argmax())
+        contiguous = bool(safe[first : first + count].all())
+        sel = slice(first, first + count) if contiguous else np.flatnonzero(safe)
+        block = flat[:, sel] if contiguous else np.empty((k + 1, count))
+        qs = q[sel]
+        e = np.exp(-1.0 / qs)
+        _horner(_bump_rows()[: k + 1], us[sel], block)
+        for j, row in enumerate(block):
+            row *= e
+            if j:
+                row /= qs ** (2 * j)
+            scale = amplitude * width ** (-j)
+            if scale != 1.0:
+                row *= scale
+        if not contiguous:
+            flat[:, sel] = block
         return out
 
     return _function(f"bump({center:g},{width:g})", jet, _BUMP_MAX_ORDER, (center - width, center + width))
 
 
 def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
-    derivs = np.zeros((65, len(coeffs)))  # row j: the coefficients of the j-th derivative
-    for j in range(65):
-        d = polyder(np.asarray(coeffs, dtype=float), j)
-        derivs[j, : len(d)] = d
+    # row j: the coefficients of the j-th derivative, each the derivative of
+    # the row before by the step `polyder` takes, i * c[i]
+    d = np.asarray(coeffs, dtype=float)
+    derivs = []
+    for _ in range(65):
+        derivs.append(_trim(d))
+        d = d[1:] * np.arange(1.0, len(d))
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        return polyval(xs, derivs[: k + 1].T)
+        return _horner(derivs[: k + 1], xs, np.empty((k + 1,) + xs.shape))
 
     return _function(label or f"poly{tuple(round(c, 6) for c in coeffs)}", jet, 64)
 
 
 def sin_fn(freq: float = 1.0) -> SmoothSeq:
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        # the derivatives cycle through freq^j * (sin, cos, -sin, -cos)
-        waves = (np.sin(freq * xs), np.cos(freq * xs) if k else None)
-        return np.stack([(-1) ** (j // 2) * freq ** j * waves[j % 2] for j in range(k + 1)])
+        # the derivatives cycle through freq^j * (sin, cos, -sin, -cos): rows
+        # 0 and 1 hold sin and cos, and are scaled last
+        out = np.empty((k + 1,) + xs.shape)
+        fx = freq * xs
+        np.sin(fx, out=out[0, ...])
+        if k:
+            np.cos(fx, out=out[1, ...])
+        for j in range(k, 0, -1):
+            np.multiply(out[j % 2, ...], (-1) ** (j // 2) * freq ** j, out=out[j, ...])
+        return out
 
     return _function(f"sin({freq:g}x)", jet, 64)
 
@@ -289,7 +340,9 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         scales = np.array([float(n) ** (power + j) for j in range(k + 1)])
-        return scales.reshape((-1,) + (1,) * xs.ndim) * profile.jet(1, n * xs, k)
+        out = profile.jet(1, n * xs, k)
+        out *= scales.reshape((-1,) + (1,) * xs.ndim)
+        return out
 
     return SmoothSeq(
         label=label or f"n^{power}*{profile.label}(n x)",
@@ -317,7 +370,8 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
     n_free = False
     if isinstance(scale, growth.GrowthExpr):
         expr = scale
-        scale_fn = lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min)))
+        # a lattice walk asks for the same n once per chunk
+        scale_fn = lru_cache(maxsize=1)(lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min))))
         scale_label = growth.format_expr(expr)
     elif callable(scale):
         scale_fn = scale
@@ -335,7 +389,8 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
             # an overflowed scalar must still annihilate zeros of the base
             with np.errstate(invalid="ignore"):
                 return np.where(base == 0.0, 0.0, c * base)
-        return c * base
+        base *= c
+        return base
 
     return _n_free_if(
         n_free,
@@ -349,11 +404,16 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
 
 
 def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        out = a.jet(n, xs, k)
+        out += b.jet(n, xs, k)
+        return out
+
     return _n_free_if(
         a.n_free and b.n_free,
         SmoothSeq(
             label=label or f"{a.label} + {b.label}",
-            jet=lambda n, xs, k: a.jet(n, xs, k) + b.jet(n, xs, k),
+            jet=jet,
             max_order=min(a.max_order, b.max_order),
             support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
         ),
@@ -370,10 +430,20 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         fa = a.jet(n, xs, k)
         fb = fa if b is a else b.jet(n, xs, k)
-        out = np.zeros_like(fa)
+        out = np.empty_like(fa)
+        term = np.empty_like(fa[0, ...])
         for j in range(k + 1):
-            for i in range(j + 1):
-                out[j] += math.comb(j, i) * fa[i] * fb[j - i]
+            row = out[j, ...]
+            np.multiply(fa[0, ...], fb[j, ...], out=row)
+            for i in range(1, j + 1):
+                # (C(j, i) * fa[i]) * fb[j-i], the factor skipped where it is 1
+                c = math.comb(j, i)
+                if c == 1:
+                    np.multiply(fa[i, ...], fb[j - i, ...], out=term)
+                else:
+                    np.multiply(fa[i, ...], c, out=term)
+                    term *= fb[j - i, ...]
+                row += term
         return out
 
     return _n_free_if(
@@ -485,10 +555,13 @@ def _order_sups(f: SmoothSeq, n: int, nu: int) -> np.ndarray:
     xs = _grid(lo, hi, h)
     for start in range(0, len(xs), _CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.abs(f.jet(n, xs[start : start + _CHUNK], nu))
+            vals = f.jet(n, xs[start : start + _CHUNK], nu)
+        top = np.abs(vals, out=vals).max(axis=1)
         # nan can only come from inf arithmetic in a jet chain
-        # (inf - inf, inf * 0); read it as overflow of the true value
-        rows = np.maximum(rows, np.where(np.isnan(vals), np.inf, vals).max(axis=1))
+        # (inf - inf, inf * 0); read it as overflow of the true value.
+        # np.max propagates nan, so folding the row maxima is enough
+        top[np.isnan(top)] = np.inf
+        np.maximum(rows, top, out=rows)
     return rows
 
 

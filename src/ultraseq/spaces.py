@@ -24,6 +24,7 @@ from ultraseq.growth import GrowthExpr, ParityLimits
 from ultraseq.weights import Direction, Mode, WeightFamily, WeightSeq, catalog
 
 __all__ = [
+    "SampleError",
     "SeqRep",
     "UltranormValue",
     "ClassificationReport",
@@ -40,6 +41,14 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # sequence representations
+
+
+class SampleError(ValueError):
+    """A sampled sequence gave a value that is nan or negative."""
+
+    def __init__(self, label: str, n: int, value: float):
+        self.n, self.value = n, value
+        super().__init__(f"{label}: the sample at n = {n} is {value!r}, not a nonnegative number")
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,10 @@ class SeqRep:
 
             def log_fn(ns: np.ndarray) -> np.ndarray:
                 vals = np.asarray(values_fn(ns), dtype=float)
+                bad = np.isnan(vals) | (vals < 0)  # -0.0 is a zero
+                if bad.any():
+                    i = int(bad.argmax())
+                    raise SampleError(label, int(np.ravel(ns)[i]), float(vals.flat[i]))
                 with np.errstate(divide="ignore"):
                     return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -618,15 +618,18 @@ def square_map(nu_max: int = 3) -> SeqMap:
 
 def derivative_map() -> SeqMap:
     # p_nu(k') <= p_(nu+1)(k) exactly; the beta growth factor still needs the
-    # +1 floor because the product form must dominate even at tiny p(f)
+    # +1 floor because the product form must dominate even at tiny p(f).
+    # The map is linear, so the difference at (f, k) is the image of k; one
+    # image per input lets callers share its seminorm walks
+    apply = lru_cache(maxsize=None)(derivative_seq)
     return SeqMap(
         name="derivative",
-        apply=derivative_seq,
+        apply=apply,
         order_pairing=lambda nu: nu + 1,
         g_alpha=identity_map(),
         g_beta=affine_map(1.0, 1.0),
         h_beta=identity_map(),
-        apply_diff=lambda f, k: derivative_seq(k),
+        apply_diff=lambda f, k: apply(k),
     )
 
 
@@ -683,7 +686,8 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
     ("alpha") p_nu(phi(f)) <= g_alpha(p(f)), and the difference inequality
     ("beta") p_nu(phi(f+k) - phi(f)) <= g_beta(p(f)) h_beta(p(k)).  Each
     sequence reads its seminorms from one table, so every (sequence, n,
-    radius) lattice is walked once.
+    radius) lattice is walked once; a map whose difference repeats a
+    left-hand sequence shares that sequence's table.
     """
     certs = {
         "g_alpha_cert": check_moderate(phi.g_alpha, W),
@@ -712,7 +716,7 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
     ]
     checked = {"alpha": 0, "beta": 0}
     for inequality, lhs, inputs, bound in cases:
-        p_lhs = genfun._seminorm_table(lhs)
+        p_lhs = tables.setdefault(lhs, genfun._seminorm_table(lhs))
         for nu in range(_CORPUS_NU_MAX + 1):
             if nu > lhs.max_order or phi.order_pairing(nu) > min(x.max_order for x in inputs):
                 continue

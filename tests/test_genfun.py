@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 
 from ultraseq.gennum import AssocKind, NotModerate
 from ultraseq import genfun
@@ -11,6 +15,7 @@ from ultraseq.genfun import (
     FunctionSpace,
     QuadratureError,
     SeminormSpec,
+    SmoothSeq,
     add_seq,
     bump,
     classify_fun,
@@ -454,6 +459,234 @@ def test_seminorm_table_walks_each_radius_once(lattice_walks):
     values = [p(64, nu) for nu in (0, 3, 1, 2, 3, 0)]
     assert sorted(r for _, _, r in lattice_walks) == [2, 3]
     assert values == [seminorm(f, 64, SeminormSpec(nu=nu)) for nu in (0, 3, 1, 2, 3, 0)]
+
+
+def test_growth_scale_is_evaluated_once_per_walk(monkeypatch):
+    calls = []
+    value = growth.eval_value
+
+    def counting(expr, n):
+        calls.append(n)
+        return value(expr, n)
+
+    monkeypatch.setattr(growth, "eval_value", counting)
+    f = seq_scale(growth.parse("log(n)"), sin_fn())
+    n, spec = 2 ** 14, SeminormSpec(nu=2)
+    assert _chunks(n, 2) == 33  # 32 full chunks and one point
+    for m in (n, n, 64, n):
+        seminorm(f, m, spec)
+    # a one-entry memo: the same n twice in a row is evaluated once
+    assert calls == [n, 64, n]
+
+
+def test_callable_scale_is_called_once_per_chunk():
+    calls = []
+    f = seq_scale(lambda n: calls.append(n) or 2.0, sin_fn())
+    seminorm(f, 2 ** 14, SeminormSpec(nu=2))
+    assert calls == [2 ** 14] * _chunks(2 ** 14, 2)
+
+
+# ---------------------------------------------------------------------------
+# the jet kernels against their reference formulas: 2-D polyval, the
+# boolean-mask bump, stacked sin rows, the zeros-plus-binomial Leibniz sum
+# and the full-block nan fold of the lattice walk
+
+
+def _reference_bump_coeffs():
+    q = Polynomial([1.0, 0.0, -1.0])
+    u = Polynomial([0.0, 1.0])
+    p = Polynomial([1.0])
+    rows = np.zeros((9, 25))
+    for k in range(9):
+        rows[k, : len(p.coef)] = p.coef
+        p = p.deriv() * q * q + u * (4.0 * k * q - 2.0) * p
+    return rows
+
+
+_REFERENCE_BUMP_COEFFS = _reference_bump_coeffs()
+
+
+def _reference_bump(center, width, amplitude):
+    def jet(n, xs, k):
+        us = (xs - center) / width
+        q = 1.0 - us * us
+        safe = q > 0.005
+        out = np.zeros((k + 1,) + us.shape)
+        if np.any(safe):
+            qs = q[safe]
+            e = np.exp(-1.0 / qs)
+            ps = polyval(us[safe], _REFERENCE_BUMP_COEFFS[: k + 1, : 3 * k + 1].T)
+            for j in range(k + 1):
+                out[j, safe] = amplitude * width ** (-j) * (e * ps[j] / qs ** (2 * j))
+        return out
+
+    return genfun._function("ref-bump", jet, 8, (center - width, center + width))
+
+
+def _reference_poly(coeffs):
+    derivs = np.zeros((65, len(coeffs)))
+    for j in range(65):
+        d = polyder(np.asarray(coeffs, dtype=float), j)
+        derivs[j, : len(d)] = d
+    return genfun._function("ref-poly", lambda n, xs, k: polyval(xs, derivs[: k + 1].T), 64)
+
+
+def _reference_sin(freq):
+    def jet(n, xs, k):
+        waves = (np.sin(freq * xs), np.cos(freq * xs) if k else None)
+        return np.stack([(-1) ** (j // 2) * freq ** j * waves[j % 2] for j in range(k + 1)])
+
+    return genfun._function("ref-sin", jet, 64)
+
+
+def _reference_leibniz(fa, fb, k):
+    out = np.zeros_like(fa)
+    for j in range(k + 1):
+        for i in range(j + 1):
+            out[j] += math.comb(j, i) * fa[i] * fb[j - i]
+    return out
+
+
+def _reference_product(a, b):
+    def jet(n, xs, k):
+        fa = a.jet(n, xs, k)
+        return _reference_leibniz(fa, fa if b is a else b.jet(n, xs, k), k)
+
+    p = product_seq(a, b)
+    return genfun._n_free_if(p.n_free, SmoothSeq("ref-product", jet, p.max_order, p.support_fn))
+
+
+def _reference_order_sups(f, n, nu):
+    sup = f.support_fn(n)
+    h, radius = SeminormSpec(nu).lattice(n, None if sup is None else sup[1] - sup[0])
+    lo, hi = -radius, radius
+    rows = np.zeros(nu + 1)
+    if sup is not None:
+        lo, hi = max(lo, sup[0]), min(hi, sup[1])
+        if hi <= lo:
+            return rows
+    xs = genfun._grid(lo, hi, h)
+    for start in range(0, len(xs), genfun._CHUNK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.abs(f.jet(n, xs[start : start + genfun._CHUNK], nu))
+        rows = np.maximum(rows, np.where(np.isnan(vals), np.inf, vals).max(axis=1))
+    return rows
+
+
+_bump_params = st.tuples(
+    st.floats(-0.5, 0.5), st.floats(0.05, 1.5), st.sampled_from([1.0, 0.5, 2.25, 1.0 / 0.44399381616807865])
+)
+_kernels = st.one_of(
+    st.tuples(st.just("bump"), _bump_params),
+    st.tuples(st.just("poly"), st.lists(st.sampled_from([0.0, 1.0, -2.0, 0.3, 1.7]), min_size=1, max_size=6)),
+    st.tuples(st.just("sin"), st.sampled_from([1.0, 0.5, 3.0, 7.25])),
+)
+
+
+def _kernel_pair(kernel):
+    """(kernel under test, its reference) for one drawn constructor."""
+    name, params = kernel
+    if name == "bump":
+        return bump(*params), _reference_bump(*params)
+    if name == "poly":
+        return poly_fn(params), _reference_poly(params)
+    return sin_fn(params), _reference_sin(params)
+
+
+def _point_sets():
+    """Sorted lattice chunks, unsorted 2-D quadrature node arrays, 0-d
+    points and point sets whose bump-safe part is not one run."""
+    lattice = st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 2.0), st.integers(1, 3000)).map(
+        lambda t: np.linspace(t[0], t[0] + t[1], t[2])
+    )
+    nodes = genfun._gl_rules()[0]
+
+    def quadrature(t):
+        edges = np.linspace(t[0], t[0] + t[1], t[2] + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        return np.concatenate([mid[:, None] - half[:, None] * nodes, mid[:, None] + half[:, None] * nodes], axis=1)
+
+    quad = st.tuples(st.floats(-2.0, 0.0), st.floats(0.1, 3.0), st.integers(1, 6)).map(quadrature)
+    point = st.floats(-2.0, 2.0).map(np.asarray)
+    scattered = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=40).map(np.asarray)
+    gaps = st.sampled_from([np.array([-0.5, 1.9, 0.3, -1.2, 0.0]), np.array([0.9, 0.0, -0.9, 0.1])])
+    return st.one_of(lattice, quad, point, scattered, gaps)
+
+
+@given(_kernels, _kernels, _point_sets(), st.integers(0, 8))
+@settings(max_examples=150, deadline=None)
+def test_jet_kernels_match_their_reference_formulas(kernel_a, kernel_b, xs, k):
+    a, ref_a = _kernel_pair(kernel_a)
+    b, ref_b = _kernel_pair(kernel_b)
+    for f, ref in ((a, ref_a), (b, ref_b)):
+        got, want = f.jet(1, xs, k), ref.jet(1, xs, k)
+        assert got.shape == want.shape == (k + 1,) + xs.shape
+        assert np.array_equal(got, want), f.label  # a zero's sign may differ
+    fa, fb = a.jet(1, xs, k), b.jet(1, xs, k)
+    for left, right in ((a, b), (a, a)):
+        got = product_seq(left, right).jet(1, xs, k)
+        want = _reference_leibniz(fa, fa if right is a else fb, k)
+        assert np.array_equal(got, want), (left.label, right.label)
+
+
+_SCALES = ("-1", "2.5", "log(n)", "n^0.5", "n", "exp(-n)", "exp(n)")
+
+
+def _trees():
+    leaves = st.one_of(_kernels, st.tuples(st.just("mollified"), _bump_params, st.integers(1, 2)))
+    return st.recursive(
+        leaves,
+        lambda t: st.one_of(
+            st.tuples(st.just("add"), t, t),
+            st.tuples(st.just("product"), t, t),
+            st.tuples(st.just("square"), t),
+            st.tuples(st.just("scale"), st.sampled_from(_SCALES), t),
+            st.tuples(st.just("exp"), t),
+            st.tuples(st.just("derivative"), t),
+        ),
+        max_leaves=4,
+    )
+
+
+def _build(tree):
+    """(sequence under test, reference sequence) for one drawn tree."""
+    name = tree[0]
+    if name in ("bump", "poly", "sin"):
+        return _kernel_pair(tree)
+    if name == "mollified":
+        return tuple(mollified(f, power=tree[2]) for f in (bump(*tree[1]), _reference_bump(*tree[1])))
+    if name == "scale":
+        f, ref = _build(tree[2])
+        if tree[1] in ("-1", "2.5"):
+            return seq_scale(float(tree[1]), f), seq_scale(float(tree[1]), ref)
+        expr = growth.parse(tree[1])
+        # the reference evaluates the scale at every call
+        return seq_scale(expr, f), seq_scale(lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min))), ref)
+    pairs = [_build(t) for t in tree[1:]]
+    if name == "add":
+        return add_seq(pairs[0][0], pairs[1][0]), add_seq(pairs[0][1], pairs[1][1])
+    if name == "product":
+        return product_seq(pairs[0][0], pairs[1][0]), _reference_product(pairs[0][1], pairs[1][1])
+    (f, ref), = pairs
+    if name == "square":
+        return square_seq(f), _reference_product(ref, ref)
+    if name == "exp":
+        return exp_seq(f), exp_seq(ref)
+    if f.max_order == 0:
+        return f, ref
+    return derivative_seq(f), derivative_seq(ref)
+
+
+@given(_trees(), st.sampled_from([4, 64, 1024]), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+# exp(e^n) overflows, and inf times the bump's flushed edge is nan
+@example(("product", ("exp", ("scale", "exp(n)", ("poly", [1.0]))), ("bump", (0.0, 1.0, 1.0))), 64, 2)
+def test_lattice_walk_rows_match_the_reference_bitwise(tree, n, nu):
+    f, ref = _build(tree)
+    nu = min(nu, f.max_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = genfun._order_sups(f, n, nu), _reference_order_sups(ref, n, nu)
+    assert got.tobytes() == want.tobytes(), (f.label, n, nu)
 
 
 # ---------------------------------------------------------------------------

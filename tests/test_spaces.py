@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ultraseq import growth
 from ultraseq.spaces import (
     NumberSpace,
+    SampleError,
     SeqRep,
     classify,
     colombeau_space,
@@ -111,6 +112,22 @@ def test_index_range_must_be_nonempty():
     with pytest.raises(ValueError, match="sample_ns has no index"):
         SeqRep.sampled(ones, "one", n_min=100, sample_ns=[2, 50])
     assert SeqRep.sampled(ones, "one", n_min=9_999, n_max=10_000).n_min == 9_999
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-300, -2.0, -math.inf])
+def test_sampled_rejects_nan_and_negative_values(bad):
+    f = SeqRep.sampled(lambda ns: np.where(ns == 7, bad, np.where(ns == 9, math.nan, 1.0)), "bad")
+    with pytest.raises(SampleError, match="n = 7") as info:
+        f.log_values(np.arange(2, 12))
+    assert info.value.n == 7 and (info.value.value == bad or math.isnan(bad))
+    with pytest.raises(SampleError):
+        ultranorm(f, COL)
+    assert issubclass(SampleError, ValueError)
+
+
+def test_sampled_negative_zero_is_a_zero():
+    f = SeqRep.sampled(lambda ns: np.where(ns % 2 == 0, -0.0, 0.5), "signed zeros")
+    assert f.log_values(np.arange(2, 6)).tolist() == [-math.inf, math.log(0.5), -math.inf, math.log(0.5)]
 
 
 def test_no_sample_above_the_weight_cut_off_is_inconclusive():

@@ -374,6 +374,14 @@ def test_check_temperate_walks_each_lattice_once(lattice_walks, make_map, radii)
     assert {radius for _, _, radius in keys} == radii
 
 
+def test_check_temperate_walks_each_derivative_lattice_once(lattice_walks):
+    # D k is the left-hand sequence of the growth case at k and of every
+    # difference case (f, k): each of its lattices is walked once
+    assert check_temperate(derivative_map(), COL).status == "certified"
+    keys = [(f.label, n, radius) for f, n, radius in lattice_walks]
+    assert len(keys) == len(set(keys)) == 48  # 4 inputs x 4 n x radii 2, 3; 4 images x 4 n x radius 2
+
+
 def test_square_difference_expansion():
     # (f+k)^2 - f^2 through the dedicated difference path
     phi = square_map()
