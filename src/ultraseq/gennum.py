@@ -535,6 +535,7 @@ def _scaled_magnitude(x: GenNumber, diff: SeqRep) -> SeqRep:
         log_scale=True,
         n_min=max(x.magnitude.n_min, diff.n_min),
         n_max=min(x.magnitude.n_max, diff.n_max),
+        sample_ns=x.magnitude.sample_ns or diff.sample_ns,
     )
 
 

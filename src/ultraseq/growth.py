@@ -6,9 +6,16 @@ and log n.  The fragment is closed under multiplication, addition and
 (single-term) powers, and every expression has a unique normal form:
 a sum of terms in strictly decreasing dominance order, where each term is
 
-    coeff * n^a * log(n)^b * loglog(n)^c * exp(sum_i c_i * n^{d_i} * log(n)^{l_i})
+    coeff * exp(c_1 * mu_1 + ... + c_k * mu_k)
 
-with coeff > 0 and each exponential monomial growing without bound.
+with coeff > 0, nonzero c_i, and distinct monomials
+mu = n^a * log(n)^b * loglog(n)^c * logloglog(n)^d that grow without bound,
+listed from the fastest-growing down (the lexicographic order of their
+exponent vectors).  Powers are exponentials too: n^a is exp(a*log n),
+log(n)^b is exp(b*loglog n) and loglog(n)^c is exp(c*logloglog n).  So one
+rule decides every question: exp(A) dominates exp(B) exactly when the
+leading coefficient of A - B is positive, and a term tends to inf, 0 or its
+coeff as its own leading coefficient is positive, negative or absent.
 Because all coefficients are positive, the dominant term controls the
 asymptotics of the whole sum, so dominance comparison, limits of
 r_n * log f_n products and numeric tail evaluation can all be decided
@@ -46,7 +53,6 @@ __all__ = [
     "parse",
     "format_expr",
     "constant",
-    "make_term",
     "term_expr",
     "alt_expr",
     "add",
@@ -78,15 +84,19 @@ class NotRepresentable(ValueError):
 
 
 # A monomial exponent vector over the basis (n, log n, loglog n, logloglog n).
-# The fourth slot is only ever produced internally, by taking the log of a
-# loglog factor; the parser and the numeric evaluator never emit it.
+# The fourth slot is only ever produced by a loglog power, loglog(n)^c being
+# exp(c * logloglog n); the parser never writes it inside exp(...).
 Mono = tuple[float, float, float, float]
 
 _ZMONO: Mono = (0.0, 0.0, 0.0, 0.0)
-_MONO_N: Mono = (1.0, 0.0, 0.0, 0.0)
 _MONO_LOG: Mono = (0.0, 1.0, 0.0, 0.0)
 _MONO_LOGLOG: Mono = (0.0, 0.0, 1.0, 0.0)
 _MONO_L3: Mono = (0.0, 0.0, 0.0, 1.0)
+
+# The power factors n, log(n), loglog(n) are the exponentials of these monomials.
+_POWER_MONOS = (_MONO_LOG, _MONO_LOGLOG, _MONO_L3)
+_POWER_NAMES = ("n", "log(n)", "loglog(n)")
+_POWER_INDEX = {m: i for i, m in enumerate(_POWER_MONOS)}
 
 
 def _mono_sign(m: Mono) -> int:
@@ -98,110 +108,71 @@ def _mono_sign(m: Mono) -> int:
     return 0
 
 
-# Exponential parts are stored as tuples of (mono, coeff), sorted by mono
-# descending, with nonzero coefficients.  Syntactic equality of these tuples
-# is the merge criterion everywhere.
-ExpPart = tuple[tuple[Mono, float], ...]
+# A combination of monomials: (mono, coeff) pairs with distinct monos and
+# nonzero coefficients, sorted by mono descending.  It is both the exponent
+# of a term and, with the constant monomial, the log of one.  Syntactic
+# equality of these tuples is the merge criterion everywhere.
+Comb = tuple[tuple[Mono, float], ...]
 
 
-def _ep_norm(items: dict[Mono, float]) -> ExpPart:
-    kept = [(m, c) for m, c in items.items() if c != 0.0]
-    kept.sort(key=lambda mc: mc[0], reverse=True)
-    return tuple(kept)
+def _cmp(a: Comb, b: Comb) -> int:
+    """The dominance rule: the sign of the leading coefficient of a - b.
 
-
-def _ep_add(a: ExpPart, b: ExpPart, scale: float = 1.0) -> ExpPart:
-    acc = dict(a)
-    for m, c in b:
-        acc[m] = acc.get(m, 0.0) + scale * c
-    return _ep_norm(acc)
-
-
-def _ep_scale(a: ExpPart, s: float) -> ExpPart:
-    return _ep_norm({m: s * c for m, c in a})
-
-
-def _ep_diff_lead(a: ExpPart, b: ExpPart) -> float:
-    """Sign-carrying coefficient of the dominant monomial of a - b (0 if equal)."""
-    d = _ep_add(a, b, scale=-1.0)
-    return d[0][1] if d else 0.0
+    +1 when exp(a)/exp(b) -> inf, -1 when it tends to 0, 0 when a == b.
+    """
+    for (ma, ca), (mb, cb) in zip(a, b):
+        if ma != mb:
+            lead = ca if ma > mb else -cb
+            break
+        if ca != cb:
+            lead = ca - cb
+            break
+    else:
+        if len(a) == len(b):
+            return 0
+        lead = a[len(b)][1] if len(a) > len(b) else -b[len(a)][1]
+    return 1 if lead > 0 else -1
 
 
 @dataclass(frozen=True)
 class GrowthTerm:
+    """coeff * exp(exponent)."""
+
     coeff: float
-    pow_n: float
-    pow_log: float
-    pow_loglog: float
-    exp_part: ExpPart
-
-    @property
-    def signature(self):
-        return (self.exp_part, self.pow_n, self.pow_log, self.pow_loglog)
-
-    def log_items(self) -> dict[Mono, float]:
-        """The exact log of this term as a signed monomial combination."""
-        items: dict[Mono, float] = {}
-        for m, c in self.exp_part:
-            items[m] = items.get(m, 0.0) + c
-        for m, c in (
-            (_MONO_LOG, self.pow_n),
-            (_MONO_LOGLOG, self.pow_log),
-            (_MONO_L3, self.pow_loglog),
-            (_ZMONO, math.log(self.coeff)),
-        ):
-            if c != 0.0:
-                items[m] = items.get(m, 0.0) + c
-        return {m: c for m, c in items.items() if c != 0.0}
+    exponent: Comb
 
 
-def make_term(
-    coeff: float,
-    pow_n: float = 0.0,
-    pow_log: float = 0.0,
-    pow_loglog: float = 0.0,
-    exp_items: Iterable[tuple[Mono, float]] = (),
-) -> GrowthTerm:
-    """Build a normalized term, folding redundant exponential monomials.
-
-    exp(c*log n) is the same function as n^c, and similarly one level down,
-    so pure single-log monomials with unit exponent are folded into the
-    power fields; constant arguments fold into the coefficient.  This keeps
-    the normal form unique.
-    """
+def _term(coeff: float, items: Iterable[tuple[Mono, float]]) -> GrowthTerm:
+    """The term coeff * exp(sum c * mono); a constant monomial folds into coeff."""
     if coeff <= 0:
         raise NotRepresentable("term coefficients must be positive")
     acc: dict[Mono, float] = {}
-    for mono, c in exp_items:
+    for mono, c in items:
         if c == 0.0:
             continue
         if mono == _ZMONO:
             coeff *= math.exp(c)
-        elif mono == _MONO_LOG:
-            pow_n += c
-        elif mono == _MONO_LOGLOG:
-            pow_log += c
-        elif mono == _MONO_L3:
-            pow_loglog += c
         elif _mono_sign(mono) <= 0:
             raise NotRepresentable(
                 "exponential of a decaying monomial is outside the fragment"
             )
         else:
             acc[mono] = acc.get(mono, 0.0) + c
-    return GrowthTerm(float(coeff), float(pow_n), float(pow_log), float(pow_loglog), _ep_norm(acc))
+    exponent = tuple(sorted(((m, c) for m, c in acc.items() if c != 0.0), reverse=True))
+    return GrowthTerm(float(coeff), exponent)
 
 
-def _term_cmp(a: GrowthTerm, b: GrowthTerm) -> int:
-    """Dominance order: +1 when a grows strictly faster than b."""
-    lead = _ep_diff_lead(a.exp_part, b.exp_part)
-    if lead > 0:
-        return 1
-    if lead < 0:
-        return -1
-    ka = (a.pow_n, a.pow_log, a.pow_loglog)
-    kb = (b.pow_n, b.pow_log, b.pow_loglog)
-    return (ka > kb) - (ka < kb)
+def _split(exponent: Comb) -> tuple[list[float], list[tuple[Mono, float]]]:
+    """The powers of n, log n and loglog n in a term, and the exponential
+    monomials left over, still in descending order."""
+    powers, rest = [0.0, 0.0, 0.0], []
+    for m, c in exponent:
+        i = _POWER_INDEX.get(m)
+        if i is None:
+            rest.append((m, c))
+        else:
+            powers[i] = c
+    return powers, rest
 
 
 @dataclass(frozen=True)
@@ -232,9 +203,10 @@ class GrowthExpr:
             return max(b.eval_n_min for b in self.branches)
         n_min = 2
         for t in self.terms:
-            if t.pow_loglog != 0.0 or any(m[2] != 0.0 for m, _ in t.exp_part):
+            (_, _, p_loglog), rest = _split(t.exponent)
+            if p_loglog != 0.0 or any(m[2] != 0.0 for m, _ in rest):
                 n_min = max(n_min, 16)
-            if any(m[3] != 0.0 for m, _ in t.exp_part):
+            if any(m[3] != 0.0 for m, _ in rest):
                 raise NotRepresentable("triple-log factors are not numerically evaluable")
         return n_min
 
@@ -252,29 +224,22 @@ class GrowthExpr:
 
 
 def _mk(terms: Iterable[GrowthTerm]) -> GrowthExpr:
-    merged: dict[tuple, float] = {}
-    rep: dict[tuple, GrowthTerm] = {}
+    merged: dict[Comb, float] = {}
     for t in terms:
-        sig = t.signature
-        merged[sig] = merged.get(sig, 0.0) + t.coeff
-        rep[sig] = t
-    out = [
-        GrowthTerm(c, rep[s].pow_n, rep[s].pow_log, rep[s].pow_loglog, rep[s].exp_part)
-        for s, c in merged.items()
-        if c != 0.0
-    ]
-    out.sort(key=functools.cmp_to_key(_term_cmp), reverse=True)
+        merged[t.exponent] = merged.get(t.exponent, 0.0) + t.coeff
+    out = [GrowthTerm(c, e) for e, c in merged.items() if c != 0.0]
+    out.sort(key=functools.cmp_to_key(lambda s, t: _cmp(s.exponent, t.exponent)), reverse=True)
     return GrowthExpr(terms=tuple(out))
 
 
 ZERO = GrowthExpr()
-ONE = GrowthExpr(terms=(make_term(1.0),))
+ONE = GrowthExpr(terms=(GrowthTerm(1.0, ()),))
 
 
 def constant(c: float) -> GrowthExpr:
     if c == 0:
         return ZERO
-    return GrowthExpr(terms=(make_term(c),))
+    return GrowthExpr(terms=(_term(c, ()),))
 
 
 def term_expr(
@@ -284,7 +249,9 @@ def term_expr(
     pow_loglog: float = 0.0,
     exp_items: Iterable[tuple[Mono, float]] = (),
 ) -> GrowthExpr:
-    return GrowthExpr(terms=(make_term(coeff, pow_n, pow_log, pow_loglog, exp_items),))
+    """coeff * n^pow_n * log(n)^pow_log * loglog(n)^pow_loglog * exp(sum c * mono)."""
+    powers = zip(_POWER_MONOS, (pow_n, pow_log, pow_loglog))
+    return GrowthExpr(terms=(_term(coeff, (*powers, *exp_items)),))
 
 
 def alt_expr(even: GrowthExpr, odd: GrowthExpr) -> GrowthExpr:
@@ -321,19 +288,9 @@ def mul(a: GrowthExpr, b: GrowthExpr) -> GrowthExpr:
     def plain(x: GrowthExpr, y: GrowthExpr) -> GrowthExpr:
         if x.is_zero or y.is_zero:
             return ZERO
-        out = []
-        for s in x.terms:
-            for t in y.terms:
-                out.append(
-                    make_term(
-                        s.coeff * t.coeff,
-                        s.pow_n + t.pow_n,
-                        s.pow_log + t.pow_log,
-                        s.pow_loglog + t.pow_loglog,
-                        _ep_add(s.exp_part, t.exp_part),
-                    )
-                )
-        return _mk(out)
+        return _mk(
+            _term(s.coeff * t.coeff, s.exponent + t.exponent) for s in x.terms for t in y.terms
+        )
 
     return _lift2(plain, a, b)
 
@@ -349,17 +306,7 @@ def pow_expr(a: GrowthExpr, s: float) -> GrowthExpr:
         return ONE
     if len(a.terms) == 1:
         t = a.terms[0]
-        return GrowthExpr(
-            terms=(
-                make_term(
-                    t.coeff ** s,
-                    t.pow_n * s,
-                    t.pow_log * s,
-                    t.pow_loglog * s,
-                    _ep_scale(t.exp_part, s),
-                ),
-            )
-        )
+        return GrowthExpr(terms=(_term(t.coeff ** s, [(m, c * s) for m, c in t.exponent]),))
     if s == int(s) and s > 0:
         out = a
         for _ in range(int(s) - 1):
@@ -372,32 +319,29 @@ def pow_expr(a: GrowthExpr, s: float) -> GrowthExpr:
 class LogCombination:
     """A signed combination of log-scale monomials; the zero monomial is the constant."""
 
-    monos: tuple[tuple[Mono, float], ...]
+    monos: Comb
 
     @property
     def is_zero(self) -> bool:
         return not self.monos
 
 
-def _logcomb(items: dict[Mono, float]) -> LogCombination:
-    kept = [(m, c) for m, c in items.items() if c != 0.0]
-    kept.sort(key=lambda mc: mc[0], reverse=True)
-    return LogCombination(tuple(kept))
-
-
 def log_expr(a: GrowthExpr) -> LogCombination | tuple[LogCombination, LogCombination]:
     """Exact log of the dominant term; lower-order terms contribute o(1).
 
-    The discarded part log(1 + lower/dominant) tends to 0, so it can never
-    move a limit of the form r_n * log f_n with a vanishing weight r.
-    Modulated input yields one combination per parity branch.
+    The log of coeff * exp(L) is L plus the constant log(coeff).  The
+    discarded part log(1 + lower/dominant) tends to 0, so it can never move
+    a limit of the form r_n * log f_n with a vanishing weight r.  Modulated
+    input yields one combination per parity branch.
     """
     if a.modulated:
         ae, ao = a.branches
         return (log_expr(ae), log_expr(ao))  # type: ignore[return-value]
     if a.is_zero:
         raise ValueError("log of the zero sequence")
-    return _logcomb(a.dominant.log_items())
+    t = a.dominant
+    log_c = math.log(t.coeff)
+    return LogCombination(t.exponent + ((_ZMONO, log_c),) if log_c != 0.0 else t.exponent)
 
 
 @dataclass(frozen=True)
@@ -416,39 +360,26 @@ class ParityLimits:
         return min(self.even, self.odd)
 
 
+def _limit(coeff: float, growth_sign: int) -> float:
+    """Limit of coeff * g for a g that tends to inf, 1 or 0 as growth_sign
+    is +1, 0 or -1; coeff may have either sign."""
+    if growth_sign > 0:
+        return math.copysign(math.inf, coeff)
+    return coeff if growth_sign == 0 else 0.0
+
+
 def _limit_plain(r: GrowthExpr, comb: LogCombination) -> float:
     if comb.is_zero:
         return 0.0
+    # r * L is led by k * r * mu for L's dominant monomial
+    # mu = n^a * log(n)^b * loglog(n)^c * logloglog(n)^d, and r * mu grows
+    # as exp(R) dominates 1/mu = exp(-a*log n - b*loglog n - c*logloglog n)
+    # * logloglog(n)^-d.  The last factor lies below every basis monomial, so
+    # d decides only a tie.
     rt = r.dominant
-    # Every product monomial shares the weight's exponential part.
-    if rt.exp_part:
-        lead = rt.exp_part[0][1]
-        if lead < 0:
-            return 0.0
-        best = max(
-            (
-                (
-                    (rt.pow_n + m[0], rt.pow_log + m[1], rt.pow_loglog + m[2], m[3]),
-                    rt.coeff * c,
-                )
-                for m, c in comb.monos
-            ),
-            key=lambda kc: kc[0],
-        )
-        return math.copysign(math.inf, best[1])
-    acc: dict[Mono, float] = {}
-    for m, c in comb.monos:
-        key = (rt.pow_n + m[0], rt.pow_log + m[1], rt.pow_loglog + m[2], m[3])
-        acc[key] = acc.get(key, 0.0) + rt.coeff * c
-    prods = sorted(((k, c) for k, c in acc.items() if c != 0.0), reverse=True)
-    for key, c in prods:
-        sign = _mono_sign(key)
-        if sign > 0:
-            return math.copysign(math.inf, c)
-        if sign == 0:
-            return c
-        return 0.0
-    return 0.0
+    (a, b, c, d), k = comb.monos[0]
+    inv_mu = tuple((m, -p) for m, p in zip(_POWER_MONOS, (a, b, c)) if p != 0.0)
+    return _limit(rt.coeff * k, _cmp(rt.exponent, inv_mu) or (d > 0) - (d < 0))
 
 
 def limit_of_product(
@@ -478,16 +409,7 @@ def limit_value(a: GrowthExpr) -> float | ParityLimits:
     def plain(e: GrowthExpr) -> float:
         if e.is_zero:
             return 0.0
-        t = e.dominant
-        if t.exp_part:
-            return math.inf if t.exp_part[0][1] > 0 else 0.0
-        key = (t.pow_n, t.pow_log, t.pow_loglog)
-        sign = (key > (0.0, 0.0, 0.0)) - (key < (0.0, 0.0, 0.0))
-        if sign > 0:
-            return math.inf
-        if sign == 0:
-            return t.coeff
-        return 0.0
+        return _limit(e.dominant.coeff, _cmp(e.dominant.exponent, ()))
 
     if a.modulated:
         even, odd = (plain(b) for b in a.branches)
@@ -526,7 +448,7 @@ def compare(a: GrowthExpr, b: GrowthExpr) -> Comparison:
         return Comparison(LESS)
     if b.is_zero:
         return Comparison(GREATER)
-    c = _term_cmp(a.dominant, b.dominant)
+    c = _cmp(a.dominant.exponent, b.dominant.exponent)
     if c < 0:
         return Comparison(LESS)
     if c > 0:
@@ -549,11 +471,11 @@ def exp_of_reciprocal(r: GrowthExpr, s: float) -> GrowthExpr:
         raise ValueError("weights cannot be parity-modulated")
     items: list[tuple[Mono, float]] = []
     for t in w.terms:
-        if t.exp_part:
+        (p_n, p_log, p_loglog), rest = _split(t.exponent)
+        if rest:
             raise NotRepresentable("exp of an exponential reciprocal weight")
-        mono: Mono = (t.pow_n, t.pow_log, t.pow_loglog, 0.0)
-        items.append((mono, s * t.coeff))
-    return GrowthExpr(terms=(make_term(1.0, exp_items=items),))
+        items.append(((p_n, p_log, p_loglog, 0.0), s * t.coeff))
+    return GrowthExpr(terms=(_term(1.0, items),))
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +484,13 @@ def exp_of_reciprocal(r: GrowthExpr, s: float) -> GrowthExpr:
 
 def _term_eval_log(t: GrowthTerm, ns: np.ndarray) -> np.ndarray:
     ln = np.log(ns)
-    out = math.log(t.coeff) + t.pow_n * ln
-    if t.pow_log != 0.0:
-        out = out + t.pow_log * np.log(ln)
-    if t.pow_loglog != 0.0:
-        out = out + t.pow_loglog * np.log(np.log(ln))
-    for (dn, dl, dll, dlll), c in t.exp_part:
+    (p_n, p_log, p_loglog), rest = _split(t.exponent)
+    out = math.log(t.coeff) + p_n * ln
+    if p_log != 0.0:
+        out = out + p_log * np.log(ln)
+    if p_loglog != 0.0:
+        out = out + p_loglog * np.log(np.log(ln))
+    for (dn, dl, dll, dlll), c in rest:
         if dlll != 0.0:
             raise NotRepresentable("triple-log factors are not numerically evaluable")
         factor = np.ones_like(ln)
@@ -619,6 +542,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>loglog|log|exp|alt|n)"
     r"|(?P<punct>[()+*/^,-]))"
 )
+
+
+# n, log(n) and loglog(n): exp of one monomial each
+_ATOMS = dict(zip(("n", "log", "loglog"), _POWER_MONOS))
 
 
 class _Parser:
@@ -709,26 +636,17 @@ class _Parser:
         kind, val, pos = self.next()
         if kind == "num":
             return constant(float(val))
-        if val == "n":
-            return term_expr(1.0, pow_n=1.0)
-        if val == "log":
-            self.expect("(")
-            self.expect("n")
-            self.expect(")")
-            return term_expr(1.0, pow_log=1.0)
-        if val == "loglog":
-            self.expect("(")
-            self.expect("n")
-            self.expect(")")
-            return term_expr(1.0, pow_loglog=1.0)
+        if val in _ATOMS:
+            if val != "n":
+                self.expect("(")
+                self.expect("n")
+                self.expect(")")
+            return GrowthExpr(terms=(GrowthTerm(1.0, ((_ATOMS[val], 1.0),)),))
         if val == "exp":
             self.expect("(")
             items = self.exp_poly()
             self.expect(")")
-            try:
-                return GrowthExpr(terms=(make_term(1.0, exp_items=items),))
-            except NotRepresentable as exc:
-                raise ParseError(str(exc), pos) from None
+            return GrowthExpr(terms=(_term(1.0, items),))
         if val == "alt":
             self.expect("(")
             even = self.expr()
@@ -821,14 +739,18 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_exp_poly(ep: ExpPart) -> str:
+def _fmt_powers(names: tuple[str, ...], powers: Iterable[float]) -> list[str]:
+    return [
+        name if p == 1.0 else f"{name}^{_fmt_num(p)}"
+        for name, p in zip(names, powers)
+        if p != 0.0
+    ]
+
+
+def _fmt_exp_poly(items: list[tuple[Mono, float]]) -> str:
     parts = []
-    for i, ((dn, dl, dll, dlll), c) in enumerate(ep):
-        factors = []
-        if dn != 0.0:
-            factors.append("n" if dn == 1.0 else f"n^{_fmt_num(dn)}")
-        if dl != 0.0:
-            factors.append("log(n)" if dl == 1.0 else f"log(n)^{_fmt_num(dl)}")
+    for i, ((dn, dl, dll, dlll), c) in enumerate(items):
+        factors = _fmt_powers(("n", "log(n)"), (dn, dl))
         if dll != 0.0 or dlll != 0.0:
             raise NotRepresentable("deep log factors have no surface syntax")
         mag = abs(c)
@@ -843,17 +765,10 @@ def _fmt_exp_poly(ep: ExpPart) -> str:
 
 
 def _fmt_term(t: GrowthTerm) -> str:
-    factors = []
-    if t.pow_n != 0.0:
-        factors.append("n" if t.pow_n == 1.0 else f"n^{_fmt_num(t.pow_n)}")
-    if t.pow_log != 0.0:
-        factors.append("log(n)" if t.pow_log == 1.0 else f"log(n)^{_fmt_num(t.pow_log)}")
-    if t.pow_loglog != 0.0:
-        factors.append(
-            "loglog(n)" if t.pow_loglog == 1.0 else f"loglog(n)^{_fmt_num(t.pow_loglog)}"
-        )
-    if t.exp_part:
-        factors.append(f"exp({_fmt_exp_poly(t.exp_part)})")
+    powers, rest = _split(t.exponent)
+    factors = _fmt_powers(_POWER_NAMES, powers)
+    if rest:
+        factors.append(f"exp({_fmt_exp_poly(rest)})")
     if t.coeff != 1.0 or not factors:
         factors.insert(0, _fmt_num(t.coeff))
     return "*".join(factors)

@@ -500,10 +500,6 @@ def _tri_or(vals: Iterable[bool | None]) -> bool | None:
     return out
 
 
-def _tri_not(v: bool | None) -> bool | None:
-    return None if v is None else not v
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     verdict: str  # negligible | moderate | boundary | divergent | inconclusive

@@ -88,7 +88,6 @@ class ScalarMap:
 
     label: str
     fn: Callable[[np.ndarray], np.ndarray]
-    monotone: bool = True
     poly_bound: tuple[float, float] | None = None
     vanish_bound: tuple[float, float, float] | None = None
     zero_limit: float | None = None
@@ -188,7 +187,6 @@ def compose_maps(outer: ScalarMap, inner: ScalarMap) -> ScalarMap:
     return ScalarMap(
         label=f"{outer.label} o {inner.label}",
         fn=lambda u: outer.fn(inner.fn(np.asarray(u, dtype=float))),
-        monotone=outer.monotone and inner.monotone,
         poly_bound=poly,
         vanish_bound=vanish,
         zero_limit=zl,
@@ -219,7 +217,6 @@ def sum_maps(a: ScalarMap, b: ScalarMap) -> ScalarMap:
     return ScalarMap(
         label=f"{a.label} + {b.label}",
         fn=lambda u: a.fn(np.asarray(u, dtype=float)) + b.fn(np.asarray(u, dtype=float)),
-        monotone=a.monotone and b.monotone,
         poly_bound=poly,
         vanish_bound=vanish,
         zero_limit=zl,
@@ -379,6 +376,12 @@ def _level_search(
     return cert(status="certified", pairs=tuple(pairs), notes=notes[0])
 
 
+def _r_top(W: WeightFamily, levels: list[int]) -> float:
+    """The largest weight value at its first index over the levels: the
+    exponent that turns a structural bound on g into one on g^(r_n)."""
+    return max(W.member(m).value(W.member(m).n_min) for m in levels)
+
+
 def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     """Decide whether g preserves the moderate cone over the family W."""
     case = _family_case(W)
@@ -390,11 +393,9 @@ def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     if guard is not None:
         return guard
 
-    r_top = max(W.member(m).value(W.member(m).n_min) for m in levels)
-
     if g.poly_bound is not None:
         a, k = g.poly_bound
-        bound = max(a, 1.0) ** r_top
+        bound = max(a, 1.0) ** _r_top(W, levels)
         return cert(
             status="certified",
             pairs=tuple((m, m) for m in levels),
@@ -525,9 +526,9 @@ def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
             ),
         )
 
-    r_top = max(W.member(m).value(W.member(m).n_min) for m in levels)
     if h.vanish_bound is not None:
         a, kappa, u0 = h.vanish_bound
+        r_top = _r_top(W, levels)
         bound = max(a, 1.0) ** r_top
         x_cap = 1.0 if u0 >= 1.0 else u0 ** (1.0 / r_top)
         return cert(

@@ -24,6 +24,20 @@ def test_norm_log_factor_collapses_to_one(capsys):
     assert "exact 1" in out
 
 
+def test_norm_exp_below_every_power_leaves_the_power_dominant(capsys):
+    # exp(log(n)^0.5) << n, so the norm is that of n
+    rc, out, _ = run(capsys, "norm", "n + exp(log(n)^0.5)")
+    assert rc == 0
+    assert "exact e^1 = 2.71828183" in out
+
+
+def test_norm_under_a_weight_decaying_slower_than_any_power(capsys):
+    # exp(-log(n)^0.5) * n -> inf
+    rc, out, _ = run(capsys, "norm", "exp(n)", "--space", "weight:exp(-log(n)^0.5)")
+    assert rc == 0
+    assert "exact divergent" in out
+
+
 def test_norm_overflowing_literal_is_a_parse_error(capsys):
     rc, out, err = run(capsys, "norm", "1e300^2")
     assert rc == 1
@@ -58,6 +72,15 @@ def test_assoc_dual_yes_with_multiplier(capsys):
     assert rc == 0
     assert "s-dual(s=2): yes" in out
     assert "multiplier=n^2" in out
+
+
+def test_assoc_dual_multiplier_below_every_power(capsys):
+    # exp(log(n)^0.5) / n -> 0
+    rc, out, _ = run(capsys, "assoc", "n^-1", "0", "--kind", "dual:1",
+                     "--space", "weight:log(n)^-0.5")
+    assert rc == 0
+    assert "s-dual(s=1): yes" in out
+    assert "multiplier=exp(log(n)^0.5)" in out
 
 
 def test_assoc_weak_s_boundary_no(capsys):

@@ -220,6 +220,26 @@ def test_sampled_null_predicate_respects_n_min():
     assert seen and min(seen) >= 100
 
 
+def test_custom_jx_samples_a_table_difference_only_where_it_is_known():
+    # a lookup-table difference is defined on its sample_ns alone; each
+    # multiplier's product must be judged on those indices, not the dyadic grid
+    sample_ns = [2 ** k for k in range(4, 21)]
+    table = {n: 1.0 / n for n in sample_ns}
+    seen: list[int] = []
+    d = SeqRep.sampled(
+        _counting(lambda ns: np.array([table[int(n)] for n in ns]), seen), "table 1/n",
+        sample_ns=sample_ns,
+    )
+    kind = AssocKind.custom(null_predicate, [gn("1"), gn("log(n)^2")], "null limit")
+    v = associate(ZERO_N, ZERO_N, kind, difference=d)
+    assert v.holds == "yes" and v.witness == {"tested": 2}
+    assert set(seen) == set(sample_ns)
+
+    kind = AssocKind.custom(null_predicate, [gn("n^2")], "null limit")
+    v = associate(ZERO_N, ZERO_N, kind, difference=d)
+    assert v.holds == "no" and v.witness == {"failing_multiplier": "n^2"}
+
+
 # ---------------------------------------------------------------------------
 # representative change
 

@@ -51,6 +51,7 @@ def test_parse_basic_forms():
 def test_parse_sum_orders_by_dominance():
     e = parse("n + n^2 + 1")
     assert format_expr(e) == "n^2 + n + 1"
+    assert format_expr(parse("exp(log(n)^0.5) + n")) == "n + exp(log(n)^0.5)"
 
 
 def test_parse_merges_like_terms():
@@ -114,6 +115,8 @@ _coeff = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])
 _pow = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 _logpow = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
 _expd = st.sampled_from([0.5, 1.0, 2.0])
+# exp(c*log(n)^b): b = 0.5 grows slower than any power of n, b > 1 faster
+_explogd = st.sampled_from([0.5, 1.5, 2.0])
 _expc = st.sampled_from([-2.0, -1.0, 1.0])
 
 
@@ -122,8 +125,11 @@ def terms(draw):
     c = draw(_coeff)
     pn = draw(_pow)
     pl = draw(_logpow)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["none", "n", "log"]))
+    if kind == "n":
         items = (((draw(_expd), 0.0, 0.0, 0.0), draw(_expc)),)
+    elif kind == "log":
+        items = (((0.0, draw(_explogd), 0.0, 0.0), draw(_expc)),)
     else:
         items = ()
     return term_expr(c, pow_n=pn, pow_log=pl, exp_items=items)
@@ -193,10 +199,12 @@ def test_compare_basic_ladder():
     ladder = [
         "exp(-n)",
         "n^-2",
+        "exp(-log(n)^0.5)",
         "log(n)^-1",
         "1",
         "loglog(n)",
         "log(n)",
+        "exp(log(n)^0.5)",
         "n^0.5",
         "n",
         "n*log(n)",
@@ -257,6 +265,9 @@ def test_limit_value_plain_cases():
     assert limit_value(parse("exp(n)")) == math.inf
     assert limit_value(parse("2 + n^-1")) == 2.0
     assert limit_value(ZERO) == 0.0
+    # exp(log(n)^0.5) grows, but slower than any power of n
+    assert limit_value(parse("exp(log(n)^0.5)*n^-1")) == 0.0
+    assert limit_value(parse("exp(-log(n)^0.5)*n^0.01")) == math.inf
 
 
 def test_limit_value_parity_branches():
@@ -274,6 +285,11 @@ def test_limit_of_product_colombeau_weight():
     assert limit_of_product(r, log_expr(parse("exp(n)"))) == math.inf
     # lim (log n)^-1 * log(c) = 0
     assert limit_of_product(r, log_expr(parse("5"))) == 0.0
+    # the dominant term of n + exp(log(n)^0.5) is n
+    assert limit_of_product(r, log_expr(parse("n + exp(log(n)^0.5)"))) == 1.0
+    # lim (log n)^-1 * log(loglog(n)^2) = 0, but a constant weight gives +inf
+    assert limit_of_product(r, log_expr(parse("loglog(n)^2"))) == 0.0
+    assert limit_of_product(parse("2"), log_expr(parse("loglog(n)^2"))) == math.inf
 
 
 def test_limit_of_product_power_weight():
