@@ -106,16 +106,13 @@ def parse_kind(text: str) -> AssocKind:
         return AssocKind.custom(null_predicate, PowerXFamily(), "null limit")
     if ":" in t:
         name, _, stext = t.partition(":")
-        try:
-            s = float(stext)
-        except ValueError:
-            raise CliError(f"bad threshold in kind {text!r}") from None
-        if name == "strong":
-            return AssocKind.strong(s)
-        if name == "weak-s":
-            return AssocKind.weak_s(s)
-        if name in ("dual", "s-dual"):
-            return AssocKind.s_dual(s)
+        make = {"strong": AssocKind.strong, "weak-s": AssocKind.weak_s,
+                "dual": AssocKind.s_dual, "s-dual": AssocKind.s_dual}.get(name)
+        if make is not None:
+            try:
+                return make(stext)  # ValueError unless stext is a finite float
+            except ValueError:
+                raise CliError(f"bad threshold in kind {text!r}") from None
     raise CliError(
         f"unknown association kind {text!r}; use weak, strong:S, weak-s:S, "
         "dual:S, or power-x"
@@ -435,15 +432,20 @@ def cmd_demo_delta() -> tuple[list[str], int]:
 # batch files
 
 
-def _parse_batch(path: str) -> tuple[dict, dict[str, SeqRep], list[tuple[int, list[str], dict]]]:
+def _parse_batch(
+    path: str,
+) -> tuple[dict[str, tuple[str, int]], dict[str, SeqRep], list[tuple[int, list[str], dict]]]:
+    """The [space] options as key -> (value, line), the named sequences and
+    the queries as (line, positional words, options)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
 
-    space_opts: dict[str, str] = {}
+    space_opts: dict[str, tuple[str, int]] = {}
     sequences: dict[str, SeqRep] = {}
+    defined: dict[str, int] = {}  # sequence name -> line of its definition
     queries: list[tuple[int, list[str], dict]] = []
     section = None
     for idx, line in enumerate(raw, start=1):
@@ -459,12 +461,15 @@ def _parse_batch(path: str) -> tuple[dict, dict[str, SeqRep], list[tuple[int, li
             if "=" not in text:
                 raise CliError(f"{path}:{idx}: expected key = value")
             key, _, value = text.partition("=")
-            space_opts[key.strip()] = value.strip()
+            space_opts[key.strip()] = (value.strip(), idx)
         elif section == "sequences":
             if "=" not in text:
                 raise CliError(f"{path}:{idx}: expected name = expression")
             name, _, expr_text = text.partition("=")
             name = name.strip()
+            if name in defined:
+                raise CliError(f"{path}:{idx}: sequence {name!r} is already defined on line {defined[name]}")
+            defined[name] = idx
             try:
                 sequences[name] = parse_expr(expr_text.strip(), label=name)
             except CliError as e:
@@ -515,7 +520,15 @@ def _batch_query(
 
 def cmd_batch(path: str) -> tuple[list[str], int]:
     space_opts, sequences, queries = _parse_batch(path)
-    space = parse_space(space_opts.get("family", "colombeau"), space_opts.get("mode"))
+    family, family_line = space_opts.get("family", ("colombeau", None))
+    mode, mode_line = space_opts.get("mode", (None, None))
+    try:
+        space = parse_space(family, mode)
+    except CliError as e:
+        # parse_space rejects an unknown mode before it reads the family
+        bad_mode = mode is not None and mode not in {m.value for m in Mode}
+        line = mode_line if bad_mode else family_line
+        raise CliError(f"{path}:{line}: {e}") from None
     lines: list[str] = [f"space: {space.name}"]
     worst = EXIT_OK
     for idx, words, opts in queries:

@@ -21,6 +21,11 @@ order 0..nu, and the lattice depends on nu only through its radius
 max(nu, 2); callers that read several orders share one walk per
 (sequence, n, radius).
 
+A sequence may also carry a majorant: upper bounds on |f_n^(j)| over
+whole cells of the lattice.  A large lattice is then walked by branch
+and bound: cells whose bound cannot reach the running supremum of every
+order are skipped, and the suprema are the same floats as the full walk's.
+
 Pairings, mollifier masses and moments are adaptive composite
 Gauss-Legendre integrals over the clipped support.  Each panel carries a
 16- and a 32-node rule; their gap is the panel's error estimate, and a
@@ -111,6 +116,15 @@ class SmoothSeq:
     work in place on it.  The sign of a zero in the result is not
     significant.
 
+    The optional majorant(n, a, b, k) bounds the jet on cells: for 1-D
+    float arrays a <= b of cell endpoints it returns a freshly allocated
+    (k+1, len(a)) array whose entry [j, i] is at least |jet(n, xs, k)[j]| at
+    every x in [a[i], b[i]], up to a relative rounding error far below
+    1e-6.  An entry of 0 is exact: the jet is zero on that cell.  A nan or
+    inf entry claims nothing.  Every constructor and combinator here builds
+    one, from the majorants of its operands; a sequence without one is
+    walked in full.
+
     A single smooth function is a sequence that does not depend on n
     (`n_free`).  Constructors record that fact and combinators propagate
     it; only such sequences can be called without an index or asked for
@@ -121,6 +135,7 @@ class SmoothSeq:
     jet: Callable[[int, np.ndarray, int], np.ndarray]
     max_order: int
     support_fn: Callable[[int], tuple[float, float] | None] = field(default=lambda n: None)
+    majorant: Callable[[int, np.ndarray, np.ndarray, int], np.ndarray] | None = None
     n_free: bool = field(default=False, init=False)
 
     def at(self, n: int, xs, order: int = 0) -> np.ndarray:
@@ -151,11 +166,17 @@ def _n_free_if(n_free: bool, seq: SmoothSeq) -> SmoothSeq:
     return seq
 
 
-def _function(label: str, jet, max_order: int, support=None) -> SmoothSeq:
-    """A single smooth function: its jet(n, xs, k) ignores n."""
+def _function(label: str, jet, max_order: int, support=None, majorant=None) -> SmoothSeq:
+    """A single smooth function: its jet(n, xs, k) and majorant ignore n."""
     return _n_free_if(
-        True, SmoothSeq(label=label, jet=jet, max_order=max_order, support_fn=lambda n: support)
+        True,
+        SmoothSeq(label=label, jet=jet, max_order=max_order, support_fn=lambda n: support, majorant=majorant),
     )
+
+
+def _majorant_of(*seqs: SmoothSeq):
+    """Decorator: the combinator's majorant, or None when an operand has none."""
+    return lambda majorant: None if any(s.majorant is None for s in seqs) else majorant
 
 
 _BUMP_MAX_ORDER = 8
@@ -176,6 +197,25 @@ def _horner(rows: Sequence[np.ndarray], x: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
+def _horner_bound(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """out[j] >= |p_j(u)| for u in [lo, hi], p_j the polynomial with
+    coefficients coeffs[j] (lowest first): |p_j| at the middle of the cell
+    plus its half-width times sum_i i |c_i| max|u|^(i-1), widened by the
+    rounding error bound of Horner's rule in floats."""
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    top = np.maximum(np.abs(lo), np.abs(hi))
+    val, mag, slope = (np.zeros((len(coeffs),) + lo.shape) for _ in range(3))
+    for c in coeffs.T[::-1, :, None]:
+        slope *= top
+        slope += mag
+        val *= mid
+        val += c
+        mag *= top
+        mag += np.abs(c)
+    # an all-zero row stays an exact 0
+    return np.abs(val) + rad * slope + 6 * coeffs.shape[1] * np.finfo(float).eps * mag
+
+
 def _trim(c: np.ndarray) -> np.ndarray:
     """c without its trailing (leading-power) zero coefficients."""
     nonzero = np.flatnonzero(c)
@@ -183,7 +223,7 @@ def _trim(c: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _bump_rows() -> tuple[np.ndarray, ...]:
+def _bump_coeffs() -> np.ndarray:
     # exp(-1/(1-u^2)) has k-th derivative E(u) * P_k(u) / (1-u^2)^(2k) with
     # P_{k+1} = P_k' Q^2 + u (4k Q - 2) P_k, Q = 1 - u^2; row k holds the
     # coefficients of P_k, whose degree is at most 3k
@@ -194,7 +234,12 @@ def _bump_rows() -> tuple[np.ndarray, ...]:
     for k in range(_BUMP_MAX_ORDER + 1):
         rows[k, : len(p.coef)] = p.coef
         p = p.deriv() * q * q + u * (4.0 * k * q - 2.0) * p
-    return tuple(_trim(row) for row in rows)
+    return rows
+
+
+@lru_cache(maxsize=1)
+def _bump_rows() -> tuple[np.ndarray, ...]:
+    return tuple(_trim(row) for row in _bump_coeffs())
 
 
 def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> SmoothSeq:
@@ -231,22 +276,49 @@ def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> Smo
             flat[:, sel] = block
         return out
 
-    return _function(f"bump({center:g},{width:g})", jet, _BUMP_MAX_ORDER, (center - width, center + width))
+    def majorant(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+        # the jet's own float steps give the extreme q it computes on the
+        # cell; exp(-1/q) grows with q, 1/q^(2j) shrinks with q, and the jet
+        # flushes q <= guard to an exact 0
+        ua, ub = (a - center) / width, (b - center) / width
+        qa, qb = 1.0 - ua * ua, 1.0 - ub * ub
+        q_hi = np.where((ua <= 0.0) & (ub >= 0.0), 1.0, np.maximum(qa, qb))
+        q_lo = np.maximum(np.minimum(qa, qb), _BUMP_GUARD)
+        safe = q_hi > _BUMP_GUARD
+        out = _horner_bound(_bump_coeffs()[: k + 1, : 3 * k + 1], ua, ub)
+        e = np.exp(-1.0 / np.where(safe, q_hi, 1.0))
+        for j, row in enumerate(out):
+            row *= e
+            if j:
+                row /= q_lo ** (2 * j)
+            row *= abs(amplitude * width ** (-j))
+        out[:, ~safe] = 0.0
+        return out
+
+    return _function(
+        f"bump({center:g},{width:g})", jet, _BUMP_MAX_ORDER, (center - width, center + width), majorant
+    )
 
 
 def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
     # row j: the coefficients of the j-th derivative, each the derivative of
     # the row before by the step `polyder` takes, i * c[i]
     d = np.asarray(coeffs, dtype=float)
-    derivs = []
-    for _ in range(65):
-        derivs.append(_trim(d))
+    matrix = np.zeros((65, len(d)))
+    for row in matrix:
+        row[: len(d)] = d
         d = d[1:] * np.arange(1.0, len(d))
+    derivs = [_trim(row) for row in matrix]
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         return _horner(derivs[: k + 1], xs, np.empty((k + 1,) + xs.shape))
 
-    return _function(label or f"poly{tuple(round(c, 6) for c in coeffs)}", jet, 64)
+    return _function(
+        label or f"poly{tuple(round(c, 6) for c in coeffs)}",
+        jet,
+        64,
+        majorant=lambda n, a, b, k: _horner_bound(matrix[: k + 1], a, b),
+    )
 
 
 def sin_fn(freq: float = 1.0) -> SmoothSeq:
@@ -262,7 +334,20 @@ def sin_fn(freq: float = 1.0) -> SmoothSeq:
             np.multiply(out[j % 2, ...], (-1) ** (j // 2) * freq ** j, out=out[j, ...])
         return out
 
-    return _function(f"sin({freq:g}x)", jet, 64)
+    def majorant(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+        # the exact range of |sin| and |cos| on the cell: 1 where a peak
+        # (m + 1/2) pi, resp. m pi, lies in it, else the larger end value
+        fa, fb = freq * a, freq * b
+        lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
+        out = np.empty((k + 1,) + a.shape)
+        for j, wave, shift in ((0, np.sin, 0.5), (1, np.cos, 0.0))[: k + 1]:
+            peak = np.floor(hi / np.pi - shift) >= lo / np.pi - shift
+            out[j] = np.where(peak, 1.0, np.maximum(np.abs(wave(lo)), np.abs(wave(hi))))
+        for j in range(k, 0, -1):
+            np.multiply(out[j % 2], abs((-1) ** (j // 2) * freq ** j), out=out[j])
+        return out
+
+    return _function(f"sin({freq:g}x)", jet, 64, majorant=majorant)
 
 
 def const_fn(c: float) -> SmoothSeq:
@@ -273,7 +358,9 @@ def const_fn(c: float) -> SmoothSeq:
 
     # the zero function carries an empty support so that sums with it keep
     # their support interval (adaptive quadrature needs the clipping)
-    return _function(f"const({c:g})", jet, 64, (0.0, 0.0) if c == 0 else None)
+    return _function(
+        f"const({c:g})", jet, 64, (0.0, 0.0) if c == 0 else None, lambda n, a, b, k: np.abs(jet(n, a, k))
+    )
 
 
 def _hull(a, b):
@@ -328,7 +415,9 @@ def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
         return fn
     return _n_free_if(
         fn.n_free,
-        SmoothSeq(label=label, jet=fn.jet, max_order=fn.max_order, support_fn=fn.support_fn),
+        SmoothSeq(
+            label=label, jet=fn.jet, max_order=fn.max_order, support_fn=fn.support_fn, majorant=fn.majorant
+        ),
     )
 
 
@@ -338,17 +427,21 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
         raise ValueError("mollified sequences need a compactly supported profile")
     a, b = profile.support
 
-    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+    def scaled(values: np.ndarray, n: int, k: int) -> np.ndarray:
         scales = np.array([float(n) ** (power + j) for j in range(k + 1)])
-        out = profile.jet(1, n * xs, k)
-        out *= scales.reshape((-1,) + (1,) * xs.ndim)
-        return out
+        values *= scales.reshape((-1,) + (1,) * (values.ndim - 1))
+        return values
+
+    @_majorant_of(profile)
+    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+        return scaled(profile.majorant(1, n * lo, n * hi, k), n, k)
 
     return SmoothSeq(
         label=label or f"n^{power}*{profile.label}(n x)",
-        jet=jet,
+        jet=lambda n, xs, k: scaled(profile.jet(1, n * xs, k), n, k),
         max_order=profile.max_order,
         support_fn=lambda n: (a / n, b / n),
+        majorant=majorant,
     )
 
 
@@ -360,6 +453,7 @@ def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
             jet=lambda n, xs, k: seq.jet(factor * n, xs, k),
             max_order=seq.max_order,
             support_fn=lambda n: seq.support_fn(factor * n),
+            majorant=_majorant_of(seq)(lambda n, a, b, k: seq.majorant(factor * n, a, b, k)),
         ),
     )
 
@@ -382,9 +476,7 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         scale_label = f"{c:g}"
         n_free = seq.n_free
 
-    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        base = seq.jet(n, xs, k)
-        c = scale_fn(n)
+    def scaled(base: np.ndarray, c: float) -> np.ndarray:
         if not math.isfinite(c):
             # an overflowed scalar must still annihilate zeros of the base
             with np.errstate(invalid="ignore"):
@@ -392,13 +484,18 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         base *= c
         return base
 
+    @_majorant_of(seq)
+    def majorant(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+        return scaled(seq.majorant(n, a, b, k), abs(scale_fn(n)))
+
     return _n_free_if(
         n_free,
         SmoothSeq(
             label=label or f"{scale_label} * {seq.label}",
-            jet=jet,
+            jet=lambda n, xs, k: scaled(seq.jet(n, xs, k), scale_fn(n)),
             max_order=seq.max_order,
             support_fn=seq.support_fn,
+            majorant=majorant,
         ),
     )
 
@@ -409,6 +506,12 @@ def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
         out += b.jet(n, xs, k)
         return out
 
+    @_majorant_of(a, b)
+    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+        out = a.majorant(n, lo, hi, k)
+        out += b.majorant(n, lo, hi, k)
+        return out
+
     return _n_free_if(
         a.n_free and b.n_free,
         SmoothSeq(
@@ -416,6 +519,7 @@ def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
             jet=jet,
             max_order=min(a.max_order, b.max_order),
             support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
+            majorant=majorant,
         ),
     )
 
@@ -424,27 +528,37 @@ def sub_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
     return add_seq(a, seq_scale(-1.0, b, label=f"-({b.label})"), label=label or f"{a.label} - {b.label}")
 
 
+def _leibniz(fa: np.ndarray, fb: np.ndarray, k: int) -> np.ndarray:
+    """Rows 0..k of the product's jet from the factors' jets; on majorants
+    the same steps give a majorant, as every step is monotone."""
+    out = np.empty_like(fa)
+    term = np.empty_like(fa[0, ...])
+    for j in range(k + 1):
+        row = out[j, ...]
+        np.multiply(fa[0, ...], fb[j, ...], out=row)
+        for i in range(1, j + 1):
+            # (C(j, i) * fa[i]) * fb[j-i], the factor skipped where it is 1
+            c = math.comb(j, i)
+            if c == 1:
+                np.multiply(fa[i, ...], fb[j - i, ...], out=term)
+            else:
+                np.multiply(fa[i, ...], c, out=term)
+                term *= fb[j - i, ...]
+            row += term
+    return out
+
+
 def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
     """f_n * g_n, each jet order the Leibniz sum over the factors' jets."""
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         fa = a.jet(n, xs, k)
-        fb = fa if b is a else b.jet(n, xs, k)
-        out = np.empty_like(fa)
-        term = np.empty_like(fa[0, ...])
-        for j in range(k + 1):
-            row = out[j, ...]
-            np.multiply(fa[0, ...], fb[j, ...], out=row)
-            for i in range(1, j + 1):
-                # (C(j, i) * fa[i]) * fb[j-i], the factor skipped where it is 1
-                c = math.comb(j, i)
-                if c == 1:
-                    np.multiply(fa[i, ...], fb[j - i, ...], out=term)
-                else:
-                    np.multiply(fa[i, ...], c, out=term)
-                    term *= fb[j - i, ...]
-                row += term
-        return out
+        return _leibniz(fa, fa if b is a else b.jet(n, xs, k), k)
+
+    @_majorant_of(a, b)
+    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+        ma = a.majorant(n, lo, hi, k)
+        return _leibniz(ma, ma if b is a else b.majorant(n, lo, hi, k), k)
 
     return _n_free_if(
         a.n_free and b.n_free,
@@ -453,6 +567,7 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
             jet=jet,
             max_order=min(a.max_order, b.max_order),
             support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
+            majorant=majorant,
         ),
     )
 
@@ -465,10 +580,11 @@ def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
     """exp(f_n), its jet by e^(j) = sum_{i<j} C(j-1, i) f^(i+1) e^(j-1-i).
 
     The result is 1 wherever f vanishes, so it never has compact support.
+    The same recurrence on a majorant of f gives one of exp(f), since
+    exp(f) <= exp(|f|).
     """
 
-    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        fa = a.jet(n, xs, k)
+    def recurrence(fa: np.ndarray, k: int) -> np.ndarray:
         out = np.empty_like(fa)
         out[0] = np.exp(fa[0])
         for j in range(1, k + 1):
@@ -479,9 +595,10 @@ def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
         a.n_free,
         SmoothSeq(
             label=label or f"exp({a.label})",
-            jet=jet,
+            jet=lambda n, xs, k: recurrence(a.jet(n, xs, k), k),
             max_order=a.max_order,
             support_fn=lambda n: None,
+            majorant=_majorant_of(a)(lambda n, lo, hi, k: recurrence(a.majorant(n, lo, hi, k), k)),
         ),
     )
 
@@ -496,6 +613,7 @@ def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> Sm
             jet=lambda n, xs, k: a.jet(n, xs, k + shift)[shift:],
             max_order=a.max_order - shift,
             support_fn=a.support_fn,
+            majorant=_majorant_of(a)(lambda n, lo, hi, k: a.majorant(n, lo, hi, k + shift)[shift:]),
         ),
     )
 
@@ -528,20 +646,68 @@ class SeminormSpec:
 
 _MAX_GRID = 4_000_000
 _CHUNK = 2 ** 14  # lattice points per jet evaluation in a lattice walk
+_CELL = 128  # lattice points per cell of the branch-and-bound walk
+_PRUNE_MIN = 2 ** 14  # smaller lattices are walked in full
+_PAD = 1.0 + 1e-6  # relative slack on a cell bound for the rounding of the jet
+_TINY = np.finfo(float).tiny  # absolute slack, for rounding among subnormals
+_SLACK = 1e-9  # slack of a centered bound, relative to the majorant
+
+
+def _grid_count(lo: float, hi: float, h: float) -> int:
+    """The number of points of `_grid(lo, hi, h)` when hi >= lo."""
+    return max(min(int((hi - lo) / h) + 1, _MAX_GRID), 2)
 
 
 def _grid(lo: float, hi: float, h: float) -> np.ndarray:
     if hi < lo:
         return np.asarray([])
-    count = int((hi - lo) / h) + 1
-    if count > _MAX_GRID:
-        count = _MAX_GRID
-    return np.linspace(lo, hi, max(count, 2))
+    return np.linspace(lo, hi, _grid_count(lo, hi, h))
+
+
+def _grid_at(lo: float, hi: float, count: int, idx: np.ndarray) -> np.ndarray:
+    """The points idx of the count-point grid on [lo, hi], the same floats
+    as np.linspace(lo, hi, count)[idx]: linspace takes i * step + lo and
+    puts hi last."""
+    xs = idx * ((hi - lo) / (count - 1)) + lo
+    xs[idx == count - 1] = hi
+    return xs
+
+
+def _fold(rows: np.ndarray, vals: np.ndarray) -> None:
+    """rows = max(rows, |vals| along each row); vals is overwritten."""
+    top = np.abs(vals, out=vals).max(axis=1)
+    # nan can only come from inf arithmetic in a jet chain
+    # (inf - inf, inf * 0); read it as overflow of the true value.
+    # np.max propagates nan, so folding the row maxima is enough
+    top[np.isnan(top)] = np.inf
+    np.maximum(rows, top, out=rows)
+
+
+def _walk(rows: np.ndarray, f: SmoothSeq, n: int, xs: np.ndarray) -> np.ndarray:
+    """Fold the jet of orders 0..len(rows)-1 over xs into rows, one jet
+    call per chunk."""
+    for start in range(0, len(xs), _CHUNK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fold(rows, f.jet(n, xs[start : start + _CHUNK], len(rows) - 1))
+    return rows
 
 
 def _order_sups(f: SmoothSeq, n: int, nu: int) -> np.ndarray:
     """The lattice walk: sup |f_n^(j)| for j = 0..nu over the lattice of
-    SeminormSpec(nu), from one jet call per chunk of lattice points."""
+    SeminormSpec(nu), from one jet call per chunk of lattice points.
+
+    A lattice of at least `_PRUNE_MIN` points of a sequence with a majorant
+    is walked by branch and bound.  The lattice is cut into cells of
+    `_CELL` points, and one jet call at the cells' middle points gives a
+    lower bound on every row.  A cell's bound on order j is its majorant,
+    or the centered form |f^(j)(mid)| + reach * majorant_(j+1) (plus
+    `_SLACK` of the majorant for rounding) where that is smaller.  The cell
+    is skipped when, in every order, its bound padded by `_PAD` and `_TINY`
+    is below the row's lower bound or its majorant is exactly 0; a cell
+    with a nan or inf majorant is always walked.  No skipped point can then
+    hold a row maximum, and the jet gives the same value at a point in any
+    array, so the rows are the same floats as the full walk's.
+    """
     if nu > f.max_order:
         raise ValueError(f"seminorm order {nu} exceeds max_order {f.max_order}")
     sup = f.support_fn(n)
@@ -552,16 +718,29 @@ def _order_sups(f: SmoothSeq, n: int, nu: int) -> np.ndarray:
         lo, hi = max(lo, sup[0]), min(hi, sup[1])
         if hi <= lo:
             return rows
-    xs = _grid(lo, hi, h)
-    for start in range(0, len(xs), _CHUNK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = f.jet(n, xs[start : start + _CHUNK], nu)
-        top = np.abs(vals, out=vals).max(axis=1)
-        # nan can only come from inf arithmetic in a jet chain
-        # (inf - inf, inf * 0); read it as overflow of the true value.
-        # np.max propagates nan, so folding the row maxima is enough
-        top[np.isnan(top)] = np.inf
-        np.maximum(rows, top, out=rows)
+    count = _grid_count(lo, hi, h)
+    if f.majorant is None or count < _PRUNE_MIN:
+        return _walk(rows, f, n, _grid(lo, hi, h))
+    at = partial(_grid_at, lo, hi, count)
+    starts = np.arange(0, count, _CELL)
+    a, b = at(starts), at(np.minimum(starts + _CELL, count) - 1)
+    mid = at(np.minimum(starts + _CELL // 2, count - 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        probe = np.abs(f.jet(n, mid, nu))
+        bound = f.majorant(n, a, b, min(nu + 1, f.max_order))
+        zero = bound[: nu + 1] == 0.0
+        if len(bound) > nu + 1:
+            # the slack term keeps a nan or inf majorant nan or inf
+            reach = np.maximum(mid - a, b - mid)
+            centered = probe + reach * bound[1:] + _SLACK * bound[:-1]
+            bound = np.minimum(bound[:-1], centered, out=centered)
+        _fold(rows, probe)
+        walked = ~((bound * _PAD + _TINY < rows[:, None]) | zero).all(axis=0)
+    # the walked points a chunk at a time, so no lattice-sized array is built
+    cells = starts[walked]
+    for i in range(0, len(cells), _CHUNK // _CELL):
+        points = (cells[i : i + _CHUNK // _CELL, None] + np.arange(_CELL)).ravel()
+        _walk(rows, f, n, at(points[points < count]))
     return rows
 
 
@@ -569,8 +748,10 @@ def seminorm(f: SmoothSeq, n: int, spec: SeminormSpec) -> float:
     """Grid supremum of |f_n^(order)| over orders <= nu and |x| <= radius.
 
     A lattice supremum bounds the true one from below; spacing shrinks
-    like 1/(8n) so n-scaled peaks remain resolved.  Callers that read
-    several orders of one sequence use `_seminorm_table` instead.
+    like 1/(8n) so n-scaled peaks remain resolved.  It is the same float
+    whether or not `f` has a majorant: the majorant only lets the walk
+    skip cells that cannot hold the supremum (see `_order_sups`).  Callers
+    that read several orders of one sequence use `_seminorm_table` instead.
     """
     return float(_order_sups(f, n, spec.nu).max())
 

@@ -266,6 +266,14 @@ class PowerXFamily:
         return (0, *out)
 
 
+def _threshold(s: float) -> float:
+    """The threshold s of a strong, weak-s or s-dual kind, which must be finite."""
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"association threshold s must be finite, got {s!r}")
+    return s
+
+
 @dataclass(frozen=True)
 class AssocKind:
     """Which association relation to test.
@@ -283,7 +291,7 @@ class AssocKind:
 
     @staticmethod
     def strong(s: float) -> "AssocKind":
-        return AssocKind(name="strong-s", s=float(s))
+        return AssocKind(name="strong-s", s=_threshold(s))
 
     @staticmethod
     def weak() -> "AssocKind":
@@ -291,11 +299,11 @@ class AssocKind:
 
     @staticmethod
     def s_dual(s: float) -> "AssocKind":
-        return AssocKind(name="s-dual", s=float(s))
+        return AssocKind(name="s-dual", s=_threshold(s))
 
     @staticmethod
     def weak_s(s: float) -> "AssocKind":
-        return AssocKind(name="weak-s", s=float(s))
+        return AssocKind(name="weak-s", s=_threshold(s))
 
     @staticmethod
     def custom(j_predicate, x_set, j_label: str = "custom J") -> "AssocKind":

@@ -1,8 +1,11 @@
 """Command line behavior, driven in-process through cli.main."""
 
+import math
+
 import pytest
 
 from ultraseq import cli
+from ultraseq.gennum import AssocKind
 
 
 def run(capsys, *argv):
@@ -225,6 +228,51 @@ def test_batch_exit_code_is_worst_of_queries(capsys, tmp_path):
     assert rc == 2
     assert "verdict: moderate" in out
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize(
+    "kind", ["dual:nan", "dual:inf", "dual:1e400", "strong:nan", "weak-s:-inf", "strong:x"]
+)
+def test_assoc_rejects_a_non_finite_threshold(capsys, kind):
+    rc, out, err = run(capsys, "assoc", "n", "0", "--kind", kind)
+    assert rc == 1 and out == ""
+    assert err == f"error: bad threshold in kind {kind!r}\n"
+
+
+@pytest.mark.parametrize("kind", ["dual:nan", "strong:inf"])
+def test_batch_rejects_a_non_finite_threshold_with_position(capsys, tmp_path, kind):
+    path = tmp_path / "nan.batch"
+    path.write_text(f"[sequences]\na = n\nb = 0\n\n[queries]\nassoc a b kind={kind}\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"error: {path}:6: bad threshold in kind {kind!r}\n"
+
+
+def test_assoc_kind_thresholds_must_be_finite():
+    for make in (AssocKind.strong, AssocKind.weak_s, AssocKind.s_dual):
+        assert make(2).s == 2.0
+        for s in (math.nan, math.inf, -math.inf, "1e400"):
+            with pytest.raises(ValueError, match="must be finite"):
+                make(s)
+
+
+def test_batch_rejects_a_repeated_sequence_name(capsys, tmp_path):
+    path = tmp_path / "dup.batch"
+    path.write_text("[sequences]\na = n\nb = 0\n# again\na = n^2\n\n[queries]\nnorm a\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"error: {path}:5: sequence 'a' is already defined on line 2\n"
+
+
+def test_batch_reports_an_unknown_space_with_position(capsys, tmp_path):
+    path = tmp_path / "fam.batch"
+    path.write_text("[space]\nmode = standard\nfamily = nope\n\n[sequences]\na = n\n\n[queries]\nnorm a\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: {path}:3: unknown space 'nope'")
+    path.write_text("[space]\nfamily = egorov\nmode = sideways\n\n[queries]\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert rc == 1 and err.startswith(f"error: {path}:3: unknown mode 'sideways'")
 
 
 def test_demo_delta_walks_each_lattice_once(lattice_walks):

@@ -331,6 +331,18 @@ def test_chunked_seminorm_covers_the_whole_lattice():
     assert seminorm(poly_fn([1.0, 1.0]), n, SeminormSpec(nu=0)) == 3.0
 
 
+@given(st.floats(-4.0, 0.0), st.floats(1e-6, 4.0), st.floats(1e-7, 0.5), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+@example(-2.0, 4.0, 1.0 / 131072, 0)  # the radius-2 lattice at n = 2^14
+def test_grid_points_by_index_are_the_grid(lo, width, h, seed):
+    hi = lo + width
+    xs = genfun._grid(lo, hi, h)
+    count = genfun._grid_count(lo, hi, h)
+    assert len(xs) == count
+    idx = np.concatenate([[0, count - 1], np.random.default_rng(seed).integers(0, count, 200)])
+    assert genfun._grid_at(lo, hi, count, idx).tobytes() == xs[idx].tobytes()
+
+
 def test_derivative_seq_shifts_order():
     d = standard_mollifier().sequence()
     dd = derivative_seq(d)
@@ -479,11 +491,32 @@ def test_growth_scale_is_evaluated_once_per_walk(monkeypatch):
     assert calls == [n, 64, n]
 
 
+def _counting_with_majorant(f):
+    """f with a jet and a majorant that record each call as (n, k, number
+    of points, resp. cells); returns (wrapped sequence, jet calls, majorant
+    calls).  Unlike the `counting_seq` fixture it keeps the majorant, so the
+    lattice walk can skip cells."""
+    jets, bounds = [], []
+
+    def jet(n, xs, k):
+        jets.append((n, k, xs.size))
+        return f.jet(n, xs, k)
+
+    def majorant(n, a, b, k):
+        bounds.append((n, k, a.size))
+        return f.majorant(n, a, b, k)
+
+    return SmoothSeq(f.label, jet, f.max_order, f.support_fn, majorant), jets, bounds
+
+
 def test_callable_scale_is_called_once_per_chunk():
+    # a chunk is one jet call of the walk; the pruned walk also asks the
+    # majorant once, and that asks the scale once more
     calls = []
-    f = seq_scale(lambda n: calls.append(n) or 2.0, sin_fn())
+    f, jets, bounds = _counting_with_majorant(seq_scale(lambda n: calls.append(n) or 2.0, sin_fn()))
     seminorm(f, 2 ** 14, SeminormSpec(nu=2))
-    assert calls == [2 ** 14] * _chunks(2 ** 14, 2)
+    assert len(bounds) == 1 and 2 <= len(jets) < _chunks(2 ** 14, 2)
+    assert calls == [2 ** 14] * (len(jets) + len(bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +686,8 @@ def _build(tree):
     name = tree[0]
     if name in ("bump", "poly", "sin"):
         return _kernel_pair(tree)
+    if name == "const":
+        return const_fn(tree[1]), const_fn(tree[1])
     if name == "mollified":
         return tuple(mollified(f, power=tree[2]) for f in (bump(*tree[1]), _reference_bump(*tree[1])))
     if name == "scale":
@@ -668,6 +703,10 @@ def _build(tree):
     if name == "product":
         return product_seq(pairs[0][0], pairs[1][0]), _reference_product(pairs[0][1], pairs[1][1])
     (f, ref), = pairs
+    if name == "reindex":
+        return reindex(f, 3), reindex(ref, 3)
+    if name == "relabel":
+        return constant_seq(f, "relabelled"), constant_seq(ref, "relabelled")
     if name == "square":
         return square_seq(f), _reference_product(ref, ref)
     if name == "exp":
@@ -687,6 +726,133 @@ def test_lattice_walk_rows_match_the_reference_bitwise(tree, n, nu):
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = genfun._order_sups(f, n, nu), _reference_order_sups(ref, n, nu)
     assert got.tobytes() == want.tobytes(), (f.label, n, nu)
+
+
+def _all_trees():
+    """`_trees` plus the leaves and combinators it does not draw: constants,
+    reindexing and relabelling."""
+    leaves = st.one_of(
+        _kernels,
+        st.tuples(st.just("mollified"), _bump_params, st.integers(1, 2)),
+        st.tuples(st.just("const"), st.sampled_from([0.0, 1.0, -2.5])),
+    )
+    return st.recursive(
+        leaves,
+        lambda t: st.one_of(
+            st.tuples(st.just("add"), t, t),
+            st.tuples(st.just("product"), t, t),
+            st.tuples(st.just("square"), t),
+            st.tuples(st.just("scale"), st.sampled_from(_SCALES), t),
+            st.tuples(st.just("exp"), t),
+            st.tuples(st.just("derivative"), t),
+            st.tuples(st.just("reindex"), t),
+            st.tuples(st.just("relabel"), t),
+        ),
+        max_leaves=4,
+    )
+
+
+def _lattice(f, n, nu):
+    """The lattice a walk of f at index n and order nu visits."""
+    sup = f.support_fn(n)
+    h, radius = SeminormSpec(nu).lattice(n, None if sup is None else sup[1] - sup[0])
+    lo, hi = -radius, radius
+    if sup is not None:
+        lo, hi = max(lo, sup[0]), min(hi, sup[1])
+    return genfun._grid(lo, hi, h)
+
+
+@given(_all_trees(), st.sampled_from([4096, 16384]), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+# the maximum of |1 + x| is the last lattice point, alone in the last cell
+@example(("poly", [1.0, 1.0]), 16384, 0)
+# exp(-n) underflows at 2^14: every point of every row is an exact 0
+@example(("scale", "exp(-n)", ("sin", 1.0)), 16384, 2)
+# exp(e^n) overflows, and inf times the bump's flushed edge is nan
+@example(("product", ("exp", ("scale", "exp(n)", ("poly", [1.0]))), ("bump", (0.0, 1.0, 1.0))), 4096, 2)
+# bump rows up to order 5, whose bounds grow like q^(-2j) at the guard edge
+@example(("derivative", ("derivative", ("bump", (0.3, 0.1, 2.25)))), 16384, 3)
+# a negative scale on a product whose factors change sign
+@example(("scale", "-1", ("product", ("sin", 3.0), ("poly", [0.3, -1.7, 1.0]))), 16384, 2)
+def test_pruned_lattice_walk_rows_match_the_reference_bitwise(tree, n, nu):
+    # lattices this large go through the branch-and-bound walk
+    f, ref = _build(tree)
+    nu = min(nu, f.max_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = genfun._order_sups(f, n, nu), _reference_order_sups(ref, n, nu)
+    assert got.tobytes() == want.tobytes(), (f.label, n, nu, len(_lattice(f, n, nu)))
+
+
+@given(
+    _all_trees(),
+    st.sampled_from([1, 4, 64, 1024, 16384]),
+    st.integers(0, 4),
+    st.floats(0.0, 1.0),
+    st.tuples(st.floats(-2.5, 2.5), st.sampled_from([0.0, 1e-5, 1e-3, 0.05, 0.5])),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+# cells of a bump across the guard edge q = 0.005, u = 0.99749...
+@example(("derivative", ("bump", (0.0, 1.0, 1.0))), 1024, 4, 0.99, (0.9974, 1e-3), 0)
+@example(("bump", (0.0, 1.0, 1.0)), 1024, 4, 0.0, (-0.9976, 1e-5), 1)
+def test_majorants_bound_the_jet_on_their_cells(tree, n, k, where, cell, seed):
+    f = _build(tree)[0]
+    k = min(k, f.max_order)
+    # one cell of the walk's lattice, and one anywhere
+    xs = _lattice(f, n, k)
+    if not len(xs):
+        xs = np.zeros(1)  # the supports of a product do not meet
+    start = min(int(where * len(xs)), len(xs) - 1)
+    lattice_cell = xs[start : start + genfun._CELL]
+    a = np.array([lattice_cell[0], cell[0]])
+    b = np.array([lattice_cell[-1], cell[0] + cell[1]])
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        bound = f.majorant(n, a, b, k)
+        for i, points in enumerate((lattice_cell, np.linspace(a[1], b[1], 129))):
+            points = np.concatenate([points, rng.uniform(a[i], b[i], 64)])
+            vals = np.abs(f.jet(n, points, k))
+            for j in range(k + 1):
+                if np.isfinite(bound[j, i]):  # nan or inf claims nothing
+                    # an exact 0 bounds exact zeros; a nan jet value fails
+                    assert np.all(vals[j] <= bound[j, i] * genfun._PAD), (f.label, j, i, bound[j, i])
+
+
+def _pruned_sequences():
+    from ultraseq import corpus, temperate
+
+    poly = poly_fn([0.3, 0.2, 0.1], label="0.3 + 0.2x + 0.1x^2")
+    f = seq_scale(growth.parse("log(n)"), sin_fn())
+    k = seq_scale(growth.parse("exp(-log(n)^2)"), bump(0.0, 1.0))
+    return {
+        "sin": sin_fn(),
+        "log(n) poly": seq_scale(growth.parse("log(n)"), poly),
+        "delta^2": corpus.named_function("delta-sq"),
+        "2fk + k^2": temperate.square_map().difference(f, k),
+        "e^-n sin": corpus.named_function("decaying-sin"),
+    }
+
+
+# jet points of one walk of orders 0..2 at n = 2^14, the probes at the
+# cells' middle points included.  The scaled quadratic's order-2 row is
+# constant, so no cell can be skipped and the probes come on top of the
+# lattice; the square of delta has a 257-point lattice, walked in full;
+# e^-n underflows, so every cell's majorant is an exact 0
+_PRUNED_POINTS = {"sin": 5377, "log(n) poly": 528386, "delta^2": 257, "2fk + k^2": 16385, "e^-n sin": 4097}
+
+
+def test_pruned_walk_evaluates_pinned_point_counts():
+    n = 2 ** 14
+    counts, lattices = {}, {}
+    for name, f in _pruned_sequences().items():
+        g, jets, bounds = _counting_with_majorant(f)
+        assert genfun._order_sups(g, n, 2).tobytes() == _reference_order_sups(f, n, 2).tobytes()
+        counts[name] = sum(size for _, _, size in jets)
+        lattices[name] = len(_lattice(f, n, 2))
+    assert lattices == {
+        "sin": 524289, "log(n) poly": 524289, "delta^2": 257, "2fk + k^2": 262145, "e^-n sin": 524289
+    }
+    assert counts == _PRUNED_POINTS
 
 
 # ---------------------------------------------------------------------------
