@@ -16,6 +16,7 @@ inputs stay moderate, and negligible perturbations stay negligible.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -379,7 +380,7 @@ def _level_search(
 def _r_top(W: WeightFamily, levels: list[int]) -> float:
     """The largest weight value at its first index over the levels: the
     exponent that turns a structural bound on g into one on g^(r_n)."""
-    return max(W.member(m).value(W.member(m).n_min) for m in levels)
+    return max(W.first_value(m) for m in levels)
 
 
 def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
@@ -585,7 +586,8 @@ class SeqMap:
 
     order_pairing sends the output seminorm order to the input order the
     bounds are stated against; g_alpha bounds the map's own seminorms,
-    g_beta and h_beta bound difference seminorms in product form.
+    g_beta and h_beta bound difference seminorms in product form.  A
+    linear map's difference at (f, k) is its image of k.
     """
 
     name: str
@@ -595,14 +597,22 @@ class SeqMap:
     g_beta: ScalarMap
     h_beta: ScalarMap
     apply_diff: Callable[[SmoothSeq, SmoothSeq], SmoothSeq] | None = None
+    linear: bool = False
 
     def difference(self, f: SmoothSeq, k: SmoothSeq) -> SmoothSeq:
+        if self.linear:
+            return self.apply(k)
         if self.apply_diff is not None:
             return self.apply_diff(f, k)
         return sub_seq(self.apply(add_seq(f, k)), self.apply(f))
 
 
-def square_map(nu_max: int = 3) -> SeqMap:
+# The named maps are built once per argument, so every caller shares one
+# instance and with it the memo of its corpus spot checks.
+
+
+@lru_cache(maxsize=None)
+def _square_map(nu_max: int) -> SeqMap:
     # p_nu(2fk + k^2) <= 2^nu (2 p(f) p(k) + p(k)^2) <= 2^(nu+1) (p(f)+1)^2 (p(k) + p(k)^2)
     c = 2.0 ** (nu_max + 1)
     g_beta = scaled_map(c, compose_maps(power_map(2.0), affine_map(1.0, 1.0)))
@@ -617,23 +627,26 @@ def square_map(nu_max: int = 3) -> SeqMap:
     )
 
 
+def square_map(nu_max: int = 3) -> SeqMap:
+    return _square_map(nu_max)
+
+
+@lru_cache(maxsize=None)
 def derivative_map() -> SeqMap:
     # p_nu(k') <= p_(nu+1)(k) exactly; the beta growth factor still needs the
     # +1 floor because the product form must dominate even at tiny p(f).
-    # The map is linear, so the difference at (f, k) is the image of k; one
-    # image per input lets callers share its seminorm walks
-    apply = lru_cache(maxsize=None)(derivative_seq)
     return SeqMap(
         name="derivative",
-        apply=apply,
+        apply=derivative_seq,
         order_pairing=lambda nu: nu + 1,
         g_alpha=identity_map(),
         g_beta=affine_map(1.0, 1.0),
         h_beta=identity_map(),
-        apply_diff=lambda f, k: apply(k),
+        linear=True,
     )
 
 
+@lru_cache(maxsize=None)
 def exp_seq_map() -> SeqMap:
     return SeqMap(
         name="exp",
@@ -663,13 +676,17 @@ class TemperateMapReport:
         return self.status == "certified"
 
 
-def _default_corpus() -> list[SmoothSeq]:
-    return [
+@lru_cache(maxsize=None)
+def _corpus() -> dict[SmoothSeq, Callable[[int, int], float]]:
+    """The fixed spot-check corpus, each sequence with its seminorm table;
+    built once per process and shared by every map (read only)."""
+    fs = (
         standard_mollifier().sequence(),
         seq_scale(0.5, sin_fn()),
         poly_fn([0.2, 0.1], label="0.2 + 0.1x"),
         seq_scale(growth.parse("log(n)"), bump(0.0, 1.5)),
-    ]
+    )
+    return {f: genfun._seminorm_table(f) for f in fs}
 
 
 _CORPUS_NU_MAX = 2
@@ -678,17 +695,74 @@ _RTOL, _ATOL = 1e-3, 1e-12
 _INEQUALITY_NAMES = {"alpha": "growth", "beta": "difference"}
 
 
-def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
-    """Certify a function-sequence map: scalar certificates plus numeric
-    spot checks of the two seminorm inequalities on a fixed corpus.
+@dataclass(frozen=True)
+class _SpotChecks:
+    """The corpus spot checks of one map: the counts checked, and the
+    witness of the first failing case (empty when every case passed)."""
+
+    alpha_checked: int
+    beta_checked: int
+    witness: dict
+
+
+# one entry per live map; a map's spot checks never read the weight family
+_SPOT_CHECKS: weakref.WeakKeyDictionary[SeqMap, _SpotChecks] = weakref.WeakKeyDictionary()
+
+
+def _spot_checks(phi: SeqMap) -> _SpotChecks:
+    """The corpus spot checks of phi, run on its first call only."""
+    if phi not in _SPOT_CHECKS:
+        _SPOT_CHECKS[phi] = _run_spot_checks(phi)
+    return _SPOT_CHECKS[phi]
+
+
+def _run_spot_checks(phi: SeqMap) -> _SpotChecks:
+    """Numeric spot checks of phi's two seminorm inequalities on the corpus.
 
     Each case bounds the seminorms of a left-hand sequence through the
     seminorms of its inputs at the paired order: the growth inequality
     ("alpha") p_nu(phi(f)) <= g_alpha(p(f)), and the difference inequality
     ("beta") p_nu(phi(f+k) - phi(f)) <= g_beta(p(f)) h_beta(p(k)).  Each
     sequence reads its seminorms from one table, so every (sequence, n,
-    radius) lattice is walked once; a map whose difference repeats a
-    left-hand sequence shares that sequence's table.
+    radius) lattice is walked once; a linear map's difference cases read
+    the table of its image of k.  A bound that overflows is +inf and passes.
+    """
+    tables = dict(_corpus())
+    images = {f: phi.apply(f) for f in tables}
+    # (inequality, left-hand sequence, inputs, bound on the inputs' seminorms)
+    cases = [("alpha", images[f], (f,), lambda pf: float(phi.g_alpha(pf))) for f in images]
+    cases += [
+        ("beta", images[k] if phi.linear else phi.difference(f, k), (f, k),
+         lambda pf, pk: float(phi.g_beta(pf)) * float(phi.h_beta(pk)))
+        for f in images
+        for k in images
+    ]
+    checked = {"alpha": 0, "beta": 0}
+    for inequality, lhs, inputs, bound in cases:
+        p_lhs = tables.setdefault(lhs, genfun._seminorm_table(lhs))
+        for nu in range(_CORPUS_NU_MAX + 1):
+            if nu > lhs.max_order or phi.order_pairing(nu) > min(x.max_order for x in inputs):
+                continue
+            for n in _CORPUS_NS:
+                p_out = p_lhs(n, nu)
+                with np.errstate(over="ignore"):
+                    rhs = bound(*(tables[x](n, phi.order_pairing(nu)) for x in inputs))
+                checked[inequality] += 1
+                if p_out > rhs * (1 + _RTOL) + _ATOL:
+                    labels = dict(zip(("f", "k"), (x.label for x in inputs)))
+                    witness = {"inequality": inequality, **labels, "nu": nu, "n": n,
+                               "lhs": p_out, "rhs": rhs}
+                    return _SpotChecks(checked["alpha"], checked["beta"], witness)
+    return _SpotChecks(checked["alpha"], checked["beta"], {})
+
+
+def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
+    """Certify a function-sequence map: scalar certificates over W plus
+    numeric spot checks of the two seminorm inequalities on a fixed corpus.
+
+    The spot checks do not depend on W: they run once per map and are
+    memoised with it (see `_spot_checks`), and only when no scalar
+    certificate is refuted.
     """
     certs = {
         "g_alpha_cert": check_moderate(phi.g_alpha, W),
@@ -706,41 +780,18 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
             notes=f"scalar certificate refuted for {bad.map_label!r} ({bad.role})",
         )
 
-    fs = _default_corpus()
-    tables = {f: genfun._seminorm_table(f) for f in fs}
-    # (inequality, left-hand sequence, inputs, bound on the inputs' seminorms)
-    cases = [("alpha", phi.apply(f), (f,), lambda pf: float(phi.g_alpha(pf))) for f in fs]
-    cases += [
-        ("beta", phi.difference(f, k), (f, k), lambda pf, pk: float(phi.g_beta(pf)) * float(phi.h_beta(pk)))
-        for f in fs
-        for k in fs
-    ]
-    checked = {"alpha": 0, "beta": 0}
-    for inequality, lhs, inputs, bound in cases:
-        p_lhs = tables.setdefault(lhs, genfun._seminorm_table(lhs))
-        for nu in range(_CORPUS_NU_MAX + 1):
-            if nu > lhs.max_order or phi.order_pairing(nu) > min(x.max_order for x in inputs):
-                continue
-            for n in _CORPUS_NS:
-                p_out = p_lhs(n, nu)
-                rhs = bound(*(tables[x](n, phi.order_pairing(nu)) for x in inputs))
-                checked[inequality] += 1
-                if p_out > rhs * (1 + _RTOL) + _ATOL:
-                    labels = dict(zip(("f", "k"), (x.label for x in inputs)))
-                    return report(
-                        status="refuted",
-                        alpha_checked=checked["alpha"],
-                        beta_checked=checked["beta"],
-                        witness={"inequality": inequality, **labels, "nu": nu, "n": n,
-                                 "lhs": p_out, "rhs": rhs},
-                        notes=f"{_INEQUALITY_NAMES[inequality]} inequality fails on the corpus",
-                    )
+    spot = _spot_checks(phi)
+    checked = partial(report, alpha_checked=spot.alpha_checked, beta_checked=spot.beta_checked)
+    if spot.witness:
+        return checked(
+            status="refuted",
+            witness=dict(spot.witness),
+            notes=f"{_INEQUALITY_NAMES[spot.witness['inequality']]} inequality fails on the corpus",
+        )
     certified = all(c.status == "certified" for c in certs.values())
-    return report(
+    return checked(
         status="certified" if certified else "inconclusive",
-        alpha_checked=checked["alpha"],
-        beta_checked=checked["beta"],
-        notes=f"numeric checks passed on {len(fs)} corpus functions",
+        notes=f"numeric checks passed on {len(_corpus())} corpus functions",
     )
 
 

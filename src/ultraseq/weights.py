@@ -132,6 +132,7 @@ class WeightFamily:
     default_mode: Mode = Mode.STANDARD
     m_start: int = 1
     _cache: dict[int, WeightSeq] = field(default_factory=dict, repr=False)
+    _first_values: dict[int, float] = field(default_factory=dict, repr=False)
 
     def member(self, m: int) -> WeightSeq:
         if m < self.m_start:
@@ -139,6 +140,13 @@ class WeightFamily:
         if m not in self._cache:
             self._cache[m] = self.member_fn(m)
         return self._cache[m]
+
+    def first_value(self, m: int) -> float:
+        """The level-m weight at its first index n_min, computed once per level."""
+        if m not in self._first_values:
+            w = self.member(m)
+            self._first_values[m] = w.value(w.n_min)
+        return self._first_values[m]
 
     @property
     def single(self) -> bool:

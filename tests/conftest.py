@@ -1,4 +1,6 @@
 import random
+import weakref
+from functools import lru_cache
 
 import pytest
 
@@ -44,9 +46,26 @@ def counting_seq():
 
 
 @pytest.fixture
-def lattice_walks(monkeypatch):
+def cold_spot_checks(monkeypatch):
+    """Start `check_temperate` from a cold memo: a fresh corpus with empty
+    seminorm tables and no map's spot checks on record.  Calling the
+    returned function makes the memo cold again; the warm one is restored
+    after the test."""
+    from ultraseq import temperate
+
+    def reset():
+        monkeypatch.setattr(temperate, "_SPOT_CHECKS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(temperate, "_corpus", lru_cache(maxsize=None)(temperate._corpus.__wrapped__))
+
+    reset()
+    return reset
+
+
+@pytest.fixture
+def lattice_walks(monkeypatch, cold_spot_checks):
     """Every seminorm lattice walk made during the test, as (sequence, n,
-    radius); holding the sequence keeps its id unique."""
+    radius); holding the sequence keeps its id unique.  The spot-check memo
+    of `check_temperate` starts cold, so its walks are recorded too."""
     from ultraseq import genfun
 
     walks = []

@@ -129,6 +129,68 @@ def test_check_map_egorov_inconclusive(capsys):
     assert "inconclusive" in out
 
 
+_CERTIFIED_SPOT = [
+    "  corpus spot checks: 48 growth, 192 difference",
+    "  numeric checks passed on 4 corpus functions",
+]
+
+# the first line of `check-map MAP --space SPACE` and its lines from the
+# corpus spot checks on, as the command printed them before the spot
+# checks were memoised per map
+_PINNED_CHECK_MAP = {
+    ("square", "colombeau"): ["map square over colombeau: certified", *_CERTIFIED_SPOT],
+    ("square", "ultra"): ["map square over ultra: certified", *_CERTIFIED_SPOT],
+    ("square", "egorov"): ["map square over egorov: inconclusive", *_CERTIFIED_SPOT],
+    ("derivative", "colombeau"): ["map derivative over colombeau: certified", *_CERTIFIED_SPOT],
+    ("derivative", "ultra"): ["map derivative over ultra: certified", *_CERTIFIED_SPOT],
+    ("derivative", "egorov"): ["map derivative over egorov: inconclusive", *_CERTIFIED_SPOT],
+    ("exp-seq", "colombeau"): [
+        "map exp over colombeau: refuted",
+        "  corpus spot checks: 0 growth, 0 difference",
+        "  witness: m=1, M=1, x=7.3890561, n=64, log_value_exceeds=230",
+        "  scalar certificate refuted for 'exp(x)' (moderate)",
+    ],
+    ("exp-seq", "ultra"): [
+        "map exp over ultra: refuted",
+        "  corpus spot checks: 0 growth, 0 difference",
+        "  witness: m=2, M=2, x=7.3890561, n=16, log_value_exceeds=230",
+        "  scalar certificate refuted for 'exp(x)' (moderate)",
+    ],
+    ("exp-seq", "egorov"): [
+        "map exp over egorov: refuted",
+        "  corpus spot checks: 48 growth, 69 difference",
+        "  witness: inequality=beta, f=0.5 * sin(1x), k=0.5 * sin(1x), nu=2, n=16, "
+        "lhs=1.89392016, rhs=1.06956056",
+        "  difference inequality fails on the corpus",
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, space", list(_PINNED_CHECK_MAP), ids=[f"{m}-{s}" for m, s in _PINNED_CHECK_MAP])
+def test_check_map_of_sequence_maps_is_pinned_and_quiet(capsys, cold_spot_checks, name, space):
+    # the first run fills the spot-check memo, the second reads it; an
+    # overflowed spot-check bound (exp over egorov) passes without a warning
+    rc, out, err = run(capsys, "check-map", name, "--space", space)
+    assert err == ""
+    lines = out.splitlines()
+    spot = next(i for i, line in enumerate(lines) if line.startswith("  corpus spot checks"))
+    assert [lines[0], *lines[spot:]] == _PINNED_CHECK_MAP[name, space]
+    assert rc == (2 if space == "egorov" and name != "exp-seq" else 0)
+    assert run(capsys, "check-map", name, "--space", space) == (rc, out, "")
+
+
+def test_batch_checks_a_sequence_map_once(capsys, tmp_path, lattice_walks):
+    path = tmp_path / "twice.batch"
+    path.write_text("[queries]\ncheck square\ncheck square\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert rc == 0 and err == ""
+    first, second = out.split("-- line 2\n")[1].split("-- line 3\n")
+    assert first == second and "corpus spot checks: 48 growth, 192 difference" in first
+    keys = [(f.label, n, radius) for f, n, radius in lattice_walks]
+    assert keys and len(keys) == len(set(keys))
+
+
 def test_extend_square_of_delta(capsys):
     rc, out, _ = run(capsys, "extend", "square", "delta")
     assert rc == 0

@@ -1,6 +1,9 @@
 """Certificates for maps on the quotient algebras and the induced extensions."""
 
+import gc
 import math
+import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +35,7 @@ from ultraseq.temperate import (
     sum_maps,
     verify_F2,
 )
-from ultraseq.weights import catalog, expdecay_scale, power_scale, scale_to_weights
+from ultraseq.weights import WeightSeq, catalog, expdecay_scale, power_scale, scale_to_weights
 
 COL = catalog("colombeau")
 SCALE_II = scale_to_weights(power_scale())  # decreasing levels
@@ -183,6 +186,22 @@ def test_black_box_sqrt_compatible():
     g = ScalarMap(label="sqrt black box", fn=np.sqrt)
     cert = check_compatible(g, COL)
     assert cert.status == "certified" and not cert.exact
+
+
+def test_structural_checks_read_first_weight_values_once(monkeypatch):
+    # the exponent r_top reads each level's weight at its first index; the
+    # family keeps those values, so a second structural check reads no weight
+    fam = catalog("ultra")
+    checks = lambda: (
+        check_moderate(scaled_map(3.0, power_map(2.0)), fam),
+        check_compatible(scaled_map(3.0, power_map(1.0)), fam),
+    )
+    first = checks()
+    assert [c.value_bound for c in first] == [1.6921795387417262] * 2  # 3^(2^-(17/16))
+    calls = []
+    value = WeightSeq.value
+    monkeypatch.setattr(WeightSeq, "value", lambda self, n: calls.append(n) or value(self, n))
+    assert checks() == first and calls == []
 
 
 def test_black_box_log_reciprocal_refuted():
@@ -380,6 +399,56 @@ def test_check_temperate_walks_each_derivative_lattice_once(lattice_walks):
     assert check_temperate(derivative_map(), COL).status == "certified"
     keys = [(f.label, n, radius) for f, n, radius in lattice_walks]
     assert len(keys) == len(set(keys)) == 48  # 4 inputs x 4 n x radii 2, 3; 4 images x 4 n x radius 2
+
+
+@pytest.mark.parametrize("make_map", [square_map, derivative_map])
+def test_check_temperate_walks_each_lattice_once_over_families(lattice_walks, cold_spot_checks, make_map):
+    # the corpus spot checks do not read the family: checking one map over
+    # three families walks each lattice once in all, and each report is the
+    # one a cold run over that family alone gives
+    families = [catalog(name) for name in ("colombeau", "ultra", "egorov")]
+    reports = [check_temperate(make_map(), W) for W in families]
+    keys = [(f.label, n, radius) for f, n, radius in lattice_walks]
+    assert keys and len(keys) == len(set(keys))
+    for W, report in zip(families, reports):
+        cold_spot_checks()
+        assert check_temperate(make_map(), W) == report
+
+
+def test_named_maps_are_shared():
+    assert square_map() is square_map(3) is square_map(nu_max=3)
+    assert square_map(2) is not square_map()
+    assert derivative_map() is derivative_map()
+    assert exp_seq_map() is exp_seq_map()
+
+
+def _held_objects(root) -> int:
+    """The number of objects reachable from root without entering modules,
+    classes or module globals: everything root holds on to."""
+    module_dicts = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in module_dicts or isinstance(obj, (types.ModuleType, type)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+@pytest.mark.parametrize("make_map", [square_map, derivative_map])
+def test_shared_maps_hold_no_growing_cache(make_map):
+    from ultraseq.corpus import named_function
+    from ultraseq.spaces import colombeau_space
+
+    fspace = FunctionSpace(colombeau_space(), nu_max=2)
+    phi = make_map()
+    fresh = lambda c: make_element(seq_scale(c, named_function("delta")), fspace)
+    extend(phi, fresh(1.0))
+    held = _held_objects(phi)
+    for c in (2.0, 3.0, 4.0):
+        extend(phi, fresh(c))
+    assert make_map() is phi and _held_objects(phi) == held
 
 
 def test_square_difference_expansion():
