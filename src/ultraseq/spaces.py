@@ -75,6 +75,10 @@ class SeqRep:
             raise ValueError("need exactly one of expr, cutoff, log_evaluator")
         if self.expr is not None:
             object.__setattr__(self, "n_min", max(self.n_min, self.expr.eval_n_min))
+        if self.n_max > 2**53:
+            raise ValueError(
+                f"n_max must be at most 2^53, where every index is an exact float, got {self.n_max}"
+            )
         if self.n_max < 10_000:
             raise ValueError("n_max must leave room for tail estimation (>= 10^4)")
         if self.n_min >= self.n_max:
@@ -298,21 +302,33 @@ _PER_WINDOW = 6
 
 
 def _window_keys(ns) -> np.ndarray:
-    """The dyadic window of each index: floor(log2 n)."""
-    return np.floor(np.log2(ns)).astype(np.int64)
+    """The dyadic window of each index: floor(log2 n), exact up to 2^53.
+
+    log2 rounds 2^k - 1 up to k for k >= 49; the shift test corrects it.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    k = np.floor(np.log2(ns)).astype(np.int64)
+    return k - ((1 << k) > ns)
 
 
 def _sample_grid(n_min: int, n_max: int) -> np.ndarray:
-    k_lo, k_hi = _window_keys([max(n_min, 2), n_max])
-    pts: list[int] = []
-    for k in range(k_lo, k_hi + 1):
-        lo, hi = 2 ** k, min(2 ** (k + 1) - 1, n_max)
-        if hi < n_min:
-            continue
-        lo = max(lo, n_min)
-        qs = np.unique(np.round(np.geomspace(lo, hi, _PER_WINDOW)).astype(np.int64))
-        pts.extend(int(q) for q in qs)
-    return np.unique(np.asarray(pts, dtype=np.int64))
+    """The sorted int64 indices at which a sampled tail is read.
+
+    Every dyadic window [2^k, 2^(k+1) - 1] that meets [max(n_min, 2), n_max]
+    gets _PER_WINDOW geometrically spaced points from the first to the last
+    index it shares with that range; they are rounded, deduplicated and
+    clipped to that shared part, so the grid lies in [n_min, n_max].  An
+    empty range gives an empty grid.
+    """
+    n_lo = max(n_min, 2)
+    if n_max < n_lo:
+        return np.empty(0, dtype=np.int64)
+    k_lo, k_hi = _window_keys([n_lo, n_max])
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    lo = np.maximum(1 << ks, n_lo)
+    hi = np.minimum((1 << (ks + 1)) - 1, n_max)
+    pts = np.round(np.geomspace(lo, hi, _PER_WINDOW, axis=-1)).astype(np.int64)
+    return np.unique(np.clip(pts, lo[:, None], hi[:, None]))
 
 
 def _tail_grid(f: SeqRep, n_min: int) -> np.ndarray:

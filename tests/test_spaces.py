@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from ultraseq import growth
 from ultraseq.spaces import (
+    _PER_WINDOW,
     NumberSpace,
     SampleError,
     SeqRep,
+    _sample_grid,
+    _window_keys,
     classify,
     colombeau_space,
     format_value,
@@ -112,6 +115,87 @@ def test_index_range_must_be_nonempty():
     with pytest.raises(ValueError, match="sample_ns has no index"):
         SeqRep.sampled(ones, "one", n_min=100, sample_ns=[2, 50])
     assert SeqRep.sampled(ones, "one", n_min=9_999, n_max=10_000).n_min == 9_999
+
+
+def test_index_range_must_hold_exact_floats():
+    def ones(ns):
+        return np.ones(len(ns))
+
+    for n_max in (2**53 + 1, 2**63, 2**64):
+        with pytest.raises(ValueError, match="at most 2\\^53"):
+            SeqRep.sampled(ones, "one", n_max=n_max)
+    v = ultranorm(SeqRep.sampled(ones, "one", n_max=2**53), COL)
+    assert v.stable and v.log_value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the dyadic sample grid
+
+
+def _reference_sample_grid(n_min: int, n_max: int) -> np.ndarray:
+    """The grid built with one np.geomspace call per window.
+
+    Its window keys are floor(log2 n) in floats, which puts 2^k - 1 in
+    window k for k >= 49, so it is the reference only for n_max < 2^49 - 1.
+    """
+    k_lo, k_hi = np.floor(np.log2([max(n_min, 2), n_max])).astype(np.int64)
+    pts: list[int] = []
+    for k in range(k_lo, k_hi + 1):
+        lo, hi = 2**k, min(2 ** (k + 1) - 1, n_max)
+        if hi < n_min:
+            continue
+        lo = max(lo, n_min)
+        qs = np.unique(np.round(np.geomspace(lo, hi, _PER_WINDOW)).astype(np.int64))
+        pts.extend(int(q) for q in qs)
+    return np.unique(np.asarray(pts, dtype=np.int64))
+
+
+def _near_powers_of_two(top: int):
+    return st.builds(lambda k, d: max(1, 2**k + d), st.integers(1, top), st.integers(-2, 2))
+
+
+@given(
+    st.one_of(st.integers(1, 10**6), _near_powers_of_two(19)),
+    st.one_of(st.integers(1, 2 * 10**6), st.integers(1, 2**49 - 2), _near_powers_of_two(48)),
+)
+@settings(max_examples=300, deadline=None)
+def test_sample_grid_matches_the_window_loop(n_min, n_max):
+    grid = _sample_grid(n_min, n_max)
+    assert grid.dtype == np.int64
+    assert np.array_equal(grid, _reference_sample_grid(n_min, n_max))
+
+
+@given(
+    st.one_of(st.integers(1, 10**6), st.integers(1, 2**53), _near_powers_of_two(52)),
+    st.one_of(st.integers(1, 2**53), _near_powers_of_two(52)),
+)
+@settings(max_examples=300, deadline=None)
+def test_sample_grid_covers_each_window_of_the_range(n_min, n_max):
+    lo = max(n_min, 2)
+    grid = _sample_grid(n_min, n_max).tolist()
+    assert grid == sorted(set(grid))
+    assert all(lo <= n <= n_max for n in grid)
+    keys = [n.bit_length() - 1 for n in grid]
+    assert all(keys.count(k) <= _PER_WINDOW for k in set(keys))
+    met = range(lo.bit_length() - 1, n_max.bit_length()) if lo <= n_max else range(0)
+    assert sorted(set(keys)) == list(met)
+
+
+def test_sample_grid_edge_ranges():
+    for n_min, n_max in [(6, 5), (10**6, 10**4), (2, 1), (1, 1)]:
+        grid = _sample_grid(n_min, n_max)
+        assert grid.dtype == np.int64 and grid.size == 0
+    assert _sample_grid(1, 10**6).tolist() == _sample_grid(2, 10**6).tolist()
+    assert _sample_grid(1, 10**6)[0] == 2
+    for n in (2, 5, 2**20, 2**53):
+        assert _sample_grid(n, n).tolist() == [n]
+    assert _sample_grid(2, 2**50 - 1).max() == 2**50 - 1
+
+
+def test_window_keys_are_exact_at_powers_of_two():
+    ks = range(2, 54)
+    assert _window_keys([2**k - 1 for k in ks]).tolist() == [k - 1 for k in ks]
+    assert _window_keys([2**k for k in ks]).tolist() == list(ks)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1e-300, -2.0, -math.inf])
