@@ -330,7 +330,7 @@ def cmd_extend(map_name: str, func_name: str, space: NumberSpace) -> tuple[list[
     try:
         f = corpus.named_function(func_name)
     except KeyError as e:
-        raise CliError(str(e).strip("'")) from None
+        raise CliError(e.args[0]) from None
     fspace = FunctionSpace(space, nu_max=2)
     try:
         element = genfun.make_element(f, fspace)

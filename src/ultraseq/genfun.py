@@ -22,9 +22,13 @@ max(nu, 2); callers that read several orders share one walk per
 (sequence, n, radius).
 
 A sequence may also carry a majorant: upper bounds on |f_n^(j)| over
-whole cells of the lattice.  A large lattice is then walked by branch
-and bound: cells whose bound cannot reach the running supremum of every
-order are skipped, and the suprema are the same floats as the full walk's.
+whole cells of the lattice, an interval enclosure of the jet.  The leaves
+bound their own formulas; each combinator has one rule, monotone in the
+magnitudes of its operands, that makes its jet from the operand jets and
+its majorant from the operand majorants.  A large lattice is then walked
+by branch and bound: cells whose bound cannot reach the running supremum
+of every order are skipped, and the suprema are the same floats as the
+full walk's.
 
 Pairings, mollifier masses and moments are adaptive composite
 Gauss-Legendre integrals over the clipped support.  Each panel carries a
@@ -121,9 +125,10 @@ class SmoothSeq:
     (k+1, len(a)) array whose entry [j, i] is at least |jet(n, xs, k)[j]| at
     every x in [a[i], b[i]], up to a relative rounding error far below
     1e-6.  An entry of 0 is exact: the jet is zero on that cell.  A nan or
-    inf entry claims nothing.  Every constructor and combinator here builds
-    one, from the majorants of its operands; a sequence without one is
-    walked in full.
+    inf entry claims nothing.  The leaf constructors here bound their own
+    formulas; a combinator applies its one rule to its operands'
+    majorants, as to their jets, and has a majorant exactly when every
+    operand has one.  A sequence without one is walked in full.
 
     A single smooth function is a sequence that does not depend on n
     (`n_free`).  Constructors record that fact and combinators propagate
@@ -172,11 +177,6 @@ def _function(label: str, jet, max_order: int, support=None, majorant=None) -> S
         True,
         SmoothSeq(label=label, jet=jet, max_order=max_order, support_fn=lambda n: support, majorant=majorant),
     )
-
-
-def _majorant_of(*seqs: SmoothSeq):
-    """Decorator: the combinator's majorant, or None when an operand has none."""
-    return lambda majorant: None if any(s.majorant is None for s in seqs) else majorant
 
 
 _BUMP_MAX_ORDER = 8
@@ -409,16 +409,56 @@ def default_test_set() -> tuple[TestFunction, ...]:
 # sequence algebra on jets
 
 
-def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    """A function is already the constant sequence f_n = f: this only relabels."""
-    if label is None:
-        return fn
+def _same(n: int, k: int) -> tuple[int, int, None]:
+    return n, k, None
+
+
+def _node(
+    label: str, rule, operands: tuple[SmoothSeq, ...], at=_same, *, n_free=None, max_order=None, support_fn=None
+) -> SmoothSeq:
+    """A combinator's sequence.  With (index, order, stretch) = at(n, k),
+    rule(n, k, bound, *arrays) makes the orders 0..k from the operands'
+    orders 0..order at index `index`, read at the points times `stretch`
+    (None: at the points themselves).  The jet applies the rule to the
+    operand jets, and the majorant, with bound=True, to the operand
+    majorants on the stretched cells.  Unless the arguments say otherwise,
+    the node has a majorant when every operand has one, is n-free when
+    every operand is, reaches the smallest operand order and has the first
+    operand's support."""
+
+    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+        index, order, stretch = at(n, k)
+        if stretch is not None:
+            xs = stretch * xs
+        arrays = []  # a loop, not a comprehension: no function object per call
+        for f in operands:
+            arrays.append(f.jet(index, xs, order))
+        return rule(n, k, False, *arrays)
+
+    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+        index, order, stretch = at(n, k)
+        if stretch is not None:
+            lo, hi = stretch * lo, stretch * hi
+        arrays = []
+        for f in operands:
+            arrays.append(f.majorant(index, lo, hi, order))
+        return rule(n, k, True, *arrays)
+
     return _n_free_if(
-        fn.n_free,
+        all(f.n_free for f in operands) if n_free is None else n_free,
         SmoothSeq(
-            label=label, jet=fn.jet, max_order=fn.max_order, support_fn=fn.support_fn, majorant=fn.majorant
+            label,
+            jet,
+            min(f.max_order for f in operands) if max_order is None else max_order,
+            support_fn or operands[0].support_fn,
+            None if any(f.majorant is None for f in operands) else majorant,
         ),
     )
+
+
+def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
+    """A function is already the constant sequence f_n = f: this only relabels."""
+    return fn if label is None else _node(label, lambda n, k, bound, f: f, (fn,))
 
 
 def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> SmoothSeq:
@@ -427,34 +467,30 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
         raise ValueError("mollified sequences need a compactly supported profile")
     a, b = profile.support
 
-    def scaled(values: np.ndarray, n: int, k: int) -> np.ndarray:
+    def scaled(n: int, k: int, bound: bool, values: np.ndarray) -> np.ndarray:
         scales = np.array([float(n) ** (power + j) for j in range(k + 1)])
         values *= scales.reshape((-1,) + (1,) * (values.ndim - 1))
         return values
 
-    @_majorant_of(profile)
-    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
-        return scaled(profile.majorant(1, n * lo, n * hi, k), n, k)
-
-    return SmoothSeq(
-        label=label or f"n^{power}*{profile.label}(n x)",
-        jet=lambda n, xs, k: scaled(profile.jet(1, n * xs, k), n, k),
-        max_order=profile.max_order,
+    return _node(
+        label or f"n^{power}*{profile.label}(n x)",
+        scaled,
+        (profile,),
+        lambda n, k: (1, k, n),
+        n_free=False,
         support_fn=lambda n: (a / n, b / n),
-        majorant=majorant,
     )
 
 
 def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
-    return _n_free_if(
-        seq.n_free,
-        SmoothSeq(
-            label=label or f"{seq.label} at {factor}n",
-            jet=lambda n, xs, k: seq.jet(factor * n, xs, k),
-            max_order=seq.max_order,
-            support_fn=lambda n: seq.support_fn(factor * n),
-            majorant=_majorant_of(seq)(lambda n, a, b, k: seq.majorant(factor * n, a, b, k)),
-        ),
+    if factor < 1:
+        raise ValueError(f"reindex factor must be a positive integer, not {factor}")
+    return _node(
+        label or f"{seq.label} at {factor}n",
+        lambda n, k, bound, f: f,
+        (seq,),
+        lambda n, k: (factor * n, k, None),
+        support_fn=lambda n: seq.support_fn(factor * n),
     )
 
 
@@ -474,9 +510,10 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         c = float(scale)
         scale_fn = lambda n: c
         scale_label = f"{c:g}"
-        n_free = seq.n_free
+        n_free = None  # that of seq
 
-    def scaled(base: np.ndarray, c: float) -> np.ndarray:
+    def scaled(n: int, k: int, bound: bool, base: np.ndarray) -> np.ndarray:
+        c = abs(scale_fn(n)) if bound else scale_fn(n)
         if not math.isfinite(c):
             # an overflowed scalar must still annihilate zeros of the base
             with np.errstate(invalid="ignore"):
@@ -484,43 +521,20 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         base *= c
         return base
 
-    @_majorant_of(seq)
-    def majorant(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-        return scaled(seq.majorant(n, a, b, k), abs(scale_fn(n)))
+    return _node(label or f"{scale_label} * {seq.label}", scaled, (seq,), n_free=n_free)
 
-    return _n_free_if(
-        n_free,
-        SmoothSeq(
-            label=label or f"{scale_label} * {seq.label}",
-            jet=lambda n, xs, k: scaled(seq.jet(n, xs, k), scale_fn(n)),
-            max_order=seq.max_order,
-            support_fn=seq.support_fn,
-            majorant=majorant,
-        ),
-    )
+
+def _sum(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    fa += fb
+    return fa
 
 
 def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        out = a.jet(n, xs, k)
-        out += b.jet(n, xs, k)
-        return out
-
-    @_majorant_of(a, b)
-    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
-        out = a.majorant(n, lo, hi, k)
-        out += b.majorant(n, lo, hi, k)
-        return out
-
-    return _n_free_if(
-        a.n_free and b.n_free,
-        SmoothSeq(
-            label=label or f"{a.label} + {b.label}",
-            jet=jet,
-            max_order=min(a.max_order, b.max_order),
-            support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
-            majorant=majorant,
-        ),
+    return _node(
+        label or f"{a.label} + {b.label}",
+        _sum,
+        (a, b),
+        support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
     )
 
 
@@ -528,9 +542,10 @@ def sub_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
     return add_seq(a, seq_scale(-1.0, b, label=f"-({b.label})"), label=label or f"{a.label} - {b.label}")
 
 
-def _leibniz(fa: np.ndarray, fb: np.ndarray, k: int) -> np.ndarray:
-    """Rows 0..k of the product's jet from the factors' jets; on majorants
-    the same steps give a majorant, as every step is monotone."""
+def _leibniz(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray | None = None) -> np.ndarray:
+    """Rows 0..k of the product's jet from the factors' jets (fb omitted:
+    the square of fa)."""
+    fb = fa if fb is None else fb
     out = np.empty_like(fa)
     term = np.empty_like(fa[0, ...])
     for j in range(k + 1):
@@ -549,31 +564,26 @@ def _leibniz(fa: np.ndarray, fb: np.ndarray, k: int) -> np.ndarray:
 
 
 def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
-    """f_n * g_n, each jet order the Leibniz sum over the factors' jets."""
-
-    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
-        fa = a.jet(n, xs, k)
-        return _leibniz(fa, fa if b is a else b.jet(n, xs, k), k)
-
-    @_majorant_of(a, b)
-    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
-        ma = a.majorant(n, lo, hi, k)
-        return _leibniz(ma, ma if b is a else b.majorant(n, lo, hi, k), k)
-
-    return _n_free_if(
-        a.n_free and b.n_free,
-        SmoothSeq(
-            label=label or f"({a.label})*({b.label})",
-            jet=jet,
-            max_order=min(a.max_order, b.max_order),
-            support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
-            majorant=majorant,
-        ),
+    """f_n * g_n, each jet order the Leibniz sum over the factors' jets; a
+    square evaluates its factor once."""
+    return _node(
+        label or f"({a.label})*({b.label})",
+        _leibniz,
+        (a,) if b is a else (a, b),
+        support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
     )
 
 
 def square_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
     return product_seq(a, a, label=label or f"({a.label})^2")
+
+
+def _exp_recurrence(n: int, k: int, bound: bool, fa: np.ndarray) -> np.ndarray:
+    out = np.empty_like(fa)
+    out[0] = np.exp(fa[0])
+    for j in range(1, k + 1):
+        out[j] = sum(math.comb(j - 1, i) * fa[i + 1] * out[j - 1 - i] for i in range(j))
+    return out
 
 
 def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
@@ -583,38 +593,20 @@ def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
     The same recurrence on a majorant of f gives one of exp(f), since
     exp(f) <= exp(|f|).
     """
-
-    def recurrence(fa: np.ndarray, k: int) -> np.ndarray:
-        out = np.empty_like(fa)
-        out[0] = np.exp(fa[0])
-        for j in range(1, k + 1):
-            out[j] = sum(math.comb(j - 1, i) * fa[i + 1] * out[j - 1 - i] for i in range(j))
-        return out
-
-    return _n_free_if(
-        a.n_free,
-        SmoothSeq(
-            label=label or f"exp({a.label})",
-            jet=lambda n, xs, k: recurrence(a.jet(n, xs, k), k),
-            max_order=a.max_order,
-            support_fn=lambda n: None,
-            majorant=_majorant_of(a)(lambda n, lo, hi, k: recurrence(a.majorant(n, lo, hi, k), k)),
-        ),
-    )
+    return _node(label or f"exp({a.label})", _exp_recurrence, (a,), support_fn=lambda n: None)
 
 
 def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> SmoothSeq:
+    if shift < 0:
+        raise ValueError(f"derivative shift must be non-negative, not {shift}")
     if shift > a.max_order:
         raise ValueError("derivative shift exceeds the supported order")
-    return _n_free_if(
-        a.n_free,
-        SmoothSeq(
-            label=label or f"D^{shift} {a.label}",
-            jet=lambda n, xs, k: a.jet(n, xs, k + shift)[shift:],
-            max_order=a.max_order - shift,
-            support_fn=a.support_fn,
-            majorant=_majorant_of(a)(lambda n, lo, hi, k: a.majorant(n, lo, hi, k + shift)[shift:]),
-        ),
+    return _node(
+        label or f"D^{shift} {a.label}",
+        lambda n, k, bound, values: values[shift:],
+        (a,),
+        lambda n, k: (n, k + shift, None),
+        max_order=a.max_order - shift,
     )
 
 

@@ -198,6 +198,15 @@ def test_extend_square_of_delta(capsys):
     assert "verdict: moderate" in out
 
 
+def test_extend_unknown_function_lists_the_names_without_quotes(capsys):
+    rc, out, err = run(capsys, "extend", "square", "nonexistent")
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: unknown function 'nonexistent'; available: bump, bump-wide, decaying-sin, delta, "
+        "delta-corrected, delta-narrow, delta-sq, nsinv-delta-sq, poly, sin\n"
+    )
+
+
 def test_extend_refused_for_exp(capsys):
     rc, out, err = run(capsys, "extend", "exp-seq", "delta")
     assert rc == 1
