@@ -476,9 +476,12 @@ def _parse_batch(
                 raise CliError(f"{path}:{idx}: {e}") from None
         elif section == "queries":
             words = text.split()
-            positional = [w for w in words if "=" not in w]
-            options = dict(w.split("=", 1) for w in words if "=" in w)
-            queries.append((idx, positional, options))
+            options: dict[str, str] = {}
+            for key, _, value in (w.partition("=") for w in words if "=" in w):
+                if key in options:
+                    raise CliError(f"{path}:{idx}: option {key!r} is given twice")
+                options[key] = value
+            queries.append((idx, [w for w in words if "=" not in w], options))
         else:
             raise CliError(f"{path}:{idx}: content before any [section]")
     return space_opts, sequences, queries
@@ -490,12 +493,22 @@ def _resolve(name: str, sequences: dict[str, SeqRep]) -> SeqRep:
     return sequences[name]
 
 
+# the key=value options each batch query takes
+_BATCH_OPTIONS = {
+    "norm": (), "classify": (), "assoc": ("kind", "difference"), "check": ("role",), "extend": (),
+}
+
+
 def _batch_query(
     words: list[str], opts: dict, sequences: dict[str, SeqRep], space: NumberSpace
 ) -> tuple[list[str], int]:
     if not words:
         raise CliError("empty query")
     cmd, args = words[0], words[1:]
+    takes = _BATCH_OPTIONS.get(cmd)
+    unknown = [key for key in opts if takes is not None and key not in takes]
+    if unknown:
+        raise CliError(f"unknown option {unknown[0]!r} for {cmd} (it takes {', '.join(takes) or 'none'})")
     if cmd == "norm" and len(args) == 1:
         return cmd_norm(_resolve(args[0], sequences), space)
     if cmd == "classify" and len(args) == 1:

@@ -770,10 +770,9 @@ def _log_abs_channel(value: Callable[[int], float], label: str, sample_ns: Seque
             out.append(cache[n])
         return np.asarray(out)
 
-    return SeqRep.sampled(
-        log_abs,
+    return SeqRep(
         label=label,
-        log_scale=True,
+        log_evaluator=log_abs,
         n_min=min(sample_ns),
         n_max=max(max(sample_ns), 10_000),
         sample_ns=tuple(sample_ns),

@@ -1,10 +1,11 @@
 """Generalized numbers: quotient-ring arithmetic and association relations.
 
 A generalized number is a moderate sequence taken modulo the negligible
-ideal.  Elements carry a nonnegative magnitude representation plus a
-unimodular phase (symbolic tier) or a complex evaluator (sampled tier).
-Every association criterion factors through the magnitude of a difference
-or a scalar limit, so phases only matter when building that difference.
+ideal.  Elements carry a nonnegative magnitude representation (symbolic,
+truncated or sampled) plus a unimodular phase.  Sums and products of
+magnitudes are the pointwise rules of `spaces`.  Every association
+criterion factors through the magnitude of a difference or a scalar
+limit, so phases only matter when building that difference.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from ultraseq.spaces import (
     NumberSpace,
     SeqRep,
     UltranormValue,
+    _product,
+    _sum,
     _tail_grid,
     _window_sups,
     format_value,
@@ -64,11 +67,6 @@ class GenNumber:
     space: NumberSpace
     magnitude: SeqRep
     phase: complex = 1 + 0j
-    complex_fn: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def sampled(self) -> bool:
-        return self.complex_fn is not None
 
     @property
     def zero_rep(self) -> bool:
@@ -77,49 +75,18 @@ class GenNumber:
             or (self.magnitude.is_symbolic and self.magnitude.expr.is_zero)
         )
 
-    def to_sampled(self) -> "GenNumber":
-        if self.sampled:
-            return self
-        mag = self.magnitude
-        ph = self.phase
-
-        def fn(ns: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore"):
-                vals = np.exp(np.minimum(mag.log_values(ns), 700.0))
-            return ph * vals
-
-        return GenNumber(
-            space=self.space,
-            magnitude=SeqRep.sampled(
-                lambda ns: np.abs(fn(ns)),
-                label=f"sampled {mag.label}",
-                n_min=mag.n_min,
-                n_max=mag.n_max,
-            ),
-            complex_fn=fn,
-        )
-
 
 def make(rep, space: NumberSpace, phase: complex = 1 + 0j, label: str | None = None) -> GenNumber:
     """Wrap a representative, rejecting magnitudes that are not moderate.
 
-    `rep` may be an expression string, a growth expression, a SeqRep, or a
-    callable yielding complex values on integer arrays.
+    `rep` may be an expression string, a growth expression or a SeqRep.
     """
-    if callable(rep) and not isinstance(rep, (str, GrowthExpr, SeqRep)):
-        fn = rep
-        mag = SeqRep.sampled(
-            lambda ns: np.abs(np.asarray(fn(ns))), label=label or "sampled values"
-        )
-        g = GenNumber(space=space, magnitude=mag, complex_fn=lambda ns: np.asarray(fn(ns)))
-    else:
-        if isinstance(rep, SeqRep):
-            mag = rep
-        else:
-            mag = SeqRep.symbolic(rep, label=label)
-        if abs(abs(phase) - 1.0) > 1e-12:
-            raise ValueError("phase must be unimodular")
-        g = GenNumber(space=space, magnitude=mag, phase=phase)
+    if not isinstance(rep, (str, GrowthExpr, SeqRep)):
+        raise TypeError(f"a representative is an expression or a SeqRep, got {type(rep).__name__}")
+    mag = rep if isinstance(rep, SeqRep) else SeqRep.symbolic(rep, label=label)
+    if abs(abs(phase) - 1.0) > 1e-12:
+        raise ValueError("phase must be unimodular")
+    g = GenNumber(space=space, magnitude=mag, phase=phase)
     report = space.classify(g.magnitude)
     if report.in_moderate is False:
         raise NotModerate(
@@ -128,36 +95,9 @@ def make(rep, space: NumberSpace, phase: complex = 1 + 0j, label: str | None = N
     return g
 
 
-# ---------------------------------------------------------------------------
-# magnitude-level addition shared with the JX machinery
-
-
-def seq_add(u: SeqRep, v: SeqRep) -> SeqRep:
-    """Pointwise sum of nonnegative sequences, staying exact when possible.
-
-    Truncated summands vanish on the tail, and every quantity computed here
-    is tail-determined, so they drop out of mixed sums.
-    """
-    if u.is_truncated and v.is_truncated:
-        return SeqRep.truncated(max(u.cutoff, v.cutoff))
-    if u.is_truncated:
-        return v
-    if v.is_truncated:
-        return u
-    if u.is_symbolic and v.is_symbolic:
-        return SeqRep.symbolic(growth.add(u.expr, v.expr))
-
-    def log_sum(ns: np.ndarray) -> np.ndarray:
-        return np.logaddexp(u.log_values(ns), v.log_values(ns))
-
-    return SeqRep.sampled(
-        log_sum,
-        label=f"{u.label} + {v.label}",
-        log_scale=True,
-        n_min=max(u.n_min, v.n_min),
-        n_max=min(u.n_max, v.n_max),
-        sample_ns=u.sample_ns or v.sample_ns,
-    )
+# pointwise sum of nonnegative sequences, shared with the JX machinery;
+# exact when both summands are
+seq_add = _sum
 
 
 def _check_spaces(a: GenNumber, b: GenNumber):
@@ -171,66 +111,29 @@ def add(a: GenNumber, b: GenNumber) -> GenNumber:
         return b
     if b.zero_rep:
         return a
-    if a.sampled or b.sampled:
-        sa, sb = a.to_sampled(), b.to_sampled()
-
-        def fn(ns: np.ndarray) -> np.ndarray:
-            return sa.complex_fn(ns) + sb.complex_fn(ns)
-
-        return make(fn, a.space, label=f"{a.magnitude.label} + {b.magnitude.label}")
-    if a.magnitude.is_symbolic and b.magnitude.is_symbolic:
-        if a.magnitude.expr == b.magnitude.expr:
-            s = a.phase + b.phase
-            mag = abs(s)
-            if mag == 0.0:
-                return GenNumber(space=a.space, magnitude=SeqRep.symbolic(growth.ZERO))
-            scaled = growth.mul(growth.constant(mag), a.magnitude.expr)
-            return GenNumber(
-                space=a.space, magnitude=SeqRep.symbolic(scaled), phase=s / mag
-            )
-        if a.phase == b.phase:
-            return GenNumber(
-                space=a.space,
-                magnitude=seq_add(a.magnitude, b.magnitude),
-                phase=a.phase,
-            )
+    if a.magnitude.is_symbolic and b.magnitude.is_symbolic and a.magnitude.expr == b.magnitude.expr:
+        s = a.phase + b.phase
+        mag = abs(s)
+        if mag == 0.0:
+            return GenNumber(space=a.space, magnitude=SeqRep.symbolic(growth.ZERO))
+        scaled = growth.mul(growth.constant(mag), a.magnitude.expr)
+        return GenNumber(space=a.space, magnitude=SeqRep.symbolic(scaled), phase=s / mag)
+    if a.phase == b.phase:
+        return GenNumber(space=a.space, magnitude=_sum(a.magnitude, b.magnitude), phase=a.phase)
     raise NotRepresentable(
-        "sum of symbolic representatives with different phases and magnitudes; "
-        "supply an explicit difference or use sampled representatives"
+        "sum of representatives with different phases and magnitudes; "
+        "supply an explicit difference"
     )
 
 
 def mul(a: GenNumber, b: GenNumber) -> GenNumber:
     _check_spaces(a, b)
-    if a.zero_rep or b.zero_rep:
-        cut = None
-        for g in (a, b):
-            if g.magnitude.is_truncated:
-                cut = g.magnitude.cutoff if cut is None else min(cut, g.magnitude.cutoff)
-        if cut is not None:
-            return GenNumber(space=a.space, magnitude=SeqRep.truncated(cut))
-        return GenNumber(space=a.space, magnitude=SeqRep.symbolic(growth.ZERO))
-    if a.sampled or b.sampled:
-        sa, sb = a.to_sampled(), b.to_sampled()
-
-        def fn(ns: np.ndarray) -> np.ndarray:
-            return sa.complex_fn(ns) * sb.complex_fn(ns)
-
-        return make(fn, a.space, label=f"({a.magnitude.label})*({b.magnitude.label})")
     return GenNumber(
-        space=a.space,
-        magnitude=SeqRep.symbolic(growth.mul(a.magnitude.expr, b.magnitude.expr)),
-        phase=a.phase * b.phase,
+        space=a.space, magnitude=_product(a.magnitude, b.magnitude), phase=a.phase * b.phase
     )
 
 
 def neg(a: GenNumber) -> GenNumber:
-    if a.sampled:
-        return GenNumber(
-            space=a.space,
-            magnitude=a.magnitude,
-            complex_fn=lambda ns: -a.complex_fn(ns),
-        )
     return GenNumber(space=a.space, magnitude=a.magnitude, phase=-a.phase)
 
 
@@ -514,7 +417,7 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
 
     answers = []
     for x in xs:
-        prod = _scaled_magnitude(x, diff)
+        prod = _product(x.magnitude, diff)
         res = kind.j_predicate(prod)
         answers.append(res)
         if res is False:
@@ -524,27 +427,6 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
     if any(r is None for r in answers):
         return AssocVerdict("inconclusive", kind, witness={"tested": len(answers)})
     return AssocVerdict("yes", kind, witness={"tested": len(answers)})
-
-
-def _scaled_magnitude(x: GenNumber, diff: SeqRep) -> SeqRep:
-    if diff.is_truncated:
-        return diff
-    if x.magnitude.is_symbolic and diff.is_symbolic:
-        if diff.expr.is_zero:
-            return diff
-        return SeqRep.symbolic(growth.mul(x.magnitude.expr, diff.expr))
-
-    def log_prod(ns: np.ndarray) -> np.ndarray:
-        return x.magnitude.log_values(ns) + diff.log_values(ns)
-
-    return SeqRep.sampled(
-        log_prod,
-        label=f"({x.magnitude.label})*({diff.label})",
-        log_scale=True,
-        n_min=max(x.magnitude.n_min, diff.n_min),
-        n_max=min(x.magnitude.n_max, diff.n_max),
-        sample_ns=x.magnitude.sample_ns or diff.sample_ns,
-    )
 
 
 # ---------------------------------------------------------------------------

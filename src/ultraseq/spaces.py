@@ -8,7 +8,9 @@ Sequences come in three representations.  Symbolic ones carry a growth
 expression and admit exact answers.  Truncated ones are zero beyond a
 cutoff, which forces the ultranorm to zero under every weight.  Sampled
 ones expose only a log-evaluator; their ultranorms are estimated from
-dyadic tail windows and returned with an uncertainty band.
+dyadic tail windows and returned with an uncertainty band.  Sums,
+products and distances of representatives are pointwise rules that stay
+exact when both operands are.
 """
 
 from __future__ import annotations
@@ -104,23 +106,18 @@ class SeqRep:
         values_fn: Callable[[np.ndarray], np.ndarray],
         label: str,
         *,
-        log_scale: bool = False,
         n_min: int = 2,
         n_max: int = 1_000_000,
         sample_ns: Iterable[int] | None = None,
     ) -> "SeqRep":
-        if log_scale:
-            log_fn = values_fn
-        else:
-
-            def log_fn(ns: np.ndarray) -> np.ndarray:
-                vals = np.asarray(values_fn(ns), dtype=float)
-                bad = np.isnan(vals) | (vals < 0)  # -0.0 is a zero
-                if bad.any():
-                    i = int(bad.argmax())
-                    raise SampleError(label, int(np.ravel(ns)[i]), float(vals.flat[i]))
-                with np.errstate(divide="ignore"):
-                    return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
+        def log_fn(ns: np.ndarray) -> np.ndarray:
+            vals = np.asarray(values_fn(ns), dtype=float)
+            bad = np.isnan(vals) | (vals < 0)  # -0.0 is a zero
+            if bad.any():
+                i = int(bad.argmax())
+                raise SampleError(label, int(np.ravel(ns)[i]), float(vals.flat[i]))
+            with np.errstate(divide="ignore"):
+                return np.where(vals > 0, np.log(np.maximum(vals, 1e-300)), -math.inf)
 
         return SeqRep(
             label=label,
@@ -155,6 +152,71 @@ class SeqRep:
         if self.expr is not None:
             return np.atleast_1d(growth.eval_log(self.expr, ns))
         return np.asarray(self.log_evaluator(ns), dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# pointwise algebra of representatives: every quantity computed from a
+# SeqRep is tail-determined, so a truncated operand drops out of a sum or a
+# distance and makes a product truncated; two exact operands stay exact
+
+
+def _pointwise(label: str, rule: Callable[..., np.ndarray], *reps: SeqRep) -> SeqRep:
+    """The sampled sequence whose log values are rule(*operand log values),
+    read where every operand is defined, on the first operand grid given."""
+    return SeqRep(
+        label=label,
+        log_evaluator=lambda ns: rule(*[r.log_values(ns) for r in reps]),
+        n_min=max(r.n_min for r in reps),
+        n_max=min(r.n_max for r in reps),
+        sample_ns=next((r.sample_ns for r in reps if r.sample_ns is not None), None),
+    )
+
+
+def _sum(u: SeqRep, v: SeqRep) -> SeqRep:
+    """u + v, pointwise."""
+    if u.is_truncated and v.is_truncated:
+        return SeqRep.truncated(max(u.cutoff, v.cutoff))
+    if u.is_truncated or v.is_truncated:
+        return v if u.is_truncated else u
+    if u.is_symbolic and v.is_symbolic:
+        return SeqRep.symbolic(growth.add(u.expr, v.expr))
+    return _pointwise(f"{u.label} + {v.label}", np.logaddexp, u, v)
+
+
+def _product(u: SeqRep, v: SeqRep) -> SeqRep:
+    """u * v, pointwise; a symbolic zero factor gives the symbolic zero."""
+    if u.is_truncated or v.is_truncated:
+        return SeqRep.truncated(min(r.cutoff for r in (u, v) if r.is_truncated))
+    if (u.is_symbolic and u.expr.is_zero) or (v.is_symbolic and v.expr.is_zero):
+        return SeqRep.symbolic(growth.ZERO)
+    if u.is_symbolic and v.is_symbolic:
+        return SeqRep.symbolic(growth.mul(u.expr, v.expr))
+    return _pointwise(f"({u.label})*({v.label})", np.add, u, v)
+
+
+def _log_abs_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log|e^a - e^b|, scale-shifted as m + log|e^(a-m) - e^(b-m)|, m = max(a, b)."""
+    m = np.maximum(a, b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(np.exp(a - m) - np.exp(b - m))
+        out = np.where(rel > 0, m + np.log(rel), -math.inf)
+    return np.where(np.isneginf(m), -math.inf, out)
+
+
+def _distance(u: SeqRep, v: SeqRep) -> SeqRep:
+    """|u - v|, pointwise.  Symbolic expressions carry no sign, so a
+    symbolic pair is exact only when the two are equal or one is zero."""
+    if u.is_truncated and v.is_truncated:
+        return SeqRep.truncated(max(u.cutoff, v.cutoff))
+    if u.is_truncated or v.is_truncated:
+        return v if u.is_truncated else u
+    if u.is_symbolic and v.is_symbolic:
+        if u.expr == v.expr:
+            return SeqRep.symbolic(growth.ZERO)
+        if u.expr.is_zero or v.expr.is_zero:
+            return v if u.expr.is_zero else u
+        raise ValueError("symbolic pair needs an explicit |f - g| representation")
+    return _pointwise(f"|{u.label} - {v.label}|", _log_abs_difference, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +544,13 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
 
 
 def ultranorm(f: SeqRep, r: WeightSeq) -> UltranormValue:
-    """The ultranorm of f against weight r: exact when both sides allow it."""
+    """The ultranorm of f against weight r: exact when both sides allow it,
+    and for a vanishing f under every weight."""
     if f.is_truncated:
         return UltranormValue(
             log_value=-math.inf, exact=True, witness=f"sequence vanishes beyond n={f.cutoff}"
         )
-    if f.is_symbolic and (r.is_symbolic or r.is_step):
+    if f.is_symbolic and (r.is_symbolic or r.is_step or f.expr.is_zero):
         return _exact_ultranorm(f, r)
     return _tail_estimate(f, r)
 
@@ -654,42 +717,10 @@ def pseudometric(
     """Ultranorm distance between two sequences.
 
     Symbolic representations carry no sign information, so the caller must
-    supply |f - g| explicitly unless one side is zero or both are equal.
-    Sampled pairs are differenced pointwise.
+    supply |f - g| explicitly unless one side is zero or truncated or both
+    are equal.  Other pairs are differenced pointwise.
     """
-    if difference is not None:
-        return ultranorm(difference, r)
-    if f.is_symbolic and g.is_symbolic:
-        if f.expr == g.expr:
-            return UltranormValue(log_value=-math.inf, exact=True, witness="identical expressions")
-        if f.expr.is_zero:
-            return ultranorm(g, r)
-        if g.expr.is_zero:
-            return ultranorm(f, r)
-        raise ValueError("symbolic pair needs an explicit |f - g| representation")
-    if f.is_truncated and g.is_truncated:
-        return UltranormValue(
-            log_value=-math.inf, exact=True, witness="both vanish beyond their cutoffs"
-        )
-
-    def log_diff(ns: np.ndarray) -> np.ndarray:
-        a = f.log_values(ns)
-        b = g.log_values(ns)
-        # scale-shifted |e^a - e^b|: log as m + log|e^(a-m) - e^(b-m)|
-        m = np.maximum(a, b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = np.abs(np.exp(a - m) - np.exp(b - m))
-            out = np.where(rel > 0, m + np.log(rel), -math.inf)
-        return np.where(np.isneginf(m), -math.inf, out)
-
-    diff = SeqRep(
-        label=f"|{f.label} - {g.label}|",
-        log_evaluator=log_diff,
-        n_min=max(f.n_min, g.n_min),
-        n_max=min(f.n_max, g.n_max),
-        sample_ns=f.sample_ns or g.sample_ns,
-    )
-    return ultranorm(diff, r)
+    return ultranorm(_distance(f, g) if difference is None else difference, r)
 
 
 @dataclass(frozen=True)

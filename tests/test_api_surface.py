@@ -31,3 +31,18 @@ def test_import_does_not_load_scipy():
     code = f"import sys, {', '.join(MODULES)}; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_python_m_ultraseq_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(ultraseq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ultraseq", *argv], env=env, capture_output=True, text=True)
+
+    out = run("norm", "n^2")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines()[0] == "norm(n^2) under 1/log(n): exact e^2 = 7.3890561"
+    out = run("norm", "n^^")
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: cannot parse 'n^^'")

@@ -353,3 +353,36 @@ def test_demo_delta_walks_each_lattice_once(lattice_walks):
     keys = [(id(f), n, radius) for f, n, radius in lattice_walks]
     assert len(keys) == len(set(keys))
     assert {radius for _, _, radius in keys} == {2, 3}
+
+
+@pytest.mark.parametrize("text, holds", [("exp(-n)", "yes"), ("n^-1", "no")])
+def test_assoc_power_x_decides_exactly(capsys, tmp_path, text, holds):
+    want = (
+        f"assoc({text}, 0) custom-JX(null limit; n^s family): {holds}\n"
+        "  witness: multipliers=all n^s, decided exactly\n"
+    )
+    rc, out, err = run(capsys, "assoc", text, "0", "--kind", "power-x")
+    assert (rc, out, err) == (0, want, "")
+    path = tmp_path / "powx.batch"
+    path.write_text(f"[sequences]\n{text} = {text}\n0 = 0\n\n[queries]\nassoc {text} 0 kind=power-x\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert (rc, out, err) == (0, f"space: colombeau[standard]\n-- line 6\n{want}", "")
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("norm f kind=weak", "unknown option 'kind' for norm (it takes none)"),
+        ("classify f role=moderate", "unknown option 'role' for classify (it takes none)"),
+        ("extend square delta kind=weak", "unknown option 'kind' for extend (it takes none)"),
+        ("check square kind=weak", "unknown option 'kind' for check (it takes role)"),
+        ("assoc f g kind=weak diference=gap", "unknown option 'diference' for assoc (it takes kind, difference)"),
+        ("assoc f g kind=weak kind=strong:0.5", "option 'kind' is given twice"),
+        ("check square role=moderate role=temperate", "option 'role' is given twice"),
+    ],
+)
+def test_batch_rejects_unknown_and_repeated_options(capsys, tmp_path, query, message):
+    path = tmp_path / "opts.batch"
+    path.write_text(f"[sequences]\nf = n^2\ng = exp(-n)\ngap = n^2\n\n[queries]\nnorm f\n{query}\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert (rc, out, err) == (1, "", f"error: {path}:8: {message}\n")

@@ -162,6 +162,34 @@ def test_sampled_pair_needs_explicit_difference():
         associate(a, z, AssocKind.weak())
 
 
+def test_sampled_magnitude_times_a_symbolic_one():
+    a = make(SeqRep.sampled_from_expr("n^-1"), SPACE, phase=-1)
+    p = gennum.mul(a, make("n^2", SPACE, phase=1j))
+    assert p.phase == -1j
+    assert ultranorm(p.magnitude, SPACE.single_weight()).log_value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sampled_magnitudes_with_equal_phases_add():
+    a = make(SeqRep.sampled_from_expr("n^-1"), SPACE)
+    s = gennum.add(a, a)
+    assert s.phase == a.phase
+    assert ultranorm(s.magnitude, SPACE.single_weight()).log_value == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_make_rejects_a_callable_representative():
+    with pytest.raises(TypeError, match="expression or a SeqRep"):
+        make(lambda ns: 1.0 / ns, SPACE)
+
+
+def test_strong_threshold_on_an_estimated_difference():
+    # the estimate of ||n^-3|| is e^-3 with a band around it: below e^-2,
+    # straddling e^-3, above e^-4
+    d = SeqRep.sampled_from_expr("n^-3")
+    a = make(d, SPACE)
+    holds = [associate(a, ZERO_N, AssocKind.strong(s), difference=d).holds for s in (2, 3, 4)]
+    assert holds == ["yes", "inconclusive", "no"]
+
+
 # ---------------------------------------------------------------------------
 # custom J,X association
 
@@ -179,6 +207,29 @@ def test_custom_jx_with_power_probes():
     a2 = make(d2, SPACE)
     v2 = associate(a2, ZERO_N, kind, difference=d2)
     assert v2.holds == "no"  # x = n^2 sends it to n, not null
+
+
+def test_power_probes_on_a_sampled_difference():
+    kind = AssocKind.custom(null_predicate, PowerXFamily(), "null limit")
+    d = SeqRep.sampled_from_expr("n^-1")
+    v = associate(make(d, SPACE), ZERO_N, kind, difference=d)
+    assert v.holds == "no" and v.witness["failing_exponent"] == 1
+    d = SeqRep.sampled_from_expr("exp(-n)")
+    v = associate(make(d, SPACE), ZERO_N, kind, difference=d)
+    assert v.holds == "yes" and v.witness == {"probed_exponents": [0, 1, 2, 4, 8, 16, 32]}
+
+
+def test_custom_jx_keeps_a_truncated_multiplier_product_truncated():
+    seen = []
+
+    def recording(rep):
+        seen.append(rep)
+        return null_predicate(rep)
+
+    kind = AssocKind.custom(recording, [make(SeqRep.truncated(40), SPACE)], "null limit")
+    v = associate(ZERO_N, ZERO_N, kind, difference=SeqRep.sampled_from_expr("n^-1"))
+    assert v.holds == "yes"
+    assert [rep.cutoff for rep in seen] == [40]
 
 
 def test_jx_well_definedness_audit():

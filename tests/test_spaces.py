@@ -1,13 +1,14 @@
 """Ultranorms, classification and the quotient pseudometric."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraseq import growth
+from ultraseq import corpus, growth, spaces
 from ultraseq.spaces import (
     _PER_WINDOW,
     NumberSpace,
@@ -308,6 +309,74 @@ def test_pseudometric_needs_difference_for_distinct_symbols():
     # |n^2 - n| is representable: n^2 - n stays within [0.5*n^2, n^2] eventually
     v = pseudometric(f, g, COL, difference=SeqRep.symbolic("n^2"))
     assert v.value == pytest.approx(math.exp(2), rel=1e-12)
+
+
+def test_pseudometric_drops_a_truncated_side_and_stays_exact():
+    v = pseudometric(SeqRep.truncated(40), SeqRep.symbolic("n^2"), COL)
+    assert v.exact and v.log_value == 2.0
+    v = pseudometric(SeqRep.symbolic("n^2"), SeqRep.truncated(40), COL)
+    assert v.exact and v.log_value == 2.0
+    assert pseudometric(SeqRep.truncated(40), SeqRep.truncated(60), COL).is_zero()
+
+
+def test_a_symbolic_zero_has_an_exact_zero_norm_under_a_numeric_weight():
+    from ultraseq.weights import WeightSeq
+
+    w = WeightSeq(label="1/log(n), sampled", evaluator=lambda ns: 1.0 / np.log(ns))
+    assert ultranorm(SeqRep.symbolic(growth.ZERO), w).exact
+    f = SeqRep.symbolic("n^2")
+    v = pseudometric(f, f, w)
+    assert v.exact and v.log_value == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# the pointwise rules for sums, products and distances of representatives
+
+
+@st.composite
+def _operands(draw):
+    """A representative drawn as a corpus symbolic expression, a truncated
+    sequence (cutoff below 500), a sampled view of a corpus expression, or
+    the symbolic zero."""
+    tier = draw(st.sampled_from(["symbolic", "truncated", "sampled", "zero"]))
+    if tier == "truncated":
+        return SeqRep.truncated(draw(st.integers(2, 500)))
+    if tier == "zero":
+        return SeqRep.symbolic(growth.ZERO)
+    e = corpus.random_expr(random.Random(draw(st.integers(0, 10_000))))
+    return SeqRep.symbolic(e) if tier == "symbolic" else SeqRep.sampled_from_expr(e)
+
+
+def _log_abs_difference(a, b):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m = np.maximum(a, b)
+        return np.where(np.isneginf(m), -math.inf, m + np.log(np.abs(np.exp(a - m) - np.exp(b - m))))
+
+
+_RULES = {
+    "sum": (spaces._sum, np.logaddexp),
+    "product": (spaces._product, np.add),
+    "distance": (spaces._distance, _log_abs_difference),
+}
+
+
+@given(st.sampled_from(sorted(_RULES)), _operands(), _operands(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pointwise_rules_match_their_log_formulas(name, u, v, same):
+    v = u if same else v
+    rule, formula = _RULES[name]
+    if name == "distance" and u.is_symbolic and v.is_symbolic and u.expr != v.expr:
+        if not (u.expr.is_zero or v.expr.is_zero):
+            with pytest.raises(ValueError, match="explicit"):
+                rule(u, v)
+            return
+    out = rule(u, v)
+    if not (u.log_evaluator or v.log_evaluator):
+        assert out.is_symbolic or out.is_truncated
+    ns = np.array([1_000, 4_096, 50_000, 300_000])  # past every cutoff and n_min
+    np.testing.assert_allclose(
+        out.log_values(ns), formula(u.log_values(ns), v.log_values(ns)), rtol=1e-9, atol=1e-9
+    )
 
 
 _GAMMAS = st.sampled_from([-4.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0])
