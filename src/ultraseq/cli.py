@@ -432,6 +432,10 @@ def cmd_demo_delta() -> tuple[list[str], int]:
 # batch files
 
 
+# the keys a batch [space] section takes
+_SPACE_KEYS = ("family", "mode")
+
+
 def _parse_batch(
     path: str,
 ) -> tuple[dict[str, tuple[str, int]], dict[str, SeqRep], list[tuple[int, list[str], dict]]]:
@@ -461,7 +465,12 @@ def _parse_batch(
             if "=" not in text:
                 raise CliError(f"{path}:{idx}: expected key = value")
             key, _, value = text.partition("=")
-            space_opts[key.strip()] = (value.strip(), idx)
+            key = key.strip()
+            if key not in _SPACE_KEYS:
+                raise CliError(f"{path}:{idx}: unknown [space] key {key!r} (it takes {', '.join(_SPACE_KEYS)})")
+            if key in space_opts:
+                raise CliError(f"{path}:{idx}: [space] key {key!r} is given twice")
+            space_opts[key] = (value.strip(), idx)
         elif section == "sequences":
             if "=" not in text:
                 raise CliError(f"{path}:{idx}: expected name = expression")

@@ -11,7 +11,7 @@ limit, so phases only matter when building that difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -25,7 +25,7 @@ from ultraseq.spaces import (
     UltranormValue,
     _product,
     _sum,
-    _tail_grid,
+    _tail_samples,
     _window_sups,
     format_value,
     ultranorm,
@@ -79,11 +79,15 @@ class GenNumber:
 def make(rep, space: NumberSpace, phase: complex = 1 + 0j, label: str | None = None) -> GenNumber:
     """Wrap a representative, rejecting magnitudes that are not moderate.
 
-    `rep` may be an expression string, a growth expression or a SeqRep.
+    `rep` may be an expression string, a growth expression or a SeqRep;
+    `label` names the representative in either case.
     """
     if not isinstance(rep, (str, GrowthExpr, SeqRep)):
         raise TypeError(f"a representative is an expression or a SeqRep, got {type(rep).__name__}")
-    mag = rep if isinstance(rep, SeqRep) else SeqRep.symbolic(rep, label=label)
+    if isinstance(rep, SeqRep):
+        mag = rep if label is None else replace(rep, label=label)
+    else:
+        mag = SeqRep.symbolic(rep, label=label)
     if abs(abs(phase) - 1.0) > 1e-12:
         raise ValueError("phase must be unimodular")
     g = GenNumber(space=space, magnitude=mag, phase=phase)
@@ -261,11 +265,9 @@ def _sampled_null_trend(
 ) -> tuple[str, dict]:
     """Does the (optionally reweighted) sequence tend to zero, judged from
     dyadic window maxima of its log values?"""
-    ns = _tail_grid(diff, diff.n_min)
-    logs = diff.log_values(ns)
-    if shift_log is not None:
-        logs = logs + shift_log(ns)
-    sups, _ = _window_sups(ns, logs)
+    s = _tail_samples(diff, diff.n_min)
+    logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
+    sups, _ = _window_sups(s, logs)
     tail = [float(v) for v in sups[-4:]]
     tol_log = math.log(_TREND_TOL)
     witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
@@ -449,8 +451,8 @@ def bounded_predicate(rep: SeqRep) -> bool | None:
         return True
     if rep.is_symbolic:
         return growth.is_bounded(rep.expr)
-    ns = _tail_grid(rep, rep.n_min)
-    sups, _ = _window_sups(ns, rep.log_values(ns))
+    s = _tail_samples(rep, rep.n_min)
+    sups, _ = _window_sups(s, s.logs)
     if len(sups) < 2:
         return None
     if sups[-1] <= sups[-2] + 1e-9 and sups[-1] < 50.0:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from functools import cache, partial
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -402,22 +403,42 @@ def _tail_grid(f: SeqRep, n_min: int) -> np.ndarray:
     return ns[ns >= n_min]
 
 
-def _window_sups(ns: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The max of t over each dyadic window of the sorted grid ns, and the
-    first n in each window where it is reached.
+class _TailSamples(NamedTuple):
+    """A sequence's tail read once from the cut-off n_min on: the sorted
+    grid, the log values on it, the position in ns of each dyadic
+    window's first point, and the window number (0, 1, ...) of each point."""
+
+    n_min: int
+    ns: np.ndarray
+    logs: np.ndarray
+    starts: np.ndarray
+    window: np.ndarray
+
+
+def _tail_samples(f: SeqRep, n_min: int) -> _TailSamples:
+    """f's tail samples from n_min on; an empty grid evaluates nothing."""
+    ns = _tail_grid(f, n_min)
+    logs = f.log_values(ns) if len(ns) else np.empty(0)
+    opens = np.diff(_window_keys(ns), prepend=-1) != 0
+    return _TailSamples(n_min, ns, logs, np.flatnonzero(opens), np.cumsum(opens) - 1)
+
+
+def _window_sups(s: _TailSamples, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max of t (given on the grid s.ns) over each dyadic window, and
+    the first n in each window where it is reached.
 
     A NaN in a window makes its max NaN; the n reported for it is then
     the last grid point, and callers drop such windows before using it.
     """
-    starts = np.flatnonzero(np.diff(_window_keys(ns), prepend=-1))
-    sups = np.maximum.reduceat(t, starts)
-    at_sup = t == np.repeat(sups, np.diff(starts, append=len(t)))
-    first = np.minimum.reduceat(np.where(at_sup, np.arange(len(t)), len(t) - 1), starts)
-    return sups, ns[first]
+    sups = np.maximum.reduceat(t, s.starts)
+    at_sup = t == sups[s.window]
+    first = np.minimum.reduceat(np.where(at_sup, np.arange(len(t)), len(t) - 1), s.starts)
+    return sups, s.ns[first]
 
 
-def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
-    """Estimate exp(limsup r_n log f_n) from dyadic window maxima.
+def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
+    """Estimate exp(limsup r_n log f_n) from dyadic window maxima of the
+    tail samples s of f.
 
     Window maxima of t_n = r_n log f_n are extrapolated against the basis
     {1, 1/L, log L / L} in L = log n, which reproduces the exact tail law
@@ -426,17 +447,15 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
     tail, a steady drift in L commits to a +-inf limit, and anything else
     comes back wide and unstable.
     """
-    n_min = max(f.n_min, r.n_min if not r.is_step else 2)
-    ns = _tail_grid(f, n_min)
+    ns, logs = s.ns, s.logs
     if len(ns) == 0:
         return UltranormValue(
             log_value=math.nan,
             exact=False,
             band_log=(-math.inf, math.inf),
             stable=False,
-            witness=f"no sample index at or above the weight's cut-off n={n_min}",
+            witness=f"no sample index at or above the weight's cut-off n={s.n_min}",
         )
-    logs = f.log_values(ns)
     rs = r.values(ns)
     with np.errstate(invalid="ignore"):
         t = rs * logs
@@ -447,7 +466,7 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
 
     # fitting at the location of each window sup instead of the window
     # midpoint keeps the asymptote unbiased
-    sups, sup_ns = _window_sups(ns, t)
+    sups, sup_ns = _window_sups(s, t)
     sup_ls = np.log(sup_ns)
 
     tail = sups[-min(len(sups), _WINDOW_FIT):]
@@ -543,16 +562,25 @@ def _tail_estimate(f: SeqRep, r: WeightSeq) -> UltranormValue:
     )
 
 
-def ultranorm(f: SeqRep, r: WeightSeq) -> UltranormValue:
+def ultranorm(
+    f: SeqRep, r: WeightSeq, *, _samples: Callable[[int], _TailSamples] | None = None
+) -> UltranormValue:
     """The ultranorm of f against weight r: exact when both sides allow it,
-    and for a vanishing f under every weight."""
+    and for a vanishing f under every weight.
+
+    An estimate reads f's tail samples from the cut-off of f and r on,
+    through `_samples` when given (`classify` passes a reader that keeps
+    what it read for the other levels of one call).
+    """
     if f.is_truncated:
         return UltranormValue(
             log_value=-math.inf, exact=True, witness=f"sequence vanishes beyond n={f.cutoff}"
         )
     if f.is_symbolic and (r.is_symbolic or r.is_step or f.expr.is_zero):
         return _exact_ultranorm(f, r)
-    return _tail_estimate(f, r)
+    read = _samples if _samples is not None else partial(_tail_samples, f)
+    # the tail starts where both f and r are defined
+    return _tail_estimate(read(max(f.n_min, r.n_min if not r.is_step else 2)), r)
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +623,6 @@ class ClassificationReport:
         return list(self.lines)
 
 
-def _norm_bundle(
-    bundle: Mapping, r: WeightSeq
-) -> dict[object, UltranormValue]:
-    return {key: ultranorm(f, r) for key, f in bundle.items()}
-
-
 def _channel_in_F(v: UltranormValue, mode: Mode) -> bool | None:
     if mode is Mode.STANDARD:
         return v.is_finite()
@@ -637,11 +659,15 @@ def classify(
         if family.single
         else list(range(family.m_start, family.m_start + m_max))
     )
+    # each channel's tail is read once per cut-off and shared by every level
+    readers = {key: cache(partial(_tail_samples, f)) for key, f in bundle.items()}
     per_level: dict[int, dict[object, UltranormValue]] = {}
     lines: list[str] = []
     for m in levels:
         r = family.member(m)
-        per_level[m] = _norm_bundle(bundle, r)
+        per_level[m] = {
+            key: ultranorm(f, r, _samples=readers[key]) for key, f in bundle.items()
+        }
         for key, v in per_level[m].items():
             tag = f"m={m} channel={key}"
             lines.append(

@@ -346,6 +346,20 @@ def test_batch_reports_an_unknown_space_with_position(capsys, tmp_path):
     assert rc == 1 and err.startswith(f"error: {path}:3: unknown mode 'sideways'")
 
 
+def test_batch_rejects_an_unknown_space_key_with_position(capsys, tmp_path):
+    path = tmp_path / "typo.batch"
+    path.write_text("[space]\nfamliy = egorov\n\n[sequences]\na = n\n\n[queries]\nnorm a\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert (rc, out, err) == (1, "", f"error: {path}:2: unknown [space] key 'famliy' (it takes family, mode)\n")
+
+
+def test_batch_rejects_a_repeated_space_key_with_position(capsys, tmp_path):
+    path = tmp_path / "twice.batch"
+    path.write_text("[space]\nfamily = egorov\nmode = standard\nfamily = colombeau\n\n[queries]\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    assert (rc, out, err) == (1, "", f"error: {path}:4: [space] key 'family' is given twice\n")
+
+
 def test_demo_delta_walks_each_lattice_once(lattice_walks):
     # the slope table and the classification of delta share their radius-2 walks
     lines, code = cli.cmd_demo_delta()

@@ -40,6 +40,14 @@ def test_make_rejects_divergent_representative():
         gn("exp(n)")
 
 
+@pytest.mark.parametrize(
+    "rep", ["exp(n)", SeqRep.symbolic("exp(n)"), SeqRep.sampled_from_expr("exp(n)")]
+)
+def test_make_names_the_label_of_every_representative(rep):
+    with pytest.raises(NotModerate, match="representative 'blow-up' is not moderate"):
+        make(rep, SPACE, label="blow-up")
+
+
 def test_make_accepts_negligible_and_flags_zero():
     a = gn("exp(-log(n)^2)")
     assert is_zero(a).verdict == "negligible"

@@ -24,7 +24,19 @@ from ultraseq.spaces import (
     pseudometric,
     ultranorm,
 )
-from ultraseq.weights import AsymptoticScale, Mode, catalog, colombeau_weight, scale_to_weights, single_family
+from ultraseq.weights import (
+    AsymptoticScale,
+    Direction,
+    Mode,
+    WeightFamily,
+    WeightSeq,
+    catalog,
+    colombeau_weight,
+    expdecay_scale,
+    power_scale,
+    scale_to_weights,
+    single_family,
+)
 
 COL = colombeau_weight()
 
@@ -282,6 +294,62 @@ def test_classify_multi_channel(colombeau):
     assert r.verdict == "moderate"
     bundle["p1"] = SeqRep.symbolic("exp(n)")
     assert colombeau.classify(bundle).verdict == "divergent"
+
+
+def _late_family() -> WeightFamily:
+    """1/n, defined from n = 2 + m // 8 on: three cut-offs over 16 levels."""
+    return WeightFamily(
+        name="late",
+        member_fn=lambda m: WeightSeq(label=f"1/n from {2 + m // 8}", expr=growth.parse("n^-1"), n_min=2 + m // 8),
+        direction=Direction.INCREASING,
+    )
+
+
+_FAMILIES = {
+    "ultra": lambda: catalog("ultra"),
+    "scale:n^-m": lambda: scale_to_weights(power_scale()),
+    "scale:exp(-m*n)": lambda: scale_to_weights(expdecay_scale()),
+    "egorov": lambda: catalog("egorov"),
+    "late": _late_family,
+}
+
+_SAMPLED_BUNDLES = {
+    "one channel": lambda: {"value": SeqRep.sampled_from_expr("n^2 * log(n)")},
+    "two channels": lambda: {
+        "p0": SeqRep.sampled_from_expr("exp(-log(n)^2)"),
+        "p1": SeqRep.sampled(lambda ns: 3.0 + np.sin(ns), "3 + sin n", sample_ns=range(5, 400_000, 7)),
+    },
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(_SAMPLED_BUNDLES))
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_classify_shares_samples_without_changing_a_norm(family, bundle):
+    fam, channels = _FAMILIES[family](), _SAMPLED_BUNDLES[bundle]()
+    report = classify(channels, fam)
+    assert len(report.m_probed) == 16
+    for m in report.m_probed:
+        for key, f in channels.items():
+            # dataclass equality: the shared samples give bitwise the same floats
+            assert report.channel_norms[(m, key)] == ultranorm(f, fam.member(m))
+
+
+def test_classify_reads_each_channel_once_per_cut_off():
+    calls = []
+
+    def counted(label):
+        def values(ns):
+            calls.append(label)
+            return ns**-1.0
+
+        return SeqRep.sampled(values, label)
+
+    bundle = {"p0": counted("p0"), "p1": counted("p1")}
+    classify(bundle, catalog("ultra"))
+    assert sorted(calls) == ["p0", "p1"]
+    calls.clear()
+    classify(bundle["p0"], _late_family())
+    assert calls == ["p0"] * 3
 
 
 # ---------------------------------------------------------------------------
