@@ -8,6 +8,7 @@ inconclusive, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -396,7 +397,7 @@ def cmd_demo_delta() -> tuple[list[str], int]:
 
     lines.append("4. delta^2 pairings grow linearly in n:")
     pair_ns = [64, 128, 256, 512, 1024]
-    logs = [math.log(abs(pairing(delta_sq, n, psi))) for n in pair_ns]
+    logs = [math.log(abs(v)) for v in pairing(delta_sq, pair_ns, psi)]
     slope = _fit_slope(pair_ns, logs)
     good = abs(slope - 1.0) <= 0.1
     ok = ok and good
@@ -568,7 +569,9 @@ def cmd_batch(path: str) -> tuple[list[str], int]:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="ultraseq",
         description="Sequence-space calculus: ultranorms, classification, association",

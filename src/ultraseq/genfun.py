@@ -34,7 +34,10 @@ Pairings, mollifier masses and moments are adaptive composite
 Gauss-Legendre integrals over the clipped support.  Each panel carries a
 16- and a 32-node rule; their gap is the panel's error estimate, and a
 panel whose gap exceeds its share of the tolerance is halved.  The
-integrand is vectorized and called once per refinement level.
+integrand is vectorized and called once per refinement level.  The
+pairings of several indices run in lockstep: a jet takes an array of
+indices, one per point, so each level evaluates every index at once,
+and each pairing is the same float as alone.
 """
 
 from __future__ import annotations
@@ -118,7 +121,13 @@ class SmoothSeq:
     the result is a freshly allocated array of shape (k+1,) + xs.shape that
     the caller owns and may overwrite; combinators and the lattice walk
     work in place on it.  The sign of a zero in the result is not
-    significant.
+    significant.  The index n is an int, or an integer array shaped like
+    xs that gives each point its own index, so that one call can serve
+    several members of the sequence (a lockstep pairing does this); each
+    point's value is the same float as at its index alone.  A sequence
+    built here from leaves and combinators takes index arrays
+    (`index_arrays`); a jet written for one int index at a time is only
+    ever called with one, and `at` then calls it once per distinct index.
 
     The optional majorant(n, a, b, k) bounds the jet on cells: for 1-D
     float arrays a <= b of cell endpoints it returns a freshly allocated
@@ -142,11 +151,19 @@ class SmoothSeq:
     support_fn: Callable[[int], tuple[float, float] | None] = field(default=lambda n: None)
     majorant: Callable[[int, np.ndarray, np.ndarray, int], np.ndarray] | None = None
     n_free: bool = field(default=False, init=False)
+    index_arrays: bool = field(default=False, init=False)
 
-    def at(self, n: int, xs, order: int = 0) -> np.ndarray:
+    def at(self, n: int | np.ndarray, xs, order: int = 0) -> np.ndarray:
         if order > self.max_order:
             raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
-        return self.jet(n, np.asarray(xs, dtype=float), order)[order]
+        xs = np.asarray(xs, dtype=float)
+        if self.index_arrays or not isinstance(n, np.ndarray):
+            return self.jet(n, xs, order)[order]
+        out = np.empty(xs.shape)
+        for m in np.unique(n):
+            sel = n == m
+            out[sel] = self.jet(int(m), xs[sel], order)[order]
+        return out
 
     def __call__(self, xs, order: int = 0) -> np.ndarray:
         # calls the jet directly: this is the innermost call of every
@@ -164,18 +181,21 @@ class SmoothSeq:
         return self.support_fn(1)
 
 
-def _n_free_if(n_free: bool, seq: SmoothSeq) -> SmoothSeq:
-    """Record that `seq` does not depend on n (when `n_free` holds)."""
-    if n_free:
-        object.__setattr__(seq, "n_free", True)  # frozen, and deliberately not an init field
+def _derived(seq: SmoothSeq, n_free: bool, index_arrays: bool) -> SmoothSeq:
+    """Record whether `seq` does not depend on n and whether its jet takes
+    index arrays."""
+    # frozen, and deliberately not init fields
+    object.__setattr__(seq, "n_free", n_free)
+    object.__setattr__(seq, "index_arrays", index_arrays)
     return seq
 
 
 def _function(label: str, jet, max_order: int, support=None, majorant=None) -> SmoothSeq:
     """A single smooth function: its jet(n, xs, k) and majorant ignore n."""
-    return _n_free_if(
-        True,
+    return _derived(
         SmoothSeq(label=label, jet=jet, max_order=max_order, support_fn=lambda n: support, majorant=majorant),
+        n_free=True,
+        index_arrays=True,
     )
 
 
@@ -424,7 +444,8 @@ def _node(
     majorants on the stretched cells.  Unless the arguments say otherwise,
     the node has a majorant when every operand has one, is n-free when
     every operand is, reaches the smallest operand order and has the first
-    operand's support."""
+    operand's support.  Its jet takes index arrays when every operand's
+    does; `at` and a rule that reads n handle both kinds of index."""
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         index, order, stretch = at(n, k)
@@ -444,8 +465,7 @@ def _node(
             arrays.append(f.majorant(index, lo, hi, order))
         return rule(n, k, True, *arrays)
 
-    return _n_free_if(
-        all(f.n_free for f in operands) if n_free is None else n_free,
+    return _derived(
         SmoothSeq(
             label,
             jet,
@@ -453,7 +473,25 @@ def _node(
             support_fn or operands[0].support_fn,
             None if any(f.majorant is None for f in operands) else majorant,
         ),
+        n_free=all(f.n_free for f in operands) if n_free is None else n_free,
+        index_arrays=all(f.index_arrays for f in operands),
     )
+
+
+def _spread(n: np.ndarray, values_of: Callable[[np.ndarray], Sequence]) -> np.ndarray:
+    """For an index array n, the entry of values_of(distinct indices) at
+    each point's index: values_of is called once, on the sorted distinct
+    indices, and its first axis runs over them.
+
+    A lockstep quadrature gives each interval's points one run of equal
+    indices, so the distinct indices are found among the runs' first
+    entries, without sorting every point."""
+    flat = n.ravel()
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))[: flat.size]
+    distinct = np.unique(flat[starts])
+    values = np.asarray(values_of(distinct))
+    runs = values[np.searchsorted(distinct, flat[starts])]
+    return np.repeat(runs, np.append(starts[1:], flat.size) - starts, axis=0).reshape(n.shape + values.shape[1:])
 
 
 def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
@@ -467,9 +505,17 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
         raise ValueError("mollified sequences need a compactly supported profile")
     a, b = profile.support
 
-    def scaled(n: int, k: int, bound: bool, values: np.ndarray) -> np.ndarray:
-        scales = np.array([float(n) ** (power + j) for j in range(k + 1)])
-        values *= scales.reshape((-1,) + (1,) * (values.ndim - 1))
+    def scaled(n, k: int, bound: bool, values: np.ndarray) -> np.ndarray:
+        # row j of index m times m^(power+j), a float power as Python takes
+        # it (numpy's power may round otherwise)
+        def powers(ms) -> np.ndarray:
+            return np.array([[float(m) ** (power + j) for j in range(k + 1)] for m in ms]).reshape(len(ms), k + 1)
+
+        if isinstance(n, np.ndarray):
+            scales = np.moveaxis(_spread(n, powers), -1, 0)
+        else:
+            scales = powers([n])[0].reshape((-1,) + (1,) * (values.ndim - 1))
+        values *= scales
         return values
 
     return _node(
@@ -501,10 +547,19 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
     if isinstance(scale, growth.GrowthExpr):
         expr = scale
         # a lattice walk asks for the same n once per chunk
-        scale_fn = lru_cache(maxsize=1)(lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min))))
+        at_index = lru_cache(maxsize=1)(lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min))))
+
+        def scale_fn(n):
+            if isinstance(n, np.ndarray):
+                return _spread(n, lambda ms: growth.eval_value(expr, np.maximum(ms, expr.eval_n_min)))
+            return at_index(n)
+
         scale_label = growth.format_expr(expr)
     elif callable(scale):
-        scale_fn = scale
+
+        def scale_fn(n):
+            return _spread(n, lambda ms: [scale(int(m)) for m in ms]) if isinstance(n, np.ndarray) else scale(n)
+
         scale_label = "c_n"
     else:
         c = float(scale)
@@ -512,9 +567,10 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         scale_label = f"{c:g}"
         n_free = None  # that of seq
 
-    def scaled(n: int, k: int, bound: bool, base: np.ndarray) -> np.ndarray:
+    def scaled(n, k: int, bound: bool, base: np.ndarray) -> np.ndarray:
+        # one scalar, or one per point of an index array
         c = abs(scale_fn(n)) if bound else scale_fn(n)
-        if not math.isfinite(c):
+        if not np.isfinite(c).all():
             # an overflowed scalar must still annihilate zeros of the base
             with np.errstate(invalid="ignore"):
                 return np.where(base == 0.0, 0.0, c * base)
@@ -756,19 +812,20 @@ def _seminorm_table(f: SmoothSeq) -> Callable[[int, int], float]:
     return lambda n, nu: float(walk(n, nu if nu > 2 else min(2, f.max_order))[nu])
 
 
-def _log_abs_channel(value: Callable[[int], float], label: str, sample_ns: Sequence[int]) -> SeqRep:
-    """The sampled sequence |value(n)| on sample_ns, kept as logs; each n computed once."""
+def _log_abs_channel(values: Callable[[list[int]], Sequence[float]], label: str, sample_ns: Sequence[int]) -> SeqRep:
+    """The sampled sequence |v_n| on sample_ns, kept as logs, where
+    values(ns) gives v_n at a list of indices.  Each read calls `values`
+    once, on the indices not read before."""
     cache: dict[int, float] = {}
 
     def log_abs(ns: np.ndarray) -> np.ndarray:
-        out = []
-        for n in np.asarray(ns, dtype=np.int64):
-            n = int(n)
-            if n not in cache:
-                v = abs(value(n))
+        ns = [int(n) for n in np.asarray(ns, dtype=np.int64)]
+        missing = [n for n in dict.fromkeys(ns) if n not in cache]
+        if missing:
+            for n, v in zip(missing, values(missing)):
+                v = abs(v)
                 cache[n] = math.log(v) if v > 0 else -math.inf
-            out.append(cache[n])
-        return np.asarray(out)
+        return np.asarray([cache[n] for n in ns])
 
     return SeqRep(
         label=label,
@@ -777,6 +834,11 @@ def _log_abs_channel(value: Callable[[int], float], label: str, sample_ns: Seque
         n_max=max(max(sample_ns), 10_000),
         sample_ns=tuple(sample_ns),
     )
+
+
+def _each(value: Callable[[int], float]) -> Callable[[list[int]], list[float]]:
+    """The values of a channel read one index at a time."""
+    return lambda ns: [value(n) for n in ns]
 
 
 def classify_fun(
@@ -802,7 +864,7 @@ def _classify_table(
     """`classify_fun` on the channels read from the seminorm table p."""
     space = space or colombeau_space()
     bundle = {
-        f"p_{nu}": _log_abs_channel(partial(p, nu=nu), f"p_{nu}({label})", sample_ns)
+        f"p_{nu}": _log_abs_channel(_each(partial(p, nu=nu)), f"p_{nu}({label})", sample_ns)
         for nu in range(nu_max + 1)
     }
     return space.classify(bundle)
@@ -841,46 +903,86 @@ def _nonfinite_integral(ys: np.ndarray) -> float:
     return total
 
 
-def _quad(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Adaptive composite Gauss-Legendre integral of a vectorized integrand.
+def _quad_lockstep(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float], tol: float = 1e-9
+) -> np.ndarray:
+    """Adaptive composite Gauss-Legendre integrals over the intervals
+    [lo[i], hi[i]] in lockstep, of an integrand fn(xs, which) that is
+    vectorized over points and intervals: which[p] is the interval of the
+    point xs[p].
 
-    Each refinement level calls `fn` once, on the nodes of every open panel.
-    A panel is scored by the gap between its 16- and 32-node sums; it is
-    accepted with the 32-node sum when the gap is within its width's share
-    of max(tol, tol*|I|), and halved otherwise, up to `_QUAD_MAX_PANELS`
-    panels.  Non-finite samples end the refinement at once.
+    Each refinement level calls `fn` once, on the nodes of every open panel
+    of every interval.  Each interval is refined as it would be alone: its
+    panels keep their order (left halves, then right halves), and its
+    accept test and its sums are taken on its own panels, so its integral
+    is the same float.  A panel is scored by the gap between its 16- and
+    32-node sums; it is accepted with the 32-node sum when the gap is
+    within its width's share of max(tol, tol*|I|), and halved otherwise,
+    up to `_QUAD_MAX_PANELS` panels per interval.  Non-finite samples end
+    their interval's refinement at once.  When some interval fails, the
+    error of the first one is raised.
     """
-    if hi == lo:
-        return 0.0
     nodes, w_low, w_high = _gl_rules()
-    k = len(w_low)
-    a, b = np.array([lo]), np.array([hi])
-    val = err = 0.0
-    panels = 1
-    while True:
+    k, half_nodes = len(w_low), len(nodes)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    val, err, panels = [0.0] * len(lo), [0.0] * len(lo), [1] * len(lo)
+    failures: list[QuadratureError | None] = [None] * len(lo)
+    # the open panels [a, b] of the intervals still refining and the
+    # interval of each: interval ids[j] owns the next sizes[j] panels
+    owner = np.flatnonzero(hi != lo)
+    a, b, ids, sizes = lo[owner], hi[owner], owner.tolist(), [1] * len(owner)
+    while ids:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         xs = np.concatenate([mid[:, None] - half[:, None] * nodes, mid[:, None] + half[:, None] * nodes], axis=1)
-        ys = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
-        if not np.isfinite(ys).all():
-            return _nonfinite_integral(ys)
-        pairs = ys[:, : len(nodes)] + ys[:, len(nodes) :]
-        low = half * (pairs[:, :k] @ w_low)
-        high = half * (pairs[:, k:] @ w_high)
-        gap = np.abs(high - low)
-        open_ = gap > max(tol, tol * abs(val + high.sum())) * (b - a) / (hi - lo)
-        n_open = int(open_.sum())
-        if panels + n_open > _QUAD_MAX_PANELS:
-            open_[:] = False  # at the cap every panel is kept; the error test decides
-        val += float(high[~open_].sum())
-        err += float(gap[~open_].sum())
-        if not open_.any():
-            break
-        panels += n_open
-        a, mid, b = a[open_], mid[open_], b[open_]
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    if err > max(100 * tol, 1e-6 * abs(val)):
-        raise QuadratureError(f"quadrature error {err:g} too large for value {val:g}")
-    return val
+        ys = np.asarray(fn(xs.ravel(), owner.repeat(xs.shape[1])), dtype=float).reshape(xs.shape)
+        next_a, next_b, next_owner, next_ids, next_sizes = [], [], [], [], []
+        stop = 0
+        for i, size in zip(ids, sizes):
+            start, stop = stop, stop + size
+            y = ys[start:stop]
+            if not np.isfinite(y).all():
+                try:
+                    val[i] = _nonfinite_integral(y)
+                except QuadratureError as exc:
+                    failures[i] = exc
+                continue
+            pairs = y[:, :half_nodes] + y[:, half_nodes:]
+            h = half[start:stop]
+            low = h * (pairs[:, :k] @ w_low)
+            high = h * (pairs[:, k:] @ w_high)
+            gap = np.abs(high - low)
+            a_i, b_i = a[start:stop], b[start:stop]
+            open_ = gap > max(tol, tol * abs(val[i] + high.sum())) * (b_i - a_i) / (hi[i] - lo[i])
+            n_open = int(open_.sum())
+            if panels[i] + n_open > _QUAD_MAX_PANELS:
+                open_[:] = False  # at the cap every panel is kept; the error test decides
+            val[i] += float(high[~open_].sum())
+            err[i] += float(gap[~open_].sum())
+            if not open_.any():
+                if err[i] > max(100 * tol, 1e-6 * abs(val[i])):
+                    failures[i] = QuadratureError(f"quadrature error {err[i]:g} too large for value {val[i]:g}")
+                continue
+            panels[i] += n_open
+            # left halves, then right halves
+            mid_i = mid[start:stop][open_]
+            next_a += [a_i[open_], mid_i]
+            next_b += [mid_i, b_i[open_]]
+            next_owner += [owner[start:stop][open_]] * 2
+            next_ids.append(i)
+            next_sizes.append(2 * n_open)
+        ids, sizes = next_ids, next_sizes
+        if ids:
+            a, b, owner = np.concatenate(next_a), np.concatenate(next_b), np.concatenate(next_owner)
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return np.array(val)
+
+
+def _quad(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float = 1e-9) -> float:
+    """The adaptive integral of a vectorized integrand fn(xs) over [lo, hi]:
+    `_quad_lockstep` on one interval."""
+    return float(_quad_lockstep(lambda xs, which: fn(xs), [lo], [hi], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -957,16 +1059,29 @@ def corrected_mollifier() -> Mollifier:
 # pairings and weak association
 
 
-def pairing(f: SmoothSeq, n: int, psi: TestFunction, tol: float = 1e-9) -> float:
+def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction, tol: float = 1e-9) -> float | np.ndarray:
     """The duality pairing <f_n, psi> by adaptive Gauss-Legendre quadrature
-    on the support of psi clipped to that of f_n."""
-    sup = f.support_fn(n)
-    lo, hi = psi.support
-    if sup is not None:
-        lo, hi = max(lo, sup[0]), min(hi, sup[1])
-        if hi <= lo:
-            return 0.0
-    return _quad(lambda x: f.at(n, x, 0) * psi(x), lo, hi, tol=tol)
+    on the support of psi clipped to that of f_n.
+
+    For a sequence of indices the result is the array of their pairings,
+    from one lockstep quadrature: each refinement level evaluates f at
+    every index in one `SmoothSeq.at` call, and each pairing is the same
+    float as for its index alone."""
+    scalar = np.ndim(n) == 0
+    ns = [n] if scalar else [int(m) for m in n]
+    lo, hi = np.full(len(ns), psi.support[0]), np.full(len(ns), psi.support[1])
+    for i, m in enumerate(ns):
+        sup = f.support_fn(m)
+        if sup is not None:
+            lo[i], hi[i] = max(lo[i], sup[0]), min(hi[i], sup[1])
+            hi[i] = max(hi[i], lo[i])  # an empty meet integrates to 0
+    index = np.array(ns)
+
+    def integrand(xs: np.ndarray, which: np.ndarray) -> np.ndarray:
+        return f.at(n if scalar else index[which], xs, 0) * psi(xs)
+
+    values = _quad_lockstep(integrand, lo, hi, tol)
+    return float(values[0]) if scalar else values
 
 
 def weak_assoc_fun(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -181,6 +181,9 @@ class GrowthExpr:
 
     terms: tuple[GrowthTerm, ...] = ()
     branches: tuple["GrowthExpr", "GrowthExpr"] | None = None
+    # eval_n_min once derived: a field, not an instance __dict__ entry, which
+    # would slow every attribute read of the expression
+    _eval_n_min: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_zero(self) -> bool:
@@ -196,9 +199,16 @@ class GrowthExpr:
             raise ValueError("no dominant term")
         return self.terms[0]
 
-    # -- numeric evaluation needs loglog n > 0 once a loglog power appears
+    # -- numeric evaluation needs loglog n > 0 once a loglog power appears;
+    # derived once per expression (an error is not kept, so a triple-log
+    # factor raises at every read, as at the first)
     @property
     def eval_n_min(self) -> int:
+        if self._eval_n_min is None:
+            object.__setattr__(self, "_eval_n_min", self._derive_eval_n_min())
+        return self._eval_n_min
+
+    def _derive_eval_n_min(self) -> int:
         if self.modulated:
             return max(b.eval_n_min for b in self.branches)
         n_min = 2

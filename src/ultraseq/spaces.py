@@ -816,9 +816,15 @@ class NumberSpace:
         return self.family.member(self.family.m_start)
 
 
+# one shared instance each: a NumberSpace is frozen, and its family's
+# caches only memoise pure values
+
+
+@cache
 def colombeau_space() -> NumberSpace:
     return NumberSpace(family=catalog("colombeau"), mode=Mode.STANDARD)
 
 
+@cache
 def infra_space() -> NumberSpace:
     return NumberSpace(family=catalog("infra"), mode=Mode.UNIT_BALL)

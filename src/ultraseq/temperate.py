@@ -878,7 +878,9 @@ def continuity_trend(
     spec = SeminormSpec(nu=nu)
 
     def norm(seq: SmoothSeq) -> float:
-        rep = genfun._log_abs_channel(partial(seminorm, seq, spec=spec), f"p_{nu}({seq.label})", sample_ns)
+        rep = genfun._log_abs_channel(
+            genfun._each(partial(seminorm, seq, spec=spec)), f"p_{nu}({seq.label})", sample_ns
+        )
         return ultranorm(rep, w).value
 
     out = []

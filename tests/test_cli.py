@@ -400,3 +400,32 @@ def test_batch_rejects_unknown_and_repeated_options(capsys, tmp_path, query, mes
     path.write_text(f"[sequences]\nf = n^2\ng = exp(-n)\ngap = n^2\n\n[queries]\nnorm f\n{query}\n")
     rc, out, err = run(capsys, "batch", str(path))
     assert (rc, out, err) == (1, "", f"error: {path}:8: {message}\n")
+
+
+def _outcome(capsys, argv):
+    try:
+        rc = cli.main(list(argv))
+    except SystemExit as e:  # argparse's usage errors
+        rc = ("exit", e.code)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_the_shared_parser_answers_like_a_fresh_one(capsys):
+    runs = [
+        ("norm", "n^2"),
+        ("classify", "n^-1", "--space", "infra"),
+        ("norm",),
+        ("convert-scale", "power"),
+        ("bogus", "x"),
+        ("check-map", "square", "--role", "nonsense"),
+        ("norm", "log(n)^-1"),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    consecutive = [_outcome(capsys, argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert consecutive == fresh
+    assert consecutive[2][0] == ("exit", 2) and "usage: ultraseq norm" in consecutive[2][2]

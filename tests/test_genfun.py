@@ -328,6 +328,102 @@ def test_quad_infinite_integrand_is_infinite():
         genfun._quad(lambda x: np.where(x < 0.5, math.inf, -math.inf), 0.0, 1.0)
 
 
+def _reference_quad(fn, lo, hi, tol=1e-9):
+    """The one-interval adaptive loop the lockstep routine must reproduce."""
+    if hi == lo:
+        return 0.0
+    nodes, w_low, w_high = genfun._gl_rules()
+    k = len(w_low)
+    a, b = np.array([lo]), np.array([hi])
+    val = err = 0.0
+    panels = 1
+    while True:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs = np.concatenate([mid[:, None] - half[:, None] * nodes, mid[:, None] + half[:, None] * nodes], axis=1)
+        ys = np.asarray(fn(xs.ravel()), dtype=float).reshape(xs.shape)
+        if not np.isfinite(ys).all():
+            return genfun._nonfinite_integral(ys)
+        pairs = ys[:, : len(nodes)] + ys[:, len(nodes) :]
+        low = half * (pairs[:, :k] @ w_low)
+        high = half * (pairs[:, k:] @ w_high)
+        gap = np.abs(high - low)
+        open_ = gap > max(tol, tol * abs(val + high.sum())) * (b - a) / (hi - lo)
+        n_open = int(open_.sum())
+        if panels + n_open > genfun._QUAD_MAX_PANELS:
+            open_[:] = False
+        val += float(high[~open_].sum())
+        err += float(gap[~open_].sum())
+        if not open_.any():
+            break
+        panels += n_open
+        a, mid, b = a[open_], mid[open_], b[open_]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    if err > max(100 * tol, 1e-6 * abs(val)):
+        raise QuadratureError(f"quadrature error {err:g} too large for value {val:g}")
+    return val
+
+
+# elementwise integrands: each point's value does not depend on the others
+_INTEGRANDS = {
+    "smooth": lambda x: np.exp(0.7 * x) * np.cos(3.0 * x),
+    "peak": lambda x: 1.0 / (1e-4 + x * x),
+    "bump": bump(0.1, 0.4),
+    "odd": lambda x: x / (1e-3 + x * x),
+    "panel cap": lambda x: np.sin(1e7 * x),
+    "nan": lambda x: np.where(x > 0.25, np.nan, 1.0),
+    "+inf": lambda x: np.where(x < 0.0, math.inf, x),
+    "-inf": lambda x: np.full_like(x, -math.inf),
+    "+-inf": lambda x: np.where(x < 0.1, math.inf, -math.inf),
+}
+
+
+def _outcomes(thunk):
+    """The integrals as float hex strings, bitwise; or the error raised."""
+    try:
+        values = thunk()
+    except QuadratureError as exc:
+        return f"QuadratureError: {exc}"
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_INTEGRANDS)), st.floats(-1.0, 0.5), st.floats(0.0, 1.5)),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=80, deadline=None)
+@example([("panel cap", 0.0, 1.0)])
+@example([("smooth", -1.0, 0.5), ("nan", 0.0, 1.0), ("+-inf", -0.5, 0.5)])
+@example([("peak", -1.0, 1.0), ("-inf", 0.0, 1.0), ("odd", -0.5, 0.5), ("bump", 0.3, 0.3)])
+def test_lockstep_quadrature_is_each_interval_alone_bitwise(cases):
+    names = [name for name, _, _ in cases]
+    lo = [lo for _, lo, _ in cases]
+    hi = [lo + width for _, lo, width in cases]
+    fns = [_INTEGRANDS[name] for name in names]
+    calls = []
+
+    def integrand(xs, which):
+        calls.append(np.unique(which).tolist())
+        out = np.empty_like(xs)
+        for i, fn in enumerate(fns):
+            out[which == i] = fn(xs[which == i])
+        return out
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [_outcomes(lambda i=i: _reference_quad(fns[i], lo[i], hi[i])) for i in range(len(cases))]
+        got = _outcomes(lambda: genfun._quad_lockstep(integrand, lo, hi))
+        single = [_outcomes(lambda i=i: genfun._quad(fns[i], lo[i], hi[i])) for i in range(len(cases))]
+    assert single == want
+    failed = [w for w in want if isinstance(w, str)]
+    # one interval's error is the first failing one's, as a loop over the
+    # intervals raises it
+    assert got == (failed[0] if failed else [v for (v,) in want])
+    # every call serves every interval still refining, the first level all
+    assert not calls or calls[0] == [i for i in range(len(cases)) if hi[i] != lo[i]]
+
+
 # ---------------------------------------------------------------------------
 # seminorms
 
@@ -627,7 +723,7 @@ def _reference_product(a, b):
         return _reference_leibniz(fa, fa if b is a else b.jet(n, xs, k), k)
 
     p = product_seq(a, b)
-    return genfun._n_free_if(p.n_free, SmoothSeq("ref-product", jet, p.max_order, p.support_fn))
+    return genfun._derived(SmoothSeq("ref-product", jet, p.max_order, p.support_fn), p.n_free, p.index_arrays)
 
 
 def _reference_order_sups(f, n, nu):
@@ -992,3 +1088,98 @@ def test_weak_assoc_mollification_converges(colombeau):
     d = standard_mollifier().sequence()
     v = weak_assoc_fun(d, reindex(d, 2), AssocKind.weak(), space=colombeau)
     assert v.holds == "yes"
+
+
+# ---------------------------------------------------------------------------
+# lockstep pairings: one quadrature over many indices, the same floats
+
+
+_NS = list(genfun._PAIRING_NS)
+
+
+def _pairing_cases():
+    import random
+
+    from ultraseq import corpus
+
+    named = [corpus.named_function(name) for name in ("delta", "delta-sq", "nsinv-delta-sq", "delta-corrected")]
+    rng = random.Random(15)
+    drawn = [corpus.random_smooth(rng) for _ in range(6)] + [sub_seq(*corpus.random_smooth_pair(rng)) for _ in range(3)]
+    return named + drawn
+
+
+@pytest.mark.parametrize("f", _pairing_cases(), ids=lambda f: f.label)
+def test_pairing_over_indices_is_each_index_alone_bitwise(f):
+    for psi in genfun.default_test_set():
+        got = pairing(f, _NS, psi)
+        want = [pairing(f, n, psi) for n in _NS]
+        assert isinstance(want[0], float)
+        assert got.tobytes() == np.array(want).tobytes(), (f.label, psi.label)
+
+
+def _index_array_cases():
+    d = standard_mollifier().sequence()
+    p = poly_fn([0.3, -0.2, 0.1])
+    return {
+        "mollified": d,
+        "mollified^2": mollified(bump(0.1, 0.6), power=2),
+        "reindex": reindex(d, 3),
+        "scale constant": seq_scale(-2.5, d),
+        "scale growth": seq_scale(growth.parse("n^-1 + log(n)"), d),
+        "scale loglog": seq_scale(growth.parse("loglog(n)^2"), sin_fn()),
+        "scale callable": seq_scale(lambda n: math.sqrt(n), p),
+        "derivative": derivative_seq(d, 2),
+        "exp": exp_seq(seq_scale(growth.parse("n^-1"), p)),
+        "product": product_seq(d, seq_scale(growth.parse("n^0.5"), sin_fn(2.0))),
+        "square": square_seq(d),
+        "add": add_seq(d, reindex(d, 2)),
+        "sub": sub_seq(square_seq(d), seq_scale(0.675, d)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_index_array_cases()))
+@given(st.lists(st.sampled_from([1, 2, 3, 16, 64, 1000, 1024]), min_size=1, max_size=40), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_index_array_jet_is_each_index_alone_bitwise(name, ns, k):
+    f = _index_array_cases()[name]
+    assert f.index_arrays
+    n = np.array(ns)
+    # points near the origin, where the n-scaled sequences live
+    xs = np.linspace(-0.9, 0.7, len(ns)) / np.sqrt(n)
+    k = min(k, f.max_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = f.jet(n, xs, k)
+        assert got.shape == (k + 1, len(ns))
+        for m in set(ns):
+            sel = n == m
+            assert got[:, sel].tobytes() == f.jet(m, xs[sel], k).tobytes(), (name, m)
+    # and shaped like the points
+    square = f.jet(n[: len(ns) // 2 * 2].reshape(2, -1), xs[: len(ns) // 2 * 2].reshape(2, -1), k)
+    assert square.tobytes() == got[:, : len(ns) // 2 * 2].tobytes()
+
+
+def test_callable_scale_is_called_once_per_distinct_index():
+    calls = []
+    f = seq_scale(lambda n: calls.append(n) or float(n), bump())
+    n = np.array([4, 8, 4, 4, 16, 8])
+    f.at(n, np.zeros(6))
+    assert calls == [4, 8, 16] and all(type(m) is int for m in calls)
+
+
+def test_a_user_jet_is_only_called_with_an_int_index(counting_seq):
+    d = standard_mollifier().sequence()
+    raw, calls = counting_seq(d)
+    assert d.index_arrays and not raw.index_arrays
+    # a combinator over a user jet passes its index on, so it is int-only too
+    for f, ref in ((raw, d), (square_seq(raw), square_seq(d)), (seq_scale(growth.parse("n^-1"), raw), None)):
+        assert not f.index_arrays
+        psi = genfun.default_test_set()[1]
+        got = pairing(f, _NS, psi)
+        assert got.tobytes() == np.array([pairing(f, n, psi) for n in _NS]).tobytes()
+        if ref is not None:
+            assert got.tobytes() == pairing(ref, _NS, psi).tobytes()
+    assert calls and all(type(n) is int for n, _, _, _ in calls)
+    # one jet call per distinct index and refinement level of the lockstep quadrature
+    calls.clear()
+    pairing(raw, [64, 64, 128], genfun.default_test_set()[0])
+    assert sorted({n for n, _, _, _ in calls}) == [64, 128]

@@ -349,3 +349,27 @@ def test_eval_consistent_with_dominance(e):
     b = mul(e, parse("n"))
     n = 1e8
     assert eval_log(e, np.array([n]))[0] < eval_log(b, np.array([n]))[0]
+
+
+def test_eval_n_min_is_derived_once_per_expression(monkeypatch):
+    calls = []
+    split = growth._split
+    monkeypatch.setattr(growth, "_split", lambda exponent: calls.append(exponent) or split(exponent))
+    e = parse("n^2 + loglog(n) * log(n)")
+    assert e.eval_n_min == 16
+    derived = len(calls)
+    assert derived == len(e.terms)
+    eval_log(e, [16, 32])
+    eval_value(e, 64)
+    assert e.eval_n_min == 16
+    assert len(calls) == derived + 2 * len(e.terms)  # the two evaluations, not their n_min check
+
+
+def test_triple_log_factor_raises_at_each_read_not_at_construction():
+    # exp(logloglog(n)^2): a monomial in the fourth basis slot, outside the power factors
+    e = growth.GrowthExpr(terms=(growth.GrowthTerm(1.0, (((0.0, 0.0, 0.0, 2.0), 1.0),)),))
+    for _ in range(2):
+        with pytest.raises(NotRepresentable, match="triple-log"):
+            e.eval_n_min
+        with pytest.raises(NotRepresentable, match="triple-log"):
+            eval_log(e, [16])

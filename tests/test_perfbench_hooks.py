@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from ultraseq import genfun
-from ultraseq.genfun import SeminormSpec, seminorm, sin_fn, standard_mollifier
+from ultraseq.genfun import SeminormSpec, seminorm, sin_fn, square_seq, standard_mollifier, sub_seq
+from ultraseq.gennum import AssocKind
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,3 +51,37 @@ def test_seminorm_hook_counts_the_walked_lattice(tracer, counting_seq, make, n):
     assert tracer._seminorm_before((f, n, spec), {}) == {"points": walked, "grid_capped": 0}
     assert tracer._seminorm_before((), {"f": f, "n": n, "spec": spec})["points"] == walked
     assert walked <= genfun._MAX_GRID
+
+
+def _levels(f, n, psi):
+    """The refinement levels of the one-index pairing <f_n, psi>."""
+    calls = []
+    lo, hi = psi.support
+    sup = f.support_fn(n)
+    if sup is not None:
+        lo, hi = max(lo, sup[0]), min(hi, sup[1])
+    genfun._quad(lambda xs: calls.append(xs.size) or f.at(n, xs) * psi(xs), lo, hi)
+    return len(calls)
+
+
+def test_weak_association_pairs_in_lockstep_through_the_traced_layers(tracer, monkeypatch):
+    # install the tracer's own wrappers of the two layers, where `install` puts them
+    t = tracer.Tracer()
+    for layer in tracer.LAYERS:
+        if layer.name in ("genfun.pairing", "genfun.eval"):
+            owner = importlib.import_module(layer.module)
+            *path, name = layer.attr.split(".")
+            for part in path:
+                owner = getattr(owner, part)
+            monkeypatch.setattr(owner, name, t._wrap(getattr(owner, name), layer))
+    delta = standard_mollifier().sequence()
+    f, tests = square_seq(delta), genfun.default_test_set()[:3]
+    t.active = True
+    genfun.weak_assoc_fun(f, delta, AssocKind.weak(), test_set=tests)
+    t.active = False
+    diff = sub_seq(f, delta)
+    # one pairing per test function, one evaluation per refinement level:
+    # the deepest index of a channel sets its number of levels
+    levels = [max(_levels(diff, n, psi) for n in genfun._PAIRING_NS) for psi in tests]
+    assert t.counts["genfun.pairing.calls"] == len(tests)
+    assert t.counts["genfun.eval.calls"] == sum(levels)

@@ -489,3 +489,17 @@ def test_single_weight_requires_single_family(egorov):
 def test_space_names():
     assert colombeau_space().name == "colombeau[standard]"
     assert infra_space().name == "infra[unit-ball]"
+
+
+def test_default_spaces_are_shared_and_decide_as_fresh_ones():
+    assert colombeau_space() is colombeau_space()
+    assert infra_space() is infra_space()
+    fresh = {
+        "colombeau": NumberSpace(family=catalog("colombeau"), mode=Mode.STANDARD),
+        "infra": NumberSpace(family=catalog("infra"), mode=Mode.UNIT_BALL),
+    }
+    for name, shared in (("colombeau", colombeau_space()), ("infra", infra_space())):
+        for text in ("n^2", "n^-1", "log(n)^-1", "exp(-n)", "exp(n)", "n^0.5 * log(n)"):
+            for f in (SeqRep.symbolic(text), SeqRep.sampled_from_expr(text)):
+                assert shared.classify({"f": f}).verdict == fresh[name].classify({"f": f}).verdict, (name, text)
+                assert ultranorm(f, shared.single_weight()) == ultranorm(f, fresh[name].single_weight())
