@@ -43,9 +43,10 @@ and each pairing is the same float as alone.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -143,6 +144,16 @@ class SmoothSeq:
     (`n_free`).  Constructors record that fact and combinators propagate
     it; only such sequences can be called without an index or asked for
     their `support`.
+
+    Every sequence has a structural `key`: the constructor and its
+    parameters, and the keys of the operands; equal keys give equal jets.
+    A sequence built directly from a user jet is keyed by the identity of
+    that jet, and so is a callable scale.  One root jet call (a call from
+    outside the tree, such as `at` or a lattice walk) evaluates each
+    subtree that occurs more than once at the same index, order and
+    points only once: it keeps the jet in a table that lives for that call
+    and hands every consumer its own copy.  The same call derives the runs
+    of an index array once for every node that reads the index.
     """
 
     label: str
@@ -152,6 +163,12 @@ class SmoothSeq:
     majorant: Callable[[int, np.ndarray, np.ndarray, int], np.ndarray] | None = None
     n_free: bool = field(default=False, init=False)
     index_arrays: bool = field(default=False, init=False)
+    key: Hashable = field(default=None, init=False, repr=False, compare=False)
+    _tree: _Tree | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a user jet, until a constructor here says what it computes
+        object.__setattr__(self, "key", ("jet", id(self.jet)))
 
     def at(self, n: int | np.ndarray, xs, order: int = 0) -> np.ndarray:
         if order > self.max_order:
@@ -181,21 +198,28 @@ class SmoothSeq:
         return self.support_fn(1)
 
 
-def _derived(seq: SmoothSeq, n_free: bool, index_arrays: bool) -> SmoothSeq:
-    """Record whether `seq` does not depend on n and whether its jet takes
-    index arrays."""
+def _derived(
+    seq: SmoothSeq, n_free: bool, index_arrays: bool, key: Hashable = None, tree: _Tree | None = None
+) -> SmoothSeq:
+    """Record whether `seq` does not depend on n, whether its jet takes
+    index arrays and, for a constructor here, its key and its tree."""
     # frozen, and deliberately not init fields
     object.__setattr__(seq, "n_free", n_free)
     object.__setattr__(seq, "index_arrays", index_arrays)
+    if key is not None:
+        object.__setattr__(seq, "key", key)
+    object.__setattr__(seq, "_tree", tree)
     return seq
 
 
-def _function(label: str, jet, max_order: int, support=None, majorant=None) -> SmoothSeq:
-    """A single smooth function: its jet(n, xs, k) and majorant ignore n."""
+def _function(label: str, jet, max_order: int, support=None, majorant=None, key: Hashable = None) -> SmoothSeq:
+    """A single smooth function: its jet(n, xs, k) and majorant ignore n.
+    Without a key it is keyed by the identity of its jet."""
     return _derived(
         SmoothSeq(label=label, jet=jet, max_order=max_order, support_fn=lambda n: support, majorant=majorant),
         n_free=True,
         index_arrays=True,
+        key=key,
     )
 
 
@@ -266,6 +290,7 @@ def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> Smo
     """The compactly supported bump amplitude * exp(-1/(1 - u^2)), u = (x-c)/w."""
     if width <= 0:
         raise ValueError("width must be positive")
+    center, width, amplitude = float(center), float(width), float(amplitude)
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         out = np.zeros((k + 1,) + xs.shape)
@@ -316,7 +341,12 @@ def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> Smo
         return out
 
     return _function(
-        f"bump({center:g},{width:g})", jet, _BUMP_MAX_ORDER, (center - width, center + width), majorant
+        f"bump({center:g},{width:g})",
+        jet,
+        _BUMP_MAX_ORDER,
+        (center - width, center + width),
+        majorant,
+        ("bump", center, width, amplitude),
     )
 
 
@@ -338,10 +368,13 @@ def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
         jet,
         64,
         majorant=lambda n, a, b, k: _horner_bound(matrix[: k + 1], a, b),
+        key=("poly", tuple(matrix[0].tolist())),
     )
 
 
 def sin_fn(freq: float = 1.0) -> SmoothSeq:
+    freq = float(freq)
+
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         # the derivatives cycle through freq^j * (sin, cos, -sin, -cos): rows
         # 0 and 1 hold sin and cos, and are scaled last
@@ -367,10 +400,12 @@ def sin_fn(freq: float = 1.0) -> SmoothSeq:
             np.multiply(out[j % 2], abs((-1) ** (j // 2) * freq ** j), out=out[j])
         return out
 
-    return _function(f"sin({freq:g}x)", jet, 64, majorant=majorant)
+    return _function(f"sin({freq:g}x)", jet, 64, majorant=majorant, key=("sin", freq))
 
 
 def const_fn(c: float) -> SmoothSeq:
+    c = float(c)
+
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         out = np.zeros((k + 1,) + xs.shape)
         out[0] = c
@@ -379,7 +414,12 @@ def const_fn(c: float) -> SmoothSeq:
     # the zero function carries an empty support so that sums with it keep
     # their support interval (adaptive quadrature needs the clipping)
     return _function(
-        f"const({c:g})", jet, 64, (0.0, 0.0) if c == 0 else None, lambda n, a, b, k: np.abs(jet(n, a, k))
+        f"const({c:g})",
+        jet,
+        64,
+        (0.0, 0.0) if c == 0 else None,
+        lambda n, a, b, k: np.abs(jet(n, a, k)),
+        ("const", c),
     )
 
 
@@ -433,8 +473,101 @@ def _same(n: int, k: int) -> tuple[int, int, None]:
     return n, k, None
 
 
+class _Tree(NamedTuple):
+    """What `_node` derives once for a combinator's sequence."""
+
+    # evaluate(n, xs, k, shared): the jet inside a root call whose table of
+    # repeated subtrees is `shared` (None: the tree repeats none)
+    evaluate: Callable[..., np.ndarray]
+    # (context, key, size) of the tree and of each subtree in evaluation
+    # order, size counting the subtree's own entries; the context lists the
+    # ancestors that move the index, the order or the points, so equal
+    # entries are equal work in one root call
+    occurrences: tuple[tuple[tuple, Hashable, int], ...]
+
+
+def _occurrences(f: SmoothSeq) -> tuple[tuple[tuple, Hashable, int], ...]:
+    return f._tree.occurrences if f._tree is not None else (((), f.key, 1),)
+
+
+def _shared_steps(occurrences: tuple[tuple[tuple, Hashable, int], ...]) -> tuple[int | None, ...] | None:
+    """For each subtree a root jet call visits, in order, its slot in the
+    call's table (None: evaluated in place); None when no subtree occurs
+    twice.  A visit to a subtree seen before reads the table and skips
+    the subtree's own subtrees."""
+    visits, i = [], 1  # the root is visited by the call itself
+    while i < len(occurrences):
+        context, key, size = occurrences[i]
+        i += size if (context, key) in visits else 1
+        visits.append((context, key))
+    counts = Counter(visits)
+    if len(counts) == len(visits):
+        return None
+    slots: dict[tuple, int] = {}
+    return tuple(slots.setdefault(v, len(slots)) if counts[v] > 1 else None for v in visits)
+
+
+class _Shared:
+    """The table of one root jet call: the jet of each repeated subtree,
+    from its first visit; every visit gets its own copy, since
+    combinators work in place."""
+
+    __slots__ = ("steps", "visit", "table")
+
+    def __init__(self, steps: tuple[int | None, ...]):
+        self.steps, self.visit, self.table = steps, 0, {}
+
+    def jet(self, f: SmoothSeq, n, xs: np.ndarray, k: int) -> np.ndarray:
+        slot = self.steps[self.visit]
+        self.visit += 1
+        if slot is None:
+            return self._evaluate(f, n, xs, k)
+        if slot not in self.table:
+            self.table[slot] = self._evaluate(f, n, xs, k)
+        return self.table[slot].copy()
+
+    def _evaluate(self, f: SmoothSeq, n, xs: np.ndarray, k: int) -> np.ndarray:
+        return f.jet(n, xs, k) if f._tree is None else f._tree.evaluate(n, xs, k, self)
+
+
+class _Indices:
+    """An index array inside one root jet call, one index per point, with
+    its runs of equal indices derived once, when a node first reads them.
+
+    A lockstep quadrature gives each interval's points one run of equal
+    indices, so the distinct indices are found among the runs' first
+    entries, without sorting every point."""
+
+    __slots__ = ("points", "_runs")
+
+    def __init__(self, points: np.ndarray):
+        self.points, self._runs = points, None
+
+    def spread(self, values_of: Callable[[np.ndarray], Sequence]) -> np.ndarray:
+        """The entry of values_of(distinct indices) at each point's index:
+        values_of is called once, on the sorted distinct indices, and its
+        first axis runs over them."""
+        if self._runs is None:
+            flat = self.points.ravel()
+            starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))[: flat.size]
+            distinct = np.unique(flat[starts])
+            lengths = np.append(starts[1:], flat.size) - starts
+            self._runs = distinct, np.searchsorted(distinct, flat[starts]), lengths
+        distinct, where, lengths = self._runs
+        values = np.asarray(values_of(distinct))
+        return np.repeat(values[where], lengths, axis=0).reshape(self.points.shape + values.shape[1:])
+
+
 def _node(
-    label: str, rule, operands: tuple[SmoothSeq, ...], at=_same, *, n_free=None, max_order=None, support_fn=None
+    label: str,
+    op: Hashable,
+    rule,
+    operands: tuple[SmoothSeq, ...],
+    at=_same,
+    *,
+    n_free=None,
+    max_order=None,
+    support_fn=None,
 ) -> SmoothSeq:
     """A combinator's sequence.  With (index, order, stretch) = at(n, k),
     rule(n, k, bound, *arrays) makes the orders 0..k from the operands'
@@ -445,16 +578,30 @@ def _node(
     the node has a majorant when every operand has one, is n-free when
     every operand is, reaches the smallest operand order and has the first
     operand's support.  Its jet takes index arrays when every operand's
-    does; `at` and a rule that reads n handle both kinds of index."""
+    does; `at` and a rule that reads n take an int or an `_Indices`.
 
-    def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
+    `op` names the rule and its parameters: with the operands' keys it
+    makes the node's key."""
+    key = (op,) + tuple(f.key for f in operands)
+    context = () if at is _same else (op,)
+    inner = tuple((context + c, k, size) for f in operands for c, k, size in _occurrences(f))
+    occurrences = (((), key, len(inner) + 1),) + inner
+    steps = _shared_steps(occurrences)
+
+    def evaluate(n, xs: np.ndarray, k: int, shared: _Shared | None) -> np.ndarray:
         index, order, stretch = at(n, k)
         if stretch is not None:
             xs = stretch * xs
         arrays = []  # a loop, not a comprehension: no function object per call
         for f in operands:
-            arrays.append(f.jet(index, xs, order))
+            arrays.append(f.jet(index, xs, order) if shared is None else shared.jet(f, index, xs, order))
         return rule(n, k, False, *arrays)
+
+    def jet(n, xs: np.ndarray, k: int) -> np.ndarray:
+        # a root call, or an inner one of a tree that repeats no subtree
+        if isinstance(n, np.ndarray):
+            n = _Indices(n)
+        return evaluate(n, xs, k, None if steps is None else _Shared(steps))
 
     def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
         index, order, stretch = at(n, k)
@@ -475,28 +622,14 @@ def _node(
         ),
         n_free=all(f.n_free for f in operands) if n_free is None else n_free,
         index_arrays=all(f.index_arrays for f in operands),
+        key=key,
+        tree=_Tree(evaluate, occurrences),
     )
-
-
-def _spread(n: np.ndarray, values_of: Callable[[np.ndarray], Sequence]) -> np.ndarray:
-    """For an index array n, the entry of values_of(distinct indices) at
-    each point's index: values_of is called once, on the sorted distinct
-    indices, and its first axis runs over them.
-
-    A lockstep quadrature gives each interval's points one run of equal
-    indices, so the distinct indices are found among the runs' first
-    entries, without sorting every point."""
-    flat = n.ravel()
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))[: flat.size]
-    distinct = np.unique(flat[starts])
-    values = np.asarray(values_of(distinct))
-    runs = values[np.searchsorted(distinct, flat[starts])]
-    return np.repeat(runs, np.append(starts[1:], flat.size) - starts, axis=0).reshape(n.shape + values.shape[1:])
 
 
 def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
     """A function is already the constant sequence f_n = f: this only relabels."""
-    return fn if label is None else _node(label, lambda n, k, bound, f: f, (fn,))
+    return fn if label is None else _node(label, ("relabel",), lambda n, k, bound, f: f, (fn,))
 
 
 def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> SmoothSeq:
@@ -511,8 +644,8 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
         def powers(ms) -> np.ndarray:
             return np.array([[float(m) ** (power + j) for j in range(k + 1)] for m in ms]).reshape(len(ms), k + 1)
 
-        if isinstance(n, np.ndarray):
-            scales = np.moveaxis(_spread(n, powers), -1, 0)
+        if isinstance(n, _Indices):
+            scales = np.moveaxis(n.spread(powers), -1, 0)
         else:
             scales = powers([n])[0].reshape((-1,) + (1,) * (values.ndim - 1))
         values *= scales
@@ -520,9 +653,10 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
 
     return _node(
         label or f"n^{power}*{profile.label}(n x)",
+        ("mollified", power),
         scaled,
         (profile,),
-        lambda n, k: (1, k, n),
+        lambda n, k: (1, k, n.points if isinstance(n, _Indices) else n),
         n_free=False,
         support_fn=lambda n: (a / n, b / n),
     )
@@ -533,9 +667,10 @@ def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
         raise ValueError(f"reindex factor must be a positive integer, not {factor}")
     return _node(
         label or f"{seq.label} at {factor}n",
+        ("reindex", factor),
         lambda n, k, bound, f: f,
         (seq,),
-        lambda n, k: (factor * n, k, None),
+        lambda n, k: (_Indices(factor * n.points) if isinstance(n, _Indices) else factor * n, k, None),
         support_fn=lambda n: seq.support_fn(factor * n),
     )
 
@@ -550,21 +685,24 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         at_index = lru_cache(maxsize=1)(lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min))))
 
         def scale_fn(n):
-            if isinstance(n, np.ndarray):
-                return _spread(n, lambda ms: growth.eval_value(expr, np.maximum(ms, expr.eval_n_min)))
+            if isinstance(n, _Indices):
+                return n.spread(lambda ms: growth.eval_value(expr, np.maximum(ms, expr.eval_n_min)))
             return at_index(n)
 
         scale_label = growth.format_expr(expr)
+        op = ("scale", expr)
     elif callable(scale):
 
         def scale_fn(n):
-            return _spread(n, lambda ms: [scale(int(m)) for m in ms]) if isinstance(n, np.ndarray) else scale(n)
+            return n.spread(lambda ms: [scale(int(m)) for m in ms]) if isinstance(n, _Indices) else scale(n)
 
         scale_label = "c_n"
+        op = ("scale", "callable", id(scale))  # the node holds the scale, so the id stays its own
     else:
         c = float(scale)
         scale_fn = lambda n: c
         scale_label = f"{c:g}"
+        op = ("scale", c)
         n_free = None  # that of seq
 
     def scaled(n, k: int, bound: bool, base: np.ndarray) -> np.ndarray:
@@ -577,7 +715,7 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         base *= c
         return base
 
-    return _node(label or f"{scale_label} * {seq.label}", scaled, (seq,), n_free=n_free)
+    return _node(label or f"{scale_label} * {seq.label}", op, scaled, (seq,), n_free=n_free)
 
 
 def _sum(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -588,6 +726,7 @@ def _sum(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray) -> np.ndar
 def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
     return _node(
         label or f"{a.label} + {b.label}",
+        ("add",),
         _sum,
         (a, b),
         support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
@@ -624,6 +763,7 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
     square evaluates its factor once."""
     return _node(
         label or f"({a.label})*({b.label})",
+        ("product",),
         _leibniz,
         (a,) if b is a else (a, b),
         support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
@@ -649,7 +789,7 @@ def exp_seq(a: SmoothSeq, label: str | None = None) -> SmoothSeq:
     The same recurrence on a majorant of f gives one of exp(f), since
     exp(f) <= exp(|f|).
     """
-    return _node(label or f"exp({a.label})", _exp_recurrence, (a,), support_fn=lambda n: None)
+    return _node(label or f"exp({a.label})", ("exp",), _exp_recurrence, (a,), support_fn=lambda n: None)
 
 
 def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> SmoothSeq:
@@ -659,6 +799,7 @@ def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> Sm
         raise ValueError("derivative shift exceeds the supported order")
     return _node(
         label or f"D^{shift} {a.label}",
+        ("derivative", shift),
         lambda n, k, bound, values: values[shift:],
         (a,),
         lambda n, k: (n, k + shift, None),
@@ -891,6 +1032,15 @@ def _gl_rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([x_low[k_low:], x_high[k_high:]]), w_low[k_low:], w_high[k_high:]
 
 
+@lru_cache(maxsize=1)
+def _gl_nodes() -> np.ndarray:
+    """The nodes of `_gl_rules` on one panel: x = mid + half * node for the
+    negated positive nodes, then the positive ones.  mid + half * (-t) is
+    the same float as mid - half * t."""
+    nodes = _gl_rules()[0]
+    return np.concatenate([-nodes, nodes])
+
+
 def _nonfinite_integral(ys: np.ndarray) -> float:
     """The integral when some samples are not finite: +-inf when every
     infinite sample has one sign, an error for nan or mixed signs."""
@@ -921,62 +1071,122 @@ def _quad_lockstep(
     up to `_QUAD_MAX_PANELS` panels per interval.  Non-finite samples end
     their interval's refinement at once.  When some interval fails, the
     error of the first one is raised.
+
+    The bookkeeping of a level is done once per group of intervals with
+    the same number m of open panels, on (intervals, m) arrays: a stacked
+    matrix product and a sum along each row give every interval the floats
+    of its own product and sum (one product over all panels would not),
+    and the sums over accepted panels are taken per group of equal
+    accepted count.
     """
-    nodes, w_low, w_high = _gl_rules()
-    k, half_nodes = len(w_low), len(nodes)
+    _, w_low, w_high = _gl_rules()
+    signed = _gl_nodes()
+    k, half_nodes = len(w_low), len(signed) // 2
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    val, err, panels = [0.0] * len(lo), [0.0] * len(lo), [1] * len(lo)
+    val = np.zeros(len(lo))
     failures: list[QuadratureError | None] = [None] * len(lo)
-    # the open panels [a, b] of the intervals still refining and the
-    # interval of each: interval ids[j] owns the next sizes[j] panels
-    owner = np.flatnonzero(hi != lo)
-    a, b, ids, sizes = lo[owner], hi[owner], owner.tolist(), [1] * len(owner)
-    while ids:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs = np.concatenate([mid[:, None] - half[:, None] * nodes, mid[:, None] + half[:, None] * nodes], axis=1)
-        ys = np.asarray(fn(xs.ravel(), owner.repeat(xs.shape[1])), dtype=float).reshape(xs.shape)
-        next_a, next_b, next_owner, next_ids, next_sizes = [], [], [], [], []
+    # 0-d arrays: numpy applies them faster than Python floats, same floats
+    tol_, half_ = np.array(tol), np.array(0.5)
+    # the intervals still refining, in groups of equal open panel count m:
+    # (ids, cuts, integral, error, accepted, span), where cuts[0, r] and
+    # cuts[2, r] hold the ends a and b of the m open panels of interval
+    # ids[r], in that interval's order, and cuts[1, r] their middles; then,
+    # per interval, the integral and the error estimate so far, the number
+    # of panels accepted (it has accepted + m panels) and its length
+    ids = np.flatnonzero(hi != lo)
+    a, b = lo[ids], hi[ids]
+    cuts = np.empty((3, len(ids), 1))
+    cuts[0, :, 0], cuts[2, :, 0] = a, b
+    groups = [(ids, cuts, np.zeros(len(ids)), np.zeros(len(ids)), np.zeros(len(ids)), b - a)] if len(ids) else []
+    level = 0
+    while groups:
+        xs, owner, widths = [], [], []
+        for ids, cuts, *_ in groups:
+            mid = np.add(cuts[0], cuts[2], out=cuts[1])
+            mid *= half_
+            width = cuts[2] - cuts[0]
+            half = half_ * width
+            xs.append((mid[..., None] + half[..., None] * signed).reshape(-1, len(signed)))
+            owner.append(ids.repeat(cuts.shape[2] * len(signed)))
+            widths.append((width, half))
+        xs, owner = (np.concatenate(xs), np.concatenate(owner)) if len(groups) > 1 else (xs[0], owner[0])
+        ys = np.asarray(fn(xs.ravel(), owner), dtype=float).reshape(xs.shape)
+        finite = np.logical_and.reduce(np.isfinite(ys), None)
+        grown: dict[int, list[tuple[np.ndarray, ...]]] = {}
         stop = 0
-        for i, size in zip(ids, sizes):
-            start, stop = stop, stop + size
-            y = ys[start:stop]
-            if not np.isfinite(y).all():
-                try:
-                    val[i] = _nonfinite_integral(y)
-                except QuadratureError as exc:
-                    failures[i] = exc
-                continue
-            pairs = y[:, :half_nodes] + y[:, half_nodes:]
-            h = half[start:stop]
-            low = h * (pairs[:, :k] @ w_low)
-            high = h * (pairs[:, k:] @ w_high)
-            gap = np.abs(high - low)
-            a_i, b_i = a[start:stop], b[start:stop]
-            open_ = gap > max(tol, tol * abs(val[i] + high.sum())) * (b_i - a_i) / (hi[i] - lo[i])
-            n_open = int(open_.sum())
-            if panels[i] + n_open > _QUAD_MAX_PANELS:
-                open_[:] = False  # at the cap every panel is kept; the error test decides
-            val[i] += float(high[~open_].sum())
-            err[i] += float(gap[~open_].sum())
-            if not open_.any():
-                if err[i] > max(100 * tol, 1e-6 * abs(val[i])):
-                    failures[i] = QuadratureError(f"quadrature error {err[i]:g} too large for value {val[i]:g}")
-                continue
-            panels[i] += n_open
-            # left halves, then right halves
-            mid_i = mid[start:stop][open_]
-            next_a += [a_i[open_], mid_i]
-            next_b += [mid_i, b_i[open_]]
-            next_owner += [owner[start:stop][open_]] * 2
-            next_ids.append(i)
-            next_sizes.append(2 * n_open)
-        ids, sizes = next_ids, next_sizes
-        if ids:
-            a, b, owner = np.concatenate(next_a), np.concatenate(next_b), np.concatenate(next_owner)
+        for group, (width, half) in zip(groups, widths):
+            ids, cuts, integral, error, accepted, span = group
+            g, m = width.shape
+            start, stop = stop, stop + g * m
+            y = ys[start:stop].reshape(g, m, -1)
+            if not finite:
+                bad = ~np.isfinite(y).all(axis=(1, 2))
+                for i, yi in zip(ids[bad].tolist(), y[bad]):
+                    try:
+                        val[i] = _nonfinite_integral(yi)
+                    except QuadratureError as exc:
+                        failures[i] = exc
+                ids, integral, error, accepted, span, y, width, half = (
+                    x[~bad] for x in (ids, integral, error, accepted, span, y, width, half)
+                )
+                cuts, g = cuts[:, ~bad], len(ids)
+                if not g:
+                    continue
+            pairs = y[..., :half_nodes] + y[..., half_nodes:]
+            # per panel: the 32-node sum, and its gap to the 16-node sum
+            high = half * (pairs[..., k:] @ w_high)
+            gap = high - half * (pairs[..., :k] @ w_low)
+            np.abs(gap, out=gap)
+            limit = np.fmax(tol_, tol_ * np.abs(integral + np.add.reduce(high, 1)))
+            open_ = gap > limit[:, None] * width / span[:, None]
+            n_open = np.add.reduce(open_, 1)
+            if 2 << level > _QUAD_MAX_PANELS:
+                # at the cap every panel is kept; the error test decides
+                # (an interval has at most 2^level panels before this level
+                # and opens at most 2^level more)
+                capped = accepted + m + n_open > _QUAD_MAX_PANELS
+                open_[capped] = False
+                n_open[capped] = 0
+            counts = set(n_open.tolist())
+            for c in counts:
+                part = (ids, cuts, integral, error, accepted, span, open_, high, gap)
+                if len(counts) > 1:
+                    rows = n_open == c
+                    # cuts has its rows on axis 1
+                    part = tuple(x[:, rows] if x is cuts else x[rows] for x in part)
+                rid, rcuts, rint, rerr, racc, rspan, ropen, rhigh, rgap = part
+                r = len(rid)
+                if c < m:
+                    if c:
+                        kept = ~ropen
+                        rhigh, rgap = rhigh[kept].reshape(r, m - c), rgap[kept].reshape(r, m - c)
+                        racc = racc + (m - c)
+                    rint += np.add.reduce(rhigh, 1)
+                    rerr += np.add.reduce(rgap, 1)
+                if not c:
+                    val[rid] = rint
+                    for i, v, e in zip(rid.tolist(), rint.tolist(), rerr.tolist()):
+                        if e > max(100 * tol, 1e-6 * abs(v)):
+                            failures[i] = QuadratureError(f"quadrature error {e:g} too large for value {v:g}")
+                    continue
+                if c < m:
+                    rcuts = rcuts[:, ropen].reshape(3, r, c)
+                # left halves [a, mid], then right halves [mid, b]; the
+                # middles are filled in at the next level
+                halves = np.empty((3, r, 2 * c))
+                halves[::2, :, :c] = rcuts[:2]
+                halves[::2, :, c:] = rcuts[1:]
+                grown.setdefault(2 * c, []).append((rid, halves, rint, rerr, racc, rspan))
+        groups = []
+        for pieces in grown.values():
+            if len(pieces) > 1:
+                pieces = [tuple(np.concatenate(x, axis=1 if x[0].ndim == 3 else 0) for x in zip(*pieces))]
+            groups += pieces
+        level += 1
     for exc in failures:
         if exc is not None:
             raise exc
-    return np.array(val)
+    return val
 
 
 def _quad(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float = 1e-9) -> float:

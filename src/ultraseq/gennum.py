@@ -48,7 +48,6 @@ __all__ = [
     "null_predicate",
     "bounded_predicate",
     "JXReport",
-    "seq_add",
 ]
 
 
@@ -97,11 +96,6 @@ def make(rep, space: NumberSpace, phase: complex = 1 + 0j, label: str | None = N
             f"representative {g.magnitude.label!r} is not moderate in {space.name}"
         )
     return g
-
-
-# pointwise sum of nonnegative sequences, shared with the JX machinery;
-# exact when both summands are
-seq_add = _sum
 
 
 def _check_spaces(a: GenNumber, b: GenNumber):
@@ -514,7 +508,7 @@ def jx_well_defined(
     for i, u in enumerate(members):
         for v in members[i:]:
             pairs += 1
-            s = seq_add(u, v)
+            s = _sum(u, v)
             if j_predicate(s) is False:
                 additivity.append(
                     f"{j_label} contains {u.label!r} and {v.label!r} but not their sum"

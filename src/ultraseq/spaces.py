@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -374,6 +374,7 @@ def _window_keys(ns) -> np.ndarray:
     return k - ((1 << k) > ns)
 
 
+@lru_cache(maxsize=8)
 def _sample_grid(n_min: int, n_max: int) -> np.ndarray:
     """The sorted int64 indices at which a sampled tail is read.
 
@@ -382,16 +383,22 @@ def _sample_grid(n_min: int, n_max: int) -> np.ndarray:
     index it shares with that range; they are rounded, deduplicated and
     clipped to that shared part, so the grid lies in [n_min, n_max].  An
     empty range gives an empty grid.
+
+    Standalone sampled norms ask for the same few ranges over and over, so
+    each grid is built once and shared: the array is read-only.
     """
     n_lo = max(n_min, 2)
     if n_max < n_lo:
-        return np.empty(0, dtype=np.int64)
-    k_lo, k_hi = _window_keys([n_lo, n_max])
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    lo = np.maximum(1 << ks, n_lo)
-    hi = np.minimum((1 << (ks + 1)) - 1, n_max)
-    pts = np.round(np.geomspace(lo, hi, _PER_WINDOW, axis=-1)).astype(np.int64)
-    return np.unique(np.clip(pts, lo[:, None], hi[:, None]))
+        grid = np.empty(0, dtype=np.int64)
+    else:
+        k_lo, k_hi = _window_keys([n_lo, n_max])
+        ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+        lo = np.maximum(1 << ks, n_lo)
+        hi = np.minimum((1 << (ks + 1)) - 1, n_max)
+        pts = np.round(np.geomspace(lo, hi, _PER_WINDOW, axis=-1)).astype(np.int64)
+        grid = np.unique(np.clip(pts, lo[:, None], hi[:, None]))
+    grid.flags.writeable = False
+    return grid
 
 
 def _tail_grid(f: SeqRep, n_min: int) -> np.ndarray:

@@ -179,7 +179,7 @@ def catalog(name: str) -> WeightFamily:
 
     - "colombeau": the single weight 1/log n.
     - "infra": the single weight 1/n, read in unit-ball mode.
-    - "egorov": step weights, 1 up to level m then 0; decreasing in m.
+    - "egorov": step weights, 1 up to level m then 0; increasing in m.
     - "ultra": r^m = n^(-m/(m-1)) for m >= 2; increasing in m.
     """
     if name == "colombeau":

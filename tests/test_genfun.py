@@ -374,6 +374,9 @@ _INTEGRANDS = {
     "+inf": lambda x: np.where(x < 0.0, math.inf, x),
     "-inf": lambda x: np.full_like(x, -math.inf),
     "+-inf": lambda x: np.where(x < 0.1, math.inf, -math.inf),
+    # the panel-cap integrand, nan in one spot that only the finest level's
+    # nodes reach
+    "late nan": lambda x: np.where(np.abs(x - 0.3) < 1e-5, np.nan, np.sin(1e7 * x)),
 }
 
 
@@ -397,6 +400,13 @@ def _outcomes(thunk):
 @example([("panel cap", 0.0, 1.0)])
 @example([("smooth", -1.0, 0.5), ("nan", 0.0, 1.0), ("+-inf", -0.5, 0.5)])
 @example([("peak", -1.0, 1.0), ("-inf", 0.0, 1.0), ("odd", -0.5, 0.5), ("bump", 0.3, 0.3)])
+# levels whose intervals have 2 and 4 open panels
+@example([("peak", -1.0, 1.0), ("smooth", -1.0, 0.5), ("bump", -0.5, 1.0)])
+# equal open panel counts, with 1 and 0 panels accepted
+@example([("peak", -1.0, 1.0), ("peak", -0.5, 1.0), ("odd", -0.5, 0.9)])
+# at the last level, one group holds an interval at the panel cap and one
+# whose samples turn nan
+@example([("panel cap", 0.0, 1.0), ("late nan", 0.0, 1.0)])
 def test_lockstep_quadrature_is_each_interval_alone_bitwise(cases):
     names = [name for name, _, _ in cases]
     lo = [lo for _, lo, _ in cases]
@@ -1156,6 +1166,69 @@ def test_index_array_jet_is_each_index_alone_bitwise(name, ns, k):
     # and shaped like the points
     square = f.jet(n[: len(ns) // 2 * 2].reshape(2, -1), xs[: len(ns) // 2 * 2].reshape(2, -1), k)
     assert square.tobytes() == got[:, : len(ns) // 2 * 2].tobytes()
+
+
+def _delta_differences(d, other):
+    """delta^2 - delta, delta^2 - c*delta and n^-1 delta^2 - c*delta, with
+    delta^2 built on d and the subtracted delta on other."""
+    sq, c_other = square_seq(d), seq_scale(0.675, other)
+    return {
+        "d2-d": sub_seq(sq, other),
+        "d2-cd": sub_seq(sq, c_other),
+        "nd2-cd": sub_seq(seq_scale(growth.parse("n^-1"), sq), c_other),
+    }
+
+
+def test_shared_subtrees_give_the_unshared_rows_bitwise():
+    one, twin = standard_mollifier().sequence(), standard_mollifier().sequence()
+    assert twin is not one and twin.key == one.key
+    # reindexing by 1 keeps the values and makes a distinct subtree
+    unshared = _delta_differences(one, reindex(one, 1))
+    n = np.repeat(_NS, 3)
+    xs = np.linspace(-0.9, 0.7, len(n)) / n
+    for name, f in _delta_differences(one, one).items():
+        g, ref = _delta_differences(one, twin)[name], unshared[name]
+        assert genfun._shared_steps(f._tree.occurrences) is not None
+        assert genfun._shared_steps(ref._tree.occurrences) is None
+        for index, points in ((n, xs), (64, xs), (1024, xs[:5])):
+            want = ref.jet(index, points, 2).tobytes()
+            assert f.jet(index, points, 2).tobytes() == want, (name, index)
+            assert g.jet(index, points, 2).tobytes() == want, (name, index)
+
+
+def test_a_shared_leaf_is_evaluated_once_per_root_call(counting_seq):
+    d = standard_mollifier().sequence()
+    raw, calls = counting_seq(d)
+    xs = np.linspace(-0.01, 0.01, 9)
+    for (name, f), ref in zip(_delta_differences(raw, raw).items(), _delta_differences(d, d).values()):
+        calls.clear()
+        got = f.jet(64, xs, 1)
+        assert len(calls) == 1, name
+        assert got.tobytes() == ref.jet(64, xs, 1).tobytes()
+        # `at` splits an index array into one root call per distinct index
+        calls.clear()
+        f.at(np.array([16, 64, 16, 16]), xs[:4])
+        assert sorted(n for n, _, _, _ in calls) == [16, 64], name
+    # unshared, the leaf is evaluated once per occurrence
+    calls.clear()
+    sub_seq(square_seq(raw), reindex(raw, 1)).jet(64, xs, 1)
+    assert len(calls) == 2
+
+
+def test_each_consumer_of_a_shared_subtree_owns_its_copy():
+    # a constant scale multiplies its operand's jet in place, so a scale by
+    # 0 overwrites the copy it is given
+    d = standard_mollifier().sequence()
+    n = np.repeat(_NS, 2)
+    xs = np.linspace(-0.5, 0.5, len(n)) / n
+    for first, second in ((0.0, 3.0), (2.0, 3.0), (3.0, 0.0)):
+        f = add_seq(seq_scale(first, d), seq_scale(second, d))
+        ref = add_seq(seq_scale(first, d), seq_scale(second, reindex(d, 1)))
+        assert genfun._shared_steps(f._tree.occurrences) is not None
+        for index in (n, 256):
+            got = f.jet(index, xs, 3)
+            assert got.tobytes() == ref.jet(index, xs, 3).tobytes()
+            np.testing.assert_allclose(got, (first + second) * d.jet(index, xs, 3), rtol=1e-15)
 
 
 def test_callable_scale_is_called_once_per_distinct_index():

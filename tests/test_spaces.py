@@ -205,6 +205,17 @@ def test_sample_grid_edge_ranges():
     assert _sample_grid(2, 2**50 - 1).max() == 2**50 - 1
 
 
+@pytest.mark.parametrize("n_min, n_max", [(2, 10**6), (16, 10**6), (6, 5)])
+def test_sample_grid_is_shared_read_only(n_min, n_max):
+    grid = _sample_grid(n_min, n_max)
+    assert _sample_grid(n_min, n_max) is grid
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[...] = 0
+    fresh = _sample_grid.__wrapped__(n_min, n_max)
+    assert fresh is not grid and fresh.tobytes() == grid.tobytes() and fresh.dtype == grid.dtype
+
+
 def test_window_keys_are_exact_at_powers_of_two():
     ks = range(2, 54)
     assert _window_keys([2**k - 1 for k in ks]).tolist() == [k - 1 for k in ks]
