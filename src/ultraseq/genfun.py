@@ -145,6 +145,11 @@ class SmoothSeq:
     it; only such sequences can be called without an index or asked for
     their `support`.
 
+    `const_rows` holds the orders j whose jet row is, at every int index,
+    one float at every point (a constant, or a polynomial's derivative of
+    its degree and above).  Constructors record it and combinators derive
+    it; it is never more than that, so a user jet has none.
+
     Every sequence has a structural `key`: the constructor and its
     parameters, and the keys of the operands; equal keys give equal jets.
     A sequence built directly from a user jet is keyed by the identity of
@@ -163,6 +168,7 @@ class SmoothSeq:
     majorant: Callable[[int, np.ndarray, np.ndarray, int], np.ndarray] | None = None
     n_free: bool = field(default=False, init=False)
     index_arrays: bool = field(default=False, init=False)
+    const_rows: frozenset[int] = field(default=frozenset(), init=False, repr=False, compare=False)
     key: Hashable = field(default=None, init=False, repr=False, compare=False)
     _tree: _Tree | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -199,20 +205,29 @@ class SmoothSeq:
 
 
 def _derived(
-    seq: SmoothSeq, n_free: bool, index_arrays: bool, key: Hashable = None, tree: _Tree | None = None
+    seq: SmoothSeq,
+    n_free: bool,
+    index_arrays: bool,
+    key: Hashable = None,
+    tree: _Tree | None = None,
+    const_rows: frozenset[int] = frozenset(),
 ) -> SmoothSeq:
     """Record whether `seq` does not depend on n, whether its jet takes
-    index arrays and, for a constructor here, its key and its tree."""
+    index arrays, its constant rows and, for a constructor here, its key
+    and its tree."""
     # frozen, and deliberately not init fields
     object.__setattr__(seq, "n_free", n_free)
     object.__setattr__(seq, "index_arrays", index_arrays)
+    object.__setattr__(seq, "const_rows", const_rows)
     if key is not None:
         object.__setattr__(seq, "key", key)
     object.__setattr__(seq, "_tree", tree)
     return seq
 
 
-def _function(label: str, jet, max_order: int, support=None, majorant=None, key: Hashable = None) -> SmoothSeq:
+def _function(
+    label: str, jet, max_order: int, support=None, majorant=None, key: Hashable = None, const_rows=frozenset()
+) -> SmoothSeq:
     """A single smooth function: its jet(n, xs, k) and majorant ignore n.
     Without a key it is keyed by the identity of its jet."""
     return _derived(
@@ -220,6 +235,7 @@ def _function(label: str, jet, max_order: int, support=None, majorant=None, key:
         n_free=True,
         index_arrays=True,
         key=key,
+        const_rows=const_rows,
     )
 
 
@@ -369,6 +385,7 @@ def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
         64,
         majorant=lambda n, a, b, k: _horner_bound(matrix[: k + 1], a, b),
         key=("poly", tuple(matrix[0].tolist())),
+        const_rows=frozenset(j for j, row in enumerate(derivs) if len(row) <= 1),
     )
 
 
@@ -420,6 +437,7 @@ def const_fn(c: float) -> SmoothSeq:
         (0.0, 0.0) if c == 0 else None,
         lambda n, a, b, k: np.abs(jet(n, a, k)),
         ("const", c),
+        frozenset(range(65)),
     )
 
 
@@ -568,6 +586,7 @@ def _node(
     n_free=None,
     max_order=None,
     support_fn=None,
+    const_rows: frozenset[int] = frozenset(),
 ) -> SmoothSeq:
     """A combinator's sequence.  With (index, order, stretch) = at(n, k),
     rule(n, k, bound, *arrays) makes the orders 0..k from the operands'
@@ -578,7 +597,8 @@ def _node(
     the node has a majorant when every operand has one, is n-free when
     every operand is, reaches the smallest operand order and has the first
     operand's support.  Its jet takes index arrays when every operand's
-    does; `at` and a rule that reads n take an int or an `_Indices`.
+    does; `at` and a rule that reads n take an int or an `_Indices`.  It
+    has the constant rows the combinator derives, none unless given.
 
     `op` names the rule and its parameters: with the operands' keys it
     makes the node's key."""
@@ -624,12 +644,15 @@ def _node(
         index_arrays=all(f.index_arrays for f in operands),
         key=key,
         tree=_Tree(evaluate, occurrences),
+        const_rows=const_rows,
     )
 
 
 def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
     """A function is already the constant sequence f_n = f: this only relabels."""
-    return fn if label is None else _node(label, ("relabel",), lambda n, k, bound, f: f, (fn,))
+    if label is None:
+        return fn
+    return _node(label, ("relabel",), lambda n, k, bound, f: f, (fn,), const_rows=fn.const_rows)
 
 
 def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> SmoothSeq:
@@ -672,6 +695,7 @@ def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
         (seq,),
         lambda n, k: (_Indices(factor * n.points) if isinstance(n, _Indices) else factor * n, k, None),
         support_fn=lambda n: seq.support_fn(factor * n),
+        const_rows=seq.const_rows,
     )
 
 
@@ -715,7 +739,10 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         base *= c
         return base
 
-    return _node(label or f"{scale_label} * {seq.label}", op, scaled, (seq,), n_free=n_free)
+    # one scalar at an int index keeps a constant row constant
+    return _node(
+        label or f"{scale_label} * {seq.label}", op, scaled, (seq,), n_free=n_free, const_rows=seq.const_rows
+    )
 
 
 def _sum(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -730,6 +757,7 @@ def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
         _sum,
         (a, b),
         support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
+        const_rows=a.const_rows & b.const_rows,
     )
 
 
@@ -761,12 +789,17 @@ def _leibniz(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray | None 
 def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
     """f_n * g_n, each jet order the Leibniz sum over the factors' jets; a
     square evaluates its factor once."""
+    # row j is constant when every term C(j, i) a^(i) b^(j-i) multiplies
+    # two constant rows: when rows 0..j of both factors are
+    both = a.const_rows & b.const_rows
+    prefix = next(j for j in range(len(both) + 1) if j not in both)
     return _node(
         label or f"({a.label})*({b.label})",
         ("product",),
         _leibniz,
         (a,) if b is a else (a, b),
         support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
+        const_rows=frozenset(range(prefix)),
     )
 
 
@@ -804,6 +837,7 @@ def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> Sm
         (a,),
         lambda n, k: (n, k + shift, None),
         max_order=a.max_order - shift,
+        const_rows=frozenset(j - shift for j in a.const_rows if j >= shift),
     )
 
 
@@ -924,7 +958,10 @@ def _order_sups(f: SmoothSeq, n: int, nu: int) -> np.ndarray:
             centered = probe + reach * bound[1:] + _SLACK * bound[:-1]
             bound = np.minimum(bound[:-1], centered, out=centered)
         _fold(rows, probe)
-        walked = ~((bound * _PAD + _TINY < rows[:, None]) | zero).all(axis=0)
+        skip = (bound * _PAD + _TINY < rows[:, None]) | zero
+        # a constant row is one float, which the probe has read
+        skip[[j for j in f.const_rows if j <= nu]] = True
+        walked = ~skip.all(axis=0)
     # the walked points a chunk at a time, so no lattice-sized array is built
     cells = starts[walked]
     for i in range(0, len(cells), _CHUNK // _CELL):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -413,13 +413,20 @@ def _tail_grid(f: SeqRep, n_min: int) -> np.ndarray:
 class _TailSamples(NamedTuple):
     """A sequence's tail read once from the cut-off n_min on: the sorted
     grid, the log values on it, the position in ns of each dyadic
-    window's first point, and the window number (0, 1, ...) of each point."""
+    window's first point, and the window number (0, 1, ...) of each point.
+
+    Inside one `classify` call it also holds, by the id of each level's
+    weight estimated at this cut-off, that weight and its window maxima
+    and their first indices, and the fits made so far, by the bytes of
+    the windows they fitted."""
 
     n_min: int
     ns: np.ndarray
     logs: np.ndarray
     starts: np.ndarray
     window: np.ndarray
+    levels: Mapping[int, tuple[WeightSeq, np.ndarray, np.ndarray]] | None = None
+    fits: dict[tuple[bytes, bytes], UltranormValue] | None = None
 
 
 def _tail_samples(f: SeqRep, n_min: int) -> _TailSamples:
@@ -430,16 +437,29 @@ def _tail_samples(f: SeqRep, n_min: int) -> _TailSamples:
     return _TailSamples(n_min, ns, logs, np.flatnonzero(opens), np.cumsum(opens) - 1)
 
 
+def _weighted(logs: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """t_n = r_n log f_n on the grid; a 2-D rs gives one row per weight."""
+    with np.errstate(invalid="ignore"):
+        t = rs * logs
+    # conventions: 0 * (-inf) = -inf here (a zero weight flattens zeros to
+    # zero, positives to one), and r * log stays -inf whenever f_n = 0
+    t = np.where(np.isneginf(logs), -math.inf, t)
+    return np.where((rs == 0.0) & np.isfinite(logs), 0.0, t)
+
+
 def _window_sups(s: _TailSamples, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The max of t (given on the grid s.ns) over each dyadic window, and
-    the first n in each window where it is reached.
+    the first n in each window where it is reached; a 2-D t gives them
+    row by row.  Max and min are exact, so each row is the same floats as
+    when taken alone.
 
     A NaN in a window makes its max NaN; the n reported for it is then
     the last grid point, and callers drop such windows before using it.
     """
-    sups = np.maximum.reduceat(t, s.starts)
-    at_sup = t == sups[s.window]
-    first = np.minimum.reduceat(np.where(at_sup, np.arange(len(t)), len(t) - 1), s.starts)
+    size = t.shape[-1]
+    sups = np.maximum.reduceat(t, s.starts, axis=-1)
+    at_sup = t == sups[..., s.window]
+    first = np.minimum.reduceat(np.where(at_sup, np.arange(size), size - 1), s.starts, axis=-1)
     return sups, s.ns[first]
 
 
@@ -447,15 +467,12 @@ def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
     """Estimate exp(limsup r_n log f_n) from dyadic window maxima of the
     tail samples s of f.
 
-    Window maxima of t_n = r_n log f_n are extrapolated against the basis
-    {1, 1/L, log L / L} in L = log n, which reproduces the exact tail law
-    for constants, powers of n, our weight catalogs, and exponentials.
-    The band is driven by fit residuals; when the basis cannot explain the
-    tail, a steady drift in L commits to a +-inf limit, and anything else
-    comes back wide and unstable.
+    The window maxima of t_n = r_n log f_n are those s holds for r, else
+    taken here.  The fit reads only the last `_WINDOW_FIT` of them, so
+    levels of one classify call whose last windows are the same floats
+    share one fit.
     """
-    ns, logs = s.ns, s.logs
-    if len(ns) == 0:
+    if len(s.ns) == 0:
         return UltranormValue(
             log_value=math.nan,
             exact=False,
@@ -463,21 +480,34 @@ def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
             stable=False,
             witness=f"no sample index at or above the weight's cut-off n={s.n_min}",
         )
-    rs = r.values(ns)
-    with np.errstate(invalid="ignore"):
-        t = rs * logs
-    # conventions: 0 * (-inf) = -inf here (a zero weight flattens zeros to
-    # zero, positives to one), and r * log stays -inf whenever f_n = 0
-    t = np.where(np.isneginf(logs), -math.inf, t)
-    t = np.where((rs == 0.0) & np.isfinite(logs), 0.0, t)
+    level = s.levels.get(id(r)) if s.levels is not None else None
+    if level is None:
+        sups, sup_ns = _window_sups(s, _weighted(s.logs, r.values(s.ns)))
+    else:
+        _, sups, sup_ns = level
+    tail, tail_ns = sups[-_WINDOW_FIT:], sup_ns[-_WINDOW_FIT:]
+    if s.fits is None:
+        return _tail_fit(s, tail, tail_ns)
+    key = (tail.tobytes(), tail_ns.tobytes())
+    if key not in s.fits:
+        s.fits[key] = _tail_fit(s, tail, tail_ns)
+    return s.fits[key]
 
+
+def _tail_fit(s: _TailSamples, tail: np.ndarray, tail_ns: np.ndarray) -> UltranormValue:
+    """The limit of the last window maxima `tail` of t, reached first at
+    the indices `tail_ns`, of the tail samples s.
+
+    They are extrapolated against the basis {1, 1/L, log L / L} in
+    L = log n, which reproduces the exact tail law for constants, powers
+    of n, our weight catalogs, and exponentials.  The band is driven by
+    fit residuals; when the basis cannot explain the tail, a steady drift
+    in L commits to a +-inf limit, and anything else comes back wide and
+    unstable.
+    """
     # fitting at the location of each window sup instead of the window
     # midpoint keeps the asymptote unbiased
-    sups, sup_ns = _window_sups(s, t)
-    sup_ls = np.log(sup_ns)
-
-    tail = sups[-min(len(sups), _WINDOW_FIT):]
-    tail_ls = sup_ls[-len(tail):]
+    tail_ls = np.log(tail_ns)
 
     if np.isneginf(tail).all():
         return UltranormValue(
@@ -485,7 +515,7 @@ def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
             exact=False,
             band_log=(-math.inf, -math.inf),
             stable=True,
-            witness=f"all sampled tail values vanish beyond n={ns[0]}",
+            witness=f"all sampled tail values vanish beyond n={s.ns[0]}",
         )
     if tail[-1] > _DIVERGE_LOG and (len(tail) < 2 or tail[-1] >= tail[-2]):
         return UltranormValue(
@@ -569,6 +599,17 @@ def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
     )
 
 
+def _estimated(f: SeqRep, r: WeightSeq) -> bool:
+    """Whether the ultranorm of f against r is estimated from tail samples."""
+    return not f.is_truncated and not (f.is_symbolic and (r.is_symbolic or r.is_step or f.expr.is_zero))
+
+
+def _cut_off(f: SeqRep, r: WeightSeq) -> int:
+    """The first index of an estimate's tail, where both f and r are
+    defined (a step weight everywhere from 2 on)."""
+    return max(f.n_min, r.n_min if not r.is_step else 2)
+
+
 def ultranorm(
     f: SeqRep, r: WeightSeq, *, _samples: Callable[[int], _TailSamples] | None = None
 ) -> UltranormValue:
@@ -577,17 +618,38 @@ def ultranorm(
 
     An estimate reads f's tail samples from the cut-off of f and r on,
     through `_samples` when given (`classify` passes a reader that keeps
-    what it read for the other levels of one call).
+    what it read and the window maxima of every level for the other
+    levels of one call).
     """
     if f.is_truncated:
         return UltranormValue(
             log_value=-math.inf, exact=True, witness=f"sequence vanishes beyond n={f.cutoff}"
         )
-    if f.is_symbolic and (r.is_symbolic or r.is_step or f.expr.is_zero):
+    if not _estimated(f, r):
         return _exact_ultranorm(f, r)
     read = _samples if _samples is not None else partial(_tail_samples, f)
-    # the tail starts where both f and r are defined
-    return _tail_estimate(read(max(f.n_min, r.n_min if not r.is_step else 2)), r)
+    return _tail_estimate(read(_cut_off(f, r)), r)
+
+
+def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _TailSamples]:
+    """A reader of f's tail samples for one classify call over the levels
+    `weights`: at each cut-off f is read once, and the window maxima of
+    every level estimated there are taken in one pass, one row per level."""
+    groups: dict[int, list[WeightSeq]] = {}
+    for r in weights:
+        if _estimated(f, r):
+            groups.setdefault(_cut_off(f, r), []).append(r)
+
+    @cache
+    def read(n_min: int) -> _TailSamples:
+        s = _tail_samples(f, n_min)
+        if not len(s.ns):
+            return s
+        group = groups[n_min]
+        sups, sup_ns = _window_sups(s, _weighted(s.logs, np.stack([r.values(s.ns) for r in group])))
+        return s._replace(levels={id(r): (r, sups[i], sup_ns[i]) for i, r in enumerate(group)}, fits={})
+
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +719,12 @@ def classify(
     moderate class requires every channel to pass; for indexed families
     the level quantifier follows the family direction (exists-m for
     decreasing levels, for-all-m for increasing ones), probed up to m_max.
+
+    Over several levels, each sampled channel is read once per cut-off,
+    and one pass over that read takes the window maxima of every level
+    estimated there; levels whose last windows are the same floats share
+    one fit.  Every level still goes through `ultranorm`, and the tables
+    live only for the call.
     """
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}
@@ -666,12 +734,13 @@ def classify(
         if family.single
         else list(range(family.m_start, family.m_start + m_max))
     )
-    # each channel's tail is read once per cut-off and shared by every level
-    readers = {key: cache(partial(_tail_samples, f)) for key, f in bundle.items()}
+    weights = [family.member(m) for m in levels]
+    readers = {
+        key: _level_reader(f, weights) if len(levels) > 1 else None for key, f in bundle.items()
+    }
     per_level: dict[int, dict[object, UltranormValue]] = {}
     lines: list[str] = []
-    for m in levels:
-        r = family.member(m)
+    for m, r in zip(levels, weights):
         per_level[m] = {
             key: ultranorm(f, r, _samples=readers[key]) for key, f in bundle.items()
         }

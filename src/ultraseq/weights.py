@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _PROBE_NS = (2, 10, 100, 10_000, 1_000_000)
+_MEMO_GRIDS = 4  # read-only grids whose values a weight keeps
 
 
 class Direction(enum.Enum):
@@ -69,6 +70,10 @@ class WeightSeq:
     step_m: int | None = None
     evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     n_min: int = 2
+    # id(grid) -> (grid, values) for `values` on read-only grids, oldest
+    # first: a field, not an instance __dict__ entry, which would slow
+    # every attribute read of the weight
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step_m is not None:
@@ -108,6 +113,28 @@ class WeightSeq:
         return float(self.values([n])[0])
 
     def values(self, ns) -> np.ndarray:
+        """The weight at the indices ns.
+
+        A read-only index array that owns its data, such as the shared
+        dyadic sample grid of the tail estimator, is taken to never
+        change: the values on the last `_MEMO_GRIDS` such grids are kept,
+        and a repeated read returns the same read-only array.  Any other
+        input is evaluated afresh.
+        """
+        if not (isinstance(ns, np.ndarray) and ns.flags.owndata and not ns.flags.writeable):
+            return self._evaluate(ns)
+        hit = self._memo.get(id(ns))
+        if hit is not None:
+            return hit[1]
+        vals = np.array(self._evaluate(ns))  # a copy: an evaluator may return its own array
+        vals.flags.writeable = False
+        if len(self._memo) >= _MEMO_GRIDS:
+            del self._memo[next(iter(self._memo))]
+        # the entry holds the grid, so its id is not reused while kept
+        self._memo[id(ns)] = (ns, vals)
+        return vals
+
+    def _evaluate(self, ns) -> np.ndarray:
         ns = np.asarray(ns, dtype=float)
         if self.step_m is not None:
             return np.where(ns <= self.step_m, 1.0, 0.0)

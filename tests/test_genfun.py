@@ -641,8 +641,8 @@ def test_growth_scale_is_evaluated_once_per_walk(monkeypatch):
 def _counting_with_majorant(f):
     """f with a jet and a majorant that record each call as (n, k, number
     of points, resp. cells); returns (wrapped sequence, jet calls, majorant
-    calls).  Unlike the `counting_seq` fixture it keeps the majorant, so the
-    lattice walk can skip cells."""
+    calls).  Unlike the `counting_seq` fixture it keeps the majorant and
+    the constant rows, so the lattice walk can skip cells as it does for f."""
     jets, bounds = [], []
 
     def jet(n, xs, k):
@@ -653,7 +653,9 @@ def _counting_with_majorant(f):
         bounds.append((n, k, a.size))
         return f.majorant(n, a, b, k)
 
-    return SmoothSeq(f.label, jet, f.max_order, f.support_fn, majorant), jets, bounds
+    g = SmoothSeq(f.label, jet, f.max_order, f.support_fn, majorant)
+    object.__setattr__(g, "const_rows", f.const_rows)  # not an init field
+    return g, jets, bounds
 
 
 def test_callable_scale_is_called_once_per_chunk():
@@ -979,6 +981,39 @@ def test_majorants_bound_the_jet_on_their_cells(tree, n, k, where, cell, seed):
                     assert np.all(vals[j] <= bound[j, i] * genfun._PAD), (f.label, j, i, bound[j, i])
 
 
+def test_constant_rows_of_each_constructor():
+    quad, line = poly_fn([0.3, 0.2, 0.1]), poly_fn([1.0, 2.0])
+    assert quad.const_rows == frozenset(range(2, 65))
+    assert const_fn(2.0).const_rows == frozenset(range(65))
+    scaled = seq_scale(growth.parse("log(n)"), quad)
+    for f in (scaled, seq_scale(-1.5, quad), seq_scale(lambda n: n, quad), reindex(quad, 2), constant_seq(quad, "q")):
+        assert f.const_rows == quad.const_rows, f.label
+    assert derivative_seq(scaled, 2).const_rows == frozenset(range(63))
+    assert add_seq(quad, line).const_rows == frozenset(range(2, 65))
+    assert add_seq(quad, sin_fn()).const_rows == frozenset()
+    # a Leibniz row is constant only when each of its terms multiplies two
+    assert product_seq(const_fn(2.0), const_fn(3.0)).const_rows == frozenset(range(65))
+    assert product_seq(const_fn(2.0), line).const_rows == square_seq(line).const_rows == frozenset()
+    for f in (bump(), sin_fn(), exp_seq(const_fn(1.0)), mollified(bump()), standard_mollifier().sequence()):
+        assert f.const_rows == frozenset(), f.label
+
+
+@given(_all_trees(), st.sampled_from([1, 64, 16384]), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+@example(("scale", "log(n)", ("product", ("poly", [0.3, 0.2, 0.1]), ("const", -2.5))), 64, 4)
+@example(("derivative", ("add", ("poly", [1.0, -2.0, 0.3]), ("const", 1.0))), 16384, 3)
+def test_constant_rows_are_one_float_at_every_point(tree, n, k):
+    f = _build(tree)[0]
+    k = min(k, f.max_order)
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 257), [-1e-3, 0.7, 1.9]])
+    with np.errstate(all="ignore"):
+        rows = f.jet(n, xs, k)
+    for j in f.const_rows:
+        if j <= k:
+            bits = rows[j].view(np.int64)
+            assert (bits == bits[0]).all(), (f.label, j)
+
+
 def _pruned_sequences():
     from ultraseq import corpus, temperate
 
@@ -996,10 +1031,11 @@ def _pruned_sequences():
 
 # jet points of one walk of orders 0..2 at n = 2^14, the probes at the
 # cells' middle points included.  The scaled quadratic's order-2 row is
-# constant, so no cell can be skipped and the probes come on top of the
-# lattice; the square of delta has a 257-point lattice, walked in full;
-# e^-n underflows, so every cell's majorant is an exact 0
-_PRUNED_POINTS = {"sin": 5377, "log(n) poly": 528386, "delta^2": 257, "2fk + k^2": 16385, "e^-n sin": 4097}
+# constant, so the probes read it and only the one-point last cell, where
+# orders 0 and 1 peak, is walked; the square of delta has a 257-point
+# lattice, walked in full; e^-n underflows, so every cell's majorant is an
+# exact 0
+_PRUNED_POINTS = {"sin": 5377, "log(n) poly": 4098, "delta^2": 257, "2fk + k^2": 16385, "e^-n sin": 4097}
 
 
 def test_pruned_walk_evaluates_pinned_point_counts():

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from ultraseq import genfun
+from ultraseq import genfun, spaces
 from ultraseq.genfun import SeminormSpec, seminorm, sin_fn, square_seq, standard_mollifier, sub_seq
 from ultraseq.gennum import AssocKind
+from ultraseq.weights import catalog
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -64,16 +65,21 @@ def _levels(f, n, psi):
     return len(calls)
 
 
-def test_weak_association_pairs_in_lockstep_through_the_traced_layers(tracer, monkeypatch):
-    # install the tracer's own wrappers of the two layers, where `install` puts them
+def _install(tracer, monkeypatch, names):
+    """A tracer with its own wrappers of the named layers, where `install` puts them."""
     t = tracer.Tracer()
     for layer in tracer.LAYERS:
-        if layer.name in ("genfun.pairing", "genfun.eval"):
+        if layer.name in names:
             owner = importlib.import_module(layer.module)
             *path, name = layer.attr.split(".")
             for part in path:
                 owner = getattr(owner, part)
             monkeypatch.setattr(owner, name, t._wrap(getattr(owner, name), layer))
+    return t
+
+
+def test_weak_association_pairs_in_lockstep_through_the_traced_layers(tracer, monkeypatch):
+    t = _install(tracer, monkeypatch, ("genfun.pairing", "genfun.eval"))
     delta = standard_mollifier().sequence()
     f, tests = square_seq(delta), genfun.default_test_set()[:3]
     t.active = True
@@ -85,3 +91,15 @@ def test_weak_association_pairs_in_lockstep_through_the_traced_layers(tracer, mo
     levels = [max(_levels(diff, n, psi) for n in genfun._PAIRING_NS) for psi in tests]
     assert t.counts["genfun.pairing.calls"] == len(tests)
     assert t.counts["genfun.eval.calls"] == sum(levels)
+
+
+def test_every_level_of_a_sampled_classify_is_a_traced_ultranorm(tracer, monkeypatch):
+    # one pass takes every level's window maxima, but each level's norm
+    # still goes through `ultranorm`, where the tracer counts it
+    t = _install(tracer, monkeypatch, ("spaces.ultranorm_exact",))
+    t.active = True
+    report = spaces.classify(spaces.SeqRep.sampled_from_expr("n^2 * log(n)"), catalog("ultra"))
+    t.active = False
+    assert len(report.m_probed) == 16
+    assert t.counts["spaces.ultranorm_sampled.calls"] == 16
+    assert "spaces.ultranorm_exact.calls" not in t.counts

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraseq import corpus, growth, spaces
@@ -361,6 +361,163 @@ def test_classify_reads_each_channel_once_per_cut_off():
     calls.clear()
     classify(bundle["p0"], _late_family())
     assert calls == ["p0"] * 3
+
+
+def _reference_classify(bundle, family, mode=None, m_max=16):
+    """`classify` as a loop over the levels, each channel's norm at each
+    level estimated alone, from its own read of the tail."""
+    if isinstance(bundle, SeqRep):
+        bundle = {"value": bundle}
+    mode = mode or family.default_mode
+    levels = [family.m_start] if family.single else list(range(family.m_start, family.m_start + m_max))
+    per_level, lines = {}, []
+    for m in levels:
+        r = family.member(m)
+        per_level[m] = {key: ultranorm(f, r) for key, f in bundle.items()}
+        for key, v in per_level[m].items():
+            lines.append(
+                f"m={m} channel={key}: norm={format_value(v, with_band=True)}" + ("" if v.exact else " (estimated)")
+            )
+
+    def level_in_F(m):
+        return spaces._tri_and(spaces._channel_in_F(v, mode) for v in per_level[m].values())
+
+    def level_in_K(m):
+        return spaces._tri_and(spaces._channel_in_K(v, mode) for v in per_level[m].values())
+
+    if family.single:
+        in_F, in_K = level_in_F(levels[0]), level_in_K(levels[0])
+    elif family.direction is Direction.DECREASING:
+        in_F = spaces._tri_or(level_in_F(m) for m in levels)
+        in_K = spaces._tri_and(level_in_K(m) for m in levels)
+    else:
+        in_F = spaces._tri_and(level_in_F(m) for m in levels)
+        in_K = spaces._tri_or(level_in_K(m) for m in levels)
+    boundary = False
+    if mode is Mode.UNIT_BALL and in_F is True and in_K is False:
+        boundary = any(v.exact and v.log_value == 0.0 for norms in per_level.values() for v in norms.values())
+    if in_F is True and in_K is True:
+        verdict = "negligible"
+    elif in_F is True and in_K is False:
+        verdict = "boundary" if (mode is Mode.UNIT_BALL and boundary) else "moderate"
+    elif in_F is False:
+        verdict = "divergent"
+    else:
+        verdict = "inconclusive"
+    if not family.single:
+        lines.append(f"levels probed: m={levels[0]}..{levels[-1]} (membership verified up to m_max)")
+    lines.append(f"verdict: {verdict}")
+    return spaces.ClassificationReport(
+        verdict=verdict,
+        in_moderate=in_F,
+        in_negligible=spaces._tri_and([in_F, in_K]),
+        conclusive=in_F is not None and (in_K is not None or in_F is False),
+        mode=mode,
+        family=family.name,
+        m_probed=tuple(levels),
+        lines=tuple(lines),
+        channel_norms={(m, key): v for m, norms in per_level.items() for key, v in norms.items()},
+    )
+
+
+def _gap_family() -> WeightFamily:
+    """1/(m log n), but 0 on 1000 < n < 9000: positive and decreasing at
+    every probe, and 0 on part of the sample grid."""
+    def member(m):
+        return WeightSeq(
+            label=f"1/({m} log n) with a gap",
+            evaluator=lambda ns: np.where((ns > 1000) & (ns < 9000), 0.0, 1.0 / (m * np.log(ns))),
+        )
+
+    return WeightFamily(name="gap", member_fn=member, direction=Direction.DECREASING)
+
+
+def _beyond_family() -> WeightFamily:
+    """1/n, defined from n = 20000 on at odd levels: above the n_max of a
+    short channel, whose norm there has an empty grid."""
+    return WeightFamily(
+        name="beyond",
+        member_fn=lambda m: WeightSeq(label=f"1/n, level {m}", expr=growth.parse("n^-1"), n_min=20_000 if m % 2 else 2),
+        direction=Direction.INCREASING,
+    )
+
+
+_MIXED = AsymptoticScale("n^-m*exp(-n)", lambda m: growth.parse(f"n^-{m}*exp(-n)"))
+_EQUIVALENCE_FAMILIES = {
+    **_FAMILIES,
+    "colombeau": lambda: catalog("colombeau"),
+    "infra": lambda: catalog("infra"),
+    "gap": _gap_family,
+    "beyond": _beyond_family,
+    # weights with an evaluator, defined from n = 3 on
+    "scale:n^-m*exp(-n)": lambda: scale_to_weights(_MIXED),
+}
+
+
+@st.composite
+def _channels(draw):
+    """A channel: a sampled view of a corpus expression or the expression
+    itself, a sequence with zeros (every third index, or all beyond 5000),
+    one defined from a drawn n_min on, one on given sample indices, or a
+    short one (n_max 10^4)."""
+    kind = draw(st.sampled_from(["corpus", "symbolic", "zeros", "vanishing", "late", "sparse", "short"]))
+    if kind in ("corpus", "symbolic"):
+        e = corpus.random_expr(random.Random(draw(st.integers(0, 10_000))))
+        return SeqRep.sampled_from_expr(e) if kind == "corpus" else SeqRep.symbolic(e)
+    if kind == "zeros":
+        return SeqRep.sampled(lambda ns: np.where(ns % 3 == 0, 0.0, ns**1.5), "n^1.5, 0 at 3n")
+    if kind == "vanishing":
+        return SeqRep.sampled(lambda ns: np.where(ns > 5000, 0.0, 1.0 / ns), "1/n up to 5000")
+    if kind == "late":
+        n_min = draw(st.integers(2, 50_000))
+        return SeqRep.sampled(lambda ns: 2.0 + np.cos(ns), f"2 + cos n from {n_min}", n_min=n_min)
+    if kind == "sparse":
+        return SeqRep.sampled(lambda ns: np.log(ns), "log n", sample_ns=range(3, 300_000, 97))
+    return SeqRep.sampled(lambda ns: np.sqrt(ns), "sqrt n", n_max=10_000)
+
+
+@given(
+    st.sampled_from(sorted(_EQUIVALENCE_FAMILIES)),
+    st.lists(_channels(), min_size=1, max_size=2),
+    st.sampled_from([1, 3, 16]),
+)
+@settings(max_examples=150, deadline=None)
+# two channels whose cut-offs differ, under one cut-off for every level
+@example("ultra", [SeqRep.sampled_from_expr("n^2"), SeqRep.sampled(lambda ns: 1.0 + 1.0 / ns, "1 + 1/n", n_min=4096)], 16)
+# the levels at odd m read no sample: the empty-grid witness
+@example("beyond", [SeqRep.sampled(lambda ns: np.sqrt(ns), "sqrt n", n_max=10_000)], 16)
+def test_classify_is_the_level_loop_bitwise(family, channels, m_max):
+    fam = _EQUIVALENCE_FAMILIES[family]()
+    bundle = {f"p{i}": f for i, f in enumerate(channels)}
+    # repr compares every float bitwise, nan included
+    assert repr(classify(bundle, fam, m_max=m_max)) == repr(_reference_classify(bundle, fam, m_max=m_max))
+
+
+def test_an_egorov_classify_fits_one_tail(monkeypatch):
+    fits = []
+    fit = spaces._tail_fit
+
+    def counting(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(spaces, "_tail_fit", counting)
+    f = SeqRep.sampled_from_expr("n^2 * log(n)")
+    report = classify(f, catalog("egorov"))
+    # beyond n = 16 every step weight is 0, so all 16 levels end in the same windows
+    assert len(fits) == 1
+    fits.clear()
+    assert repr(report) == repr(_reference_classify(f, catalog("egorov")))
+    assert len(fits) == 16
+
+
+def test_no_level_table_outlives_its_classify_call():
+    import gc
+
+    report = classify(SeqRep.sampled_from_expr("n^2"), catalog("ultra"))
+    assert len(report.m_probed) == 16
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, spaces._TailSamples) and o.levels is not None]
 
 
 # ---------------------------------------------------------------------------

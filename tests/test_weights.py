@@ -144,3 +144,41 @@ def test_values_reject_indices_below_n_min():
             w.values([w.n_min - 1, w.n_min])
         with pytest.raises(ValueError, match="needs n >="):
             w.value(w.n_min - 1)
+
+
+def _read_only(ns) -> np.ndarray:
+    grid = np.array(ns, dtype=np.int64)
+    grid.flags.writeable = False
+    return grid
+
+
+def test_values_on_a_read_only_grid_are_kept_read_only_and_exact():
+    grid = _read_only(np.unique(np.geomspace(3, 2 ** 20, 300).astype(np.int64)))
+    for w in _every_weight():
+        vals = w.values(grid)
+        assert not vals.flags.writeable
+        assert vals.tobytes() == w.values(grid.copy()).tobytes(), w.label
+        assert w.values(grid) is vals
+
+
+def test_values_on_a_writeable_grid_or_a_view_are_not_kept():
+    w = WeightSeq(label="1/n", expr=growth.parse("n^-1"))
+    ns = np.arange(2, 200, dtype=np.int64)
+    assert w.values(ns).flags.writeable
+    view = ns[1:]
+    view.flags.writeable = False  # read-only, but its base can still change
+    w.values(view)
+    assert w._memo == {}
+
+
+def test_the_memo_never_holds_more_grids_than_its_bound():
+    from ultraseq.weights import _MEMO_GRIDS
+
+    w = WeightSeq(label="1/n", expr=growth.parse("n^-1"))
+    grids = [_read_only(np.arange(2, 100 + i)) for i in range(_MEMO_GRIDS + 3)]
+    for grid in grids:
+        w.values(grid)
+        assert len(w._memo) <= _MEMO_GRIDS
+    # the newest grids are the ones kept
+    assert [entry[0] for entry in w._memo.values()] == grids[-_MEMO_GRIDS:]
+    assert w == WeightSeq(label="1/n", expr=growth.parse("n^-1"))  # the memo is no part of the value
