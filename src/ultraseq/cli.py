@@ -11,7 +11,8 @@ import argparse
 import functools
 import math
 import sys
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,41 +62,47 @@ class CliError(Exception):
 # argument parsing helpers
 
 
-def parse_space(text: str, mode: str | None = None) -> NumberSpace:
+def _family_space(fam) -> NumberSpace:
+    return NumberSpace(family=fam, mode=fam.default_mode)
+
+
+# space name -> the space; `weight:EXPR` names a single-weight space too
+_SPACES = {
+    "colombeau": colombeau_space,
+    "infra": infra_space,
+    "egorov": lambda: _family_space(catalog("egorov")),
+    "ultra": lambda: _family_space(catalog("ultra")),
+    "scale-power": lambda: _family_space(scale_to_weights(power_scale())),
+    "scale-expdecay": lambda: _family_space(scale_to_weights(expdecay_scale())),
+}
+_MODES = " or ".join(m.value for m in Mode)
+
+
+def parse_mode(text: str | None) -> Mode | None:
+    """The membership mode; None keeps the space's own."""
+    if text is None:
+        return None
+    try:
+        return Mode(text)
+    except ValueError:
+        raise CliError(f"unknown mode {text!r}; use {_MODES}") from None
+
+
+def parse_space(text: str, mode: Mode | None = None) -> NumberSpace:
     t = text.strip()
-    mode_enum = None
-    if mode is not None:
-        try:
-            mode_enum = Mode(mode)
-        except ValueError:
-            raise CliError(f"unknown mode {mode!r}; use standard or unit-ball") from None
-    if t == "colombeau":
-        sp = colombeau_space()
-    elif t == "infra":
-        sp = infra_space()
-    elif t in ("egorov", "ultra", "scale-power", "scale-expdecay"):
-        fam = {
-            "egorov": lambda: catalog("egorov"),
-            "ultra": lambda: catalog("ultra"),
-            "scale-power": lambda: scale_to_weights(power_scale()),
-            "scale-expdecay": lambda: scale_to_weights(expdecay_scale()),
-        }[t]()
-        sp = NumberSpace(family=fam, mode=fam.default_mode)
-    elif t.startswith("weight:"):
+    if t.startswith("weight:"):
         expr_text = t[len("weight:"):]
         try:
             w = WeightSeq(label=expr_text, expr=growth.parse(expr_text))
         except (growth.ParseError, ValueError) as e:
             raise CliError(f"bad weight expression {expr_text!r}: {e}") from None
-        fam = single_family(w, f"weight({expr_text})")
-        sp = NumberSpace(family=fam, mode=Mode.STANDARD)
+        sp = NumberSpace(family=single_family(w, f"weight({expr_text})"), mode=Mode.STANDARD)
+    elif t in _SPACES:
+        sp = _SPACES[t]()
     else:
-        raise CliError(
-            f"unknown space {text!r}; use colombeau, infra, egorov, ultra, "
-            "scale-power, scale-expdecay, or weight:EXPR"
-        )
-    if mode_enum is not None and mode_enum is not sp.mode:
-        sp = NumberSpace(family=sp.family, mode=mode_enum, m_max=sp.m_max)
+        raise CliError(f"unknown space {text!r}; use {', '.join(_SPACES)}, or weight:EXPR")
+    if mode is not None and mode is not sp.mode:
+        sp = NumberSpace(family=sp.family, mode=mode, m_max=sp.m_max)
     return sp
 
 
@@ -131,45 +138,43 @@ def parse_expr(text: str, label: str | None = None) -> SeqRep:
     return SeqRep.symbolic(expr, label=label or text)
 
 
-_SCALAR_MAPS = ("identity", "exp", "expm1", "log1p", "power:K", "affine:A:B")
-_SEQ_MAPS = ("square", "derivative", "exp-seq")
+# scalar map name -> (constructor, the letters of its parameters); a map with
+# parameters is written NAME:P1:P2..., e.g. power:2 or affine:1:0.5
+_SCALAR_MAPS = {
+    "identity": (temperate.identity_map, ()),
+    "exp": (temperate.exp_map, ()),
+    "expm1": (temperate.expm1_map, ()),
+    "log1p": (temperate.log1p_map, ()),
+    "power": (temperate.power_map, ("K",)),
+    "affine": (temperate.affine_map, ("A", "B")),
+}
+_SEQ_MAPS = {"square": temperate.square_map, "derivative": temperate.derivative_map, "exp-seq": temperate.exp_seq_map}
+# the certificate each role of a scalar map asks for; sequence maps take role temperate
+_SCALAR_ROLES = {"moderate": temperate.check_moderate, "compatible": temperate.check_compatible}
+_SCALES = {"power": power_scale, "expdecay": expdecay_scale}
+
+
+def _written(name: str) -> str:
+    return ":".join((name, *_SCALAR_MAPS[name][1]))
 
 
 def parse_scalar_map(name: str) -> temperate.ScalarMap | None:
-    t = name.strip()
-    if t == "identity":
-        return temperate.identity_map()
-    if t == "exp":
-        return temperate.exp_map()
-    if t == "expm1":
-        return temperate.expm1_map()
-    if t == "log1p":
-        return temperate.log1p_map()
-    if t.startswith("power:"):
-        try:
-            return temperate.power_map(float(t[len("power:"):]))
-        except ValueError as e:
-            raise CliError(f"bad power map {name!r}: {e}") from None
-    if t.startswith("affine:"):
-        parts = t.split(":")[1:]
-        if len(parts) != 2:
-            raise CliError(f"affine maps are written affine:A:B, got {name!r}")
-        try:
-            return temperate.affine_map(float(parts[0]), float(parts[1]))
-        except ValueError as e:
-            raise CliError(f"bad affine map {name!r}: {e}") from None
-    return None
+    head, colon, rest = name.strip().partition(":")
+    make, letters = _SCALAR_MAPS.get(head, (None, ()))
+    if make is None or bool(colon) != bool(letters):
+        return None
+    values = rest.split(":") if colon else []
+    if len(values) != len(letters):
+        raise CliError(f"{head} maps are written {_written(head)}, got {name!r}")
+    try:
+        return make(*map(float, values))
+    except ValueError as e:
+        raise CliError(f"bad {head} map {name!r}: {e}") from None
 
 
 def parse_seq_map(name: str) -> temperate.SeqMap | None:
-    t = name.strip()
-    if t == "square":
-        return temperate.square_map()
-    if t == "derivative":
-        return temperate.derivative_map()
-    if t == "exp-seq":
-        return temperate.exp_seq_map()
-    return None
+    make = _SEQ_MAPS.get(name.strip())
+    return None if make is None else make()
 
 
 def norm_text(v: UltranormValue) -> str:
@@ -201,10 +206,7 @@ def _fmt(v) -> str:
 
 
 def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
-    try:
-        w = space.single_weight()
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    w = space.single_weight()
     v = ultranorm(rep, w)
     lines = [f"norm({rep.label}) under {w.label}: {norm_text(v)}"]
     if v.witness:
@@ -227,11 +229,8 @@ def cmd_assoc(
     space: NumberSpace,
     difference: SeqRep | None = None,
 ) -> tuple[list[str], int]:
-    try:
-        a = gennum.make(a_rep, space)
-        b = gennum.make(b_rep, space)
-    except NotModerate as e:
-        raise CliError(str(e)) from None
+    a = gennum.make(a_rep, space)
+    b = gennum.make(b_rep, space)
     verdict = gennum.associate(a, b, kind, difference=difference)
     lines = [f"assoc({a_rep.label}, {b_rep.label}) {kind.describe()}: {verdict.holds}"]
     if verdict.boundary:
@@ -245,12 +244,7 @@ def cmd_assoc(
 
 
 def cmd_convert_scale(scale_name: str, m_show: int = 4) -> tuple[list[str], int]:
-    if scale_name == "power":
-        scale = power_scale()
-    elif scale_name == "expdecay":
-        scale = expdecay_scale()
-    else:
-        raise CliError(f"unknown scale {scale_name!r}; use power or expdecay")
+    scale = _SCALES[scale_name]()
     fam = scale_to_weights(scale)
     lines = [f"scale {scale.name} -> weight family {fam.name} ({fam.direction.value})"]
     for m in range(fam.m_start, fam.m_start + m_show):
@@ -273,18 +267,15 @@ def cmd_check_map(name: str, space: NumberSpace, role: str | None) -> tuple[list
     seq = parse_seq_map(name) if scalar is None else None
     if scalar is None and seq is None:
         raise CliError(
-            f"unknown map {name!r}; scalar maps: {', '.join(_SCALAR_MAPS)}; "
+            f"unknown map {name!r}; scalar maps: {', '.join(map(_written, _SCALAR_MAPS))}; "
             f"sequence maps: {', '.join(_SEQ_MAPS)}"
         )
     fam = space.family
     if scalar is not None:
-        role = role or "moderate"
-        if role == "moderate":
-            cert = temperate.check_moderate(scalar, fam)
-        elif role == "compatible":
-            cert = temperate.check_compatible(scalar, fam)
-        else:
-            raise CliError("scalar maps take role moderate or compatible")
+        check = _SCALAR_ROLES.get("moderate" if role is None else role)
+        if check is None:
+            raise CliError(f"scalar maps take role {' or '.join(_SCALAR_ROLES)}")
+        cert = check(scalar, fam)
         lines = [
             f"map {scalar.label} as {cert.role} over {fam.name} (case {cert.case}): {cert.status}"
             + (" [exact]" if cert.exact else "")
@@ -300,8 +291,7 @@ def cmd_check_map(name: str, space: NumberSpace, role: str | None) -> tuple[list
         code = EXIT_OK if cert.status in ("certified", "refuted") else EXIT_INCONCLUSIVE
         return lines, code
 
-    role = role or "temperate"
-    if role != "temperate":
+    if role not in (None, "temperate"):
         raise CliError("sequence maps take role temperate")
     report = temperate.check_temperate(seq, fam)
     lines = [f"map {seq.name} over {fam.name}: {report.status}"]
@@ -337,10 +327,7 @@ def cmd_extend(map_name: str, func_name: str, space: NumberSpace) -> tuple[list[
         element = genfun.make_element(f, fspace)
     except NotModerate as e:
         raise CliError(f"input rejected: {e}") from None
-    try:
-        out = temperate.extend(seq_map, element)
-    except temperate.ExtensionError as e:
-        raise CliError(str(e)) from None
+    out = temperate.extend(seq_map, element)
     lines = [f"extend({map_name}, {func_name}) in {fspace.name}:"]
     lines.append(f"  output: {out.seq.label}")
     lines.extend(f"  {ln}" for ln in out.report.report_lines())
@@ -437,6 +424,14 @@ def cmd_demo_delta() -> tuple[list[str], int]:
 _SPACE_KEYS = ("family", "mode")
 
 
+def _at_line(path: str, line: int | None, fn: Callable, *args):
+    """fn(*args), its errors prefixed with their position in the batch file."""
+    try:
+        return fn(*args)
+    except _ERRORS as e:
+        raise CliError(f"{path}:{line}: {e}") from None
+
+
 def _parse_batch(
     path: str,
 ) -> tuple[dict[str, tuple[str, int]], dict[str, SeqRep], list[tuple[int, list[str], dict]]]:
@@ -477,13 +472,12 @@ def _parse_batch(
                 raise CliError(f"{path}:{idx}: expected name = expression")
             name, _, expr_text = text.partition("=")
             name = name.strip()
+            if len(name.split()) != 1:  # a query could not name it
+                raise CliError(f"{path}:{idx}: a sequence name is one word, got {name!r}")
             if name in defined:
                 raise CliError(f"{path}:{idx}: sequence {name!r} is already defined on line {defined[name]}")
             defined[name] = idx
-            try:
-                sequences[name] = parse_expr(expr_text.strip(), label=name)
-            except CliError as e:
-                raise CliError(f"{path}:{idx}: {e}") from None
+            sequences[name] = _at_line(path, idx, parse_expr, expr_text.strip(), name)
         elif section == "queries":
             words = text.split()
             options: dict[str, str] = {}
@@ -503,66 +497,111 @@ def _resolve(name: str, sequences: dict[str, SeqRep]) -> SeqRep:
     return sequences[name]
 
 
-# the key=value options each batch query takes
-_BATCH_OPTIONS = {
-    "norm": (), "classify": (), "assoc": ("kind", "difference"), "check": ("role",), "extend": (),
-}
-
-
 def _batch_query(
     words: list[str], opts: dict, sequences: dict[str, SeqRep], space: NumberSpace
 ) -> tuple[list[str], int]:
     if not words:
         raise CliError("empty query")
-    cmd, args = words[0], words[1:]
-    takes = _BATCH_OPTIONS.get(cmd)
-    unknown = [key for key in opts if takes is not None and key not in takes]
-    if unknown:
-        raise CliError(f"unknown option {unknown[0]!r} for {cmd} (it takes {', '.join(takes) or 'none'})")
-    if cmd == "norm" and len(args) == 1:
-        return cmd_norm(_resolve(args[0], sequences), space)
-    if cmd == "classify" and len(args) == 1:
-        return cmd_classify(_resolve(args[0], sequences), space)
-    if cmd == "assoc" and len(args) == 2:
-        if "kind" not in opts:
-            raise CliError("assoc needs kind=...")
-        diff = opts.get("difference")
-        return cmd_assoc(
-            _resolve(args[0], sequences),
-            _resolve(args[1], sequences),
-            parse_kind(opts["kind"]),
-            space,
-            difference=_resolve(diff, sequences) if diff else None,
-        )
-    if cmd == "check" and len(args) == 1:
-        return cmd_check_map(args[0], space, opts.get("role"))
-    if cmd == "extend" and len(args) == 2:
-        return cmd_extend(args[0], args[1], space)
-    raise CliError(f"cannot understand query {' '.join(words)!r}")
+    cmd = _BATCH_COMMANDS.get(words[0])
+    if cmd is not None:
+        takes = [o.name for o in cmd.options]
+        unknown = [key for key in opts if key not in takes]
+        if unknown:
+            raise CliError(f"unknown option {unknown[0]!r} for {cmd.batch} (it takes {', '.join(takes) or 'none'})")
+    if cmd is None or len(words) - 1 != len(cmd.args):
+        raise CliError(f"cannot understand query {' '.join(words)!r}")
+    missing = [o.name for o in cmd.options if o.required and o.name not in opts]
+    if missing:
+        raise CliError(f"{cmd.batch} needs {missing[0]}=...")
+    named = dict(zip((a.name for a in cmd.args), words[1:]))
+    return _call(cmd, named | opts, lambda: space, lambda name: _resolve(name, sequences))
 
 
 def cmd_batch(path: str) -> tuple[list[str], int]:
     space_opts, sequences, queries = _parse_batch(path)
     family, family_line = space_opts.get("family", ("colombeau", None))
     mode, mode_line = space_opts.get("mode", (None, None))
-    try:
-        space = parse_space(family, mode)
-    except CliError as e:
-        # parse_space rejects an unknown mode before it reads the family
-        bad_mode = mode is not None and mode not in {m.value for m in Mode}
-        line = mode_line if bad_mode else family_line
-        raise CliError(f"{path}:{line}: {e}") from None
+    mode = _at_line(path, mode_line, parse_mode, mode)
+    space = _at_line(path, family_line, parse_space, family, mode)
     lines: list[str] = [f"space: {space.name}"]
     worst = EXIT_OK
     for idx, words, opts in queries:
-        try:
-            sub, code = _batch_query(words, opts, sequences, space)
-        except (CliError, NotModerate, growth.NotRepresentable, ValueError) as e:
-            raise CliError(f"{path}:{idx}: {e}") from None
+        sub, code = _at_line(path, idx, _batch_query, words, opts, sequences, space)
         lines.append(f"-- line {idx}")
         lines.extend(sub)
         worst = max(worst, code)
     return lines, worst
+
+
+# ---------------------------------------------------------------------------
+# the command table: the command line and batch files read the same entry
+
+
+@dataclass(frozen=True)
+class Param:
+    """A positional or an option of a command.  `convert` turns its word
+    into the handler's argument (None passes the word on); parse_expr marks
+    a sequence, which a batch file names from its [sequences] section."""
+
+    name: str
+    convert: Callable[[str], object] | None = None
+    help: str | None = None
+    required: bool = False
+    choices: Sequence[str] | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    handler: Callable[..., tuple[list[str], int]]
+    args: tuple[Param, ...] = ()
+    options: tuple[Param, ...] = ()
+    space: bool = False  # --space/--mode on the command line, [space] in a batch file
+    batch: str | None = None  # its query word in batch files; None: command line only
+
+
+_COMMANDS = {cmd.name: cmd for cmd in (
+    Command("norm", "ultranorm of one expression", cmd_norm, (Param("expr", parse_expr),), space=True, batch="norm"),
+    Command("classify", "moderate/negligible classification", cmd_classify, (Param("expr", parse_expr),),
+            space=True, batch="classify"),
+    Command("assoc", "association between two expressions", cmd_assoc, (Param("a", parse_expr), Param("b", parse_expr)),
+            (Param("kind", parse_kind, "weak, strong:S, weak-s:S, dual:S, power-x", required=True),
+             Param("difference", parse_expr, "explicit |a - b| expression")), space=True, batch="assoc"),
+    Command("convert-scale", "weights induced by a decay scale", cmd_convert_scale,
+            (Param("scale", choices=tuple(_SCALES)),)),
+    Command("check-map", "moderate/compatible/temperate certificates", cmd_check_map, (Param("name"),),
+            (Param("role", choices=(*_SCALAR_ROLES, "temperate")),), space=True, batch="check"),
+    Command("extend", "apply a certified map to a named function sequence", cmd_extend,
+            (Param("map"), Param("func")), space=True, batch="extend"),
+    Command("demo", "guided walkthroughs", lambda topic: cmd_demo_delta(), (Param("topic", choices=("delta",)),)),
+    Command("batch", "run a query file", cmd_batch, (Param("file"),)),
+)}
+_BATCH_COMMANDS = {cmd.batch: cmd for cmd in _COMMANDS.values() if cmd.batch}
+
+# what a command may raise on bad input; main and cmd_batch report it
+_ERRORS = (CliError, ValueError, temperate.ExtensionError)
+
+
+def _call(
+    cmd: Command,
+    words: dict[str, str | None],
+    space: Callable[[], NumberSpace],
+    sequence: Callable[[str], SeqRep] = parse_expr,
+) -> tuple[list[str], int]:
+    """Convert the words of a command and call its handler: positionals in
+    order, options and the space by name.  `sequence` reads a sequence word."""
+
+    def convert(param: Param, word: str | None):
+        if word is None or param.convert is None:
+            return word
+        return (sequence if param.convert is parse_expr else param.convert)(word)
+
+    args = [convert(a, words[a.name]) for a in cmd.args]
+    kwargs = {o.name: convert(o, words.get(o.name)) for o in cmd.options}
+    if cmd.space:
+        kwargs["space"] = space()
+    return cmd.handler(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -577,79 +616,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sequence-space calculus: ultranorms, classification, association",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_space(sp):
-        sp.add_argument("--space", default="colombeau", help="space name (default colombeau)")
-        sp.add_argument("--mode", default=None, help="standard or unit-ball (default per space)")
-
-    s = sub.add_parser("norm", help="ultranorm of one expression")
-    s.add_argument("expr")
-    add_space(s)
-
-    s = sub.add_parser("classify", help="moderate/negligible classification")
-    s.add_argument("expr")
-    add_space(s)
-
-    s = sub.add_parser("assoc", help="association between two expressions")
-    s.add_argument("a")
-    s.add_argument("b")
-    s.add_argument("--kind", required=True, help="weak, strong:S, weak-s:S, dual:S, power-x")
-    s.add_argument("--difference", default=None, help="explicit |a - b| expression")
-    add_space(s)
-
-    s = sub.add_parser("convert-scale", help="weights induced by a decay scale")
-    s.add_argument("scale", choices=["power", "expdecay"])
-
-    s = sub.add_parser("check-map", help="moderate/compatible/temperate certificates")
-    s.add_argument("name")
-    s.add_argument("--role", default=None, choices=["moderate", "compatible", "temperate"])
-    add_space(s)
-
-    s = sub.add_parser("extend", help="apply a certified map to a named function sequence")
-    s.add_argument("map")
-    s.add_argument("func")
-    add_space(s)
-
-    s = sub.add_parser("demo", help="guided walkthroughs")
-    s.add_argument("topic", choices=["delta"])
-
-    s = sub.add_parser("batch", help="run a query file")
-    s.add_argument("file")
-
+    for cmd in _COMMANDS.values():
+        s = sub.add_parser(cmd.name, help=cmd.help)
+        for a in cmd.args:
+            s.add_argument(a.name, choices=a.choices, help=a.help)
+        for o in cmd.options:
+            s.add_argument(f"--{o.name}", required=o.required, choices=o.choices, help=o.help)
+        if cmd.space:
+            s.add_argument("--space", default="colombeau", help="space name (default colombeau)")
+            s.add_argument("--mode", default=None, help=f"{_MODES} (default per space)")
     return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "norm":
-            lines, code = cmd_norm(parse_expr(args.expr), parse_space(args.space, args.mode))
-        elif args.command == "classify":
-            lines, code = cmd_classify(parse_expr(args.expr), parse_space(args.space, args.mode))
-        elif args.command == "assoc":
-            lines, code = cmd_assoc(
-                parse_expr(args.a),
-                parse_expr(args.b),
-                parse_kind(args.kind),
-                parse_space(args.space, args.mode),
-                difference=None if args.difference is None else parse_expr(args.difference),
-            )
-        elif args.command == "convert-scale":
-            lines, code = cmd_convert_scale(args.scale)
-        elif args.command == "check-map":
-            lines, code = cmd_check_map(args.name, parse_space(args.space, args.mode), args.role)
-        elif args.command == "extend":
-            lines, code = cmd_extend(args.map, args.func, parse_space(args.space, args.mode))
-        elif args.command == "demo":
-            lines, code = cmd_demo_delta()
-        elif args.command == "batch":
-            lines, code = cmd_batch(args.file)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise CliError(f"unknown command {args.command!r}")
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (NotModerate, growth.NotRepresentable) as e:
+        lines, code = _call(
+            _COMMANDS[args.command], vars(args), lambda: parse_space(args.space, parse_mode(args.mode))
+        )
+    except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     for line in lines:

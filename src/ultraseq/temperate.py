@@ -104,6 +104,8 @@ def identity_map() -> ScalarMap:
 
 
 def power_map(k: float) -> ScalarMap:
+    if not math.isfinite(k):
+        raise ValueError("power maps need a finite exponent")
     if k <= 0:
         raise ValueError("power maps need a positive exponent")
     return ScalarMap(
@@ -147,6 +149,8 @@ def log1p_map() -> ScalarMap:
 
 
 def affine_map(a: float, b: float) -> ScalarMap:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("affine maps need finite a and b")
     if a <= 0 or b < 0:
         raise ValueError("affine maps need a > 0, b >= 0")
     sym = None
@@ -655,7 +659,6 @@ def exp_seq_map() -> SeqMap:
         g_alpha=exp_map(),
         g_beta=exp_map(),
         h_beta=expm1_map(),
-        apply_diff=lambda f, k: sub_seq(exp_seq(add_seq(f, k)), exp_seq(f)),
     )
 
 

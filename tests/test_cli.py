@@ -1,6 +1,8 @@
 """Command line behavior, driven in-process through cli.main."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +395,8 @@ def test_assoc_power_x_decides_exactly(capsys, tmp_path, text, holds):
         ("assoc f g kind=weak diference=gap", "unknown option 'diference' for assoc (it takes kind, difference)"),
         ("assoc f g kind=weak kind=strong:0.5", "option 'kind' is given twice"),
         ("check square role=moderate role=temperate", "option 'role' is given twice"),
+        ("assoc f g kind=weak difference=", "unknown sequence ''"),
+        ("check square role=", "sequence maps take role temperate"),
     ],
 )
 def test_batch_rejects_unknown_and_repeated_options(capsys, tmp_path, query, message):
@@ -429,3 +433,79 @@ def test_the_shared_parser_answers_like_a_fresh_one(capsys):
         fresh.append(_outcome(capsys, argv))
     assert consecutive == fresh
     assert consecutive[2][0] == ("exit", 2) and "usage: ultraseq norm" in consecutive[2][2]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("power:nan", "bad power map 'power:nan': power maps need a finite exponent"),
+        ("power:1e400", "bad power map 'power:1e400': power maps need a finite exponent"),
+        ("affine:inf:1", "bad affine map 'affine:inf:1': affine maps need finite a and b"),
+        ("affine:1:nan", "bad affine map 'affine:1:nan': affine maps need finite a and b"),
+    ],
+)
+def test_check_map_rejects_a_non_finite_parameter(capsys, name, message):
+    assert run(capsys, "check-map", name) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("line, name", [(" = n", ""), ("my f = n", "my f")])
+def test_batch_rejects_a_sequence_name_no_query_can_use(capsys, tmp_path, line, name):
+    path = tmp_path / "names.batch"
+    path.write_text(f"[sequences]\nf = n\n{line}\n\n[queries]\nnorm f\n")
+    assert run(capsys, "batch", str(path)) == (1, "", f"error: {path}:3: a sequence name is one word, got {name!r}\n")
+
+
+# (command line, the same query in a batch file, the sequences it names, the
+# space); a batch file names each sequence by its own text, so both label it alike
+_PARITY = [
+    (["norm", "n^2"], "norm n^2", ["n^2"], "colombeau"),
+    (["norm", "n^2"], "norm n^2", ["n^2"], "egorov"),  # no single weight
+    (["classify", "n^-1"], "classify n^-1", ["n^-1"], "infra"),
+    (["classify", "n^-1"], "classify n^-1", ["n^-1"], "nope"),  # unknown space
+    (
+        ["assoc", "n^-1", "n^-1+n^-2", "--kind", "weak-s:1", "--difference", "n^-2"],
+        "assoc n^-1 n^-1+n^-2 kind=weak-s:1 difference=n^-2",
+        ["n^-1", "n^-1+n^-2", "n^-2"],
+        "colombeau",
+    ),
+    (["assoc", "n^-1", "n^-1+n^-2", "--kind", "weak"], "assoc n^-1 n^-1+n^-2 kind=weak", ["n^-1", "n^-1+n^-2"],
+     "colombeau"),  # needs a difference
+    (["assoc", "n", "0", "--kind", "dual:nan"], "assoc n 0 kind=dual:nan", ["n", "0"], "colombeau"),
+    (["check-map", "power:2", "--role", "compatible"], "check power:2 role=compatible", [], "ultra"),
+    (["check-map", "derivative", "--role", "temperate"], "check derivative role=temperate", [], "colombeau"),
+    (["check-map", "square", "--role", "moderate"], "check square role=moderate", [], "colombeau"),
+    (["extend", "square", "delta"], "extend square delta", [], "colombeau"),
+    (["extend", "exp-seq", "delta"], "extend exp-seq delta", [], "colombeau"),  # not temperate
+]
+
+
+@pytest.mark.parametrize("argv, query, names, space", _PARITY, ids=[" ".join(case[0]) for case in _PARITY])
+def test_the_command_line_and_a_batch_file_answer_alike(capsys, tmp_path, argv, query, names, space):
+    cli_outcome = run(capsys, *argv, "--space", space)
+    path = tmp_path / "same.batch"
+    sequences = "".join(f"{name} = {name}\n" for name in names)
+    path.write_text(f"[space]\nfamily = {space}\n\n[sequences]\n{sequences}\n[queries]\n{query}\n")
+    rc, out, err = run(capsys, "batch", str(path))
+    out = "".join(line for line in out.splitlines(keepends=True) if not line.startswith(("space: ", "-- line ")))
+    assert (rc, out, re.sub(rf"{re.escape(str(path))}:\d+: ", "", err)) == cli_outcome
+
+
+def test_the_readme_batch_example_runs_as_documented(capsys, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "readme.batch"
+    path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    assert run(capsys, "batch", str(path)) == (
+        0,
+        "space: colombeau[standard]\n"
+        "-- line 10\n"
+        "norm(f) under 1/log(n): exact e^2 = 7.3890561\n"
+        "  witness: exact limit of weighted log values\n"
+        "-- line 11\n"
+        "classify(g) in colombeau[standard]:\n"
+        "  m=1 channel=value: norm=0\n"
+        "  verdict: negligible\n"
+        "-- line 12\n"
+        "assoc(f, g) weak: no\n"
+        "  witness: limit=inf\n",
+        "",
+    )

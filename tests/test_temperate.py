@@ -92,6 +92,15 @@ def test_affine_map_validation():
     assert affine_map(1.0, 1.0).symbolic_transform is None
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_map_parameters_must_be_finite(bad):
+    # nan <= 0 is False, so a sign test alone lets these through
+    for make in (lambda: power_map(bad), lambda: affine_map(bad, 1.0), lambda: affine_map(1.0, bad),
+                 lambda: scaled_map(bad, power_map(2.0))):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 # ---------------------------------------------------------------------------
 # growth certificates (r-moderate)
 
