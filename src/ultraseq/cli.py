@@ -152,6 +152,7 @@ _SEQ_MAPS = {"square": temperate.square_map, "derivative": temperate.derivative_
 # the certificate each role of a scalar map asks for; sequence maps take role temperate
 _SCALAR_ROLES = {"moderate": temperate.check_moderate, "compatible": temperate.check_compatible}
 _SCALES = {"power": power_scale, "expdecay": expdecay_scale}
+_LEVELS_SHOWN = 4  # weight levels `convert-scale` prints
 
 
 def _written(name: str) -> str:
@@ -243,11 +244,11 @@ def cmd_assoc(
     return lines, code
 
 
-def cmd_convert_scale(scale_name: str, m_show: int = 4) -> tuple[list[str], int]:
+def cmd_convert_scale(scale_name: str) -> tuple[list[str], int]:
     scale = _SCALES[scale_name]()
     fam = scale_to_weights(scale)
     lines = [f"scale {scale.name} -> weight family {fam.name} ({fam.direction.value})"]
-    for m in range(fam.m_start, fam.m_start + m_show):
+    for m in range(fam.m_start, fam.m_start + _LEVELS_SHOWN):
         w = fam.member(m)
         desc = growth.format_expr(w.expr) if w.is_symbolic else "(numeric)"
         lines.append(f"  m={m}: r = {desc}")

@@ -1019,30 +1019,22 @@ def _each(value: Callable[[int], float]) -> Callable[[list[int]], list[float]]:
     return lambda ns: [value(n) for n in ns]
 
 
-def classify_fun(
-    f: SmoothSeq,
-    nu_max: int,
-    space: NumberSpace | None = None,
-    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
-) -> ClassificationReport:
+def classify_fun(f: SmoothSeq, nu_max: int, space: NumberSpace | None = None) -> ClassificationReport:
     """Classify a smooth sequence through its seminorm channels p_0..p_nu_max,
     all read from one seminorm table: one walk per (sequence, n, radius)."""
     if nu_max > f.max_order:
         raise ValueError("nu_max exceeds the sequence's derivative support")
-    return _classify_table(_seminorm_table(f), f.label, nu_max, space, sample_ns)
+    return _classify_table(_seminorm_table(f), f.label, nu_max, space)
 
 
 def _classify_table(
-    p: Callable[[int, int], float],
-    label: str,
-    nu_max: int,
-    space: NumberSpace | None = None,
-    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
+    p: Callable[[int, int], float], label: str, nu_max: int, space: NumberSpace | None = None
 ) -> ClassificationReport:
-    """`classify_fun` on the channels read from the seminorm table p."""
+    """`classify_fun` on the channels read from the seminorm table p, at
+    the indices `DEFAULT_SAMPLE_NS`."""
     space = space or colombeau_space()
     bundle = {
-        f"p_{nu}": _log_abs_channel(_each(partial(p, nu=nu)), f"p_{nu}({label})", sample_ns)
+        f"p_{nu}": _log_abs_channel(_each(partial(p, nu=nu)), f"p_{nu}({label})", DEFAULT_SAMPLE_NS)
         for nu in range(nu_max + 1)
     }
     return space.classify(bundle)
@@ -1053,6 +1045,10 @@ def _classify_table(
 
 _GL_LOW, _GL_HIGH = 16, 32
 _QUAD_MAX_PANELS = 1024
+_QUAD_TOL = 1e-9
+_MOMENT_Q_MAX = 8  # the highest moment order checked
+_MASS_TOL = 1e-6  # |integral - 1| allowed of a mollifier profile
+_MOMENT_TOL = 1e-7  # |moment| below which a moment vanishes
 
 
 @lru_cache(maxsize=1)
@@ -1091,7 +1087,7 @@ def _nonfinite_integral(ys: np.ndarray) -> float:
 
 
 def _quad_lockstep(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float], tol: float = 1e-9
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]
 ) -> np.ndarray:
     """Adaptive composite Gauss-Legendre integrals over the intervals
     [lo[i], hi[i]] in lockstep, of an integrand fn(xs, which) that is
@@ -1104,10 +1100,10 @@ def _quad_lockstep(
     accept test and its sums are taken on its own panels, so its integral
     is the same float.  A panel is scored by the gap between its 16- and
     32-node sums; it is accepted with the 32-node sum when the gap is
-    within its width's share of max(tol, tol*|I|), and halved otherwise,
-    up to `_QUAD_MAX_PANELS` panels per interval.  Non-finite samples end
-    their interval's refinement at once.  When some interval fails, the
-    error of the first one is raised.
+    within its width's share of max(tol, tol*|I|), tol = `_QUAD_TOL`, and
+    halved otherwise, up to `_QUAD_MAX_PANELS` panels per interval.
+    Non-finite samples end their interval's refinement at once.  When some
+    interval fails, the error of the first one is raised.
 
     The bookkeeping of a level is done once per group of intervals with
     the same number m of open panels, on (intervals, m) arrays: a stacked
@@ -1123,7 +1119,7 @@ def _quad_lockstep(
     val = np.zeros(len(lo))
     failures: list[QuadratureError | None] = [None] * len(lo)
     # 0-d arrays: numpy applies them faster than Python floats, same floats
-    tol_, half_ = np.array(tol), np.array(0.5)
+    tol_, half_ = np.array(_QUAD_TOL), np.array(0.5)
     # the intervals still refining, in groups of equal open panel count m:
     # (ids, cuts, integral, error, accepted, span), where cuts[0, r] and
     # cuts[2, r] hold the ends a and b of the m open panels of interval
@@ -1203,7 +1199,7 @@ def _quad_lockstep(
                 if not c:
                     val[rid] = rint
                     for i, v, e in zip(rid.tolist(), rint.tolist(), rerr.tolist()):
-                        if e > max(100 * tol, 1e-6 * abs(v)):
+                        if e > max(100 * _QUAD_TOL, 1e-6 * abs(v)):
                             failures[i] = QuadratureError(f"quadrature error {e:g} too large for value {v:g}")
                     continue
                 if c < m:
@@ -1226,10 +1222,10 @@ def _quad_lockstep(
     return val
 
 
-def _quad(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float = 1e-9) -> float:
+def _quad(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """The adaptive integral of a vectorized integrand fn(xs) over [lo, hi]:
     `_quad_lockstep` on one interval."""
-    return float(_quad_lockstep(lambda xs, which: fn(xs), [lo], [hi], tol)[0])
+    return float(_quad_lockstep(lambda xs, which: fn(xs), [lo], [hi])[0])
 
 
 @dataclass(frozen=True)
@@ -1249,28 +1245,29 @@ class Mollifier:
         return mollified(self.profile, power=self.power, label=f"delta[{self.label}]")
 
 
-def moment_class(profile: SmoothSeq, q_max: int = 8, tol: float = 1e-8) -> tuple[int, float]:
-    """Largest q <= q_max with vanishing moments 1..q; also returns the integral.
+def moment_class(profile: SmoothSeq) -> tuple[int, float]:
+    """Largest q <= `_MOMENT_Q_MAX` with vanishing moments 1..q; also
+    returns the integral.
 
-    Raises when the profile does not integrate to one within tolerance.
+    Raises when the profile does not integrate to one within `_MASS_TOL`.
     """
     if profile.support is None:
         raise ValueError("moment analysis needs compact support")
     lo, hi = profile.support
     total = _quad(profile, lo, hi)
-    if abs(total - 1.0) > max(tol, 1e-6):
+    if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(f"profile integrates to {total:.9g}, not 1: not a mollifier")
     q = 0
-    for k in range(1, q_max + 1):
+    for k in range(1, _MOMENT_Q_MAX + 1):
         mk = _quad(lambda x: x ** k * profile(x), lo, hi)
-        if abs(mk) > max(tol, 1e-7):
+        if abs(mk) > _MOMENT_TOL:
             break
         q = k
     return q, total
 
 
-def make_mollifier(profile: SmoothSeq, q_max: int = 8, tol: float = 1e-8) -> Mollifier:
-    q, total = moment_class(profile, q_max=q_max, tol=tol)
+def make_mollifier(profile: SmoothSeq) -> Mollifier:
+    q, total = moment_class(profile)
     return Mollifier(profile=profile, moment_class=q, integral=total)
 
 
@@ -1306,7 +1303,7 @@ def corrected_mollifier() -> Mollifier:
 # pairings and weak association
 
 
-def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction, tol: float = 1e-9) -> float | np.ndarray:
+def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction) -> float | np.ndarray:
     """The duality pairing <f_n, psi> by adaptive Gauss-Legendre quadrature
     on the support of psi clipped to that of f_n.
 
@@ -1327,7 +1324,7 @@ def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction, tol: float 
     def integrand(xs: np.ndarray, which: np.ndarray) -> np.ndarray:
         return f.at(n if scalar else index[which], xs, 0) * psi(xs)
 
-    values = _quad_lockstep(integrand, lo, hi, tol)
+    values = _quad_lockstep(integrand, lo, hi)
     return float(values[0]) if scalar else values
 
 
@@ -1337,7 +1334,6 @@ def weak_assoc_fun(
     kind: AssocKind,
     test_set: Iterable[TestFunction] | None = None,
     space: NumberSpace | None = None,
-    sample_ns: Sequence[int] = _PAIRING_NS,
 ) -> AssocVerdict:
     """Association of two function sequences through duality pairings.
 
@@ -1355,7 +1351,7 @@ def weak_assoc_fun(
     worst = "yes"
     rank = {"yes": 0, "inconclusive": 1, "no": 2}
     for psi in probes:
-        rep = _log_abs_channel(partial(pairing, diff, psi=psi), f"|<{diff.label}, {psi.label}>|", sample_ns)
+        rep = _log_abs_channel(partial(pairing, diff, psi=psi), f"|<{diff.label}, {psi.label}>|", _PAIRING_NS)
         a = gennum.GenNumber(space=space, magnitude=rep)
         v = gennum.associate(a, zero, kind, difference=rep)
         per_psi[psi.label] = v.holds
@@ -1390,10 +1386,8 @@ class FunctionElement:
     report: ClassificationReport
 
 
-def make_element(
-    seq: SmoothSeq, fspace: FunctionSpace, sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS
-) -> FunctionElement:
-    report = classify_fun(seq, fspace.nu_max, fspace.space, sample_ns)
+def make_element(seq: SmoothSeq, fspace: FunctionSpace) -> FunctionElement:
+    report = classify_fun(seq, fspace.nu_max, fspace.space)
     if report.in_moderate is False:
         raise NotModerate(f"{seq.label!r} is not moderate in {fspace.name}")
     return FunctionElement(seq=seq, fspace=fspace, report=report)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from ultraseq.spaces import (
     NumberSpace,
     SeqRep,
     UltranormValue,
+    _dyadic_log_maxima,
     _product,
     _sum,
-    _tail_samples,
-    _window_sups,
     format_value,
     ultranorm,
 )
@@ -153,18 +152,8 @@ class PowerXFamily:
     """The countable multiplier family n^s, s = 0, 1, 2, ...
 
     Symbolic differences admit an exact all-s decision; sampled ones are
-    probed on a geometric subset of exponents up to s_max.
+    probed on the exponents 0 and the powers of two up to `_S_MAX`.
     """
-
-    s_max: int = 32
-
-    @property
-    def probe_exponents(self) -> tuple[int, ...]:
-        out, s = [], 1
-        while s <= self.s_max:
-            out.append(s)
-            s *= 2
-        return (0, *out)
 
 
 def _threshold(s: float) -> float:
@@ -252,6 +241,8 @@ def _limit_is_zero(lv) -> bool:
 
 
 _TREND_TOL = 1e-3
+_PROBE_EXPONENTS = (0, 1, 2, 4, 8, 16, 32)  # the n^s probed on a sampled difference
+_S_MAX = _PROBE_EXPONENTS[-1]
 
 
 def _sampled_null_trend(
@@ -259,10 +250,7 @@ def _sampled_null_trend(
 ) -> tuple[str, dict]:
     """Does the (optionally reweighted) sequence tend to zero, judged from
     dyadic window maxima of its log values?"""
-    s = _tail_samples(diff, diff.n_min)
-    logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
-    sups, _ = _window_sups(s, logs)
-    tail = [float(v) for v in sups[-4:]]
+    tail = [float(v) for v in _dyadic_log_maxima(diff, shift_log)[-4:]]
     tol_log = math.log(_TREND_TOL)
     witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
     nonincreasing = all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
@@ -392,7 +380,7 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
                 witness={"multipliers": "all n^s, decided exactly"},
             )
         results = {}
-        for s in xs.probe_exponents:
+        for s in _PROBE_EXPONENTS:
             ans, wit = _sampled_null_trend(
                 diff, shift_log=lambda ns, s=s: s * np.log(np.asarray(ns, dtype=float))
             )
@@ -402,13 +390,13 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
                     ans,
                     kind,
                     witness={"failing_exponent": s, **wit},
-                    notes=f"probed exponents up to {xs.s_max}",
+                    notes=f"probed exponents up to {_S_MAX}",
                 )
         return AssocVerdict(
             "yes",
             kind,
             witness={"probed_exponents": list(results)},
-            notes=f"probed exponents up to {xs.s_max}; exhaustive only on the symbolic tier",
+            notes=f"probed exponents up to {_S_MAX}; exhaustive only on the symbolic tier",
         )
 
     answers = []
@@ -445,8 +433,7 @@ def bounded_predicate(rep: SeqRep) -> bool | None:
         return True
     if rep.is_symbolic:
         return growth.is_bounded(rep.expr)
-    s = _tail_samples(rep, rep.n_min)
-    sups, _ = _window_sups(s, s.logs)
+    sups = _dyadic_log_maxima(rep)
     if len(sups) < 2:
         return None
     if sups[-1] <= sups[-2] + 1e-9 and sups[-1] < 50.0:
@@ -487,7 +474,6 @@ def _negligible_corpus(space: NumberSpace) -> list[SeqRep]:
 def jx_well_defined(
     j_predicate: Callable[[SeqRep], bool | None],
     space: NumberSpace,
-    extra_members: Iterable[SeqRep] = (),
     j_label: str = "J",
 ) -> JXReport:
     """Audit that J can serve in JX-association over this space.
@@ -502,7 +488,7 @@ def jx_well_defined(
     for j in ideal:
         if j_predicate(j) is False:
             containment.append(f"ideal element {j.label!r} is outside {j_label}")
-    members = [m for m in (*ideal, *extra_members) if j_predicate(m) is True]
+    members = [m for m in ideal if j_predicate(m) is True]
     additivity = []
     pairs = 0
     for i, u in enumerate(members):

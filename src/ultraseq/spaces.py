@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ultraseq import growth
-from ultraseq.growth import GrowthExpr, ParityLimits
+from ultraseq.growth import GrowthExpr
 from ultraseq.weights import Direction, Mode, WeightFamily, WeightSeq, catalog
 
 __all__ = [
@@ -320,37 +320,24 @@ def format_value(v: UltranormValue, with_band: bool = False) -> str:
 # exact ultranorms for symbolic input
 
 
-def _exact_limit(f: SeqRep, r: WeightSeq) -> float:
-    if f.cutoff is not None:
-        return -math.inf
-    e = f.expr
+def _exact_limit(e: GrowthExpr, r: WeightSeq) -> float:
+    """lim r_n log e_n for an unmodulated expression e."""
     if e.is_zero:
         return -math.inf
     if r.is_step:
-        # beyond the step the exponent is 0 and positive entries contribute
-        # log 1 = 0; a symbolic nonzero expression is eventually positive, so
-        # the upper limit is 0 (norm 1) unless the whole tail vanishes.
-        branches = e.branches if e.modulated else (e,)
-        if any(not b.is_zero for b in branches):
-            return 0.0
-        return -math.inf
-    lim = growth.limit_of_product(r.expr, growth.log_expr(e))
-    if isinstance(lim, ParityLimits):
-        return lim.sup
-    return lim
+        # beyond the step the exponent is 0, and a nonzero symbolic
+        # expression is eventually positive: log 1 = 0 (norm 1)
+        return 0.0
+    return growth.limit_of_product(r.expr, growth.log_expr(e))
 
 
 def _exact_ultranorm(f: SeqRep, r: WeightSeq) -> UltranormValue:
-    if f.expr is not None and f.expr.modulated:
-        ev, od = f.expr.branches
-        parts = []
-        for branch, name in ((ev, "even"), (od, "odd")):
-            sub = SeqRep(label=f"{f.label}[{name}]", expr=branch)
-            parts.append(_exact_limit(sub, r))
+    if f.expr.modulated:
+        parts = [_exact_limit(branch, r) for branch in f.expr.branches]
         lim = max(parts)
         witness = f"upper limit over parity branches: even {parts[0]:g}, odd {parts[1]:g}"
     else:
-        lim = _exact_limit(f, r)
+        lim = _exact_limit(f.expr, r)
         witness = "exact limit of weighted log values"
     return UltranormValue(log_value=lim, exact=True, witness=witness)
 
@@ -415,10 +402,10 @@ class _TailSamples(NamedTuple):
     grid, the log values on it, the position in ns of each dyadic
     window's first point, and the window number (0, 1, ...) of each point.
 
-    Inside one `classify` call it also holds, by the id of each level's
-    weight estimated at this cut-off, that weight and its window maxima
-    and their first indices, and the fits made so far, by the bytes of
-    the windows they fitted."""
+    A non-empty read of an estimate (`_level_reader`) also holds, by the
+    id of each weight estimated at this cut-off, that weight and its
+    window maxima and their first indices, and the fits made so far, by
+    the bytes of the windows they fitted."""
 
     n_min: int
     ns: np.ndarray
@@ -463,14 +450,21 @@ def _window_sups(s: _TailSamples, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sups, s.ns[first]
 
 
+def _dyadic_log_maxima(f: SeqRep, shift_log: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+    """The max of log f_n, plus shift_log(n) when given, over each dyadic
+    window of f's tail samples from f.n_min on."""
+    s = _tail_samples(f, f.n_min)
+    logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
+    return _window_sups(s, logs)[0]
+
+
 def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
     """Estimate exp(limsup r_n log f_n) from dyadic window maxima of the
     tail samples s of f.
 
-    The window maxima of t_n = r_n log f_n are those s holds for r, else
-    taken here.  The fit reads only the last `_WINDOW_FIT` of them, so
-    levels of one classify call whose last windows are the same floats
-    share one fit.
+    The window maxima of t_n = r_n log f_n are those s holds for r.  The
+    fit reads only the last `_WINDOW_FIT` of them, so levels of one
+    classify call whose last windows are the same floats share one fit.
     """
     if len(s.ns) == 0:
         return UltranormValue(
@@ -480,14 +474,8 @@ def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
             stable=False,
             witness=f"no sample index at or above the weight's cut-off n={s.n_min}",
         )
-    level = s.levels.get(id(r)) if s.levels is not None else None
-    if level is None:
-        sups, sup_ns = _window_sups(s, _weighted(s.logs, r.values(s.ns)))
-    else:
-        _, sups, sup_ns = level
+    _, sups, sup_ns = s.levels[id(r)]
     tail, tail_ns = sups[-_WINDOW_FIT:], sup_ns[-_WINDOW_FIT:]
-    if s.fits is None:
-        return _tail_fit(s, tail, tail_ns)
     key = (tail.tobytes(), tail_ns.tobytes())
     if key not in s.fits:
         s.fits[key] = _tail_fit(s, tail, tail_ns)
@@ -617,9 +605,9 @@ def ultranorm(
     and for a vanishing f under every weight.
 
     An estimate reads f's tail samples from the cut-off of f and r on,
-    through `_samples` when given (`classify` passes a reader that keeps
-    what it read and the window maxima of every level for the other
-    levels of one call).
+    through a `_level_reader`: its own, or the one `_samples` gives
+    (`classify` passes one that keeps what it read and the window maxima
+    of every level for the other levels of one call).
     """
     if f.is_truncated:
         return UltranormValue(
@@ -627,14 +615,15 @@ def ultranorm(
         )
     if not _estimated(f, r):
         return _exact_ultranorm(f, r)
-    read = _samples if _samples is not None else partial(_tail_samples, f)
+    read = _samples if _samples is not None else _level_reader(f, (r,))
     return _tail_estimate(read(_cut_off(f, r)), r)
 
 
 def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _TailSamples]:
-    """A reader of f's tail samples for one classify call over the levels
-    `weights`: at each cut-off f is read once, and the window maxima of
-    every level estimated there are taken in one pass, one row per level."""
+    """A reader of f's tail samples for the estimates of its ultranorms
+    against the levels `weights`: at each cut-off f is read once, and the
+    window maxima of every level estimated there are taken in one pass,
+    one row per level."""
     groups: dict[int, list[WeightSeq]] = {}
     for r in weights:
         if _estimated(f, r):
@@ -646,7 +635,7 @@ def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _T
         if not len(s.ns):
             return s
         group = groups[n_min]
-        sups, sup_ns = _window_sups(s, _weighted(s.logs, np.stack([r.values(s.ns) for r in group])))
+        sups, sup_ns = _window_sups(s, _weighted(s.logs, np.array([r.values(s.ns) for r in group])))
         return s._replace(levels={id(r): (r, sups[i], sup_ns[i]) for i, r in enumerate(group)}, fits={})
 
     return read
@@ -720,11 +709,10 @@ def classify(
     the level quantifier follows the family direction (exists-m for
     decreasing levels, for-all-m for increasing ones), probed up to m_max.
 
-    Over several levels, each sampled channel is read once per cut-off,
-    and one pass over that read takes the window maxima of every level
-    estimated there; levels whose last windows are the same floats share
-    one fit.  Every level still goes through `ultranorm`, and the tables
-    live only for the call.
+    Each sampled channel is read once per cut-off, and one pass over that
+    read takes the window maxima of every level estimated there; levels
+    whose last windows are the same floats share one fit.  Every level
+    still goes through `ultranorm`, and the tables live only for the call.
     """
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}
@@ -735,9 +723,7 @@ def classify(
         else list(range(family.m_start, family.m_start + m_max))
     )
     weights = [family.member(m) for m in levels]
-    readers = {
-        key: _level_reader(f, weights) if len(levels) > 1 else None for key, f in bundle.items()
-    }
+    readers = {key: _level_reader(f, weights) for key, f in bundle.items()}
     per_level: dict[int, dict[object, UltranormValue]] = {}
     lines: list[str] = []
     for m, r in zip(levels, weights):
@@ -879,9 +865,8 @@ class NumberSpace:
     def name(self) -> str:
         return f"{self.family.name}[{self.mode.value}]"
 
-    def classify(self, bundle, **kw) -> ClassificationReport:
-        kw.setdefault("m_max", self.m_max)
-        return classify(bundle, self.family, self.mode, **kw)
+    def classify(self, bundle) -> ClassificationReport:
+        return classify(bundle, self.family, self.mode, self.m_max)
 
     def single_weight(self) -> WeightSeq:
         if not self.family.single:

@@ -84,7 +84,9 @@ class ScalarMap:
 
     poly_bound (A, K) certifies g(u) <= A * max(u, 1)^K everywhere.
     vanish_bound (A, kappa, u0) certifies h(u) <= A * u^kappa for u <= u0.
-    zero_limit is the exact right limit at 0 when known.
+    Their A, K and kappa must be finite: a bound that overflowed
+    certifies nothing.  zero_limit is the exact right limit at 0 when
+    known.
     """
 
     label: str
@@ -95,8 +97,21 @@ class ScalarMap:
     contains_exp: bool = False
     symbolic_transform: Callable[[growth.GrowthExpr], growth.GrowthExpr] | None = None
 
+    def __post_init__(self):
+        for name, bound in (("growth", self.poly_bound), ("vanishing", self.vanish_bound)):
+            if bound is not None and not all(map(math.isfinite, bound[:2])):
+                raise ValueError(f"the {name} bound of {self.label} is not finite: {bound}")
+
     def __call__(self, u):
         return self.fn(np.asarray(u, dtype=float))
+
+
+def _pow(x: float, p: float) -> float:
+    """x ** p for floats, inf where it overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
 
 
 def identity_map() -> ScalarMap:
@@ -171,14 +186,14 @@ def compose_maps(outer: ScalarMap, inner: ScalarMap) -> ScalarMap:
     if outer.poly_bound and inner.poly_bound:
         ao, ko = outer.poly_bound
         ai, ki = inner.poly_bound
-        poly = (ao * max(ai, 1.0) ** ko, ko * ki)
+        poly = (ao * _pow(max(ai, 1.0), ko), ko * ki)
     vanish = None
     if outer.vanish_bound and inner.vanish_bound:
         ao, ko, uo = outer.vanish_bound
         ai, ki, ui = inner.vanish_bound
         # need inner(u) <= uo: suffices u <= (uo/ai)^(1/ki) within inner's range
-        cap = min(ui, (uo / ai) ** (1.0 / ki) if math.isfinite(uo) else math.inf, 1.0)
-        vanish = (ao * ai ** ko, ko * ki, cap)
+        cap = min(ui, _pow(uo / ai, 1.0 / ki) if math.isfinite(uo) else math.inf, 1.0)
+        vanish = (ao * _pow(ai, ko), ko * ki, cap)
     zl = None
     if inner.zero_limit is not None and outer.zero_limit is not None:
         if inner.zero_limit == 0.0:
@@ -387,6 +402,12 @@ def _r_top(W: WeightFamily, levels: list[int]) -> float:
     return max(W.first_value(m) for m in levels)
 
 
+def _overflowed(cert: _Certificate, a: float, r_top: float) -> TemperateCertificate:
+    """The no-decision certificate when a structural bound's factor max(a, 1)^r_top overflows."""
+    note = f"the structural bound factor {a:g}^{r_top:g} overflows a float; no decision"
+    return cert(status="inconclusive", notes=note)
+
+
 def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     """Decide whether g preserves the moderate cone over the family W."""
     case = _family_case(W)
@@ -400,7 +421,10 @@ def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
 
     if g.poly_bound is not None:
         a, k = g.poly_bound
-        bound = max(a, 1.0) ** _r_top(W, levels)
+        r_top = _r_top(W, levels)
+        bound = _pow(max(a, 1.0), r_top)
+        if bound == math.inf:
+            return _overflowed(cert, a, r_top)
         return cert(
             status="certified",
             pairs=tuple((m, m) for m in levels),
@@ -534,7 +558,9 @@ def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     if h.vanish_bound is not None:
         a, kappa, u0 = h.vanish_bound
         r_top = _r_top(W, levels)
-        bound = max(a, 1.0) ** r_top
+        bound = _pow(max(a, 1.0), r_top)
+        if bound == math.inf:
+            return _overflowed(cert, a, r_top)
         x_cap = 1.0 if u0 >= 1.0 else u0 ** (1.0 / r_top)
         return cert(
             status="certified",
@@ -590,8 +616,8 @@ class SeqMap:
 
     order_pairing sends the output seminorm order to the input order the
     bounds are stated against; g_alpha bounds the map's own seminorms,
-    g_beta and h_beta bound difference seminorms in product form.  A
-    linear map's difference at (f, k) is its image of k.
+    g_beta and h_beta bound difference seminorms in product form.  The
+    difference phi(f + k) - phi(f) is apply_diff(f, k) when given.
     """
 
     name: str
@@ -601,11 +627,8 @@ class SeqMap:
     g_beta: ScalarMap
     h_beta: ScalarMap
     apply_diff: Callable[[SmoothSeq, SmoothSeq], SmoothSeq] | None = None
-    linear: bool = False
 
     def difference(self, f: SmoothSeq, k: SmoothSeq) -> SmoothSeq:
-        if self.linear:
-            return self.apply(k)
         if self.apply_diff is not None:
             return self.apply_diff(f, k)
         return sub_seq(self.apply(add_seq(f, k)), self.apply(f))
@@ -646,7 +669,7 @@ def derivative_map() -> SeqMap:
         g_alpha=identity_map(),
         g_beta=affine_map(1.0, 1.0),
         h_beta=identity_map(),
-        linear=True,
+        apply_diff=lambda f, k: derivative_seq(k),  # linear: the image of k
     )
 
 
@@ -726,30 +749,31 @@ def _run_spot_checks(phi: SeqMap) -> _SpotChecks:
     seminorms of its inputs at the paired order: the growth inequality
     ("alpha") p_nu(phi(f)) <= g_alpha(p(f)), and the difference inequality
     ("beta") p_nu(phi(f+k) - phi(f)) <= g_beta(p(f)) h_beta(p(k)).  Each
-    sequence reads its seminorms from one table, so every (sequence, n,
-    radius) lattice is walked once; a linear map's difference cases read
-    the table of its image of k.  A bound that overflows is +inf and passes.
+    sequence reads its seminorms from one table, kept by its structural
+    key, so every (sequence, n, radius) lattice is walked once: a linear
+    map's difference at (f, k) reads the table of its image of k.  A bound
+    that overflows is +inf and passes.
     """
-    tables = dict(_corpus())
-    images = {f: phi.apply(f) for f in tables}
+    tables = {f.key: table for f, table in _corpus().items()}
+    images = {f: phi.apply(f) for f in _corpus()}
     # (inequality, left-hand sequence, inputs, bound on the inputs' seminorms)
     cases = [("alpha", images[f], (f,), lambda pf: float(phi.g_alpha(pf))) for f in images]
     cases += [
-        ("beta", images[k] if phi.linear else phi.difference(f, k), (f, k),
+        ("beta", phi.difference(f, k), (f, k),
          lambda pf, pk: float(phi.g_beta(pf)) * float(phi.h_beta(pk)))
         for f in images
         for k in images
     ]
     checked = {"alpha": 0, "beta": 0}
     for inequality, lhs, inputs, bound in cases:
-        p_lhs = tables.setdefault(lhs, genfun._seminorm_table(lhs))
+        p_lhs = tables.setdefault(lhs.key, genfun._seminorm_table(lhs))
         for nu in range(_CORPUS_NU_MAX + 1):
             if nu > lhs.max_order or phi.order_pairing(nu) > min(x.max_order for x in inputs):
                 continue
             for n in _CORPUS_NS:
                 p_out = p_lhs(n, nu)
                 with np.errstate(over="ignore"):
-                    rhs = bound(*(tables[x](n, phi.order_pairing(nu)) for x in inputs))
+                    rhs = bound(*(tables[x.key](n, phi.order_pairing(nu)) for x in inputs))
                 checked[inequality] += 1
                 if p_out > rhs * (1 + _RTOL) + _ATOL:
                     labels = dict(zip(("f", "k"), (x.label for x in inputs)))
@@ -806,16 +830,12 @@ class ExtensionError(RuntimeError):
     """The extended map produced a non-moderate output."""
 
 
-def extend(
-    phi: SeqMap,
-    element: FunctionElement,
-    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
-) -> FunctionElement:
+def extend(phi: SeqMap, element: FunctionElement) -> FunctionElement:
     """Apply the map to a representative and re-validate moderateness."""
     out = phi.apply(element.seq)
     fspace = element.fspace
     nu_max = min(fspace.nu_max, out.max_order)
-    report = genfun.classify_fun(out, nu_max, fspace.space, sample_ns)
+    report = genfun.classify_fun(out, nu_max, fspace.space)
     if report.in_moderate is False:
         raise ExtensionError(
             f"map {phi.name!r} sent {element.seq.label!r} outside the moderate "
@@ -838,16 +858,15 @@ def verify_F2(
     j: SmoothSeq,
     space: NumberSpace | None = None,
     nu_max: int = 2,
-    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
 ) -> F2Report:
     """Ideal stability of the extension: the difference after a negligible
     perturbation must classify negligible."""
     space = space or colombeau_space()
-    j_report = genfun.classify_fun(j, min(nu_max, j.max_order), space, sample_ns)
+    j_report = genfun.classify_fun(j, min(nu_max, j.max_order), space)
     if j_report.verdict != "negligible":
         raise ValueError(f"perturbation {j.label!r} is not negligible: {j_report.verdict}")
     dseq = phi.difference(f, j)
-    d_report = genfun.classify_fun(dseq, min(nu_max, dseq.max_order), space, sample_ns)
+    d_report = genfun.classify_fun(dseq, min(nu_max, dseq.max_order), space)
     if d_report.verdict == "negligible":
         passed = True
     elif d_report.conclusive:
@@ -869,7 +888,6 @@ def continuity_trend(
     space: NumberSpace | None = None,
     steps: int = 4,
     nu: int = 0,
-    sample_ns: Sequence[int] = DEFAULT_SAMPLE_NS,
 ) -> list[tuple[float, float]]:
     """Norms (input perturbation, output difference) along a shrinking ladder.
 
@@ -882,7 +900,7 @@ def continuity_trend(
 
     def norm(seq: SmoothSeq) -> float:
         rep = genfun._log_abs_channel(
-            genfun._each(partial(seminorm, seq, spec=spec)), f"p_{nu}({seq.label})", sample_ns
+            genfun._each(partial(seminorm, seq, spec=spec)), f"p_{nu}({seq.label})", DEFAULT_SAMPLE_NS
         )
         return ultranorm(rep, w).value
 

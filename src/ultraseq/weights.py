@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _PROBE_NS = (2, 10, 100, 10_000, 1_000_000)
+_DIRECTION_LEVELS = 6  # consecutive level pairs `verify_direction` checks
+_AXIOM_M_MAX = 8  # `verify_scale_axioms` checks the levels |m| <= this
+_WITNESS_MAX = 64  # the largest square-domination witness it searches
 _MEMO_GRIDS = 4  # read-only grids whose values a weight keeps
 
 
@@ -179,11 +182,12 @@ class WeightFamily:
     def single(self) -> bool:
         return self.direction is Direction.SINGLE
 
-    def verify_direction(self, m_max: int = 6) -> bool:
-        """Spot-check the declared pointwise ordering between consecutive levels."""
+    def verify_direction(self) -> bool:
+        """Spot-check the declared pointwise ordering between consecutive
+        levels, over the first `_DIRECTION_LEVELS` levels."""
         if self.single:
             return True
-        for m in range(self.m_start, self.m_start + m_max):
+        for m in range(self.m_start, self.m_start + _DIRECTION_LEVELS):
             a, b = self.member(m), self.member(m + 1)
             for n in _PROBE_NS:
                 if n < max(a.n_min, b.n_min):
@@ -307,35 +311,35 @@ class ScaleAxiomReport:
     notes: tuple[str, ...] = ()
 
 
-def verify_scale_axioms(scale: AsymptoticScale, m_max: int = 8, witness_max: int = 64) -> ScaleAxiomReport:
-    """Check the scale axioms exactly on levels |m| <= m_max.
+def verify_scale_axioms(scale: AsymptoticScale) -> ScaleAxiomReport:
+    """Check the scale axioms exactly on levels |m| <= `_AXIOM_M_MAX`.
 
-    The square-domination witness M is searched up to witness_max; absence
+    The square-domination witness M is searched up to `_WITNESS_MAX`; absence
     of a witness within that bound refutes nothing by itself, so it is
     reported as None and excluded from `holds` only when the search space
     was exhausted.
     """
     notes: list[str] = []
     ordered = True
-    for m in range(-m_max, m_max):
+    for m in range(-_AXIOM_M_MAX, _AXIOM_M_MAX):
         c = growth.compare(scale.member(m + 1), scale.member(m))
         if c.relation != growth.LESS:
             ordered = False
             notes.append(f"a_{m + 1} is not o(a_{m}): {c.relation}")
             break
     reciprocal_ok = all(
-        growth.mul(scale.member(-m), scale.member(m)) == growth.ONE for m in range(1, m_max + 1)
+        growth.mul(scale.member(-m), scale.member(m)) == growth.ONE for m in range(1, _AXIOM_M_MAX + 1)
     )
     witness: dict[int, int | None] = {}
-    for m in range(-m_max, m_max + 1):
+    for m in range(-_AXIOM_M_MAX, _AXIOM_M_MAX + 1):
         sq = growth.pow_expr(scale.member(m), 2.0)
         found = None
-        for big in range(m, witness_max + 1):
+        for big in range(m, _WITNESS_MAX + 1):
             if growth.compare(scale.member(big), sq).relation == growth.LESS:
                 found = big
                 break
         witness[m] = found
         if found is None:
-            notes.append(f"no M <= {witness_max} with a_M = o(a_{m}^2)")
+            notes.append(f"no M <= {_WITNESS_MAX} with a_M = o(a_{m}^2)")
     holds = ordered and reciprocal_ok and all(v is not None for v in witness.values())
     return ScaleAxiomReport(ordered, reciprocal_ok, witness, holds, tuple(notes))

@@ -442,10 +442,24 @@ def test_the_shared_parser_answers_like_a_fresh_one(capsys):
         ("power:1e400", "bad power map 'power:1e400': power maps need a finite exponent"),
         ("affine:inf:1", "bad affine map 'affine:inf:1': affine maps need finite a and b"),
         ("affine:1:nan", "bad affine map 'affine:1:nan': affine maps need finite a and b"),
+        (
+            "affine:1e308:1e308",
+            "bad affine map 'affine:1e308:1e308': the growth bound of 1e+308x + 1e+308 is not finite: (inf, 1.0)",
+        ),
     ],
 )
 def test_check_map_rejects_a_non_finite_parameter(capsys, name, message):
     assert run(capsys, "check-map", name) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("role", ["moderate", "compatible"])
+def test_check_map_with_an_overflowing_bound_factor_is_inconclusive(capsys, role):
+    # the bound factor 1e300^(1/log 2) is beyond floating-point range: no exact certificate
+    out = (
+        f"map 1e+300x as {role} over colombeau (case single): inconclusive\n"
+        "  the structural bound factor 1e+300^1.4427 overflows a float; no decision\n"
+    )
+    assert run(capsys, "check-map", "affine:1e300:0", "--role", role) == (2, out, "")
 
 
 @pytest.mark.parametrize("line, name", [(" = n", ""), ("my f = n", "my f")])

@@ -101,6 +101,17 @@ def test_scalar_map_parameters_must_be_finite(bad):
             make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: affine_map(1e308, 1e308), lambda: compose_maps(power_map(2.0), affine_map(1e200, 0.0))],
+    ids=["affine-sum", "compose"],
+)
+def test_scalar_map_bound_factors_must_be_finite(make):
+    # finite parameters whose structural bound overflows: an inf factor certifies nothing
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # growth certificates (r-moderate)
 
