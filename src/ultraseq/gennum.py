@@ -245,12 +245,10 @@ _PROBE_EXPONENTS = (0, 1, 2, 4, 8, 16, 32)  # the n^s probed on a sampled differ
 _S_MAX = _PROBE_EXPONENTS[-1]
 
 
-def _sampled_null_trend(
-    diff: SeqRep, shift_log: Callable[[np.ndarray], np.ndarray] | None = None
-) -> tuple[str, dict]:
-    """Does the (optionally reweighted) sequence tend to zero, judged from
-    dyadic window maxima of its log values?"""
-    tail = [float(v) for v in _dyadic_log_maxima(diff, shift_log)[-4:]]
+def _null_trend(maxima: np.ndarray) -> tuple[str, dict]:
+    """Does a (possibly reweighted) sampled sequence tend to zero, judged
+    from the dyadic window maxima of its log values?"""
+    tail = [float(v) for v in maxima[-4:]]
     tol_log = math.log(_TREND_TOL)
     witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
     nonincreasing = all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
@@ -323,7 +321,7 @@ def associate(
             holds = _limit_is_zero(lv)
             top = lv.sup if isinstance(lv, ParityLimits) else lv
             return AssocVerdict("yes" if holds else "no", kind, witness={"limit": top})
-        ans, witness = _sampled_null_trend(diff)
+        ans, witness = _null_trend(_dyadic_log_maxima(diff))
         return AssocVerdict(ans, kind, witness=witness)
 
     if kind.name == "s-dual":
@@ -345,9 +343,7 @@ def associate(
             except NotRepresentable:
                 pass
         sval = kind.s
-        ans, witness = _sampled_null_trend(
-            diff, shift_log=lambda ns: sval / w.values(ns)
-        )
+        ans, witness = _null_trend(_dyadic_log_maxima(diff, lambda ns: sval / w.values(ns)))
         return AssocVerdict(ans, kind, witness=witness)
 
     if kind.name == "custom-JX":
@@ -379,12 +375,10 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
                 kind,
                 witness={"multipliers": "all n^s, decided exactly"},
             )
-        results = {}
-        for s in _PROBE_EXPONENTS:
-            ans, wit = _sampled_null_trend(
-                diff, shift_log=lambda ns, s=s: s * np.log(np.asarray(ns, dtype=float))
-            )
-            results[s] = ans
+        # one read of diff: the shifts s log n of every probe are its rows
+        maxima = _dyadic_log_maxima(diff, lambda ns: np.multiply.outer(_PROBE_EXPONENTS, np.log(ns)))
+        for s, row in zip(_PROBE_EXPONENTS, maxima):
+            ans, wit = _null_trend(row)
             if ans != "yes":
                 return AssocVerdict(
                     ans,
@@ -395,7 +389,7 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
         return AssocVerdict(
             "yes",
             kind,
-            witness={"probed_exponents": list(results)},
+            witness={"probed_exponents": list(_PROBE_EXPONENTS)},
             notes=f"probed exponents up to {_S_MAX}; exhaustive only on the symbolic tier",
         )
 
@@ -423,7 +417,7 @@ def null_predicate(rep: SeqRep) -> bool | None:
         return True
     if rep.is_symbolic:
         return _limit_is_zero(growth.limit_value(rep.expr))
-    ans, _ = _sampled_null_trend(rep)
+    ans, _ = _null_trend(_dyadic_log_maxima(rep))
     return {"yes": True, "no": False, "inconclusive": None}[ans]
 
 

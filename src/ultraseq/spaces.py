@@ -21,6 +21,7 @@ from functools import cache, lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ultraseq import growth
 from ultraseq.growth import GrowthExpr
@@ -388,13 +389,21 @@ def _sample_grid(n_min: int, n_max: int) -> np.ndarray:
     return grid
 
 
-def _tail_grid(f: SeqRep, n_min: int) -> np.ndarray:
-    """The sorted indices at which f's tail is sampled, none below n_min:
-    f's own sample_ns when it has them, else the dyadic sample grid."""
-    if f.sample_ns is None:
-        return _sample_grid(n_min, f.n_max)
-    ns = np.asarray(sorted(set(f.sample_ns)), dtype=np.int64)
-    return ns[ns >= n_min]
+def _window_layout(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted indices ns, the position in ns of each dyadic window's
+    first point, and the window number (0, 1, ...) of each point."""
+    opens = np.diff(_window_keys(ns), prepend=-1) != 0
+    return ns, np.flatnonzero(opens), np.cumsum(opens) - 1
+
+
+@lru_cache(maxsize=8)
+def _grid_layout(n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window layout of the dyadic sample grid, built once beside it
+    and shared like it: every array is read-only."""
+    layout = _window_layout(_sample_grid(n_min, n_max))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 class _TailSamples(NamedTuple):
@@ -402,26 +411,27 @@ class _TailSamples(NamedTuple):
     grid, the log values on it, the position in ns of each dyadic
     window's first point, and the window number (0, 1, ...) of each point.
 
-    A non-empty read of an estimate (`_level_reader`) also holds, by the
-    id of each weight estimated at this cut-off, that weight and its
-    window maxima and their first indices, and the fits made so far, by
-    the bytes of the windows they fitted."""
+    A read of an estimate (`_level_reader`) also holds, by the id of each
+    weight estimated at this cut-off, the finished estimate against it."""
 
     n_min: int
     ns: np.ndarray
     logs: np.ndarray
     starts: np.ndarray
     window: np.ndarray
-    levels: Mapping[int, tuple[WeightSeq, np.ndarray, np.ndarray]] | None = None
-    fits: dict[tuple[bytes, bytes], UltranormValue] | None = None
+    levels: Mapping[int, UltranormValue] | None = None
 
 
 def _tail_samples(f: SeqRep, n_min: int) -> _TailSamples:
-    """f's tail samples from n_min on; an empty grid evaluates nothing."""
-    ns = _tail_grid(f, n_min)
+    """f's tail samples from n_min on, at f's own sample_ns when it has
+    them, else on the dyadic sample grid; an empty grid evaluates nothing."""
+    if f.sample_ns is None:
+        ns, starts, window = _grid_layout(n_min, f.n_max)
+    else:
+        ns = np.asarray(sorted(set(f.sample_ns)), dtype=np.int64)
+        ns, starts, window = _window_layout(ns[ns >= n_min])
     logs = f.log_values(ns) if len(ns) else np.empty(0)
-    opens = np.diff(_window_keys(ns), prepend=-1) != 0
-    return _TailSamples(n_min, ns, logs, np.flatnonzero(opens), np.cumsum(opens) - 1)
+    return _TailSamples(n_min, ns, logs, starts, window)
 
 
 def _weighted(logs: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -429,9 +439,10 @@ def _weighted(logs: np.ndarray, rs: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         t = rs * logs
     # conventions: 0 * (-inf) = -inf here (a zero weight flattens zeros to
-    # zero, positives to one), and r * log stays -inf whenever f_n = 0
+    # zero, and every positive f_n, +inf included, to one, as a step weight
+    # does on the exact tier), and r * log stays -inf whenever f_n = 0
     t = np.where(np.isneginf(logs), -math.inf, t)
-    return np.where((rs == 0.0) & np.isfinite(logs), 0.0, t)
+    return np.where((rs == 0.0) & (logs > -math.inf), 0.0, t)
 
 
 def _window_sups(s: _TailSamples, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,52 +463,85 @@ def _window_sups(s: _TailSamples, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _dyadic_log_maxima(f: SeqRep, shift_log: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
     """The max of log f_n, plus shift_log(n) when given, over each dyadic
-    window of f's tail samples from f.n_min on."""
+    window of f's tail samples from f.n_min on; a shift_log that gives
+    one row per shift gives the maxima row by row, from one read of f."""
     s = _tail_samples(f, f.n_min)
     logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
     return _window_sups(s, logs)[0]
 
 
 def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
-    """Estimate exp(limsup r_n log f_n) from dyadic window maxima of the
-    tail samples s of f.
-
-    The window maxima of t_n = r_n log f_n are those s holds for r.  The
-    fit reads only the last `_WINDOW_FIT` of them, so levels of one
-    classify call whose last windows are the same floats share one fit.
-    """
-    if len(s.ns) == 0:
-        return UltranormValue(
-            log_value=math.nan,
-            exact=False,
-            band_log=(-math.inf, math.inf),
-            stable=False,
-            witness=f"no sample index at or above the weight's cut-off n={s.n_min}",
-        )
-    _, sups, sup_ns = s.levels[id(r)]
-    tail, tail_ns = sups[-_WINDOW_FIT:], sup_ns[-_WINDOW_FIT:]
-    key = (tail.tobytes(), tail_ns.tobytes())
-    if key not in s.fits:
-        s.fits[key] = _tail_fit(s, tail, tail_ns)
-    return s.fits[key]
+    """The estimate of exp(limsup r_n log f_n) that the read s of f's tail
+    samples (`_level_reader`) made for the weight r."""
+    return s.levels[id(r)]
 
 
-def _tail_fit(s: _TailSamples, tail: np.ndarray, tail_ns: np.ndarray) -> UltranormValue:
-    """The limit of the last window maxima `tail` of t, reached first at
-    the indices `tail_ns`, of the tail samples s.
+def _no_estimate(witness: str) -> UltranormValue:
+    """An estimate with nothing to rest on: nan, in an unbounded band."""
+    return UltranormValue(
+        log_value=math.nan, exact=False, band_log=(-math.inf, math.inf), stable=False, witness=witness
+    )
 
-    They are extrapolated against the basis {1, 1/L, log L / L} in
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The least-squares solutions of the stacked systems a[i] x = b[i],
+    a of shape (k, m, n) and b (k, m), in one LAPACK gelsd call: the
+    gufunc that np.linalg.lstsq(a[i], b[i], rcond=None) wraps, with its
+    rcond and errstate, so each row is the same floats."""
+    m, n = a.shape[-2:]
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x, _, _, _ = _umath_linalg.lstsq(a, b[..., None], np.finfo(float).eps * max(m, n), signature="ddd->ddid")
+    return x[..., 0]
+
+
+def _tail_fits(s: _TailSamples, tails: np.ndarray, tail_ns: np.ndarray) -> list[UltranormValue]:
+    """The limit of each row of `tails`, the last window maxima of one t
+    on the tail samples s, reached first at the indices in the same row
+    of `tail_ns`.  Rows whose bytes are equal are fitted once.
+
+    Each row is extrapolated against the basis {1, 1/L, log L / L} in
     L = log n, which reproduces the exact tail law for constants, powers
-    of n, our weight catalogs, and exponentials.  The band is driven by
-    fit residuals; when the basis cannot explain the tail, a steady drift
-    in L commits to a +-inf limit, and anything else comes back wide and
-    unstable.
+    of n, our weight catalogs, and exponentials; the rows with the same
+    finite windows (all of them, nearly always) are solved together, in
+    one least-squares call.  The band is driven by fit residuals; when
+    the basis cannot explain the tail, a steady drift in L commits to a
+    +-inf limit, and anything else comes back wide and unstable.
     """
+    keys = [(t.tobytes(), n.tobytes()) for t, n in zip(tails, tail_ns)]
+    rows = dict.fromkeys(keys)
+    pick = [keys.index(key) for key in rows]
+    tails = tails[pick]
     # fitting at the location of each window sup instead of the window
     # midpoint keeps the asymptote unbiased
-    tail_ls = np.log(tail_ns)
+    tail_ls = np.log(tail_ns[pick])
+    finite = np.isfinite(tails)
+    fits = [_unfitted(s, tail, k) for tail, k in zip(tails.tolist(), finite.sum(axis=-1).tolist())]
+    # the rows left to fit, by their finite windows: one call per mask
+    by_mask: dict[bytes, list[int]] = {}
+    for i, v in enumerate(fits):
+        if v is None:
+            by_mask.setdefault(finite[i].tobytes(), []).append(i)
+    for rows_left in by_mask.values():
+        mask = finite[rows_left[0]]
+        ys, Ls = tails[rows_left][:, mask], tail_ls[rows_left][:, mask]
+        basis = np.stack([np.ones_like(Ls), 1.0 / Ls, np.log(Ls) / Ls], axis=-1)
+        coef = _lstsq(basis, ys)
+        resid = np.max(np.abs((basis @ coef[..., None])[..., 0] - ys), axis=-1)
+        for i, y, L, c, e in zip(rows_left, ys, Ls, coef.tolist(), resid.tolist()):
+            fits[i] = _fitted(y, L, c[0], e)
+    fitted = dict(zip(rows, fits))
+    return [fitted[key] for key in keys]
 
-    if np.isneginf(tail).all():
+
+def _unfitted(s: _TailSamples, tail: list[float], n_finite: int) -> UltranormValue | None:
+    """The limit of the tail row `tail`, with n_finite finite windows,
+    when it needs no fit: every value vanishes, a clear divergence signal,
+    or too few finite windows."""
+    if all(t == -math.inf for t in tail):
         return UltranormValue(
             log_value=-math.inf,
             exact=False,
@@ -521,12 +565,10 @@ def _tail_fit(s: _TailSamples, tail: np.ndarray, tail_ns: np.ndarray) -> Ultrano
             stable=True,
             witness=f"weighted log values fall below -{_DIVERGE_LOG:g} and still falling",
         )
-
-    finite = np.isfinite(tail)
-    ys = tail[finite]
-    Ls = tail_ls[finite]
-    if len(ys) < 3:
-        alpha = float(ys[-1])
+    if n_finite == 0:
+        return _no_estimate("no finite tail window to fit")
+    if n_finite < 3:
+        alpha = [t for t in tail if math.isfinite(t)][-1]
         width = max(1.0, abs(alpha))
         return UltranormValue(
             log_value=alpha,
@@ -535,10 +577,12 @@ def _tail_fit(s: _TailSamples, tail: np.ndarray, tail_ns: np.ndarray) -> Ultrano
             stable=False,
             witness="too few finite tail windows for a fit",
         )
-    basis = np.column_stack([np.ones_like(Ls), 1.0 / Ls, np.log(Ls) / Ls])
-    coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-    resid = float(np.max(np.abs(basis @ coef - ys)))
-    alpha = float(coef[0])
+    return None
+
+
+def _fitted(ys: np.ndarray, Ls: np.ndarray, alpha: float, resid: float) -> UltranormValue:
+    """The limit of the finite tail windows ys at L = Ls, whose convergent
+    fit extrapolated alpha with largest residual resid."""
     last_sup = float(ys[-1])
     if resid <= 0.02:
         width = max(6.0 * resid, 1e-9 + 1e-5 * abs(alpha))
@@ -606,8 +650,8 @@ def ultranorm(
 
     An estimate reads f's tail samples from the cut-off of f and r on,
     through a `_level_reader`: its own, or the one `_samples` gives
-    (`classify` passes one that keeps what it read and the window maxima
-    of every level for the other levels of one call).
+    (`classify` passes one that keeps what it read and the estimates of
+    every level for the other levels of one call).
     """
     if f.is_truncated:
         return UltranormValue(
@@ -623,7 +667,8 @@ def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _T
     """A reader of f's tail samples for the estimates of its ultranorms
     against the levels `weights`: at each cut-off f is read once, and the
     window maxima of every level estimated there are taken in one pass,
-    one row per level."""
+    one row per level, and fitted together (`_tail_fits`).  The weights
+    stay referenced here, so their ids key the estimates of a read."""
     groups: dict[int, list[WeightSeq]] = {}
     for r in weights:
         if _estimated(f, r):
@@ -632,11 +677,13 @@ def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _T
     @cache
     def read(n_min: int) -> _TailSamples:
         s = _tail_samples(f, n_min)
-        if not len(s.ns):
-            return s
         group = groups[n_min]
-        sups, sup_ns = _window_sups(s, _weighted(s.logs, np.array([r.values(s.ns) for r in group])))
-        return s._replace(levels={id(r): (r, sups[i], sup_ns[i]) for i, r in enumerate(group)}, fits={})
+        if len(s.ns):
+            sups, sup_ns = _window_sups(s, _weighted(s.logs, np.array([r.values(s.ns) for r in group])))
+            fits = _tail_fits(s, sups[:, -_WINDOW_FIT:], sup_ns[:, -_WINDOW_FIT:])
+        else:
+            fits = [_no_estimate(f"no sample index at or above the weight's cut-off n={n_min}")] * len(group)
+        return s._replace(levels={id(r): v for r, v in zip(group, fits)})
 
     return read
 
@@ -710,9 +757,10 @@ def classify(
     decreasing levels, for-all-m for increasing ones), probed up to m_max.
 
     Each sampled channel is read once per cut-off, and one pass over that
-    read takes the window maxima of every level estimated there; levels
-    whose last windows are the same floats share one fit.  Every level
-    still goes through `ultranorm`, and the tables live only for the call.
+    read takes the window maxima of every level estimated there; one
+    least-squares call then fits all their tails, once per distinct tail.
+    Every level still goes through `ultranorm`, and the tables live only
+    for the call.
     """
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}

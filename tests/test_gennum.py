@@ -227,6 +227,19 @@ def test_power_probes_on_a_sampled_difference():
     assert v.holds == "yes" and v.witness == {"probed_exponents": [0, 1, 2, 4, 8, 16, 32]}
 
 
+def test_power_probes_read_a_sampled_difference_once():
+    calls = []
+
+    def values(ns):
+        calls.append(len(ns))
+        return np.exp(-np.sqrt(ns))
+
+    kind = AssocKind.custom(null_predicate, PowerXFamily(), "null limit")
+    v = associate(ZERO_N, ZERO_N, kind, difference=SeqRep.sampled(values, "exp(-sqrt n)"))
+    assert v.holds == "yes" and v.witness == {"probed_exponents": [0, 1, 2, 4, 8, 16, 32]}
+    assert len(calls) == 1
+
+
 def test_custom_jx_keeps_a_truncated_multiplier_product_truncated():
     seen = []
 

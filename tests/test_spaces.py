@@ -216,6 +216,16 @@ def test_sample_grid_is_shared_read_only(n_min, n_max):
     assert fresh is not grid and fresh.tobytes() == grid.tobytes() and fresh.dtype == grid.dtype
 
 
+@pytest.mark.parametrize("n_min, n_max", [(2, 10**6), (16, 10**6), (6, 5)])
+def test_window_layout_is_kept_with_the_grid(n_min, n_max):
+    layout = spaces._grid_layout(n_min, n_max)
+    assert spaces._grid_layout(n_min, n_max) is layout
+    assert not any(a.flags.writeable for a in layout)
+    fresh = spaces._window_layout(_sample_grid.__wrapped__(n_min, n_max))
+    assert [a.tobytes() for a in layout] == [a.tobytes() for a in fresh]
+    assert [a.dtype for a in layout] == [a.dtype for a in fresh]
+
+
 def test_window_keys_are_exact_at_powers_of_two():
     ks = range(2, 54)
     assert _window_keys([2**k - 1 for k in ks]).tolist() == [k - 1 for k in ks]
@@ -495,13 +505,13 @@ def test_classify_is_the_level_loop_bitwise(family, channels, m_max):
 
 def test_an_egorov_classify_fits_one_tail(monkeypatch):
     fits = []
-    fit = spaces._tail_fit
+    lstsq = spaces._lstsq
 
-    def counting(*args):
-        fits.append(args)
-        return fit(*args)
+    def counting(a, b):
+        fits.extend(b)
+        return lstsq(a, b)
 
-    monkeypatch.setattr(spaces, "_tail_fit", counting)
+    monkeypatch.setattr(spaces, "_lstsq", counting)
     f = SeqRep.sampled_from_expr("n^2 * log(n)")
     report = classify(f, catalog("egorov"))
     # beyond n = 16 every step weight is 0, so all 16 levels end in the same windows
@@ -509,6 +519,189 @@ def test_an_egorov_classify_fits_one_tail(monkeypatch):
     fits.clear()
     assert repr(report) == repr(_reference_classify(f, catalog("egorov")))
     assert len(fits) == 16
+
+
+def _reference_tail_fit(s, tail, tail_ns):
+    """One row of `spaces._tail_fits`, fitted alone with np.linalg.lstsq."""
+    tail_ls = np.log(tail_ns)
+    if np.isneginf(tail).all():
+        return spaces.UltranormValue(
+            log_value=-math.inf,
+            exact=False,
+            band_log=(-math.inf, -math.inf),
+            stable=True,
+            witness=f"all sampled tail values vanish beyond n={s.ns[0]}",
+        )
+    if tail[-1] > 50.0 and (len(tail) < 2 or tail[-1] >= tail[-2]):
+        return spaces.UltranormValue(
+            log_value=math.inf,
+            exact=False,
+            band_log=(50.0, math.inf),
+            stable=True,
+            witness="weighted log values exceed 50 and still rising",
+        )
+    if tail[-1] < -50.0 and (len(tail) < 2 or tail[-1] <= tail[-2]):
+        return spaces.UltranormValue(
+            log_value=-math.inf,
+            exact=False,
+            band_log=(-math.inf, -50.0),
+            stable=True,
+            witness="weighted log values fall below -50 and still falling",
+        )
+    finite = np.isfinite(tail)
+    ys = tail[finite]
+    Ls = tail_ls[finite]
+    if len(ys) == 0:
+        return spaces.UltranormValue(
+            log_value=math.nan,
+            exact=False,
+            band_log=(-math.inf, math.inf),
+            stable=False,
+            witness="no finite tail window to fit",
+        )
+    if len(ys) < 3:
+        alpha = float(ys[-1])
+        width = max(1.0, abs(alpha))
+        return spaces.UltranormValue(
+            log_value=alpha,
+            exact=False,
+            band_log=(alpha - width, alpha + width),
+            stable=False,
+            witness="too few finite tail windows for a fit",
+        )
+    basis = np.column_stack([np.ones_like(Ls), 1.0 / Ls, np.log(Ls) / Ls])
+    coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
+    resid = float(np.max(np.abs(basis @ coef - ys)))
+    alpha = float(coef[0])
+    last_sup = float(ys[-1])
+    if resid <= 0.02:
+        width = max(6.0 * resid, 1e-9 + 1e-5 * abs(alpha))
+        return spaces.UltranormValue(
+            log_value=alpha,
+            exact=False,
+            band_log=(alpha - width, alpha + width),
+            stable=width <= 0.5,
+            witness=(
+                f"tail fit over {len(ys)} dyadic windows; last window sup {last_sup:.6g}, "
+                f"extrapolated {alpha:.6g}"
+            ),
+        )
+    lin = np.column_stack([np.ones_like(Ls), Ls])
+    lcoef, *_ = np.linalg.lstsq(lin, ys, rcond=None)
+    lresid = float(np.max(np.abs(lin @ lcoef - ys)))
+    slope = float(lcoef[1])
+    if abs(slope) >= 0.05 and abs(slope) * Ls[-1] >= max(1.0, 8.0 * lresid):
+        if slope > 0:
+            return spaces.UltranormValue(
+                log_value=math.inf,
+                exact=False,
+                band_log=(float(np.min(ys)), math.inf),
+                stable=True,
+                witness=f"weighted log values drift upward at slope {slope:.3g} per unit log n",
+            )
+        return spaces.UltranormValue(
+            log_value=-math.inf,
+            exact=False,
+            band_log=(-math.inf, float(np.max(ys))),
+            stable=True,
+            witness=f"weighted log values drift downward at slope {slope:.3g} per unit log n",
+        )
+    spread = abs(last_sup - float(ys[0]))
+    return spaces.UltranormValue(
+        log_value=last_sup,
+        exact=False,
+        band_log=(float(np.min(ys)) - spread, float(np.max(ys)) + spread),
+        stable=False,
+        witness=f"tail fit residual {resid:.3g} too large to extrapolate; last window sup {last_sup:.6g}",
+    )
+
+
+_SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _tail_rows(draw):
+    """Tail rows of one read, as `_level_reader` passes them to
+    `_tail_fits`: one row per level, each of the read's last windows (at
+    most `_WINDOW_FIT`, fewer on a short grid) with its first index.
+
+    A row follows the convergent basis up to a drawn noise (near the
+    residual test's 0.02), drifts linearly in L = log n, lies beyond +-50
+    (monotone or not), is arbitrary, or repeats an earlier row, bitwise
+    or at other positions; any window may then become nan or +-inf."""
+    width = draw(st.one_of(st.just(spaces._WINDOW_FIT), st.integers(1, spaces._WINDOW_FIT)))
+    k0 = draw(st.integers(1, 52 - width))
+
+    def positions():
+        return [draw(st.integers(2**k, 2 ** (k + 1) - 1)) for k in range(k0, k0 + width)]
+
+    def noise(scale):
+        return np.array(draw(st.lists(st.floats(-scale, scale), min_size=width, max_size=width)))
+
+    tails, tail_ns = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["model", "drift", "beyond", "any", "same", "moved"]))
+        ns = np.array(positions(), dtype=np.int64)
+        if kind in ("same", "moved") and tails:
+            i = draw(st.integers(0, len(tails) - 1))
+            tails.append(tails[i].copy())
+            tail_ns.append(tail_ns[i].copy() if kind == "same" else ns)
+            continue
+        Ls = np.log(ns)
+        if kind == "model":
+            a, b, c = (draw(st.floats(-60, 60)) for _ in range(3))
+            t = a + b / Ls + c * np.log(Ls) / Ls + noise(draw(st.sampled_from([0.0, 1e-6, 0.01, 0.03, 1.0])))
+        elif kind == "drift":
+            t = draw(st.floats(-60, 60)) + draw(st.floats(-3, 3)) * Ls + noise(draw(st.sampled_from([0.0, 0.1, 2.0])))
+        elif kind == "beyond":
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            t = sign * (50.0 + np.abs(noise(100.0)))
+            if draw(st.booleans()):
+                t = np.sort(t) if sign > 0 else -np.sort(-t)
+        else:
+            t = noise(1e3)
+        for j in draw(st.lists(st.integers(0, width - 1), max_size=width)):
+            t[j] = draw(_SPECIALS)
+        tails.append(t)
+        tail_ns.append(ns)
+    s = spaces._TailSamples(2, np.array([2], dtype=np.int64), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    return s, np.array(tails), np.array(tail_ns)
+
+
+@given(_tail_rows())
+@settings(max_examples=400, deadline=None)
+def test_stacked_tail_fits_are_the_row_fits(rows):
+    s, tails, tail_ns = rows
+    fits = spaces._tail_fits(s, tails, tail_ns)
+    # repr compares every float bitwise, nan included
+    assert [repr(v) for v in fits] == [repr(_reference_tail_fit(s, t, n)) for t, n in zip(tails, tail_ns)]
+
+
+def test_the_stacked_solve_is_numpy_lstsq_row_by_row():
+    rng = np.random.default_rng(20)
+    for m, n in [(3, 3), (6, 3), (10, 3), (10, 2), (5, 1)]:
+        a = rng.normal(size=(16, m, n)) * rng.uniform(1e-3, 1e3, size=(16, 1, 1))
+        a[3] = a[3, :1]  # a repeated row: rank 1
+        b = rng.normal(size=(16, m)) * 100.0
+        x = spaces._lstsq(a, b)
+        for i in range(16):
+            assert x[i].tobytes() == np.linalg.lstsq(a[i], b[i], rcond=None)[0].tobytes()
+    with pytest.raises(np.linalg.LinAlgError):
+        spaces._lstsq(np.full((1, 4, 3), math.nan), np.ones((1, 4)))
+
+
+def test_an_overflowing_sample_under_a_step_weight_is_flattened():
+    # a zero weight flattens +inf samples to t = 0 as the exact tier's step
+    # weights do: exp(n) has log-norm 0 under every egorov level
+    f = SeqRep.sampled(lambda ns: np.full(np.shape(ns), np.inf), "inf")
+    v = ultranorm(f, catalog("egorov").member(2))
+    assert v.log_value == ultranorm(SeqRep.symbolic("exp(n)"), catalog("egorov").member(2)).log_value == 0.0
+    assert v.stable
+    assert classify(f, catalog("egorov")).verdict == classify(SeqRep.symbolic("exp(n)"), catalog("egorov")).verdict == "moderate"
+    # a tail with no finite window is an unstable nan estimate
+    s = spaces._TailSamples(2, np.array([2], dtype=np.int64), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))
+    (v,) = spaces._tail_fits(s, np.full((1, 4), math.nan), np.array([[4, 8, 16, 32]]))
+    assert math.isnan(v.log_value) and not v.stable and v.band_log == (-math.inf, math.inf)
 
 
 def test_no_level_table_outlives_its_classify_call():
