@@ -360,7 +360,7 @@ def cmd_demo_delta() -> tuple[list[str], int]:
     ns = [16, 32, 64, 128, 256, 512, 1024]
     p_delta = genfun._seminorm_table(delta)  # shared with the classification below
     for nu in range(4):
-        logs = [math.log(p_delta(n, nu)) for n in ns]
+        logs = [math.log(v) for v in p_delta(ns, nu)]
         slope = _fit_slope(ns, logs)
         want = nu + 1
         good = abs(slope - want) <= 0.05 * want

@@ -12,23 +12,28 @@ differentiation would lose too much precision, and central differences
 serve only as a cross-check in the tests.
 
 Seminorm values are grid suprema over the lattice spacing
-min(2^-10, 1/(8n)), clipped to the function's support and evaluated in
-fixed-size chunks, so the peak of an n-scaled mollifier stays resolved at
-every index.  A grid supremum is a lower bound for the true supremum; the
-scaling laws the classification relies on are preserved because the peak
-region is always sampled.  One lattice walk yields the suprema of every
-order 0..nu, and the lattice depends on nu only through its radius
-max(nu, 2); callers that read several orders share one walk per
-(sequence, n, radius).
+min(2^-10, 1/(8n)), clipped to the function's support, so the peak of an
+n-scaled mollifier stays resolved at every index.  A grid supremum is a
+lower bound for the true supremum; the scaling laws the classification
+relies on are preserved because the peak region is always sampled.  The
+lattice depends on nu only through its radius max(nu, 2), and one walk
+yields the suprema of every order 0..nu at every index it is given: its
+jet and majorant calls take an index array, one index per point or cell,
+and at most a fixed number of points or cells each, so the lattices of
+all the sample indices cost a few calls, not a few per index.  Callers
+read the seminorms through a table that walks each (sequence, n, radius)
+lattice once, all the indices of one read in one walk.
 
 A sequence may also carry a majorant: upper bounds on |f_n^(j)| over
 whole cells of the lattice, an interval enclosure of the jet.  The leaves
 bound their own formulas; each combinator has one rule, monotone in the
 magnitudes of its operands, that makes its jet from the operand jets and
-its majorant from the operand majorants.  A large lattice is then walked
-by branch and bound: cells whose bound cannot reach the running supremum
-of every order are skipped, and the suprema are the same floats as the
-full walk's.
+its majorant from the operand majorants.  Every lattice is then walked by
+branch and bound, coarse to fine: each pass probes the jet at one point
+of each cell, bounds the cells, drops those whose bound cannot reach the
+running supremum of any order, and cuts the others finer; the points of
+the cells left after the finest pass are walked.  The suprema are the
+same floats as a full walk's.
 
 Pairings, mollifier masses and moments are adaptive composite
 Gauss-Legendre integrals over the clipped support.  Each panel carries a
@@ -134,8 +139,12 @@ class SmoothSeq:
     float arrays a <= b of cell endpoints it returns a freshly allocated
     (k+1, len(a)) array whose entry [j, i] is at least |jet(n, xs, k)[j]| at
     every x in [a[i], b[i]], up to a relative rounding error far below
-    1e-6.  An entry of 0 is exact: the jet is zero on that cell.  A nan or
-    inf entry claims nothing.  The leaf constructors here bound their own
+    1e-6.  As for the jet, n is an int, or, when the jet takes index
+    arrays, an integer array like a that gives each cell its own index
+    (a lattice walk bounds the cells of all its indices in one call); a
+    sequence whose jet takes one int index gets one call per index.  An
+    entry of 0 is exact: the jet is zero on that cell.  A nan or inf entry
+    claims nothing.  The leaf constructors here bound their own
     formulas; a combinator applies its one rule to its operands'
     majorants, as to their jets, and has a majorant exactly when every
     operand has one.  A sequence without one is walked in full.
@@ -182,11 +191,7 @@ class SmoothSeq:
         xs = np.asarray(xs, dtype=float)
         if self.index_arrays or not isinstance(n, np.ndarray):
             return self.jet(n, xs, order)[order]
-        out = np.empty(xs.shape)
-        for m in np.unique(n):
-            sel = n == m
-            out[sel] = self.jet(int(m), xs[sel], order)[order]
-        return out
+        return _per_index(self.jet, n, order, xs)[order]
 
     def __call__(self, xs, order: int = 0) -> np.ndarray:
         # calls the jet directly: this is the innermost call of every
@@ -202,6 +207,17 @@ class SmoothSeq:
         if not self.n_free:
             raise _n_dependent(self)
         return self.support_fn(1)
+
+
+def _per_index(fn: Callable[..., np.ndarray], n: np.ndarray, k: int, *arrays: np.ndarray) -> np.ndarray:
+    """fn(n, *arrays, k) for the jet or the majorant of a sequence whose
+    jet takes one int index: one call per distinct index of the index
+    array n, on the entries of the arrays at that index."""
+    out = np.empty((k + 1,) + n.shape)
+    for m in np.unique(n):
+        sel = n == m
+        out[:, sel] = fn(int(m), *(a[sel] for a in arrays), k)
+    return out
 
 
 def _derived(
@@ -548,30 +564,48 @@ class _Shared:
         return f.jet(n, xs, k) if f._tree is None else f._tree.evaluate(n, xs, k, self)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of the 1-D array a starts."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))[: a.size]
+
+
 class _Indices:
-    """An index array inside one root jet call, one index per point, with
-    its runs of equal indices derived once, when a node first reads them.
+    """An index array inside one root jet or majorant call, one index per
+    point (or cell), with its runs of equal indices: the sorted distinct
+    indices, the position among them of each run's index, and the run
+    lengths, in the order of the flattened points.
 
     A lockstep quadrature gives each interval's points one run of equal
-    indices, so the distinct indices are found among the runs' first
-    entries, without sorting every point."""
+    indices; the runs are derived once, when a node first reads them, and
+    the distinct indices are found among the runs' first entries, without
+    sorting every point.  A lattice walk hands over the runs it knows, with
+    every index of the walk as the distinct ones, so they are the same in
+    each call of one walk."""
 
     __slots__ = ("points", "_runs")
 
-    def __init__(self, points: np.ndarray):
-        self.points, self._runs = points, None
+    def __init__(self, points: np.ndarray, runs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None):
+        self.points, self._runs = points, runs
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._runs is None:
+            flat = self.points.ravel()
+            starts = _run_starts(flat)
+            distinct = np.unique(flat[starts])
+            lengths = np.append(starts[1:], flat.size) - starts
+            self._runs = distinct, np.searchsorted(distinct, flat[starts]), lengths
+        return self._runs
+
+    def scaled(self, factor: int) -> _Indices:
+        """The indices times factor, with the same runs."""
+        runs = None if self._runs is None else (factor * self._runs[0],) + self._runs[1:]
+        return _Indices(factor * self.points, runs)
 
     def spread(self, values_of: Callable[[np.ndarray], Sequence]) -> np.ndarray:
         """The entry of values_of(distinct indices) at each point's index:
         values_of is called once, on the sorted distinct indices, and its
         first axis runs over them."""
-        if self._runs is None:
-            flat = self.points.ravel()
-            starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))[: flat.size]
-            distinct = np.unique(flat[starts])
-            lengths = np.append(starts[1:], flat.size) - starts
-            self._runs = distinct, np.searchsorted(distinct, flat[starts]), lengths
-        distinct, where, lengths = self._runs
+        distinct, where, lengths = self.runs()
         values = np.asarray(values_of(distinct))
         return np.repeat(values[where], lengths, axis=0).reshape(self.points.shape + values.shape[1:])
 
@@ -596,9 +630,10 @@ def _node(
     majorants on the stretched cells.  Unless the arguments say otherwise,
     the node has a majorant when every operand has one, is n-free when
     every operand is, reaches the smallest operand order and has the first
-    operand's support.  Its jet takes index arrays when every operand's
-    does; `at` and a rule that reads n take an int or an `_Indices`.  It
-    has the constant rows the combinator derives, none unless given.
+    operand's support.  Its jet and majorant take index arrays when every
+    operand's jet does; `at` and a rule that reads n take an int or an
+    `_Indices`.  It has the constant rows the combinator derives, none
+    unless given.
 
     `op` names the rule and its parameters: with the operands' keys it
     makes the node's key."""
@@ -618,12 +653,15 @@ def _node(
         return rule(n, k, False, *arrays)
 
     def jet(n, xs: np.ndarray, k: int) -> np.ndarray:
-        # a root call, or an inner one of a tree that repeats no subtree
+        # a root call, or an inner one of a tree that repeats no subtree;
+        # a lattice walk gives a root call its `_Indices`
         if isinstance(n, np.ndarray):
             n = _Indices(n)
         return evaluate(n, xs, k, None if steps is None else _Shared(steps))
 
-    def majorant(n: int, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    def majorant(n, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+        if isinstance(n, np.ndarray):
+            n = _Indices(n)
         index, order, stretch = at(n, k)
         if stretch is not None:
             lo, hi = stretch * lo, stretch * hi
@@ -663,16 +701,22 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
 
     def scaled(n, k: int, bound: bool, values: np.ndarray) -> np.ndarray:
         # row j of index m times m^(power+j), a float power as Python takes
-        # it (numpy's power may round otherwise)
+        # it (numpy's power may round otherwise), once per run of equal
+        # indices of an index array
         def powers(ms) -> np.ndarray:
-            return np.array([[float(m) ** (power + j) for j in range(k + 1)] for m in ms]).reshape(len(ms), k + 1)
+            return np.array([[float(m) ** (power + j) for m in ms] for j in range(k + 1)])
 
-        if isinstance(n, _Indices):
-            scales = np.moveaxis(n.spread(powers), -1, 0)
-        else:
-            scales = powers([n])[0].reshape((-1,) + (1,) * (values.ndim - 1))
-        values *= scales
-        return values
+        if not isinstance(n, _Indices):
+            values *= powers([n]).reshape((-1,) + (1,) * (values.ndim - 1))
+            return values
+        distinct, where, lengths = n.runs()
+        table = powers(distinct.tolist())
+        flat = values.reshape(k + 1, -1)
+        stop = 0
+        for w, length in zip(where.tolist(), lengths.tolist()):
+            start, stop = stop, stop + length
+            flat[:, start:stop] *= table[:, w : w + 1]
+        return flat.reshape(values.shape)
 
     return _node(
         label or f"n^{power}*{profile.label}(n x)",
@@ -693,10 +737,18 @@ def reindex(seq: SmoothSeq, factor: int, label: str | None = None) -> SmoothSeq:
         ("reindex", factor),
         lambda n, k, bound, f: f,
         (seq,),
-        lambda n, k: (_Indices(factor * n.points) if isinstance(n, _Indices) else factor * n, k, None),
+        lambda n, k: (n.scaled(factor) if isinstance(n, _Indices) else factor * n, k, None),
         support_fn=lambda n: seq.support_fn(factor * n),
         const_rows=seq.const_rows,
     )
+
+
+def _spread_memo(values_of: Callable[[np.ndarray], Sequence]) -> Callable[[_Indices], np.ndarray]:
+    """n.spread(values_of) with a one-entry memo on the distinct indices:
+    every call of one lattice walk has the walk's indices as its distinct
+    ones, so values_of runs once per walk."""
+    memo = lru_cache(maxsize=1)(lambda ms: values_of(np.array(ms, dtype=np.int64)))
+    return lambda n: n.spread(lambda ms: memo(tuple(ms.tolist())))
 
 
 def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
@@ -707,18 +759,18 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         expr = scale
         # a lattice walk asks for the same n once per chunk
         at_index = lru_cache(maxsize=1)(lambda n: float(growth.eval_value(expr, max(n, expr.eval_n_min))))
+        at_indices = _spread_memo(lambda ms: growth.eval_value(expr, np.maximum(ms, expr.eval_n_min)))
 
         def scale_fn(n):
-            if isinstance(n, _Indices):
-                return n.spread(lambda ms: growth.eval_value(expr, np.maximum(ms, expr.eval_n_min)))
-            return at_index(n)
+            return at_indices(n) if isinstance(n, _Indices) else at_index(n)
 
         scale_label = growth.format_expr(expr)
         op = ("scale", expr)
     elif callable(scale):
+        at_indices = _spread_memo(lambda ms: [scale(m) for m in ms.tolist()])
 
         def scale_fn(n):
-            return n.spread(lambda ms: [scale(int(m)) for m in ms]) if isinstance(n, _Indices) else scale(n)
+            return at_indices(n) if isinstance(n, _Indices) else scale(n)
 
         scale_label = "c_n"
         op = ("scale", "callable", id(scale))  # the node holds the scale, so the id stays its own
@@ -868,9 +920,8 @@ class SeminormSpec:
 
 
 _MAX_GRID = 4_000_000
-_CHUNK = 2 ** 14  # lattice points per jet evaluation in a lattice walk
-_CELL = 128  # lattice points per cell of the branch-and-bound walk
-_PRUNE_MIN = 2 ** 14  # smaller lattices are walked in full
+_CHUNK = 2 ** 14  # lattice points, or cells, per jet or majorant call of a lattice walk
+_CELLS = (1024, 64)  # lattice points per cell in the pruning passes of a walk, coarse to fine
 _PAD = 1.0 + 1e-6  # relative slack on a cell bound for the rounding of the jet
 _TINY = np.finfo(float).tiny  # absolute slack, for rounding among subnormals
 _SLACK = 1e-9  # slack of a centered bound, relative to the majorant
@@ -887,87 +938,188 @@ def _grid(lo: float, hi: float, h: float) -> np.ndarray:
     return np.linspace(lo, hi, _grid_count(lo, hi, h))
 
 
-def _grid_at(lo: float, hi: float, count: int, idx: np.ndarray) -> np.ndarray:
-    """The points idx of the count-point grid on [lo, hi], the same floats
-    as np.linspace(lo, hi, count)[idx]: linspace takes i * step + lo and
-    puts hi last."""
-    xs = idx * ((hi - lo) / (count - 1)) + lo
-    xs[idx == count - 1] = hi
+def _grid_at(lo, step, hi, last, idx: np.ndarray) -> np.ndarray:
+    """The points idx of the grid of last + 1 points on [lo, hi], whose
+    step is (hi - lo) / last: the same floats as np.linspace(lo, hi,
+    last + 1)[idx], since linspace takes i * step + lo and puts hi last.
+    The grid's parameters may be arrays like idx, a grid for each point."""
+    xs = idx * step
+    xs += lo
+    end = np.flatnonzero(idx == last)
+    xs[end] = hi[end] if np.ndim(hi) else hi
     return xs
 
 
-def _fold(rows: np.ndarray, vals: np.ndarray) -> None:
-    """rows = max(rows, |vals| along each row); vals is overwritten."""
-    top = np.abs(vals, out=vals).max(axis=1)
-    # nan can only come from inf arithmetic in a jet chain
-    # (inf - inf, inf * 0); read it as overflow of the true value.
-    # np.max propagates nan, so folding the row maxima is enough
-    top[np.isnan(top)] = np.inf
-    np.maximum(rows, top, out=rows)
+def _cut(start: np.ndarray, stop: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks [start, stop) cut, in order, into cells of `size` points
+    from each block's start, the last one shorter: (the block of each
+    cell, its start, its stop)."""
+    counts = -(-(stop - start) // size)
+    block = np.repeat(np.arange(len(start)), counts)
+    first = start[block] + (np.arange(len(block)) - np.repeat(np.cumsum(counts) - counts, counts)) * size
+    return block, first, np.minimum(first + size, stop[block])
 
 
-def _walk(rows: np.ndarray, f: SmoothSeq, n: int, xs: np.ndarray) -> np.ndarray:
-    """Fold the jet of orders 0..len(rows)-1 over xs into rows, one jet
-    call per chunk."""
-    for start in range(0, len(xs), _CHUNK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _fold(rows, f.jet(n, xs[start : start + _CHUNK], len(rows) - 1))
-    return rows
+class _Walk:
+    """One lattice walk: the lattices of a sequence f at the sorted
+    distinct indices ns for the orders 0..nu, and rows[p, j], the largest
+    |f_n^(j)| read so far on the lattice of n = ns[p].
+
+    A `pos` array gives the position in ns of the index of each point or
+    cell.  It is sorted, so each index is one run; `_runs` gives where
+    each run starts, its position in ns and its length."""
+
+    def __init__(self, f: SmoothSeq, ns: np.ndarray, nu: int):
+        self.f, self.ns, self.nu = f, ns, nu
+        spec, lattices = SeminormSpec(nu), []
+        for n in ns.tolist():
+            sup = f.support_fn(n)
+            h, radius = spec.lattice(n, None if sup is None else sup[1] - sup[0])
+            lo, hi = -radius, radius
+            if sup is not None:
+                lo, hi = max(lo, sup[0]), min(hi, sup[1])
+            # a count of 0: an empty lattice
+            lattices.append((lo, hi, _grid_count(lo, hi, h)) if hi > lo else (0.0, 0.0, 0))
+        self.lo, self.hi = (np.array([x[i] for x in lattices], dtype=float) for i in (0, 1))
+        self.count = np.array([x[2] for x in lattices], dtype=np.int64)
+        self.step = (self.hi - self.lo) / (self.count - 1)
+        self.rows = np.zeros((len(ns), nu + 1))
+
+    @staticmethod
+    def _runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        starts = _run_starts(pos)
+        return starts, pos[starts], np.append(starts[1:], len(pos)) - starts
+
+    def points(self, runs, idx: np.ndarray) -> np.ndarray:
+        _, where, lengths = runs
+        grid = (np.repeat(a[where], lengths) for a in (self.lo, self.step, self.hi, self.count - 1))
+        return _grid_at(*grid, idx)
+
+    def call(self, fn: Callable[..., np.ndarray], runs, k: int, *arrays: np.ndarray) -> np.ndarray:
+        """fn(n, *arrays, k), the jet or the majorant of f, with each entry
+        of the arrays at its own index: one call, or one per distinct index
+        when f's jet takes one int index.  The index array knows its runs,
+        and its distinct indices are all of ns, the same in every call."""
+        _, where, lengths = runs
+        n = np.repeat(self.ns[where], lengths)
+        if not self.f.index_arrays:
+            return _per_index(fn, n, k, *arrays)
+        return fn(_Indices(n, (self.ns, where, lengths)), *arrays, k)
+
+    def fold(self, runs, vals: np.ndarray) -> None:
+        """Fold |vals| into the rows, vals being the jet at entries with
+        the runs; it is overwritten."""
+        starts, where, _ = runs
+        top = np.maximum.reduceat(np.abs(vals, out=vals), starts, axis=1)
+        # nan can only come from inf arithmetic in a jet chain
+        # (inf - inf, inf * 0); read it as overflow of the true value.
+        # np.maximum propagates nan, so folding the run maxima is enough
+        top[np.isnan(top)] = np.inf
+        self.rows[where] = np.maximum(self.rows[where], top.T)
+
+    def prune(self, pos: np.ndarray, start: np.ndarray, stop: np.ndarray, mid: np.ndarray) -> np.ndarray:
+        """Which cells [start, stop) of the lattices pos may still hold a
+        row maximum, from one jet call at their middle points mid, whose
+        values are folded in first, and one majorant call, per `_CHUNK`
+        cells."""
+        f, nu = self.f, self.nu
+        k = min(nu + 1, f.max_order)
+        # a constant row is one float, which the middle points read
+        const = [j for j in f.const_rows if j <= nu]
+        keep = np.empty(len(pos), dtype=bool)
+        for i in range(0, len(pos), _CHUNK):
+            cells = slice(i, i + _CHUNK)
+            runs = self._runs(pos[cells])
+            a, b, x = (self.points(runs, idx[cells]) for idx in (start, stop - 1, mid))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                probe = np.abs(self.call(f.jet, runs, nu, x))
+                bound = self.call(f.majorant, runs, k, a, b)
+                zero = bound[: nu + 1] == 0.0
+                if len(bound) > nu + 1:
+                    # the slack term keeps a nan or inf majorant nan or inf
+                    reach = np.maximum(x - a, b - x)
+                    centered = probe + reach * bound[1:] + _SLACK * bound[:-1]
+                    bound = np.minimum(bound[:-1], centered, out=centered)
+                self.fold(runs, probe)
+                _, where, lengths = runs
+                skip = (bound * _PAD + _TINY < np.repeat(self.rows[where].T, lengths, axis=1)) | zero
+                skip[const] = True
+            keep[cells] = ~skip.all(axis=0)
+        return keep
+
+    def walk(self, pos: np.ndarray, start: np.ndarray, stop: np.ndarray, mid: np.ndarray) -> None:
+        """Fold the jet over the blocks [start, stop) of the lattices pos,
+        of at most `_CHUNK` points each, but the points mid the rows
+        already hold (-1: none).  A full block is one jet call, and the
+        shorter ones share calls in order, as many as fit in `_CHUNK`
+        points, so a block is never split between two calls."""
+        # a block of one probed point holds nothing more
+        sizes = np.where(stop - start > (mid >= 0), stop - start, 0)
+        calls = [[i] for i in np.flatnonzero(sizes == _CHUNK).tolist()]
+        short = np.flatnonzero((sizes > 0) & (sizes < _CHUNK))
+        ends, first = np.cumsum(sizes[short]), 0
+        while first < len(short):
+            last = int(np.searchsorted(ends, (ends[first - 1] if first else 0) + _CHUNK, side="right"))
+            calls.append(short[first:last])
+            first = last
+        for blocks in calls:
+            size = sizes[blocks]
+            p = np.repeat(pos[blocks], size)
+            idx = np.arange(len(p)) + np.repeat(start[blocks] - (np.cumsum(size) - size), size)
+            new = idx != np.repeat(mid[blocks], size)
+            runs = self._runs(p[new])
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.fold(runs, self.call(self.f.jet, runs, self.nu, self.points(runs, idx[new])))
 
 
-def _order_sups(f: SmoothSeq, n: int, nu: int) -> np.ndarray:
-    """The lattice walk: sup |f_n^(j)| for j = 0..nu over the lattice of
-    SeminormSpec(nu), from one jet call per chunk of lattice points.
+def _order_sups(f: SmoothSeq, ns: Sequence[int], nu: int) -> np.ndarray:
+    """The lattice walk: row i holds sup |f_n^(j)| for j = 0..nu over the
+    lattice of SeminormSpec(nu) at n = ns[i], for all the indices at once.
 
-    A lattice of at least `_PRUNE_MIN` points of a sequence with a majorant
-    is walked by branch and bound.  The lattice is cut into cells of
-    `_CELL` points, and one jet call at the cells' middle points gives a
-    lower bound on every row.  A cell's bound on order j is its majorant,
-    or the centered form |f^(j)(mid)| + reach * majorant_(j+1) (plus
-    `_SLACK` of the majorant for rounding) where that is smaller.  The cell
-    is skipped when, in every order, its bound padded by `_PAD` and `_TINY`
-    is below the row's lower bound or its majorant is exactly 0; a cell
-    with a nan or inf majorant is always walked.  No skipped point can then
-    hold a row maximum, and the jet gives the same value at a point in any
-    array, so the rows are the same floats as the full walk's.
+    Every jet or majorant call of the walk serves all the indices, with an
+    index array that gives each point or cell its own n, and takes at most
+    `_CHUNK` points or cells.  A sequence without a majorant has every
+    lattice point walked.  With one, every lattice is pruned by branch and
+    bound, coarse to fine: each pass cuts the cells left by the one before
+    into cells of the next size of `_CELLS`, and one jet call at the cells'
+    middle points gives a lower bound on every row.  A cell's bound on
+    order j is its majorant, or the centered form |f^(j)(mid)| + reach *
+    majorant_(j+1) (plus `_SLACK` of the majorant for rounding) where that
+    is smaller.  The cell is dropped when, in every order, its bound padded
+    by `_PAD` and `_TINY` is below the row's lower bound or its majorant is
+    exactly 0; a cell with a nan or inf majorant is always kept.  A cell
+    no larger than a pass's size is kept as it is, with its probe.  The
+    points of the cells left after the finest pass are walked, but for
+    those the probes read.  No dropped
+    point can hold a row maximum, and the jet gives the same value at a
+    point in any array, so each row is the same float as a full walk of
+    its lattice alone.
     """
     if nu > f.max_order:
         raise ValueError(f"seminorm order {nu} exceeds max_order {f.max_order}")
-    sup = f.support_fn(n)
-    h, radius = SeminormSpec(nu).lattice(n, None if sup is None else sup[1] - sup[0])
-    lo, hi = -radius, radius
-    rows = np.zeros(nu + 1)
-    if sup is not None:
-        lo, hi = max(lo, sup[0]), min(hi, sup[1])
-        if hi <= lo:
-            return rows
-    count = _grid_count(lo, hi, h)
-    if f.majorant is None or count < _PRUNE_MIN:
-        return _walk(rows, f, n, _grid(lo, hi, h))
-    at = partial(_grid_at, lo, hi, count)
-    starts = np.arange(0, count, _CELL)
-    a, b = at(starts), at(np.minimum(starts + _CELL, count) - 1)
-    mid = at(np.minimum(starts + _CELL // 2, count - 1))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probe = np.abs(f.jet(n, mid, nu))
-        bound = f.majorant(n, a, b, min(nu + 1, f.max_order))
-        zero = bound[: nu + 1] == 0.0
-        if len(bound) > nu + 1:
-            # the slack term keeps a nan or inf majorant nan or inf
-            reach = np.maximum(mid - a, b - mid)
-            centered = probe + reach * bound[1:] + _SLACK * bound[:-1]
-            bound = np.minimum(bound[:-1], centered, out=centered)
-        _fold(rows, probe)
-        skip = (bound * _PAD + _TINY < rows[:, None]) | zero
-        # a constant row is one float, which the probe has read
-        skip[[j for j in f.const_rows if j <= nu]] = True
-        walked = ~skip.all(axis=0)
-    # the walked points a chunk at a time, so no lattice-sized array is built
-    cells = starts[walked]
-    for i in range(0, len(cells), _CHUNK // _CELL):
-        points = (cells[i : i + _CHUNK // _CELL, None] + np.arange(_CELL)).ravel()
-        _walk(rows, f, n, at(points[points < count]))
-    return rows
+    distinct, where = np.unique(np.asarray(ns, dtype=np.int64), return_inverse=True)
+    walk = _Walk(f, distinct, nu)
+    # the cells left, in order: [start, stop) of lattice pos, and the point
+    # mid that its probe read (-1: none)
+    pos = np.flatnonzero(walk.count)
+    start, stop = np.zeros(len(pos), dtype=np.int64), walk.count[pos]
+    mid = np.full(len(pos), -1)
+    if f.majorant is None:
+        # blocks of at most `_CHUNK` points for the walk
+        block, start, stop = _cut(start, stop, _CHUNK)
+        pos, mid = pos[block], mid[block]
+    else:
+        for size in _CELLS:
+            # a cell no larger than the size is kept as it is, and not probed again
+            fresh = stop - start > size
+            block, start, stop = _cut(start, stop, size)
+            pos, mid, fresh = pos[block], mid[block], fresh[block]
+            mid[fresh] = (start[fresh] + stop[fresh] - 1) // 2
+            keep = np.ones(len(pos), dtype=bool)
+            keep[fresh] = walk.prune(pos[fresh], start[fresh], stop[fresh], mid[fresh])
+            pos, start, stop, mid = pos[keep], start[keep], stop[keep], mid[keep]
+    walk.walk(pos, start, stop, mid)
+    return walk.rows[where]
 
 
 def seminorm(f: SmoothSeq, n: int, spec: SeminormSpec) -> float:
@@ -976,18 +1128,33 @@ def seminorm(f: SmoothSeq, n: int, spec: SeminormSpec) -> float:
     A lattice supremum bounds the true one from below; spacing shrinks
     like 1/(8n) so n-scaled peaks remain resolved.  It is the same float
     whether or not `f` has a majorant: the majorant only lets the walk
-    skip cells that cannot hold the supremum (see `_order_sups`).  Callers
-    that read several orders of one sequence use `_seminorm_table` instead.
+    skip cells that cannot hold the supremum (see `_order_sups`, of which
+    this is the one-index call).  Callers that read several indices or
+    orders of one sequence use `_seminorm_table` instead.
     """
-    return float(_order_sups(f, n, spec.nu).max())
+    return float(_order_sups(f, [n], spec.nu).max())
 
 
-def _seminorm_table(f: SmoothSeq) -> Callable[[int, int], float]:
-    """p(n, nu) = seminorm(f, n, SeminormSpec(nu)) for nu <= f.max_order,
-    walking each (n, radius) lattice once: orders up to 2 share the
-    radius-2 walk, and a higher order nu walks the radius-nu lattice alone."""
-    walk = lru_cache(maxsize=None)(lambda n, top: np.maximum.accumulate(_order_sups(f, n, top)))
-    return lambda n, nu: float(walk(n, nu if nu > 2 else min(2, f.max_order))[nu])
+def _seminorm_table(f: SmoothSeq) -> Callable[[Sequence[int], int], list[float]]:
+    """p(ns, nu) = [seminorm(f, n, SeminormSpec(nu)) for n in ns] for
+    nu <= f.max_order.  A read walks every index it has not read before in
+    one walk, and each (n, radius) lattice is walked once: orders up to 2
+    share the radius-2 walk, and a higher order nu walks the radius-nu
+    lattice alone."""
+    walked: dict[int, dict[int, np.ndarray]] = {}
+
+    def p(ns: Sequence[int], nu: int) -> list[float]:
+        if nu > f.max_order:
+            raise ValueError(f"seminorm order {nu} exceeds max_order {f.max_order}")
+        top = nu if nu > 2 else min(2, f.max_order)
+        sups = walked.setdefault(top, {})
+        ns = [int(n) for n in ns]
+        missing = [n for n in dict.fromkeys(ns) if n not in sups]
+        if missing:
+            sups.update(zip(missing, np.maximum.accumulate(_order_sups(f, missing, top), axis=1)))
+        return [float(sups[n][nu]) for n in ns]
+
+    return p
 
 
 def _log_abs_channel(values: Callable[[list[int]], Sequence[float]], label: str, sample_ns: Sequence[int]) -> SeqRep:
@@ -1014,27 +1181,23 @@ def _log_abs_channel(values: Callable[[list[int]], Sequence[float]], label: str,
     )
 
 
-def _each(value: Callable[[int], float]) -> Callable[[list[int]], list[float]]:
-    """The values of a channel read one index at a time."""
-    return lambda ns: [value(n) for n in ns]
-
-
 def classify_fun(f: SmoothSeq, nu_max: int, space: NumberSpace | None = None) -> ClassificationReport:
     """Classify a smooth sequence through its seminorm channels p_0..p_nu_max,
-    all read from one seminorm table: one walk per (sequence, n, radius)."""
+    all read from one seminorm table: one walk per radius, each lattice
+    walked once."""
     if nu_max > f.max_order:
         raise ValueError("nu_max exceeds the sequence's derivative support")
     return _classify_table(_seminorm_table(f), f.label, nu_max, space)
 
 
 def _classify_table(
-    p: Callable[[int, int], float], label: str, nu_max: int, space: NumberSpace | None = None
+    p: Callable[[Sequence[int], int], list[float]], label: str, nu_max: int, space: NumberSpace | None = None
 ) -> ClassificationReport:
     """`classify_fun` on the channels read from the seminorm table p, at
     the indices `DEFAULT_SAMPLE_NS`."""
     space = space or colombeau_space()
     bundle = {
-        f"p_{nu}": _log_abs_channel(_each(partial(p, nu=nu)), f"p_{nu}({label})", DEFAULT_SAMPLE_NS)
+        f"p_{nu}": _log_abs_channel(partial(p, nu=nu), f"p_{nu}({label})", DEFAULT_SAMPLE_NS)
         for nu in range(nu_max + 1)
     }
     return space.classify(bundle)

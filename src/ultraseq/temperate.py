@@ -28,7 +28,6 @@ from ultraseq.genfun import (
     DEFAULT_SAMPLE_NS,
     FunctionElement,
     FunctionSpace,
-    SeminormSpec,
     SmoothSeq,
     add_seq,
     bump,
@@ -36,7 +35,6 @@ from ultraseq.genfun import (
     exp_seq,
     poly_fn,
     product_seq,
-    seminorm,
     seq_scale,
     sin_fn,
     square_seq,
@@ -703,7 +701,7 @@ class TemperateMapReport:
 
 
 @lru_cache(maxsize=None)
-def _corpus() -> dict[SmoothSeq, Callable[[int, int], float]]:
+def _corpus() -> dict[SmoothSeq, Callable[[Sequence[int], int], list[float]]]:
     """The fixed spot-check corpus, each sequence with its seminorm table;
     built once per process and shared by every map (read only)."""
     fs = (
@@ -770,10 +768,11 @@ def _run_spot_checks(phi: SeqMap) -> _SpotChecks:
         for nu in range(_CORPUS_NU_MAX + 1):
             if nu > lhs.max_order or phi.order_pairing(nu) > min(x.max_order for x in inputs):
                 continue
-            for n in _CORPUS_NS:
-                p_out = p_lhs(n, nu)
+            # one walk per table and radius reads every n
+            p_ins = (tables[x.key](_CORPUS_NS, phi.order_pairing(nu)) for x in inputs)
+            for n, p_out, *p_in in zip(_CORPUS_NS, p_lhs(_CORPUS_NS, nu), *p_ins):
                 with np.errstate(over="ignore"):
-                    rhs = bound(*(tables[x.key](n, phi.order_pairing(nu)) for x in inputs))
+                    rhs = bound(*p_in)
                 checked[inequality] += 1
                 if p_out > rhs * (1 + _RTOL) + _ATOL:
                     labels = dict(zip(("f", "k"), (x.label for x in inputs)))
@@ -896,13 +895,10 @@ def continuity_trend(
     """
     space = space or colombeau_space()
     w = space.single_weight()
-    spec = SeminormSpec(nu=nu)
 
     def norm(seq: SmoothSeq) -> float:
-        rep = genfun._log_abs_channel(
-            genfun._each(partial(seminorm, seq, spec=spec)), f"p_{nu}({seq.label})", DEFAULT_SAMPLE_NS
-        )
-        return ultranorm(rep, w).value
+        p = partial(genfun._seminorm_table(seq), nu=nu)
+        return ultranorm(genfun._log_abs_channel(p, f"p_{nu}({seq.label})", DEFAULT_SAMPLE_NS), w).value
 
     out = []
     for i in range(steps):

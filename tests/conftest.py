@@ -63,17 +63,18 @@ def cold_spot_checks(monkeypatch):
 
 @pytest.fixture
 def lattice_walks(monkeypatch, cold_spot_checks):
-    """Every seminorm lattice walk made during the test, as (sequence, n,
-    radius); holding the sequence keeps its id unique.  The spot-check memo
-    of `check_temperate` starts cold, so its walks are recorded too."""
+    """Every seminorm lattice walked during the test, as (sequence, n,
+    radius): one entry for each index of each walk.  Holding the sequence
+    keeps its id unique.  The spot-check memo of `check_temperate` starts
+    cold, so its walks are recorded too."""
     from ultraseq import genfun
 
     walks = []
     walk = genfun._order_sups
 
-    def recording(f, n, nu):
-        walks.append((f, n, max(nu, 2)))
-        return walk(f, n, nu)
+    def recording(f, ns, nu):
+        walks.extend((f, int(n), max(nu, 2)) for n in ns)
+        return walk(f, ns, nu)
 
     monkeypatch.setattr(genfun, "_order_sups", recording)
     return walks

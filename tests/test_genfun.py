@@ -478,7 +478,7 @@ def test_grid_points_by_index_are_the_grid(lo, width, h, seed):
     count = genfun._grid_count(lo, hi, h)
     assert len(xs) == count
     idx = np.concatenate([[0, count - 1], np.random.default_rng(seed).integers(0, count, 200)])
-    assert genfun._grid_at(lo, hi, count, idx).tobytes() == xs[idx].tobytes()
+    assert genfun._grid_at(lo, (hi - lo) / (count - 1), hi, count - 1, idx).tobytes() == xs[idx].tobytes()
 
 
 def test_derivative_seq_shifts_order():
@@ -568,11 +568,18 @@ def test_seminorm_values_are_pinned():
 # one lattice walk per (sequence, n, radius)
 
 
+def _lattice_size(n, nu):
+    """Points of the SeminormSpec(nu) lattice at index n, for a sequence
+    without compact support."""
+    h, radius = SeminormSpec(nu).lattice(n)
+    return len(genfun._grid(-radius, radius, h))
+
+
 def _chunks(n, nu):
     """Jet calls of one walk of the SeminormSpec(nu) lattice at index n,
-    for a sequence without compact support."""
-    h, radius = SeminormSpec(nu).lattice(n)
-    return math.ceil(len(genfun._grid(-radius, radius, h)) / genfun._CHUNK)
+    for a sequence without compact support or majorant whose jet takes one
+    int index."""
+    return math.ceil(_lattice_size(n, nu) / genfun._CHUNK)
 
 
 @pytest.mark.parametrize("nu_max", [1, 2, 3])
@@ -580,14 +587,19 @@ def test_classify_fun_walks_each_lattice_once(colombeau, counting_seq, nu_max):
     # unbounded support, so the radius-3 lattice is not the radius-2 one
     f, calls = counting_seq(add_seq(standard_mollifier().sequence(), sin_fn()))
     classify_fun(f, nu_max, colombeau)
-    walks = {}
-    for n, k, _, _ in calls:
+    walks, points = {}, {}
+    for n, k, _, size in calls:
         walks[n, k] = walks.get((n, k), 0) + 1
-    # per index: one walk of orders 0..2 on radius 2, and one of order 3 on radius 3
+        points[n, k] = points.get((n, k), 0) + size
+    # per index: orders 0..2 on radius 2, and order 3 on radius 3.  Without
+    # a majorant every point is walked once; a jet that takes one int index
+    # is called once per index in each call of the walk, and no piece of a
+    # lattice is split between two calls
     orders = {2} | ({3} if nu_max == 3 else set())
     assert set(walks) == {(n, k) for n in genfun.DEFAULT_SAMPLE_NS for k in orders}
     for (n, k), chunks in walks.items():
         assert chunks == _chunks(n, k), (n, k)
+        assert points[n, k] == _lattice_size(n, k), (n, k)
 
 
 class _RecordingSpace:
@@ -615,34 +627,19 @@ def test_classify_fun_channels_are_the_seminorms(colombeau, nu_max):
 def test_seminorm_table_walks_each_radius_once(lattice_walks):
     f = sin_fn()
     p = genfun._seminorm_table(f)
-    values = [p(64, nu) for nu in (0, 3, 1, 2, 3, 0)]
-    assert sorted(r for _, _, r in lattice_walks) == [2, 3]
-    assert values == [seminorm(f, 64, SeminormSpec(nu=nu)) for nu in (0, 3, 1, 2, 3, 0)]
-
-
-def test_growth_scale_is_evaluated_once_per_walk(monkeypatch):
-    calls = []
-    value = growth.eval_value
-
-    def counting(expr, n):
-        calls.append(n)
-        return value(expr, n)
-
-    monkeypatch.setattr(growth, "eval_value", counting)
-    f = seq_scale(growth.parse("log(n)"), sin_fn())
-    n, spec = 2 ** 14, SeminormSpec(nu=2)
-    assert _chunks(n, 2) == 33  # 32 full chunks and one point
-    for m in (n, n, 64, n):
-        seminorm(f, m, spec)
-    # a one-entry memo: the same n twice in a row is evaluated once
-    assert calls == [n, 64, n]
+    reads = [([64], 0), ([64], 3), ([16, 64], 1), ([64, 256, 16], 2), ([64], 3), ([256, 64], 0)]
+    values = [p(ns, nu) for ns, nu in reads]
+    # a read walks the indices it has not read before at its radius
+    assert [(n, r) for _, n, r in lattice_walks] == [(64, 2), (64, 3), (16, 2), (256, 2)]
+    assert values == [[seminorm(f, n, SeminormSpec(nu=nu)) for n in ns] for ns, nu in reads]
 
 
 def _counting_with_majorant(f):
     """f with a jet and a majorant that record each call as (n, k, number
     of points, resp. cells); returns (wrapped sequence, jet calls, majorant
-    calls).  Unlike the `counting_seq` fixture it keeps the majorant and
-    the constant rows, so the lattice walk can skip cells as it does for f."""
+    calls).  Unlike the `counting_seq` fixture it keeps the majorant, the
+    constant rows and index arrays, so the lattice walk skips cells and
+    serves its indices as it does for f."""
     jets, bounds = [], []
 
     def jet(n, xs, k):
@@ -653,19 +650,41 @@ def _counting_with_majorant(f):
         bounds.append((n, k, a.size))
         return f.majorant(n, a, b, k)
 
-    g = SmoothSeq(f.label, jet, f.max_order, f.support_fn, majorant)
-    object.__setattr__(g, "const_rows", f.const_rows)  # not an init field
-    return g, jets, bounds
+    g = SmoothSeq(f.label, jet, f.max_order, f.support_fn, None if f.majorant is None else majorant)
+    return genfun._derived(g, f.n_free, f.index_arrays, const_rows=f.const_rows), jets, bounds
 
 
-def test_callable_scale_is_called_once_per_chunk():
-    # a chunk is one jet call of the walk; the pruned walk also asks the
-    # majorant once, and that asks the scale once more
+def test_growth_scale_is_evaluated_once_per_walk(monkeypatch):
+    calls = []
+    value = growth.eval_value
+
+    def counting(expr, n):
+        calls.append(np.asarray(n).tolist())
+        return value(expr, n)
+
+    monkeypatch.setattr(growth, "eval_value", counting)
+    f, jets, bounds = _counting_with_majorant(seq_scale(growth.parse("log(n)"), sin_fn()))
+    ns = list(genfun.DEFAULT_SAMPLE_NS)
+    for walk in (ns, ns, [64], ns):
+        genfun._order_sups(f, walk, 2)
+    # a walk asks for its indices in each jet and majorant call; a
+    # one-entry memo on them evaluates the scale once per walk, and once
+    # for the same walk twice in a row
+    assert len(jets) + len(bounds) > 4 * 3
+    assert calls == [ns, [64], ns]
+
+
+def test_callable_scale_is_called_once_per_walk():
+    # the walk makes three jet calls and two majorant calls, which ask the
+    # scale for the same indices
     calls = []
     f, jets, bounds = _counting_with_majorant(seq_scale(lambda n: calls.append(n) or 2.0, sin_fn()))
     seminorm(f, 2 ** 14, SeminormSpec(nu=2))
-    assert len(bounds) == 1 and 2 <= len(jets) < _chunks(2 ** 14, 2)
-    assert calls == [2 ** 14] * (len(jets) + len(bounds))
+    assert len(jets) == 3 and len(bounds) == 2
+    assert calls == [2 ** 14]
+    calls.clear()
+    genfun._order_sups(f, genfun.DEFAULT_SAMPLE_NS, 2)
+    assert calls == list(genfun.DEFAULT_SAMPLE_NS)
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +895,7 @@ def test_lattice_walk_rows_match_the_reference_bitwise(tree, n, nu):
     f, ref = _build(tree)
     nu = min(nu, f.max_order)
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = genfun._order_sups(f, n, nu), _reference_order_sups(ref, n, nu)
+        got, want = genfun._order_sups(f, [n], nu)[0], _reference_order_sups(ref, n, nu)
     assert got.tobytes() == want.tobytes(), (f.label, n, nu)
 
 
@@ -933,11 +952,11 @@ def _lattice(f, n, nu):
 # a negative scale on a product whose factors change sign
 @example(("scale", "-1", ("product", ("sin", 3.0), ("poly", [0.3, -1.7, 1.0]))), 16384, 2)
 def test_pruned_lattice_walk_rows_match_the_reference_bitwise(tree, n, nu):
-    # lattices this large go through the branch-and-bound walk
+    # lattices this large have many cells in every pass of the walk
     f, ref = _build(tree)
     nu = min(nu, f.max_order)
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = genfun._order_sups(f, n, nu), _reference_order_sups(ref, n, nu)
+        got, want = genfun._order_sups(f, [n], nu)[0], _reference_order_sups(ref, n, nu)
     assert got.tobytes() == want.tobytes(), (f.label, n, nu, len(_lattice(f, n, nu)))
 
 
@@ -961,20 +980,24 @@ def test_majorants_bound_the_jet_on_their_cells(tree, n, k, where, cell, seed):
     if f.majorant is None:
         return
     k = min(k, f.max_order)
-    # one cell of the walk's lattice, and one anywhere
+    # a cell of the walk's lattice of each size the walk cuts, and one anywhere
     xs = _lattice(f, n, k)
     if not len(xs):
         xs = np.zeros(1)  # the supports of a product do not meet
     start = min(int(where * len(xs)), len(xs) - 1)
-    lattice_cell = xs[start : start + genfun._CELL]
-    a = np.array([lattice_cell[0], cell[0]])
-    b = np.array([lattice_cell[-1], cell[0] + cell[1]])
+    cells = [xs[start : start + size] for size in genfun._CELLS]
+    cells.append(np.linspace(cell[0], cell[0] + cell[1], 129))
+    a, b = np.array([c[0] for c in cells]), np.array([c[-1] for c in cells])
+    # one call for all the cells, each at its own index, as a walk makes it:
+    # the lattice cells at n, the other one at a smaller index
+    index = np.array([n] * (len(cells) - 1) + [max(n // 4, 1)])
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
-        bound = f.majorant(n, a, b, k)
-        for i, points in enumerate((lattice_cell, np.linspace(a[1], b[1], 129))):
+        bound = f.majorant(index, a, b, k)
+        assert bound.shape == (k + 1, len(cells))
+        for i, points in enumerate(cells):
             points = np.concatenate([points, rng.uniform(a[i], b[i], 64)])
-            vals = np.abs(f.jet(n, points, k))
+            vals = np.abs(f.jet(int(index[i]), points, k))
             for j in range(k + 1):
                 if np.isfinite(bound[j, i]):  # nan or inf claims nothing
                     # an exact 0 bounds exact zeros; a nan jet value fails
@@ -1031,11 +1054,12 @@ def _pruned_sequences():
 
 # jet points of one walk of orders 0..2 at n = 2^14, the probes at the
 # cells' middle points included.  The scaled quadratic's order-2 row is
-# constant, so the probes read it and only the one-point last cell, where
-# orders 0 and 1 peak, is walked; the square of delta has a 257-point
-# lattice, walked in full; e^-n underflows, so every cell's majorant is an
-# exact 0
-_PRUNED_POINTS = {"sin": 5377, "log(n) poly": 4098, "delta^2": 257, "2fk + k^2": 16385, "e^-n sin": 4097}
+# constant, so the probes of the 513 coarse cells read it, and the last
+# one, where orders 0 and 1 peak, is one point, its own probe; the square
+# of delta has a 257-point lattice, one cell of the coarse pass, whose five
+# fine cells are probed and four walked but for their probes; e^-n
+# underflows, so every cell's majorant is an exact 0
+_PRUNED_POINTS = {"sin": 1743, "log(n) poly": 513, "delta^2": 257, "2fk + k^2": 10569, "e^-n sin": 513}
 
 
 def test_pruned_walk_evaluates_pinned_point_counts():
@@ -1043,13 +1067,83 @@ def test_pruned_walk_evaluates_pinned_point_counts():
     counts, lattices = {}, {}
     for name, f in _pruned_sequences().items():
         g, jets, bounds = _counting_with_majorant(f)
-        assert genfun._order_sups(g, n, 2).tobytes() == _reference_order_sups(f, n, 2).tobytes()
+        assert genfun._order_sups(g, [n], 2)[0].tobytes() == _reference_order_sups(f, n, 2).tobytes()
         counts[name] = sum(size for _, _, size in jets)
         lattices[name] = len(_lattice(f, n, 2))
     assert lattices == {
         "sin": 524289, "log(n) poly": 524289, "delta^2": 257, "2fk + k^2": 262145, "e^-n sin": 524289
     }
     assert counts == _PRUNED_POINTS
+
+
+def _int_only(f):
+    """f behind a user jet and majorant, which take one int index each."""
+
+    def jet(n, xs, k):
+        assert type(n) is int
+        return f.jet(n, xs, k)
+
+    def majorant(n, a, b, k):
+        assert type(n) is int
+        return f.majorant(n, a, b, k)
+
+    return SmoothSeq(f.label, jet, f.max_order, f.support_fn, None if f.majorant is None else majorant)
+
+
+@given(
+    _all_trees(),
+    st.lists(st.sampled_from(genfun.DEFAULT_SAMPLE_NS), max_size=4),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+# the supports of the factors do not meet: every lattice is empty
+@example(("product", ("bump", (-0.5, 0.05, 1.0)), ("bump", (0.5, 0.05, 1.0))), [16, 16384], 2, False)
+# a mollifier's lattice shrinks with n, and one index is read twice
+@example(("mollified", (0.1, 0.8, 1.0), 2), [1024, 16, 1024, 4096], 3, False)
+@example(("scale", "log(n)", ("bare", ("sin", 3.0))), [16384, 64], 1, True)
+@example(("exp", ("scale", "n^0.5", ("bump", (0.0, 1.0, 1.0)))), [16, 32, 2048], 0, True)
+def test_multi_index_walk_rows_are_each_index_alone_bitwise(tree, ns, nu, int_only):
+    f, ref = _build(tree)
+    if int_only:
+        f = _int_only(f)
+    nu = min(nu, f.max_order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = genfun._order_sups(f, ns, nu)
+        want = [_reference_order_sups(ref, n, nu) for n in ns]
+    assert got.shape == (len(ns), nu + 1)
+    for n, row, ref_row in zip(ns, got, want):
+        assert row.tobytes() == ref_row.tobytes(), (f.label, n, nu)
+
+
+def _claims_nothing(f):
+    """f with a majorant that bounds nothing (inf on every cell): a walk
+    cuts every cell in every pass and keeps it."""
+    g = SmoothSeq(f.label, f.jet, f.max_order, f.support_fn, lambda n, a, b, k: np.full((k + 1, len(a)), np.inf))
+    return genfun._derived(g, f.n_free, f.index_arrays)
+
+
+@pytest.mark.parametrize(
+    "make, cells",
+    [
+        (sin_fn, [1559, 880]),
+        (lambda: _claims_nothing(sin_fn()), [1559, genfun._CHUNK, 8384]),
+        (lambda: SmoothSeq("bare", sin_fn().jet, 64), []),
+    ],
+    ids=["pruned", "claims nothing", "no majorant"],
+)
+def test_no_call_of_a_walk_takes_more_than_a_chunk(make, cells):
+    # all eleven radius-3 lattices at once: 1.6 million points in 1559
+    # coarse cells, so no lattice-sized array is built.  When nothing is
+    # pruned, the fine pass cuts 24768 cells (the eleven one-point coarse
+    # cells are not cut again) and bounds them in two calls
+    f = make()
+    g, jets, bounds = _counting_with_majorant(f)
+    ns = genfun.DEFAULT_SAMPLE_NS
+    rows = genfun._order_sups(g, ns, 3)
+    assert max(size for _, _, size in jets) <= genfun._CHUNK
+    assert [size for _, _, size in bounds] == cells
+    assert rows.tobytes() == np.array([_reference_order_sups(f, n, 3) for n in ns]).tobytes()
 
 
 # ---------------------------------------------------------------------------
