@@ -23,7 +23,8 @@ The package is organised bottom-up:
 ``corpus``
     reproducible random inputs for stress tests and demos
 ``cli``
-    the ``ultraseq`` command line front end
+    the ``ultraseq`` command line front end, the one module that turns
+    results into text
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from ultraseq.spaces import (
     UltranormValue,
     classify,
     colombeau_space,
-    format_value,
     ideal_check,
     infra_space,
     pseudometric,
@@ -144,7 +144,6 @@ __all__ = [
     "UltranormValue",
     "classify",
     "colombeau_space",
-    "format_value",
     "ideal_check",
     "infra_space",
     "pseudometric",

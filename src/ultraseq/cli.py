@@ -30,11 +30,12 @@ from ultraseq.genfun import (
     weak_assoc_fun,
 )
 from ultraseq.spaces import (
+    ClassificationReport,
     NumberSpace,
     SeqRep,
     UltranormValue,
+    _exp,
     colombeau_space,
-    format_value,
     infra_space,
     ultranorm,
 )
@@ -106,25 +107,32 @@ def parse_space(text: str, mode: Mode | None = None) -> NumberSpace:
     return sp
 
 
+# association kind name -> (constructor, whether it is written NAME:S with a
+# threshold S); help and errors list them in this order, all but the alias s-dual
+_KINDS = {
+    "weak": (AssocKind.weak, False),
+    "strong": (AssocKind.strong, True),
+    "weak-s": (AssocKind.weak_s, True),
+    "dual": (AssocKind.s_dual, True),
+    "power-x": (lambda: AssocKind.custom(null_predicate, PowerXFamily(), "null limit"), False),
+    "s-dual": (AssocKind.s_dual, True),
+}
+_KINDS_SHOWN = [f"{name}:S" if takes_s else name for name, (_, takes_s) in _KINDS.items() if name != "s-dual"]
+
+
 def parse_kind(text: str) -> AssocKind:
-    t = text.strip()
-    if t == "weak":
-        return AssocKind.weak()
-    if t == "power-x":
-        return AssocKind.custom(null_predicate, PowerXFamily(), "null limit")
-    if ":" in t:
-        name, _, stext = t.partition(":")
-        make = {"strong": AssocKind.strong, "weak-s": AssocKind.weak_s,
-                "dual": AssocKind.s_dual, "s-dual": AssocKind.s_dual}.get(name)
-        if make is not None:
-            try:
-                return make(stext)  # ValueError unless stext is a finite float
-            except ValueError:
-                raise CliError(f"bad threshold in kind {text!r}") from None
-    raise CliError(
-        f"unknown association kind {text!r}; use weak, strong:S, weak-s:S, "
-        "dual:S, or power-x"
-    )
+    name, colon, stext = text.strip().partition(":")
+    make, takes_s = _KINDS.get(name, (None, False))
+    if make is None or bool(colon) != takes_s:
+        raise CliError(
+            f"unknown association kind {text!r}; use {', '.join(_KINDS_SHOWN[:-1])}, or {_KINDS_SHOWN[-1]}"
+        )
+    if not takes_s:
+        return make()
+    try:
+        return make(stext)  # ValueError unless stext is a finite float
+    except ValueError:
+        raise CliError(f"bad threshold in kind {text!r}") from None
 
 
 def parse_expr(text: str, label: str | None = None) -> SeqRep:
@@ -178,6 +186,32 @@ def parse_seq_map(name: str) -> temperate.SeqMap | None:
     return None if make is None else make()
 
 
+# ---------------------------------------------------------------------------
+# results as text: the library returns values and verdicts, printed here
+
+
+def _fmt_point(log_value: float) -> str:
+    if log_value == math.inf:
+        return "divergent"
+    if log_value == -math.inf:
+        return "0"
+    x = _exp(log_value)
+    if x == 0.0 or x == math.inf:
+        # magnitude representable only in the log domain
+        return f"exp({log_value:.9g})"
+    return f"{x:.9g}"
+
+
+def format_value(v: UltranormValue, with_band: bool = False) -> str:
+    s = _fmt_point(v.log_value)
+    if with_band and not v.exact and v.band_log is not None:
+        lo, hi = v.band_log
+        s += f" in [{_fmt_point(lo)}, {_fmt_point(hi)}]"
+        if not v.stable:
+            s += " (unstable)"
+    return s
+
+
 def norm_text(v: UltranormValue) -> str:
     if v.exact:
         if v.log_value == -math.inf:
@@ -198,7 +232,22 @@ def _witness_text(witness: dict) -> str:
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.9g}"
+    if isinstance(v, UltranormValue):
+        return format_value(v, with_band=True)
     return str(v)
+
+
+def _classification_lines(report: ClassificationReport) -> list[str]:
+    """Every level's norms, the levels probed and the verdict, indented."""
+    lines = [
+        f"  m={m} channel={key}: norm={format_value(v, with_band=True)}" + ("" if v.exact else " (estimated)")
+        for (m, key), v in report.channel_norms.items()
+    ]
+    levels = report.m_probed
+    if len(levels) > 1:  # an indexed family: every space the CLI builds probes 16 levels
+        lines.append(f"  levels probed: m={levels[0]}..{levels[-1]} (membership verified up to m_max)")
+    lines.append(f"  verdict: {report.verdict}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +256,11 @@ def _fmt(v) -> str:
 
 
 def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
+    if not space.family.single:
+        raise CliError(
+            f"norm needs a single-weight space, and {space.family.name} is an indexed family; "
+            "classify gives its norm at every level"
+        )
     w = space.single_weight()
     v = ultranorm(rep, w)
     lines = [f"norm({rep.label}) under {w.label}: {norm_text(v)}"]
@@ -218,8 +272,7 @@ def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
 
 def cmd_classify(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
     report = space.classify(rep)
-    lines = [f"classify({rep.label}) in {space.name}:"]
-    lines.extend(f"  {ln}" for ln in report.report_lines())
+    lines = [f"classify({rep.label}) in {space.name}:", *_classification_lines(report)]
     return lines, EXIT_OK if report.conclusive else EXIT_INCONCLUSIVE
 
 
@@ -329,9 +382,8 @@ def cmd_extend(map_name: str, func_name: str, space: NumberSpace) -> tuple[list[
     except NotModerate as e:
         raise CliError(f"input rejected: {e}") from None
     out = temperate.extend(seq_map, element)
-    lines = [f"extend({map_name}, {func_name}) in {fspace.name}:"]
-    lines.append(f"  output: {out.seq.label}")
-    lines.extend(f"  {ln}" for ln in out.report.report_lines())
+    lines = [f"extend({map_name}, {func_name}) in {fspace.name}:", f"  output: {out.seq.label}"]
+    lines.extend(_classification_lines(out.report))
     return lines, EXIT_OK if out.report.conclusive else EXIT_INCONCLUSIVE
 
 
@@ -567,7 +619,7 @@ _COMMANDS = {cmd.name: cmd for cmd in (
     Command("classify", "moderate/negligible classification", cmd_classify, (Param("expr", parse_expr),),
             space=True, batch="classify"),
     Command("assoc", "association between two expressions", cmd_assoc, (Param("a", parse_expr), Param("b", parse_expr)),
-            (Param("kind", parse_kind, "weak, strong:S, weak-s:S, dual:S, power-x", required=True),
+            (Param("kind", parse_kind, ", ".join(_KINDS_SHOWN), required=True),
              Param("difference", parse_expr, "explicit |a - b| expression")), space=True, batch="assoc"),
     Command("convert-scale", "weights induced by a decay scale", cmd_convert_scale,
             (Param("scale", choices=tuple(_SCALES)),)),

@@ -26,7 +26,6 @@ from ultraseq.spaces import (
     _dyadic_log_maxima,
     _product,
     _sum,
-    format_value,
     ultranorm,
 )
 
@@ -263,13 +262,11 @@ def _null_trend(maxima: np.ndarray) -> tuple[str, dict]:
 def _threshold_verdict(v: UltranormValue, s: float, kind: AssocKind) -> AssocVerdict:
     ans = v.below(-s)
     witness = {
-        "ultranorm": format_value(v, with_band=True),
+        "ultranorm": v,
         "log_ultranorm": v.log_value,
         "threshold": f"e^-{s:g}",
         "log_threshold": -s,
     }
-    if ans == "yes":
-        return AssocVerdict("yes", kind, witness=witness)
     if ans == "boundary":
         return AssocVerdict(
             "no",
@@ -278,9 +275,7 @@ def _threshold_verdict(v: UltranormValue, s: float, kind: AssocKind) -> AssocVer
             witness=witness,
             notes="ultranorm sits exactly on the threshold; the strict inequality fails",
         )
-    if ans == "no":
-        return AssocVerdict("no", kind, witness=witness)
-    return AssocVerdict("inconclusive", kind, witness=witness)
+    return AssocVerdict(ans, kind, witness=witness)  # yes, no or inconclusive
 
 
 def associate(

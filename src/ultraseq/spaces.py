@@ -39,7 +39,6 @@ __all__ = [
     "ideal_check",
     "colombeau_space",
     "infra_space",
-    "format_value",
 ]
 
 
@@ -293,28 +292,6 @@ def _exp(log_value: float) -> float:
         return math.exp(log_value)
     except OverflowError:
         return math.inf
-
-
-def _fmt_point(log_value: float) -> str:
-    if log_value == math.inf:
-        return "divergent"
-    if log_value == -math.inf:
-        return "0"
-    x = _exp(log_value)
-    if x == 0.0 or x == math.inf:
-        # magnitude representable only in the log domain
-        return f"exp({log_value:.9g})"
-    return f"{x:.9g}"
-
-
-def format_value(v: UltranormValue, with_band: bool = False) -> str:
-    s = _fmt_point(v.log_value)
-    if with_band and not v.exact and v.band_log is not None:
-        lo, hi = v.band_log
-        s += f" in [{_fmt_point(lo)}, {_fmt_point(hi)}]"
-        if not v.stable:
-            s += " (unstable)"
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -714,18 +691,26 @@ def _tri_or(vals: Iterable[bool | None]) -> bool | None:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The F/K verdict of a bundle and the norms it rests on, as data.
+
+    `channel_norms` maps (level, channel key) to that channel's ultranorm
+    at that level, for every level in `m_probed`.  `conclusive` is
+    `verdict != "inconclusive"`: a divergent verdict decides that the
+    bundle lies outside F, and so outside K; every other verdict but
+    inconclusive decides both memberships.
+    """
+
     verdict: str  # negligible | moderate | boundary | divergent | inconclusive
     in_moderate: bool | None
     in_negligible: bool | None
-    conclusive: bool
     mode: Mode
     family: str
     m_probed: tuple[int, ...]
-    lines: tuple[str, ...]
     channel_norms: Mapping[tuple, UltranormValue] = field(default_factory=dict)
 
-    def report_lines(self) -> list[str]:
-        return list(self.lines)
+    @property
+    def conclusive(self) -> bool:
+        return self.verdict != "inconclusive"
 
 
 def _channel_in_F(v: UltranormValue, mode: Mode) -> bool | None:
@@ -760,30 +745,19 @@ def classify(
     read takes the window maxima of every level estimated there; one
     least-squares call then fits all their tails, once per distinct tail.
     Every level still goes through `ultranorm`, and the tables live only
-    for the call.
+    for the call.  The report holds the verdict and every level's norm;
+    it builds no text.
     """
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}
     mode = mode or family.default_mode
-    levels = (
-        [family.m_start]
-        if family.single
-        else list(range(family.m_start, family.m_start + m_max))
-    )
+    levels = [family.m_start] if family.single else list(range(family.m_start, family.m_start + m_max))
     weights = [family.member(m) for m in levels]
     readers = {key: _level_reader(f, weights) for key, f in bundle.items()}
-    per_level: dict[int, dict[object, UltranormValue]] = {}
-    lines: list[str] = []
-    for m, r in zip(levels, weights):
-        per_level[m] = {
-            key: ultranorm(f, r, _samples=readers[key]) for key, f in bundle.items()
-        }
-        for key, v in per_level[m].items():
-            tag = f"m={m} channel={key}"
-            lines.append(
-                f"{tag}: norm={format_value(v, with_band=True)}"
-                + ("" if v.exact else " (estimated)")
-            )
+    per_level = {
+        m: {key: ultranorm(f, r, _samples=readers[key]) for key, f in bundle.items()}
+        for m, r in zip(levels, weights)
+    }
 
     def level_in_F(m: int) -> bool | None:
         return _tri_and(_channel_in_F(v, mode) for v in per_level[m].values())
@@ -791,52 +765,33 @@ def classify(
     def level_in_K(m: int) -> bool | None:
         return _tri_and(_channel_in_K(v, mode) for v in per_level[m].values())
 
-    if family.single:
-        m0 = levels[0]
-        in_F = level_in_F(m0)
-        in_K = level_in_K(m0)
-    elif family.direction is Direction.DECREASING:
+    # a single level reads the same under either quantifier
+    if family.direction is Direction.DECREASING:
         in_F = _tri_or(level_in_F(m) for m in levels)
         in_K = _tri_and(level_in_K(m) for m in levels)
     else:
         in_F = _tri_and(level_in_F(m) for m in levels)
         in_K = _tri_or(level_in_K(m) for m in levels)
 
-    boundary = False
-    if mode is Mode.UNIT_BALL and in_F is True and in_K is False:
-        boundary = any(
-            v.exact and v.log_value == 0.0
-            for norms in per_level.values()
-            for v in norms.values()
-        )
-
     if in_F is True and in_K is True:
         verdict = "negligible"
     elif in_F is True and in_K is False:
-        verdict = "boundary" if (mode is Mode.UNIT_BALL and boundary) else "moderate"
+        on_ball = mode is Mode.UNIT_BALL and any(
+            v.exact and v.log_value == 0.0 for norms in per_level.values() for v in norms.values()
+        )
+        verdict = "boundary" if on_ball else "moderate"
     elif in_F is False:
         verdict = "divergent"
     else:
         verdict = "inconclusive"
-    conclusive = in_F is not None and (in_K is not None or in_F is False)
-    if not family.single:
-        lines.append(f"levels probed: m={levels[0]}..{levels[-1]} (membership verified up to m_max)")
-    lines.append(f"verdict: {verdict}")
-
-    flat: dict[tuple, UltranormValue] = {}
-    for m, norms in per_level.items():
-        for key, v in norms.items():
-            flat[(m, key)] = v
     return ClassificationReport(
         verdict=verdict,
         in_moderate=in_F,
         in_negligible=_tri_and([in_F, in_K]),
-        conclusive=conclusive,
         mode=mode,
         family=family.name,
         m_probed=tuple(levels),
-        lines=tuple(lines),
-        channel_norms=flat,
+        channel_norms={(m, key): v for m, norms in per_level.items() for key, v in norms.items()},
     )
 
 

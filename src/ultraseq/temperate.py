@@ -845,10 +845,18 @@ def extend(phi: SeqMap, element: FunctionElement) -> FunctionElement:
 
 @dataclass(frozen=True)
 class F2Report:
-    passed: bool | None
+    """The verdicts behind one ideal-stability check.
+
+    `passed` follows the difference's verdict: True when it is negligible,
+    None when it is inconclusive, False otherwise.
+    """
+
     diff_verdict: str
     j_verdict: str
-    lines: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool | None:
+        return {"negligible": True, "inconclusive": None}.get(self.diff_verdict, False)
 
 
 def verify_F2(
@@ -866,18 +874,7 @@ def verify_F2(
         raise ValueError(f"perturbation {j.label!r} is not negligible: {j_report.verdict}")
     dseq = phi.difference(f, j)
     d_report = genfun.classify_fun(dseq, min(nu_max, dseq.max_order), space)
-    if d_report.verdict == "negligible":
-        passed = True
-    elif d_report.conclusive:
-        passed = False
-    else:
-        passed = None
-    return F2Report(
-        passed=passed,
-        diff_verdict=d_report.verdict,
-        j_verdict=j_report.verdict,
-        lines=tuple(d_report.report_lines()),
-    )
+    return F2Report(diff_verdict=d_report.verdict, j_verdict=j_report.verdict)
 
 
 def continuity_trend(

@@ -1,7 +1,11 @@
-"""Every name a module exports through __all__ exists, and importing the
-package pulls in no optional heavy dependency."""
+"""Every name a module exports through __all__ exists, importing the
+package pulls in no optional heavy dependency, and only the command line
+turns results into text."""
 
+import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -46,3 +50,32 @@ def test_python_m_ultraseq_runs_the_command_line():
     out = run("norm", "n^^")
     assert out.returncode == 1 and out.stdout == ""
     assert out.stderr.startswith("error: cannot parse 'n^^'")
+
+
+_TEXT_HELPERS = {"format_value", "_fmt_point"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "ultraseq.cli"])
+def test_only_the_command_line_formats_values(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not (defined | imported) & _TEXT_HELPERS
+
+
+@pytest.mark.parametrize("name", ["spaces", "gennum", "temperate", "genfun"])
+def test_library_results_hold_no_report_text(name):
+    mod = importlib.import_module(f"ultraseq.{name}")
+    results = [
+        cls for cls in vars(mod).values()
+        if inspect.isclass(cls) and cls.__module__ == mod.__name__ and dataclasses.is_dataclass(cls)
+    ]
+    assert results
+    for cls in results:
+        assert "lines" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        assert not hasattr(cls, "report_lines"), cls.__name__

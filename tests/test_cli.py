@@ -7,13 +7,32 @@ from pathlib import Path
 import pytest
 
 from ultraseq import cli
+from ultraseq.cli import format_value
 from ultraseq.gennum import AssocKind
+from ultraseq.spaces import SeqRep, UltranormValue, colombeau_space, ultranorm
 
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_format_value():
+    n2 = ultranorm(SeqRep.symbolic("n^2"), colombeau_space().single_weight())
+    assert format_value(n2) == format_value(n2, with_band=True) == "7.3890561"
+    assert format_value(UltranormValue(math.inf, exact=True)) == "divergent"
+    assert format_value(UltranormValue(-math.inf, exact=True)) == "0"
+    # beyond float range either way: the magnitude is shown in the log domain
+    assert format_value(UltranormValue(1000.0, exact=True)) == "exp(1000)"
+    assert format_value(UltranormValue(-1000.0, exact=True)) == "exp(-1000)"
+    banded = UltranormValue(0.0, exact=False, band_log=(-0.5, 800.0))
+    assert format_value(banded) == "1"
+    assert format_value(banded, with_band=True) == "1 in [0.60653066, exp(800)]"
+    unstable = UltranormValue(math.nan, exact=False, band_log=(-math.inf, math.inf), stable=False)
+    assert format_value(unstable, with_band=True) == "nan in [0, divergent] (unstable)"
+    # an exact value shows no band, whatever it carries
+    assert format_value(UltranormValue(0.0, exact=True, band_log=(-1.0, 1.0)), with_band=True) == "1"
 
 
 def test_norm_exact_power(capsys):
@@ -523,3 +542,312 @@ def test_the_readme_batch_example_runs_as_documented(capsys, tmp_path):
         "  witness: limit=inf\n",
         "",
     )
+
+
+# (exit code or argparse's exit, stdout, stderr) of whole commands: every
+# verdict of classify, on every named space, a weight space and a mode
+# override; extend with estimated bands; the threshold witness of assoc
+_PINNED_OUTPUT = {
+    ("classify", "n^2"): (
+        0,
+        (
+            "classify(n^2) in colombeau[standard]:\n"
+            "  m=1 channel=value: norm=7.3890561\n"
+            "  verdict: moderate\n"
+        ),
+        "",
+    ),
+    ("classify", "exp(-n)"): (
+        0,
+        (
+            "classify(exp(-n)) in colombeau[standard]:\n"
+            "  m=1 channel=value: norm=0\n"
+            "  verdict: negligible\n"
+        ),
+        "",
+    ),
+    ("classify", "exp(n)"): (
+        0,
+        (
+            "classify(exp(n)) in colombeau[standard]:\n"
+            "  m=1 channel=value: norm=divergent\n"
+            "  verdict: divergent\n"
+        ),
+        "",
+    ),
+    ("classify", "n^-1", "--space", "infra"): (
+        0,
+        (
+            "classify(n^-1) in infra[unit-ball]:\n"
+            "  m=1 channel=value: norm=1\n"
+            "  verdict: boundary\n"
+        ),
+        "",
+    ),
+    ("classify", "0", "--space", "egorov"): (
+        0,
+        (
+            "classify(0) in egorov[standard]:\n"
+            "  m=1 channel=value: norm=0\n"
+            "  m=2 channel=value: norm=0\n"
+            "  m=3 channel=value: norm=0\n"
+            "  m=4 channel=value: norm=0\n"
+            "  m=5 channel=value: norm=0\n"
+            "  m=6 channel=value: norm=0\n"
+            "  m=7 channel=value: norm=0\n"
+            "  m=8 channel=value: norm=0\n"
+            "  m=9 channel=value: norm=0\n"
+            "  m=10 channel=value: norm=0\n"
+            "  m=11 channel=value: norm=0\n"
+            "  m=12 channel=value: norm=0\n"
+            "  m=13 channel=value: norm=0\n"
+            "  m=14 channel=value: norm=0\n"
+            "  m=15 channel=value: norm=0\n"
+            "  m=16 channel=value: norm=0\n"
+            "  levels probed: m=1..16 (membership verified up to m_max)\n"
+            "  verdict: negligible\n"
+        ),
+        "",
+    ),
+    ("classify", "exp(n^2)", "--space", "ultra"): (
+        0,
+        (
+            "classify(exp(n^2)) in ultra[standard]:\n"
+            "  m=2 channel=value: norm=2.71828183\n"
+            "  m=3 channel=value: norm=divergent\n"
+            "  m=4 channel=value: norm=divergent\n"
+            "  m=5 channel=value: norm=divergent\n"
+            "  m=6 channel=value: norm=divergent\n"
+            "  m=7 channel=value: norm=divergent\n"
+            "  m=8 channel=value: norm=divergent\n"
+            "  m=9 channel=value: norm=divergent\n"
+            "  m=10 channel=value: norm=divergent\n"
+            "  m=11 channel=value: norm=divergent\n"
+            "  m=12 channel=value: norm=divergent\n"
+            "  m=13 channel=value: norm=divergent\n"
+            "  m=14 channel=value: norm=divergent\n"
+            "  m=15 channel=value: norm=divergent\n"
+            "  m=16 channel=value: norm=divergent\n"
+            "  m=17 channel=value: norm=divergent\n"
+            "  levels probed: m=2..17 (membership verified up to m_max)\n"
+            "  verdict: divergent\n"
+        ),
+        "",
+    ),
+    ("classify", "n^2", "--space", "scale-power"): (
+        0,
+        (
+            "classify(n^2) in scale:n^-m[standard]:\n"
+            "  m=1 channel=value: norm=7.3890561\n"
+            "  m=2 channel=value: norm=2.71828183\n"
+            "  m=3 channel=value: norm=1.94773404\n"
+            "  m=4 channel=value: norm=1.64872127\n"
+            "  m=5 channel=value: norm=1.4918247\n"
+            "  m=6 channel=value: norm=1.39561243\n"
+            "  m=7 channel=value: norm=1.3307122\n"
+            "  m=8 channel=value: norm=1.28402542\n"
+            "  m=9 channel=value: norm=1.24884887\n"
+            "  m=10 channel=value: norm=1.22140276\n"
+            "  m=11 channel=value: norm=1.1993961\n"
+            "  m=12 channel=value: norm=1.18136041\n"
+            "  m=13 channel=value: norm=1.16631144\n"
+            "  m=14 channel=value: norm=1.15356499\n"
+            "  m=15 channel=value: norm=1.14263081\n"
+            "  m=16 channel=value: norm=1.13314845\n"
+            "  levels probed: m=1..16 (membership verified up to m_max)\n"
+            "  verdict: moderate\n"
+        ),
+        "",
+    ),
+    ("classify", "exp(-n^2)", "--space", "scale-expdecay"): (
+        0,
+        (
+            "classify(exp(-n^2)) in scale:exp(-m*n)[standard]:\n"
+            "  m=1 channel=value: norm=0\n"
+            "  m=2 channel=value: norm=0\n"
+            "  m=3 channel=value: norm=0\n"
+            "  m=4 channel=value: norm=0\n"
+            "  m=5 channel=value: norm=0\n"
+            "  m=6 channel=value: norm=0\n"
+            "  m=7 channel=value: norm=0\n"
+            "  m=8 channel=value: norm=0\n"
+            "  m=9 channel=value: norm=0\n"
+            "  m=10 channel=value: norm=0\n"
+            "  m=11 channel=value: norm=0\n"
+            "  m=12 channel=value: norm=0\n"
+            "  m=13 channel=value: norm=0\n"
+            "  m=14 channel=value: norm=0\n"
+            "  m=15 channel=value: norm=0\n"
+            "  m=16 channel=value: norm=0\n"
+            "  levels probed: m=1..16 (membership verified up to m_max)\n"
+            "  verdict: negligible\n"
+        ),
+        "",
+    ),
+    ("classify", "log(n)", "--space", "weight:log(n)^-0.5"): (
+        0,
+        (
+            "classify(log(n)) in weight(log(n)^-0.5)[standard]:\n"
+            "  m=1 channel=value: norm=1\n"
+            "  verdict: moderate\n"
+        ),
+        "",
+    ),
+    ("classify", "n^-1", "--space", "colombeau", "--mode", "unit-ball"): (
+        0,
+        (
+            "classify(n^-1) in colombeau[unit-ball]:\n"
+            "  m=1 channel=value: norm=0.367879441\n"
+            "  verdict: negligible\n"
+        ),
+        "",
+    ),
+    ("extend", "square", "delta"): (
+        0,
+        (
+            "extend(square, delta) in functions/colombeau[standard]/nu<=2:\n"
+            "  output: (delta[bump(0,1)])^2\n"
+            "  m=1 channel=p_0: norm=7.3890561 in [7.38890831, 7.38920389] (estimated)\n"
+            "  m=1 channel=p_1: norm=20.0855369 in [20.0849343, 20.0861395] (estimated)\n"
+            "  m=1 channel=p_2: norm=54.59815 in [54.5959661, 54.6003341] (estimated)\n"
+            "  verdict: moderate\n"
+        ),
+        "",
+    ),
+    ("extend", "derivative", "bump", "--space", "ultra"): (
+        0,
+        (
+            "extend(derivative, bump) in functions/ultra[standard]/nu<=2:\n"
+            "  output: D^1 bump(0,1)\n"
+            "  m=2 channel=p_0: norm=0.999404639 in [0.999221039, 0.999588273] (estimated)\n"
+            "  m=2 channel=p_1: norm=1.00543179 in [1.00375291, 1.00711347] (estimated)\n"
+            "  m=2 channel=p_2: norm=1.01392664 in [1.00960964, 1.01826211] (estimated)\n"
+            "  m=3 channel=p_0: norm=0.997059684 in [0.996441977, 0.997677774] (estimated)\n"
+            "  m=3 channel=p_1: norm=1.02714681 in [1.021373, 1.03295325] (estimated)\n"
+            "  m=3 channel=p_2: norm=1.07077794 in [1.05547748, 1.08630018] (estimated)\n"
+            "  m=4 channel=p_0: norm=0.995170166 in [0.994342356, 0.995998666] (estimated)\n"
+            "  m=4 channel=p_1: norm=1.04502328 in [1.03714274, 1.0529637] (estimated)\n"
+            "  m=4 channel=p_2: norm=1.11900294 in [1.09758458, 1.14083926] (estimated)\n"
+            "  m=5 channel=p_0: norm=0.993884196 in [0.992962107, 0.994807142] (estimated)\n"
+            "  m=5 channel=p_1: norm=1.05738707 in [1.04849711, 1.06635241] (estimated)\n"
+            "  m=5 channel=p_2: norm=1.15311536 in [1.12852471, 1.17824183] (estimated)\n"
+            "  m=6 channel=p_0: norm=0.992989474 in [0.992022455, 0.993957436] (estimated)\n"
+            "  m=6 channel=p_1: norm=1.06608501 in [1.05667846, 1.0755753] (estimated)\n"
+            "  m=6 channel=p_2: norm=1.17748788 in [1.15114367, 1.20443498] (estimated)\n"
+            "  m=7 channel=p_0: norm=0.992340666 in [0.99135129, 0.99333103] (estimated)\n"
+            "  m=7 channel=p_1: norm=1.072442 in [1.06275515, 1.08221714] (estimated)\n"
+            "  m=7 channel=p_2: norm=1.19549731 in [1.16812092, 1.22351529] (estimated)\n"
+            "  m=8 channel=p_0: norm=0.991852013 in [0.990851435, 0.992853602] (estimated)\n"
+            "  m=8 channel=p_1: norm=1.07725757 in [1.06741266, 1.08719328] (estimated)\n"
+            "  m=8 channel=p_2: norm=1.20925076 in [1.18123574, 1.2379302] (estimated)\n"
+            "  m=9 channel=p_0: norm=0.991472143 in [0.990466218, 0.992479088] (estimated)\n"
+            "  m=9 channel=p_1: norm=1.08101769 in [1.07108206, 1.0910455] (estimated)\n"
+            "  m=9 channel=p_2: norm=1.22005642 in [1.19163098, 1.24915992] (estimated)\n"
+            "  m=10 channel=p_0: norm=0.991169036 in [0.990160978, 0.99217812] (estimated)\n"
+            "  m=10 channel=p_1: norm=1.08402842 in [1.07404102, 1.0941087] (estimated)\n"
+            "  m=10 channel=p_2: norm=1.2287507 in [1.20005398, 1.25813364] (estimated)\n"
+            "  m=11 channel=p_0: norm=0.990921906 in [0.989913526, 0.991931314] (estimated)\n"
+            "  m=11 channel=p_1: norm=1.08649003 in [1.07647426, 1.09659898] (estimated)\n"
+            "  m=11 channel=p_2: norm=1.23588717 in [1.20700752, 1.26545781] (estimated)\n"
+            "  m=12 channel=p_0: norm=0.990716749 in [0.98970908, 0.991725445] (estimated)\n"
+            "  m=12 channel=p_1: norm=1.08853826 in [1.07850858, 1.09866121] (estimated)\n"
+            "  m=12 channel=p_2: norm=1.2418444 in [1.21283985, 1.27154259] (estimated)\n"
+            "  m=13 channel=p_0: norm=0.990543822 in [0.98953745, 0.991551217] (estimated)\n"
+            "  m=13 channel=p_1: norm=1.09026805 in [1.08023357, 1.10039575] (estimated)\n"
+            "  m=13 channel=p_2: norm=1.24688904 in [1.21779871, 1.27667427] (estimated)\n"
+            "  m=14 channel=p_0: norm=0.990396151 in [0.989391399, 0.991401924] (estimated)\n"
+            "  m=14 channel=p_1: norm=1.09174762 in [1.08171412, 1.10187418] (estimated)\n"
+            "  m=14 channel=p_2: norm=1.2512138 in [1.22206472, 1.28105816] (estimated)\n"
+            "  m=15 channel=p_0: norm=0.990268625 in [0.989265654, 0.991272612] (estimated)\n"
+            "  m=15 channel=p_1: norm=1.09302714 in [1.08299834, 1.10314881] (estimated)\n"
+            "  m=15 channel=p_2: norm=1.2549612 in [1.22577236, 1.28484511] (estimated)\n"
+            "  m=16 channel=p_0: norm=0.990157413 in [0.989156288, 0.99115955] (estimated)\n"
+            "  m=16 channel=p_1: norm=1.09414434 in [1.08412256, 1.10425875] (estimated)\n"
+            "  m=16 channel=p_2: norm=1.25823876 in [1.22902371, 1.28814827] (estimated)\n"
+            "  m=17 channel=p_0: norm=0.990059592 in [0.98906032, 0.991059874] (estimated)\n"
+            "  m=17 channel=p_1: norm=1.09512805 in [1.08511476, 1.10523375] (estimated)\n"
+            "  m=17 channel=p_2: norm=1.26112902 in [1.23189757, 1.29105411] (estimated)\n"
+            "  levels probed: m=2..17 (membership verified up to m_max)\n"
+            "  verdict: moderate\n"
+        ),
+        "",
+    ),
+    ("extend", "square", "poly"): (
+        0,
+        (
+            "extend(square, poly) in functions/colombeau[standard]/nu<=2:\n"
+            "  output: (0.2 + 0.1x)^2\n"
+            "  m=1 channel=p_0: norm=1 in [0.999999999, 1] (estimated)\n"
+            "  m=1 channel=p_1: norm=1 in [0.999999999, 1] (estimated)\n"
+            "  m=1 channel=p_2: norm=1 in [0.999999999, 1] (estimated)\n"
+            "  verdict: moderate\n"
+        ),
+        "",
+    ),
+    ("assoc", "n^-2", "0", "--kind", "strong:1"): (
+        0,
+        (
+            "assoc(n^-2, 0) strong-s(s=1): yes\n"
+            "  witness: ultranorm=0.135335283, log_ultranorm=-2, threshold=e^-1, log_threshold=-1\n"
+        ),
+        "",
+    ),
+    ("assoc", "n^-2*log(n)^-1", "0", "--kind", "weak-s:2"): (
+        0,
+        (
+            "assoc(n^-2*log(n)^-1, 0) weak-s(s=2): no\n"
+            "  boundary: ultranorm sits exactly on the threshold\n"
+            "  witness: ultranorm=0.135335283, log_ultranorm=-2, threshold=e^-2, log_threshold=-2\n"
+            "  notes: ultranorm sits exactly on the threshold; the strict inequality fails; "
+            "on scalar sequences this coincides with the strong form\n"
+        ),
+        "",
+    ),
+    ("assoc", "n", "0", "--kind", "frobnicate"): (
+        1,
+        "",
+        "error: unknown association kind 'frobnicate'; use weak, strong:S, weak-s:S, dual:S, or power-x\n",
+    ),
+    ("assoc", "--help"): (
+        ("exit", 0),
+        (
+            "usage: ultraseq assoc [-h] --kind KIND [--difference DIFFERENCE]\n"
+            "                      [--space SPACE] [--mode MODE]\n"
+            "                      a b\n"
+            "\n"
+            "positional arguments:\n"
+            "  a\n"
+            "  b\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --kind KIND           weak, strong:S, weak-s:S, dual:S, power-x\n"
+            "  --difference DIFFERENCE\n"
+            "                        explicit |a - b| expression\n"
+            "  --space SPACE         space name (default colombeau)\n"
+            "  --mode MODE           standard or unit-ball (default per space)\n"
+        ),
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_OUTPUT), ids=" ".join)
+def test_command_output_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert _outcome(capsys, argv) == _PINNED_OUTPUT[argv]
+
+
+_NORM_ON_ULTRA = (
+    "norm needs a single-weight space, and ultra is an indexed family; classify gives its norm at every level"
+)
+
+
+def test_norm_on_an_indexed_space_points_to_classify(capsys):
+    assert run(capsys, "norm", "n^2", "--space", "ultra") == (1, "", f"error: {_NORM_ON_ULTRA}\n")
+
+
+def test_batch_norm_on_an_indexed_space_points_to_classify_with_position(capsys, tmp_path):
+    path = tmp_path / "norm.batch"
+    path.write_text("[space]\nfamily = ultra\n\n[sequences]\nf = n^2\n\n[queries]\nnorm f\n")
+    assert run(capsys, "batch", str(path)) == (1, "", f"error: {path}:8: {_NORM_ON_ULTRA}\n")
