@@ -142,10 +142,14 @@ class GrowthTerm:
     exponent: Comb
 
 
+_NONPOSITIVE = "term coefficients must be positive"
+_INF = math.inf
+
+
 def _term(coeff: float, items: Iterable[tuple[Mono, float]]) -> GrowthTerm:
     """The term coeff * exp(sum c * mono); a constant monomial folds into coeff."""
     if coeff <= 0:
-        raise NotRepresentable("term coefficients must be positive")
+        raise NotRepresentable(_NONPOSITIVE)
     acc: dict[Mono, float] = {}
     for mono, c in items:
         if c == 0.0:
@@ -547,181 +551,288 @@ def eval_value(a: GrowthExpr, ns) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 # parsing and formatting
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>loglog|log|exp|alt|n)"
-    r"|(?P<punct>[()+*/^,-]))"
-)
+_TOKEN = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|loglog|log|exp|alt|n|[()+*/^,-]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# a text is a run of tokens, each taken whole as a left-to-right scan takes
+# it, then blanks; a lookahead is atomic, so the captured token and its
+# backreference never backtrack (an atomic group needs Python 3.11)
+_TEXT_RE = re.compile(rf"(?:(?=(\s*(?:{_TOKEN})))\1)*\s*")
+# every token that is not a number, and None, the end of the text
+_SYMBOLS = frozenset(("loglog", "log", "exp", "alt", "n", *"()+*/^,-", None))
+
+# n, log(n) and loglog(n) as (coeff, exponent): exp of one monomial each
+_ATOMS = {name: (1.0, ((mono, 1.0),)) for name, mono in zip(("n", "log", "loglog"), _POWER_MONOS)}
+
+_OUT_OF_RANGE = "a number is out of floating-point range"
 
 
-# n, log(n) and loglog(n): exp of one monomial each
-_ATOMS = dict(zip(("n", "log", "loglog"), _POWER_MONOS))
+def _single(e: GrowthExpr) -> GrowthExpr | tuple[float, Comb]:
+    """The one term of e as (coeff, exponent); e itself when it is zero, a sum or modulated."""
+    if e.branches is None and len(e.terms) == 1:
+        t = e.terms[0]
+        return t.coeff, t.exponent
+    return e
+
+
+def _finite(e: GrowthExpr) -> bool:
+    """Every coefficient and exponent of e is a finite float."""
+    if e.branches is not None:
+        return _finite(e.branches[0]) and _finite(e.branches[1])
+    return all(t.coeff < _INF and all(-_INF < c < _INF for _, c in t.exponent) for t in e.terms)
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text, with None at the end.
+
+    A factor stays a bare (coeff, exponent) pair while it is one term, and
+    a run of such factors folds into one coefficient and one exponent sum
+    that _term normalizes once: the products and sums a chain of `mul`
+    would form, in the same order, so the result is the same to the bit.
+    Zero, sums and parity modulations go through the GrowthExpr arithmetic.
+    A number that leaves the float range is an error, and character
+    offsets are worked out only for an error.
+    """
+
     def __init__(self, text: str):
+        if _TEXT_RE.fullmatch(text) is None:
+            at = _TEXT_RE.match(text).end()
+            raise ParseError(f"unexpected character {text[at]!r}", at)
         self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+        self.toks: list[str | None] = _TOKEN_RE.findall(text)
+        self.toks.append(None)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at the start of token i."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, starts[i] if i < len(starts) else len(self.text))
 
-    def next(self):
-        tok = self.peek()
+    def expect(self, value: str) -> None:
+        tok = self.toks[self.i]
+        if tok != value:
+            raise self.error(f"expected {value!r}, found {tok!r}", self.i)
         self.i += 1
-        return tok
 
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+    def argument(self) -> None:
+        """The "(n)" after log and loglog."""
+        for value in "(n)":
+            self.expect(value)
+
+    def number(self, i: int) -> float:
+        """Number token i as a float; inf, or 0 from a nonzero mantissa, is out of range."""
+        tok = self.toks[i]
+        x = float(tok)
+        if x == _INF or (x == 0.0 and tok.strip("0.")[:1].isdigit()):
+            raise self.error(_OUT_OF_RANGE, i)
+        return x
+
+    def signed_number(self) -> tuple[float, int]:
+        """A number with an optional sign, and the index of its number token."""
+        tok = self.toks[self.i]
+        sign = 1.0
+        if tok == "-" or tok == "+":
+            sign = -1.0 if tok == "-" else 1.0
+            self.i += 1
+            tok = self.toks[self.i]
+        if tok in _SYMBOLS:
+            raise self.error(f"expected a number, found {tok!r}", self.i)
+        i = self.i
+        self.i += 1
+        return sign * self.number(i), i
+
+    def arith(self, op, a, b, i: int) -> GrowthExpr:
+        """op(a, b) through the GrowthExpr arithmetic, its errors at token i."""
+        try:
+            e = op(a, b)
+        except OverflowError:
+            raise self.error(_OUT_OF_RANGE, i) from None
+        except NotRepresentable as exc:
+            # a parsed coefficient is positive until it underflows
+            raise self.error(_OUT_OF_RANGE if exc.args[0] == _NONPOSITIVE else str(exc), i) from None
+        if not _finite(e):
+            raise self.error(_OUT_OF_RANGE, i)
+        return e
+
+    def power(self, f: tuple[float, Comb], s: float, i: int) -> tuple[float, Comb]:
+        """f^s as pow_expr forms it for one term; errors at token i."""
+        if s == 0:
+            return 1.0, ()
+        coeff, exponent = f
+        try:
+            coeff = coeff ** s
+        except OverflowError:
+            raise self.error(_OUT_OF_RANGE, i) from None
+        items = []
+        for m, c in exponent:
+            c *= s
+            if not 0.0 < abs(c) < _INF:
+                raise self.error(_OUT_OF_RANGE, i)
+            items.append((m, c))
+        if coeff == 0.0:
+            raise self.error(_OUT_OF_RANGE, i)
+        return coeff, tuple(items)
 
     def parse(self) -> GrowthExpr:
         e = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"trailing input {val!r}", pos)
+        tok = self.toks[self.i]
+        if tok is not None:
+            raise self.error(f"trailing input {tok!r}", self.i)
         return e
 
     def expr(self) -> GrowthExpr:
+        start = self.i
         e = self.term()
-        while self.peek()[1] == "+":
-            self.next()
-            e = add(e, self.term())
+        if self.toks[self.i] != "+":
+            return e
+        summands = [e]
+        while self.toks[self.i] == "+":
+            self.i += 1
+            summands.append(self.term())
+        if any(s.branches is not None for s in summands):
+            e = functools.reduce(add, summands)
+        else:
+            # one merge, summing like terms in the order pairwise adds would
+            e = _mk([t for s in summands for t in s.terms])
+        if not _finite(e):
+            raise self.error(_OUT_OF_RANGE, start)
         return e
 
     def term(self) -> GrowthExpr:
-        e = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()
+        f = self.factor()
+        if type(f) is tuple:
+            e = None  # the product is still the one term coeff * exp(acc)
+            coeff, acc = f[0], dict(f[1])
+        else:
+            e = f
+        while (op := self.toks[self.i]) == "*" or op == "/":
+            at = self.i
+            self.i += 1
             f = self.factor()
-            if op[1] == "/":
-                if f.is_zero:
-                    raise ParseError("division by the zero sequence", op[2])
-                try:
-                    f = pow_expr(f, -1.0)
-                except NotRepresentable as exc:
-                    raise ParseError(str(exc), op[2]) from None
-            e = mul(e, f)
-        return e
-
-    def factor(self) -> GrowthExpr:
-        e = self.primary()
-        while self.peek()[1] == "^":
-            self.next()
-            s, pos = self.signed_number()
-            if e.is_zero:
-                if s <= 0:
-                    raise ParseError("nonpositive power of 0", pos)
+            if op == "/":
+                f = self.inverse(f, at)
+            if e is None and type(f) is tuple:
+                coeff *= f[0]
+                if not 0.0 < coeff < _INF:
+                    raise self.error(_OUT_OF_RANGE, at)
+                for m, c in f[1]:
+                    c += acc.get(m, 0.0)
+                    if not -_INF < c < _INF:
+                        raise self.error(_OUT_OF_RANGE, at)
+                    acc[m] = c
                 continue
-            try:
-                e = pow_expr(e, s)
-            except NotRepresentable as exc:
-                raise ParseError(str(exc), pos) from None
+            if e is None:
+                e = GrowthExpr(terms=(_term(coeff, acc.items()),))
+            if type(f) is tuple:
+                f = GrowthExpr(terms=(GrowthTerm(*f),))
+            e = self.arith(mul, e, f, at)
+        if e is None:
+            return GrowthExpr(terms=(_term(coeff, acc.items()),))
         return e
 
-    def signed_number(self) -> tuple[float, int]:
-        sign = 1.0
-        if self.peek()[1] in ("-", "+"):
-            sign = -1.0 if self.next()[1] == "-" else 1.0
-        kind, val, pos = self.next()
-        if kind != "num":
-            raise ParseError(f"expected a number, found {val!r}", pos)
-        return sign * float(val), pos
+    def inverse(self, f, at: int):
+        """1/f for the divisor f after the "/" at token at."""
+        if type(f) is tuple:
+            return self.power(f, -1.0, at)
+        if f.is_zero:
+            raise self.error("division by the zero sequence", at)
+        return _single(self.arith(pow_expr, f, -1.0, at))
 
-    def primary(self) -> GrowthExpr:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return constant(float(val))
-        if val in _ATOMS:
-            if val != "n":
-                self.expect("(")
-                self.expect("n")
-                self.expect(")")
-            return GrowthExpr(terms=(GrowthTerm(1.0, ((_ATOMS[val], 1.0),)),))
-        if val == "exp":
+    def factor(self) -> GrowthExpr | tuple[float, Comb]:
+        f = self.primary()
+        while self.toks[self.i] == "^":
+            self.i += 1
+            s, i = self.signed_number()
+            if type(f) is tuple:
+                f = self.power(f, s, i)
+            elif f.is_zero:
+                if s <= 0:
+                    raise self.error("nonpositive power of 0", i)
+            else:
+                f = _single(self.arith(pow_expr, f, s, i))
+        return f
+
+    def primary(self) -> GrowthExpr | tuple[float, Comb]:
+        at = self.i
+        tok = self.toks[at]
+        self.i += 1
+        atom = _ATOMS.get(tok)
+        if atom is not None:
+            if tok != "n":
+                self.argument()
+            return atom
+        if tok == "exp":
             self.expect("(")
             items = self.exp_poly()
             self.expect(")")
-            return GrowthExpr(terms=(_term(1.0, items),))
-        if val == "alt":
+            t = _term(1.0, items)
+            # like monomials merged, and their sum may overflow
+            if not all(-_INF < c < _INF for _, c in t.exponent):
+                raise self.error(_OUT_OF_RANGE, at)
+            return t.coeff, t.exponent
+        if tok == "alt":
             self.expect("(")
             even = self.expr()
             self.expect(",")
             odd = self.expr()
             self.expect(")")
-            return alt_expr(even, odd)
-        if val == "(":
+            return _single(alt_expr(even, odd))
+        if tok == "(":
             e = self.expr()
             self.expect(")")
-            return e
-        raise ParseError(f"unexpected token {val!r}", pos)
+            return _single(e)
+        if tok in _SYMBOLS:
+            raise self.error(f"unexpected token {tok!r}", at)
+        x = self.number(at)
+        return (x, ()) if x else ZERO
 
     def exp_poly(self) -> list[tuple[Mono, float]]:
-        items = [self.exp_mono(lead=True)]
-        while self.peek()[1] in ("+", "-"):
-            items.append(self.exp_mono(lead=False))
+        items = [self.exp_mono()]
+        while self.toks[self.i] in ("+", "-"):
+            items.append(self.exp_mono())
         return items
 
-    def exp_mono(self, lead: bool) -> tuple[Mono, float]:
+    def exp_mono(self) -> tuple[Mono, float]:
+        toks = self.toks
         sign = 1.0
-        if self.peek()[1] in ("-", "+"):
-            sign = -1.0 if self.next()[1] == "-" else 1.0
-        elif not lead:
-            raise ParseError("expected + or - between exponent terms", self.peek()[2])
+        if toks[self.i] in ("-", "+"):
+            sign = -1.0 if toks[self.i] == "-" else 1.0
+            self.i += 1
+        start = self.i
         coeff = 1.0
         dn = dl = 0.0
-        saw_factor = False
-        start = self.peek()[2]
         while True:
-            kind, val, pos = self.peek()
-            if kind == "num":
-                self.next()
-                coeff *= float(val)
-                saw_factor = True
-            elif val == "n":
-                self.next()
+            tok = toks[self.i]
+            if tok == "n" or tok == "log":
+                self.i += 1
+                if tok == "log":
+                    self.argument()
                 d = 1.0
-                if self.peek()[1] == "^":
-                    self.next()
+                if toks[self.i] == "^":
+                    self.i += 1
                     d, _ = self.signed_number()
-                dn += d
-                saw_factor = True
-            elif val == "log":
-                self.next()
-                self.expect("(")
-                self.expect("n")
-                self.expect(")")
-                d = 1.0
-                if self.peek()[1] == "^":
-                    self.next()
-                    d, _ = self.signed_number()
-                dl += d
-                saw_factor = True
+                if tok == "n":
+                    dn += d
+                else:
+                    dl += d
+            elif tok not in _SYMBOLS:
+                x = self.number(self.i)
+                product = coeff * x
+                if x and coeff and not 0.0 < product < _INF:
+                    raise self.error(_OUT_OF_RANGE, self.i)
+                coeff = product
+                self.i += 1
             else:
                 break
-            if self.peek()[1] == "*":
-                self.next()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty exponent term", start)
+            if toks[self.i] != "*":
+                break
+            self.i += 1
+        if self.i == start:
+            raise self.error("empty exponent term", start)
+        if not (-_INF < dn < _INF and -_INF < dl < _INF):
+            raise self.error(_OUT_OF_RANGE, start)
         mono: Mono = (dn, dl, 0.0, 0.0)
         if _mono_sign(mono) <= 0:
-            raise ParseError(
+            raise self.error(
                 "exponent terms must grow: need n or log(n) with positive leading power", start
             )
         return (mono, sign * coeff)
@@ -735,12 +846,11 @@ def parse(text: str) -> GrowthExpr:
     expression or alt(even, odd), optionally raised to a signed numeric
     power.  Division folds into a -1 power, so the divisor must be a
     single term.  The exp argument is a signed sum of monomials
-    c*n^d*log(n)^l that grow without bound.
+    c*n^d*log(n)^l that grow without bound.  A number, or a coefficient or
+    exponent formed from numbers, that leaves the float range is a
+    ParseError.
     """
-    try:
-        return _Parser(text).parse()
-    except OverflowError:
-        raise ParseError("a number is out of floating-point range") from None
+    return _Parser(text).parse()
 
 
 def _fmt_num(x: float) -> str:

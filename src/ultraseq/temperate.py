@@ -315,23 +315,22 @@ def _log_g_factory(g: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
     """
     # largest L with g(e^L) finite, found by bisection on [0, 709]
     def finite_at(L: float) -> bool:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = float(g.fn(np.asarray(math.exp(L))))
-        return math.isfinite(v)
+        return math.isfinite(float(g.fn(np.asarray(math.exp(L)))))
 
     lo, hi = 0.0, 709.0
-    if finite_at(hi):
-        l_star = hi
-    elif not finite_at(lo):
-        l_star = None
-    else:
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if finite_at(mid):
-                lo = mid
-            else:
-                hi = mid
-        l_star = lo
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if finite_at(hi):
+            l_star = hi
+        elif not finite_at(lo):
+            l_star = None
+        else:
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                if finite_at(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            l_star = lo
 
     slope = None
     exp_like = False
@@ -362,35 +361,76 @@ def _log_g_factory(g: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
     return log_g
 
 
-def _log_grid(
-    log_g: Callable[[np.ndarray], np.ndarray], W: WeightFamily, m: int, M: int, xs: Sequence[float]
-) -> np.ndarray:
-    """log of (g(x^(1/r^m_n)))^(r^M_n) on the n-windows (rows) by xs (columns)."""
-    wa, wb = W.member(m), W.member(M)
-    ns = [n for n in _N_WINDOWS if n >= max(wa.n_min, wb.n_min)]
-    r_m, r_M = wa.values(ns)[:, None], wb.values(ns)[:, None]
-    return r_M * log_g(np.log(xs) / r_m)
+@dataclass(frozen=True)
+class _LevelTable:
+    """Each probed level's weights on the n-windows and log g on its probe
+    grid, read once per check.
+
+    Row j is level first + j (the probed levels are consecutive): r[j] holds
+    its weights on `_N_WINDOWS` and L[j] = log g(x^(1/r[j])) by xs, both NaN
+    on the windows below the level's n_min; k[j] counts the windows it has.
+    """
+
+    first: int
+    r: np.ndarray
+    L: np.ndarray
+    k: np.ndarray
+
+    @classmethod
+    def build(
+        cls, log_g: Callable[[np.ndarray], np.ndarray], W: WeightFamily, levels: list[int], xs: Sequence[float]
+    ) -> "_LevelTable":
+        rows = len(_N_WINDOWS)
+        r = np.full((len(levels), rows), math.nan)
+        k = np.zeros(len(levels), dtype=int)
+        for j, m in enumerate(levels):
+            w = W.member(m)
+            ns = [n for n in _N_WINDOWS if n >= w.n_min]
+            k[j] = len(ns)
+            r[j, rows - k[j]:] = w.values(ns)
+        L = log_g(np.log(xs) / r[:, :, None])
+        L[np.arange(rows) < rows - k[:, None]] = math.nan
+        return cls(levels[0], r, L, k)
+
+    def reweighted(self, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """log (g(x^(1/r^m_n)))^(r^M_n) for each pair (m, M) on the n-windows
+        by xs, NaN on a window below either level's n_min; and the number of
+        windows each pair has."""
+        m, M = np.array(pairs).T - self.first
+        return self.r[M, :, None] * self.L[m], np.minimum(self.k[m], self.k[M])
+
+
+def _windowless(cert: _Certificate, table: _LevelTable) -> TemperateCertificate | None:
+    """The no-decision certificate when a probed level starts past the last
+    n-window, so that no window holds data for its pairs."""
+    if table.k.all():
+        return None
+    m = table.first + int(table.k.argmin())
+    return cert(
+        status="inconclusive",
+        notes=f"level {m} starts past the last n-window 2^20, so its pairs have no data; no decision",
+    )
 
 
 def _level_search(
     cert: _Certificate,
     levels: list[int],
     candidates: Callable[[int], list[tuple[int, int]]],
-    passes: Callable[[int, int], bool],
+    passing: Callable[[list[tuple[int, int]]], np.ndarray],
     refutation: Callable[[int, int], dict],
     notes: tuple[str, str],
 ) -> TemperateCertificate:
     """Certify with, for each lead level, the first candidate pair (m, M)
     that passes; refute at the first lead level where none does, with the
-    witness of the last pair tried there.  `notes` reads (certified, refuted)."""
+    witness of its last candidate.  `passing` judges a lead level's
+    candidates at once; `notes` reads (certified, refuted)."""
     pairs = []
     for lead in levels:
-        for pair in candidates(lead):
-            if passes(*pair):
-                pairs.append(pair)
-                break
-        else:
-            return cert(status="refuted", witness=refutation(*pair), notes=notes[1])
+        cands = candidates(lead)
+        ok = passing(cands)
+        if not ok.any():
+            return cert(status="refuted", witness=refutation(*cands[-1]), notes=notes[1])
+        pairs.append(cands[int(ok.argmax())])
     return cert(status="certified", pairs=tuple(pairs), notes=notes[0])
 
 
@@ -496,17 +536,19 @@ def _refute_exp_moderate(
 def _numeric_moderate(
     cert: _Certificate, g: ScalarMap, W: WeightFamily, levels: list[int], case: str
 ) -> TemperateCertificate:
-    log_g = _log_g_factory(g)
+    table = _LevelTable.build(_log_g_factory(g), W, levels, _X_GRID_FULL)
+    windowless = _windowless(cert, table)
+    if windowless is not None:
+        return windowless
 
-    def window_sups(m: int, M: int) -> np.ndarray:
-        return _log_grid(log_g, W, m, M, _X_GRID_FULL).max(axis=1)
-
-    def bounded(m: int, M: int) -> bool:
-        sups = window_sups(m, M)
-        return sups[-1] < _LOG_CAP and (len(sups) < 2 or sups[-1] <= sups[-2] + 1.0)
+    def bounded(pairs: list[tuple[int, int]]) -> np.ndarray:
+        values, windows = table.reweighted(pairs)
+        # the sups over x of the last two n-windows
+        prev, last = values[:, -2:].max(axis=2).T
+        return (last < _LOG_CAP) & ((windows < 2) | (last <= prev + 1.0))
 
     def refutation(m: int, M: int) -> dict:
-        last = float(window_sups(m, M)[-1])
+        last = float(table.reweighted([(m, M)])[0][0, -1].max())
         return {"m": m, "M": M, "x": max(_X_GRID_FULL), "last_window_log": last}
 
     if case == "I":
@@ -535,7 +577,7 @@ def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
 
     if h.zero_limit is not None and h.zero_limit > 0.0:
         m = levels[0]
-        val = float(_log_grid(_log_g_factory(h), W, m, m, [1e-12])[-1, 0])
+        val = float(_LevelTable.build(_log_g_factory(h), W, [m], [1e-12]).reweighted([(m, m)])[0][0, -1, 0])
         return cert(
             status="refuted",
             witness={
@@ -578,16 +620,20 @@ def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
 def _numeric_compatible(
     cert: _Certificate, h: ScalarMap, W: WeightFamily, levels: list[int], case: str
 ) -> TemperateCertificate:
-    log_h = _log_g_factory(h)
+    table = _LevelTable.build(_log_g_factory(h), W, levels, _X_GRID_SMALL)
+    windowless = _windowless(cert, table)
+    if windowless is not None:
+        return windowless
 
-    def vanishes(m: int, M: int) -> bool:
-        # some probe x keeps the value below eps in every n-window
-        high = _log_grid(log_h, W, m, M, _X_GRID_SMALL) >= math.log(_EPS_UNIFORM)
-        return bool(np.any(~np.any(high, axis=0)))
+    def vanishes(pairs: list[tuple[int, int]]) -> np.ndarray:
+        # some probe x keeps the value below eps in every n-window (a NaN
+        # window, below a level's n_min, is not one of the pair's)
+        high = table.reweighted(pairs)[0] >= math.log(_EPS_UNIFORM)
+        return np.any(~np.any(high, axis=1), axis=1)
 
     def refutation(m: int, M: int) -> dict:
-        x = min(_X_GRID_SMALL)
-        last = float(_log_grid(log_h, W, m, M, [x])[-1, 0])
+        x = _X_GRID_SMALL[0]  # the smallest probe
+        last = float(table.reweighted([(m, M)])[0][0, -1, 0])
         return {"m": m, "M": M, "x": x, "n": _N_WINDOWS[-1], "log_value": last, "eps": _EPS_UNIFORM}
 
     if case == "II":

@@ -68,6 +68,13 @@ def test_norm_overflowing_literal_is_a_parse_error(capsys):
     assert "error: cannot parse '1e300^2'" in err
 
 
+@pytest.mark.parametrize("text, at", [("1e999", 0), ("n^1e999", 2), ("exp(1e999*n)", 4), ("1e-200*1e-200*n", 6)])
+def test_norm_of_a_number_beyond_float_range_is_a_parse_error(capsys, text, at):
+    rc, out, err = run(capsys, "norm", text)
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot parse '{text}': a number is out of floating-point range (at position {at})\n"
+
+
 def test_norm_beyond_float_range_prints_log_domain(capsys):
     # e^(1e300) overflows a float; the value is shown as exp(<log value>)
     rc, out, err = run(capsys, "norm", "n^1e300")

@@ -48,6 +48,13 @@ def test_make_names_the_label_of_every_representative(rep):
         make(rep, SPACE, label="blow-up")
 
 
+def test_a_literal_beyond_float_range_is_a_parse_error_before_any_verdict():
+    with pytest.raises(growth.ParseError, match=r"out of floating-point range \(at position 0\)"):
+        SeqRep.symbolic("1e999")
+    with pytest.raises(growth.ParseError, match=r"out of floating-point range \(at position 0\)"):
+        make("1e999*n", SPACE)
+
+
 def test_make_accepts_negligible_and_flags_zero():
     a = gn("exp(-log(n)^2)")
     assert is_zero(a).verdict == "negligible"

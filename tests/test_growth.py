@@ -1,10 +1,11 @@
 """Exact growth-expression calculus: parsing, normal form, comparison, limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultraseq import growth
@@ -88,6 +89,348 @@ def test_parse_errors_carry_positions():
 def test_parse_overflowing_literal_is_a_parse_error():
     with pytest.raises(ParseError, match="a number is out of floating-point range"):
         parse("1e300^2")
+
+
+def test_zero_literals_and_numbers_at_the_edge_of_float_range_parse():
+    for text in ("0e5", "0.0*n", "0.000e-999*n"):
+        assert parse(text).is_zero
+    assert parse("1e308*n").terms[0].coeff == 1e308
+    assert parse("5e-324").terms[0].coeff == 5e-324
+    assert parse("n^1e300") == term_expr(1.0, pow_n=1e300)
+
+
+def test_unexpected_character_is_reported_where_it_stands():
+    with pytest.raises(ParseError) as e:
+        parse("n $ 2")
+    assert e.value.pos == 2
+    with pytest.raises(ParseError) as e:
+        parse("n\t #")
+    assert e.value.pos == 3
+
+
+def test_text_check_stays_linear_and_runs_on_python_3_10():
+    # a run of digits splits into tokens in 2^(k-1) ways; a check that
+    # backtracked over them would not finish on this text
+    with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 60\)"):
+        parse("1" * 60 + "$")
+    # atomic groups and possessive quantifiers need Python 3.11
+    pattern = growth._TEXT_RE.pattern
+    assert "(?>" not in pattern and not re.search(r"[^\\][*+?}]\+", pattern)
+
+
+_MUST_GROW = "exponent terms must grow: need n or log(n) with positive leading power"
+
+# every error the parser raises: (text, exception type, exact message)
+_PARSE_ERRORS = [
+    # the tokenizer
+    ("n $ 2", ParseError, "unexpected character '$' (at position 2)"),
+    ("n#2", ParseError, "unexpected character '#' (at position 1)"),
+    ("2.", ParseError, "unexpected character '.' (at position 1)"),
+    # a token other than the one the grammar needs
+    ("exp(n", ParseError, "expected ')', found None (at position 5)"),
+    ("log n", ParseError, "expected '(', found 'n' (at position 4)"),
+    ("log(2)", ParseError, "expected 'n', found '2' (at position 4)"),
+    ("loglog(n", ParseError, "expected ')', found None (at position 8)"),
+    ("alt(n)", ParseError, "expected ',', found ')' (at position 5)"),
+    ("alt(n, 1", ParseError, "expected ')', found None (at position 8)"),
+    ("exp(n*loglog(n))", ParseError, "expected ')', found 'loglog' (at position 6)"),
+    ("exp(log(n)^0.5 n)", ParseError, "expected ')', found 'n' (at position 15)"),
+    ("n)", ParseError, "trailing input ')' (at position 1)"),
+    ("n n", ParseError, "trailing input 'n' (at position 2)"),
+    ("2 3", ParseError, "trailing input '3' (at position 2)"),
+    ("-n", ParseError, "unexpected token '-' (at position 0)"),
+    (")", ParseError, "unexpected token ')' (at position 0)"),
+    ("", ParseError, "unexpected token None (at position 0)"),
+    ("n^2 +", ParseError, "unexpected token None (at position 5)"),
+    ("n^^2", ParseError, "expected a number, found '^' (at position 2)"),
+    ("n^", ParseError, "expected a number, found None (at position 2)"),
+    ("n^n", ParseError, "expected a number, found 'n' (at position 2)"),
+    # exp(...) arguments
+    ("exp()", ParseError, "empty exponent term (at position 4)"),
+    ("exp(-)", ParseError, "empty exponent term (at position 5)"),
+    ("exp(n+)", ParseError, "empty exponent term (at position 6)"),
+    ("exp(log(n)^-1)", ParseError, f"{_MUST_GROW} (at position 4)"),
+    ("exp(2)", ParseError, f"{_MUST_GROW} (at position 4)"),
+    ("exp(n^0)", ParseError, f"{_MUST_GROW} (at position 4)"),
+    ("exp(log(n)*n^-1)", ParseError, f"{_MUST_GROW} (at position 4)"),
+    # powers and quotients
+    ("n/0", ParseError, "division by the zero sequence (at position 1)"),
+    ("n/0^2", ParseError, "division by the zero sequence (at position 1)"),
+    ("1/(n+1)", ParseError, "fractional or negative power of a multi-term sum (at position 1)"),
+    ("(n+1)^0.5", ParseError, "fractional or negative power of a multi-term sum (at position 6)"),
+    ("0^-1", ParseError, "nonpositive power of 0 (at position 3)"),
+    ("0^0", ParseError, "nonpositive power of 0 (at position 2)"),
+    ("alt(0, n)^2", ValueError, "power of the zero sequence"),
+    ("1/alt(0, n)", ValueError, "power of the zero sequence"),
+    # numbers out of float range: a literal, a power's exponent, a product,
+    # a quotient, a power or a sum of numbers in range
+    ("1e999", ParseError, "a number is out of floating-point range (at position 0)"),
+    ("1e-400*n", ParseError, "a number is out of floating-point range (at position 0)"),
+    ("n^1e999", ParseError, "a number is out of floating-point range (at position 2)"),
+    ("n^-1e999", ParseError, "a number is out of floating-point range (at position 3)"),
+    ("exp(1e999*n)", ParseError, "a number is out of floating-point range (at position 4)"),
+    ("exp(1e-200*1e-200*n)", ParseError, "a number is out of floating-point range (at position 11)"),
+    ("exp(1e308*n + 1e308*n)", ParseError, "a number is out of floating-point range (at position 0)"),
+    ("1e300^2", ParseError, "a number is out of floating-point range (at position 6)"),
+    ("1/1e-320", ParseError, "a number is out of floating-point range (at position 1)"),
+    ("1e-200*1e-200*n", ParseError, "a number is out of floating-point range (at position 6)"),
+    ("n^1e308*n^1e308", ParseError, "a number is out of floating-point range (at position 7)"),
+    ("(1e200*n+1)^2", ParseError, "a number is out of floating-point range (at position 12)"),
+    ("1e308+1e308", ParseError, "a number is out of floating-point range (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("text, kind, message", _PARSE_ERRORS)
+def test_parse_error_messages_and_positions(text, kind, message):
+    with pytest.raises(Exception) as e:
+        parse(text)
+    assert (type(e.value), str(e.value)) == (kind, message)
+
+
+# ---------------------------------------------------------------------------
+# the parser against a token-by-token reference
+
+_REF_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>loglog|log|exp|alt|n)"
+    r"|(?P<punct>[()+*/^,-]))"
+)
+_REF_ATOMS = {"n": (0.0, 1.0, 0.0, 0.0), "log": (0.0, 0.0, 1.0, 0.0), "loglog": (0.0, 0.0, 0.0, 1.0)}
+
+
+class _ReferenceParser:
+    """One token per regex match, one normal form per factor and partial
+    product or sum, built with the public arithmetic (add, mul, pow_expr)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _REF_TOKEN_RE.match(text, pos)
+            if m is None or m.end() == pos:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                # the position of the character, after the blanks before it
+                raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+            kind = m.lastgroup
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect(self, value: str):
+        kind, val, pos = self.next()
+        if val != value:
+            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+
+    def parse(self):
+        e = self.expr()
+        kind, val, pos = self.peek()
+        if kind is not None:
+            raise ParseError(f"trailing input {val!r}", pos)
+        return e
+
+    def expr(self):
+        e = self.term()
+        while self.peek()[1] == "+":
+            self.next()
+            e = add(e, self.term())
+        return e
+
+    def term(self):
+        e = self.factor()
+        while self.peek()[1] in ("*", "/"):
+            op = self.next()
+            f = self.factor()
+            if op[1] == "/":
+                if f.is_zero:
+                    raise ParseError("division by the zero sequence", op[2])
+                try:
+                    f = pow_expr(f, -1.0)
+                except NotRepresentable as exc:
+                    raise ParseError(str(exc), op[2]) from None
+            e = mul(e, f)
+        return e
+
+    def factor(self):
+        e = self.primary()
+        while self.peek()[1] == "^":
+            self.next()
+            s, pos = self.signed_number()
+            if e.is_zero:
+                if s <= 0:
+                    raise ParseError("nonpositive power of 0", pos)
+                continue
+            try:
+                e = pow_expr(e, s)
+            except NotRepresentable as exc:
+                raise ParseError(str(exc), pos) from None
+        return e
+
+    def signed_number(self):
+        sign = 1.0
+        if self.peek()[1] in ("-", "+"):
+            sign = -1.0 if self.next()[1] == "-" else 1.0
+        kind, val, pos = self.next()
+        if kind != "num":
+            raise ParseError(f"expected a number, found {val!r}", pos)
+        return sign * float(val), pos
+
+    def primary(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return constant(float(val))
+        if val in _REF_ATOMS:
+            if val != "n":
+                self.expect("(")
+                self.expect("n")
+                self.expect(")")
+            return growth.GrowthExpr(terms=(growth.GrowthTerm(1.0, ((_REF_ATOMS[val], 1.0),)),))
+        if val == "exp":
+            self.expect("(")
+            items = self.exp_poly()
+            self.expect(")")
+            return growth.GrowthExpr(terms=(growth._term(1.0, items),))
+        if val == "alt":
+            self.expect("(")
+            even = self.expr()
+            self.expect(",")
+            odd = self.expr()
+            self.expect(")")
+            return alt_expr(even, odd)
+        if val == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        raise ParseError(f"unexpected token {val!r}", pos)
+
+    def exp_poly(self):
+        items = [self.exp_mono(lead=True)]
+        while self.peek()[1] in ("+", "-"):
+            items.append(self.exp_mono(lead=False))
+        return items
+
+    def exp_mono(self, lead: bool):
+        sign = 1.0
+        if self.peek()[1] in ("-", "+"):
+            sign = -1.0 if self.next()[1] == "-" else 1.0
+        elif not lead:
+            raise ParseError("expected + or - between exponent terms", self.peek()[2])
+        coeff = 1.0
+        dn = dl = 0.0
+        saw_factor = False
+        start = self.peek()[2]
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "num":
+                self.next()
+                coeff *= float(val)
+                saw_factor = True
+            elif val == "n":
+                self.next()
+                d = 1.0
+                if self.peek()[1] == "^":
+                    self.next()
+                    d, _ = self.signed_number()
+                dn += d
+                saw_factor = True
+            elif val == "log":
+                self.next()
+                self.expect("(")
+                self.expect("n")
+                self.expect(")")
+                d = 1.0
+                if self.peek()[1] == "^":
+                    self.next()
+                    d, _ = self.signed_number()
+                dl += d
+                saw_factor = True
+            else:
+                break
+            if self.peek()[1] == "*":
+                self.next()
+                continue
+            break
+        if not saw_factor:
+            raise ParseError("empty exponent term", start)
+        mono = (dn, dl, 0.0, 0.0)
+        if growth._mono_sign(mono) <= 0:
+            raise ParseError(_MUST_GROW, start)
+        return (mono, sign * coeff)
+
+
+def _reference_parse(text: str):
+    try:
+        return _ReferenceParser(text).parse()
+    except OverflowError:
+        raise ParseError("a number is out of floating-point range") from None
+
+
+def _outcome(parser, text):
+    """What a parser makes of text: the expression and its repr (which tells
+    -0.0 from 0.0), or the type and message of the error it raises."""
+    try:
+        e = parser(text)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return e, repr(e)
+
+
+# texts of the grammar; literals and powers stay small enough that no
+# coefficient or exponent leaves the float range
+_literals = st.sampled_from(["0", "1", "2", "0.5", "3", "0.1", "0.2", "0.3", "3.14", "1.5e2", "2.5e-3", "007"])
+_powers = st.sampled_from(["2", "-1", "0.5", "-0.5", "0", "3", "+1", "-2"])
+_exp_monos = st.tuples(
+    st.sampled_from(["", "-", "+", " - "]),
+    st.sampled_from(["", "2*", "0.1*", "3 * "]),
+    st.sampled_from(["n", "n^2", "n^0.5", "log(n)", "log(n)^2", "n*log(n)^-1", "log(n)^0.5", "n*", "n^-1"]),
+).map("".join)
+_leaves = st.one_of(
+    _literals,
+    st.sampled_from(["n", "log(n)", "loglog(n)", "log (n)"]),
+    st.lists(_exp_monos, min_size=1, max_size=3).map(lambda monos: f"exp({''.join(monos)})"),
+)
+
+
+def _joined(children, ops):
+    return st.tuples(children, st.lists(st.tuples(ops, children), min_size=1, max_size=3)).map(
+        lambda t: t[0] + "".join(op + c for op, c in t[1])
+    )
+
+
+def _grammar_texts(children):
+    return st.one_of(
+        st.tuples(children, _powers).map(lambda t: f"{t[0]}^{t[1]}"),
+        _joined(children, st.sampled_from(["*", "/", " * ", " /"])),
+        _joined(children, st.sampled_from(["+", " + "])),
+        children.map(lambda c: f"({c})"),
+        st.tuples(children, children).map(lambda t: f"alt({t[0]}, {t[1]})"),
+    )
+
+
+_texts = st.recursive(_leaves, _grammar_texts, max_leaves=10)
+
+
+@given(_texts, st.one_of(st.none(), st.integers(0, 40)))
+@settings(max_examples=400, deadline=None)
+@example("n*(n+1)*2*n^-1", None)
+@example("2*(n+1)^2/n", None)
+@example("alt(n, 2*n)*n/log(n)", None)
+@example("exp(n - n)*n^0*n/n", None)
+@example("0.1*n + 0.2*n + 0.3*n", None)  # like terms summed left to right
+def test_parse_matches_the_reference_parser(text, cut):
+    if cut is not None:
+        text = text[:cut]
+    assert _outcome(parse, text) == _outcome(_reference_parse, text)
 
 
 def test_format_parse_round_trip_on_handwritten_cases():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ultraseq import growth
+from ultraseq import growth, temperate
 from ultraseq.genfun import FunctionSpace, make_element, seq_scale, sin_fn
 from ultraseq.spaces import SeqRep
 from ultraseq.temperate import (
@@ -35,7 +35,15 @@ from ultraseq.temperate import (
     sum_maps,
     verify_F2,
 )
-from ultraseq.weights import WeightSeq, catalog, expdecay_scale, power_scale, scale_to_weights
+from ultraseq.weights import (
+    Direction,
+    WeightFamily,
+    WeightSeq,
+    catalog,
+    expdecay_scale,
+    power_scale,
+    scale_to_weights,
+)
 
 COL = catalog("colombeau")
 SCALE_II = scale_to_weights(power_scale())  # decreasing levels
@@ -324,6 +332,70 @@ def test_black_box_search_results_are_pinned(label, family, role, status, witnes
         assert cert.witness == {}
     else:
         assert (cert.witness["m"], cert.witness["M"], cert.witness["x"]) == witness
+
+
+def _late_family(log2_n_min=lambda m: m + 3) -> WeightFamily:
+    """Levels whose first index 2^log2_n_min(m) grows with m; by default
+    level pairs span from all nine n-windows down to one."""
+
+    def member(m: int) -> WeightSeq:
+        return WeightSeq(
+            label=f"late {m}",
+            evaluator=lambda ns: 1.0 / np.log(ns) ** (1.0 + 1.0 / m),
+            n_min=2 ** log2_n_min(m),
+        )
+
+    return WeightFamily(name="late", member_fn=member, direction=Direction.DECREASING)
+
+
+def _reference_log_grid(log_g, W, m, M, xs):
+    """log (g(x^(1/r^m_n)))^(r^M_n) on the n-windows of both levels by xs,
+    with the weights of the pair read for it alone."""
+    wa, wb = W.member(m), W.member(M)
+    ns = [n for n in temperate._N_WINDOWS if n >= max(wa.n_min, wb.n_min)]
+    r_m, r_M = wa.values(ns)[:, None], wb.values(ns)[:, None]
+    return r_M * log_g(np.log(xs) / r_m)
+
+
+@pytest.mark.parametrize("family", [ULTRA_I, SCALE_II, _late_family()], ids=lambda W: W.name)
+@pytest.mark.parametrize("label", ["sqrt", "exp", "x*log1p(x)"])
+def test_level_table_gives_each_pair_its_own_grid_bitwise(family, label):
+    log_g = temperate._log_g_factory(ScalarMap(label=label, fn=BLACK_BOX[label]))
+    levels = temperate._levels(family)
+    table = temperate._LevelTable.build(log_g, family, levels, temperate._X_GRID_FULL)
+    pairs = [(m, M) for m in levels for M in levels]
+    values, windows = table.reweighted(pairs)
+    for (m, M), got, k in zip(pairs, values, windows):
+        with np.errstate(invalid="ignore"):
+            want = _reference_log_grid(log_g, family, m, M, temperate._X_GRID_FULL)
+        assert k == len(want) and got[len(got) - k :].tobytes() == want.tobytes(), (m, M)
+        assert np.isnan(got[: len(got) - k]).all()
+
+
+@pytest.mark.parametrize("check", [check_moderate, check_compatible], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("label", ["sqrt", "square", "exp"])
+def test_a_level_past_the_last_n_window_gives_no_decision(check, label):
+    # level m starts at 4^(m+2), past the last window 2^20 from level 9 on:
+    # its pairs have no data, so neither a refutation nor a certificate holds
+    fam = _late_family(lambda m: 2 * (m + 2))
+    cert = check(ScalarMap(label=label, fn=BLACK_BOX[label]), fam)
+    assert cert.status == "inconclusive"
+    assert cert.notes == "level 9 starts past the last n-window 2^20, so its pairs have no data; no decision"
+    assert cert.pairs == () and cert.witness == {}
+
+
+def test_a_search_reads_each_level_weights_once(monkeypatch):
+    fam = catalog("ultra")
+    levels = temperate._levels(fam)
+    labels = sorted(fam.member(m).label for m in levels)
+    reads = []
+    values = WeightSeq.values
+    monkeypatch.setattr(WeightSeq, "values", lambda self, ns: reads.append(self.label) or values(self, ns))
+    square = ScalarMap(label="square", fn=BLACK_BOX["square"])
+    for check in (check_moderate, check_compatible):
+        reads.clear()
+        assert check(square, fam).status == "certified"
+        assert sorted(reads) == labels
 
 
 # ---------------------------------------------------------------------------
