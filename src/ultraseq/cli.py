@@ -240,7 +240,8 @@ def _fmt(v) -> str:
 def _classification_lines(report: ClassificationReport) -> list[str]:
     """Every level's norms, the levels probed and the verdict, indented."""
     lines = [
-        f"  m={m} channel={key}: norm={format_value(v, with_band=True)}" + ("" if v.exact else " (estimated)")
+        f"  m={m} channel={key}: norm={format_value(v, with_band=True)}"
+        + (" (growth law)" if v.witness.startswith(genfun._LAW) else "" if v.exact else " (estimated)")
         for (m, key), v in report.channel_norms.items()
     ]
     levels = report.m_probed

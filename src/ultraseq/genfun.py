@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -185,10 +185,12 @@ class SmoothSeq:
         # a user jet, until a constructor here says what it computes
         object.__setattr__(self, "key", ("jet", id(self.jet)))
 
-    def at(self, n: int | np.ndarray, xs, order: int = 0) -> np.ndarray:
+    def at(self, n: int | np.ndarray | _Indices, xs, order: int = 0) -> np.ndarray:
         if order > self.max_order:
             raise ValueError(f"{self.label}: derivative order {order} > {self.max_order}")
         xs = np.asarray(xs, dtype=float)
+        if isinstance(n, _Indices) and not self.index_arrays:
+            n = n.points  # the runs a lockstep pairing hands over serve index arrays only
         if self.index_arrays or not isinstance(n, np.ndarray):
             return self.jet(n, xs, order)[order]
         return _per_index(self.jet, n, order, xs)[order]
@@ -277,19 +279,34 @@ def _horner_bound(coeffs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     """out[j] >= |p_j(u)| for u in [lo, hi], p_j the polynomial with
     coefficients coeffs[j] (lowest first): |p_j| at the middle of the cell
     plus its half-width times sum_i i |c_i| max|u|^(i-1), widened by the
-    rounding error bound of Horner's rule in floats."""
+    rounding error bound of Horner's rule in floats.
+
+    Each row starts at its own leading coefficient: the rows, by falling
+    degree, that a step reaches are a leading block.  On a row's leading
+    zeros the full-width loop adds only exact zeros, so each bound is the
+    same float."""
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     top = np.maximum(np.abs(lo), np.abs(hi))
+    degree = np.array([len(_trim(c)) for c in coeffs]) - 1  # -1: a zero row
+    order = np.argsort(-degree, kind="stable")
+    rows, degrees = coeffs[order], degree[order].tolist()
+    sizes = np.abs(rows)
     val, mag, slope = (np.zeros((len(coeffs),) + lo.shape) for _ in range(3))
-    for c in coeffs.T[::-1, :, None]:
-        slope *= top
-        slope += mag
-        val *= mid
-        val += c
-        mag *= top
-        mag += np.abs(c)
+    reached = 0
+    for i in range(max(degrees, default=-1), -1, -1):
+        while reached < len(degrees) and degrees[reached] >= i:
+            reached += 1
+        s, v, m = slope[:reached], val[:reached], mag[:reached]
+        s *= top
+        s += m
+        v *= mid
+        v += rows[:reached, i, None]
+        m *= top
+        m += sizes[:reached, i, None]
+    out = np.empty_like(val)
     # an all-zero row stays an exact 0
-    return np.abs(val) + rad * slope + 6 * coeffs.shape[1] * np.finfo(float).eps * mag
+    out[order] = np.abs(val) + rad * slope + 6 * coeffs.shape[1] * np.finfo(float).eps * mag
+    return out
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -518,6 +535,8 @@ class _Tree(NamedTuple):
     # ancestors that move the index, the order or the points, so equal
     # entries are equal work in one root call
     occurrences: tuple[tuple[tuple, Hashable, int], ...]
+    # the operands, as the combinator was given them
+    operands: tuple[SmoothSeq, ...]
 
 
 def _occurrences(f: SmoothSeq) -> tuple[tuple[tuple, Hashable, int], ...]:
@@ -575,12 +594,12 @@ class _Indices:
     indices, the position among them of each run's index, and the run
     lengths, in the order of the flattened points.
 
-    A lockstep quadrature gives each interval's points one run of equal
-    indices; the runs are derived once, when a node first reads them, and
-    the distinct indices are found among the runs' first entries, without
-    sorting every point.  A lattice walk hands over the runs it knows, with
+    A lockstep pairing and a lattice walk hand over the runs they lay out:
+    the pairing one run per interval, and the walk one per index with
     every index of the walk as the distinct ones, so they are the same in
-    each call of one walk."""
+    each call of one walk.  Other runs are derived once, when a node first
+    reads them, and the distinct indices are found among the runs' first
+    entries, without sorting every point."""
 
     __slots__ = ("points", "_runs")
 
@@ -681,7 +700,7 @@ def _node(
         n_free=all(f.n_free for f in operands) if n_free is None else n_free,
         index_arrays=all(f.index_arrays for f in operands),
         key=key,
-        tree=_Tree(evaluate, occurrences),
+        tree=_Tree(evaluate, occurrences, operands),
         const_rows=const_rows,
     )
 
@@ -960,6 +979,22 @@ def _cut(start: np.ndarray, stop: np.ndarray, size: int) -> tuple[np.ndarray, np
     return block, first, np.minimum(first + size, stop[block])
 
 
+def _lattices(f: SmoothSeq, ns: Iterable[int], nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ends lo and hi and the point count of the lattice of
+    SeminormSpec(nu) at each index of ns, clipped to f's support; a count
+    of 0 is an empty lattice."""
+    spec, lattices = SeminormSpec(nu), []
+    for n in ns:
+        sup = f.support_fn(n)
+        h, radius = spec.lattice(n, None if sup is None else sup[1] - sup[0])
+        lo, hi = -radius, radius
+        if sup is not None:
+            lo, hi = max(lo, sup[0]), min(hi, sup[1])
+        lattices.append((lo, hi, _grid_count(lo, hi, h)) if hi > lo else (0.0, 0.0, 0))
+    lo, hi, count = np.array(lattices, dtype=float).reshape(-1, 3).T
+    return lo, hi, count.astype(np.int64)
+
+
 class _Walk:
     """One lattice walk: the lattices of a sequence f at the sorted
     distinct indices ns for the orders 0..nu, and rows[p, j], the largest
@@ -971,17 +1006,7 @@ class _Walk:
 
     def __init__(self, f: SmoothSeq, ns: np.ndarray, nu: int):
         self.f, self.ns, self.nu = f, ns, nu
-        spec, lattices = SeminormSpec(nu), []
-        for n in ns.tolist():
-            sup = f.support_fn(n)
-            h, radius = spec.lattice(n, None if sup is None else sup[1] - sup[0])
-            lo, hi = -radius, radius
-            if sup is not None:
-                lo, hi = max(lo, sup[0]), min(hi, sup[1])
-            # a count of 0: an empty lattice
-            lattices.append((lo, hi, _grid_count(lo, hi, h)) if hi > lo else (0.0, 0.0, 0))
-        self.lo, self.hi = (np.array([x[i] for x in lattices], dtype=float) for i in (0, 1))
-        self.count = np.array([x[2] for x in lattices], dtype=np.int64)
+        self.lo, self.hi, self.count = _lattices(f, ns.tolist(), nu)
         self.step = (self.hi - self.lo) / (self.count - 1)
         self.rows = np.zeros((len(ns), nu + 1))
 
@@ -1182,12 +1207,201 @@ def _log_abs_channel(values: Callable[[list[int]], Sequence[float]], label: str,
 
 
 def classify_fun(f: SmoothSeq, nu_max: int, space: NumberSpace | None = None) -> ClassificationReport:
-    """Classify a smooth sequence through its seminorm channels p_0..p_nu_max,
-    all read from one seminorm table: one walk per radius, each lattice
-    walked once."""
+    """Classify a smooth sequence through its seminorm channels p_0..p_nu_max.
+
+    The channels of a sequence built by rules with growth laws are
+    classified on the exact tier (`_law_report`).  Any other sequence, or
+    one whose laws leave a norm open, is walked: its channels are read
+    from one seminorm table, one walk per radius, each lattice walked once."""
     if nu_max > f.max_order:
         raise ValueError("nu_max exceeds the sequence's derivative support")
-    return _classify_table(_seminorm_table(f), f.label, nu_max, space)
+    space = space or colombeau_space()
+    report = _law_report(f, nu_max, space)
+    return report if report is not None else _classify_table(_seminorm_table(f), f.label, nu_max, space)
+
+
+# ---------------------------------------------------------------------------
+# growth laws: the channels of a sequence from the rules it was built with
+
+_LAW = "growth law"  # the witness of a norm a growth law decided starts so
+_PROBES = 64  # probe points, and cells, of one bound on a profile's orders
+
+
+class _Law(NamedTuple):
+    """lo * expr(n) <= p_nu(f_n) <= hi * expr(n) at every sample index;
+    lo = 0 claims no lower law."""
+
+    expr: growth.GrowthExpr
+    lo: float
+    hi: float
+
+    @property
+    def vanishes(self) -> bool:
+        return not self.hi or self.expr.is_zero
+
+
+class _Form(NamedTuple):
+    """|f_n(x)| = scale * expr(n) * n^power * |h(x)|, or |h(n x)| when
+    `stretched`, for an n-free profile h."""
+
+    stretched: bool
+    expr: growth.GrowthExpr
+    scale: float
+    power: int
+    h: SmoothSeq
+
+
+def _form(f: SmoothSeq) -> _Form | None:
+    """f as a `_Form`: an n-free or a mollified sequence, and their scales,
+    derivatives and products of two of one kind; the profile of a
+    derivative or a product is built anew on each call."""
+    if f.n_free:
+        return _Form(False, growth.ONE, 1.0, 0, f)
+    op = f.key[0] if f._tree is not None else ("jet",)
+    if op[0] == "mollified":
+        return _Form(True, growth.ONE, 1.0, op[1], f._tree.operands[0])
+    if op[0] not in ("relabel", "scale", "derivative", "product") or op[1:2] == ("callable",):
+        return None
+    forms = [_form(g) for g in f._tree.operands]
+    a, b = forms[0], forms[-1]
+    if a is None or b is None or a.stretched != b.stretched:
+        return None
+    if op[0] == "scale" and isinstance(op[1], growth.GrowthExpr):
+        return a._replace(expr=growth.mul(op[1], a.expr))
+    if op[0] == "scale":
+        return a._replace(scale=abs(op[1]) * a.scale)
+    if op[0] == "derivative":
+        return a._replace(power=a.power + op[1] * a.stretched, h=derivative_seq(a.h, op[1]))
+    if op[0] == "product":
+        return _Form(a.stretched, growth.mul(a.expr, b.expr), a.scale * b.scale, a.power + b.power,
+                     product_seq(a.h, b.h))
+    return a
+
+
+def _order_bounds(h: SmoothSeq, probe: tuple[float, float], cover: tuple[float, float], half: float, k: int):
+    """(lower, upper) for the orders j = 0..k of the n-free h, or None
+    without a majorant.  upper[j] bounds |h^(j)| on `cover`.  A lattice
+    spanning `probe` with steps of at most 2 * half has a point within
+    half of each probe point x, where |h^(j)| is at least |h^(j)(x)| less
+    half times the majorant of order j + 1 on [x - half, x + half]; the
+    largest such bound is lower[j]."""
+    if h.majorant is None:
+        return None
+    top = min(k + 1, h.max_order)
+    edges, xs = np.linspace(*sorted(cover), _PROBES + 1), np.linspace(*sorted(probe), _PROBES)
+    with np.errstate(all="ignore"):
+        # one majorant call: the cells of `cover`, then those of the probes
+        bound = h.majorant(1, np.concatenate([edges[:-1], xs - half]), np.concatenate([edges[1:], xs + half]), top)
+        vals = np.abs(h.jet(1, xs, k))
+        vals[:top] -= half * bound[1:, _PROBES:]
+        vals[top:] = 0.0  # an order whose next one the majorant cannot reach
+        out = np.array([np.fmax(vals.max(axis=1), 0.0) / _PAD, bound[: k + 1, :_PROBES].max(axis=1) * _PAD])
+    out[[probe[1] < probe[0], cover[1] < cover[0]]] = 0.0  # an empty span
+    return out
+
+
+def _form_laws(form: _Form, k: int, lattices) -> list[_Law] | None:
+    """The laws of p_0..p_k of a `_Form` on the lattices (lo, hi, count)
+    at the sample indices, from its profile's bounds where every lattice
+    holds its probes.  p_nu of a stretched form lies between n^(power+nu)
+    times the lower bound of order nu and times the upper bounds up to nu."""
+    lo, hi, count = lattices
+    t = np.asarray(DEFAULT_SAMPLE_NS, dtype=float) if form.stretched else 1.0
+    a, b, live = t * lo, t * hi, count > 0
+    probe = (a.max(), b.min()) if live.all() else (1.0, 0.0)
+    cover = (a[live].min(), b[live].max()) if live.any() else (1.0, 0.0)
+    if form.h.support is not None:
+        probe, cover = ((max(x, form.h.support[0]), min(y, form.h.support[1])) for x, y in (probe, cover))
+    half = 0.5 * _PAD * float(np.max(t * (hi - lo) / np.maximum(count - 1, 1)))
+    bounds = _order_bounds(form.h, probe, cover, half, k)
+    if bounds is None:
+        return None
+    lower, upper = form.scale * bounds
+    if not form.stretched:
+        return [_Law(form.expr, lower[: nu + 1].max(), upper[: nu + 1].max()) for nu in range(k + 1)]
+    return [
+        _Law(growth.mul(form.expr, growth.term_expr(1.0, pow_n=form.power + nu)), lower[nu], upper[: nu + 1].max())
+        for nu in range(k + 1)
+    ]
+
+
+def _sum_law(a: _Law, b: _Law) -> _Law:
+    """p_nu(f + g) <= max(hi) (e_f + e_g).  When one summand's growth
+    strictly dominates, its lower law less the other's upper law is one
+    of the sum where it stays positive at every sample index."""
+    if b.vanishes or a.vanishes:
+        return a if b.vanishes else b
+    lo = 0.0
+    if not (a.expr.modulated or b.expr.modulated):
+        order = growth.compare(a.expr, b.expr).relation
+        if order != growth.SAME:
+            top, low = (a, b) if order == growth.GREATER else (b, a)
+            with np.errstate(all="ignore"):
+                low_log, top_log = (growth.eval_log(e.expr, DEFAULT_SAMPLE_NS) for e in (low, top))
+                ratio = np.exp(low_log - top_log)
+                lo = float(np.min((top.lo - low.hi * ratio) / (1.0 + ratio)))
+    return _Law(growth.add(a.expr, b.expr), lo if lo > 0 else 0.0, max(a.hi, b.hi))  # nan: no lower law
+
+
+def _laws(f: SmoothSeq, k: int, lattices) -> list[_Law] | None:
+    """The laws of p_0..p_k of f on the lattices at the sample indices, by
+    the rules f was built with; None when a rule has none.  Other than a
+    form, a derivative is bounded by its operand's higher channels, and a
+    product by Leibniz, p_nu(f g) <= 2^nu p_nu(f) p_nu(g); neither has a
+    lower law."""
+    form = _form(f)
+    if form is not None:
+        return _form_laws(form, k, lattices)
+    op = f.key[0] if f._tree is not None else ("jet",)
+    if op[0] not in ("relabel", "scale", "derivative", "add", "product") or op[1:2] == ("callable",):
+        return None
+    shift = op[1] if op[0] == "derivative" else 0
+    parts = [_laws(g, k + shift, lattices) for g in f._tree.operands]
+    a, b = parts[0], parts[-1]
+    if a is None or b is None:
+        return None
+    if op[0] == "scale" and isinstance(op[1], growth.GrowthExpr):
+        return [law._replace(expr=growth.mul(op[1], law.expr)) for law in a]
+    if op[0] == "scale":
+        return [_Law(law.expr, abs(op[1]) * law.lo, abs(op[1]) * law.hi) for law in a]
+    if op[0] == "derivative":
+        return [law._replace(lo=0.0) for law in a[shift:]]
+    if op[0] == "add":
+        return [_sum_law(x, y) for x, y in zip(a, b)]
+    if op[0] == "product":
+        return [_Law(growth.mul(x.expr, y.expr), 0.0, 2.0**nu * x.hi * y.hi) for nu, (x, y) in enumerate(zip(a, b))]
+    return a
+
+
+def _law_report(f: SmoothSeq, nu_max: int, space: NumberSpace) -> ClassificationReport | None:
+    """f's classification from its channels' growth laws, derived anew, on
+    the exact tier; None when f has no law or a norm is left open.  Every
+    weight read is symbolic or a step, so tends to 0, and a positive
+    constant drops out of every norm: a channel's norm is its expression's
+    when the law has a lower bound or the channel vanishes, and 0 when the
+    expression's norm is 0."""
+    laws = _laws(f, min(nu_max, 2), _lattices(f, DEFAULT_SAMPLE_NS, 2))
+    for nu in range(3, nu_max + 1):  # orders up to 2 share the radius-2 lattices
+        more = None if laws is None else _laws(f, nu, _lattices(f, DEFAULT_SAMPLE_NS, nu))
+        laws = None if more is None else laws + more[nu:]
+    if laws is None or not all(math.isfinite(law.hi) for law in laws):
+        return None
+    if not all(w.is_symbolic or w.is_step for w in space.weights()):
+        return None
+    bundle = {
+        f"p_{nu}": SeqRep(f"p_{nu}({f.label})", expr=growth.ZERO if law.vanishes else law.expr)
+        for nu, law in enumerate(laws)
+    }
+    rates = [
+        "0" if law.vanishes else f"{'Theta' if law.lo > 0 else 'O'}({growth.format_expr(law.expr)})" for law in laws
+    ]
+    report, norms = space.classify(bundle), {}
+    for (m, key), v in report.channel_norms.items():
+        law = laws[int(key[2:])]
+        if not (law.lo > 0 or law.vanishes or v.log_value == -math.inf):
+            return None
+        norms[m, key] = replace(v, witness=f"{_LAW}: {key} = {rates[int(key[2:])]}")
+    return replace(report, channel_norms=norms)
 
 
 def _classify_table(
@@ -1250,12 +1464,14 @@ def _nonfinite_integral(ys: np.ndarray) -> float:
 
 
 def _quad_lockstep(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float]
+    fn: Callable[..., np.ndarray], lo: Sequence[float], hi: Sequence[float], runs: bool = False
 ) -> np.ndarray:
     """Adaptive composite Gauss-Legendre integrals over the intervals
     [lo[i], hi[i]] in lockstep, of an integrand fn(xs, which) that is
     vectorized over points and intervals: which[p] is the interval of the
-    point xs[p].
+    point xs[p].  With `runs` it is fn(xs, which, (intervals, lengths)):
+    the points of each interval are one run of which, and the runs, in
+    order, are those of the intervals with those lengths.
 
     Each refinement level calls `fn` once, on the nodes of every open panel
     of every interval.  Each interval is refined as it would be alone: its
@@ -1306,7 +1522,12 @@ def _quad_lockstep(
             owner.append(ids.repeat(cuts.shape[2] * len(signed)))
             widths.append((width, half))
         xs, owner = (np.concatenate(xs), np.concatenate(owner)) if len(groups) > 1 else (xs[0], owner[0])
-        ys = np.asarray(fn(xs.ravel(), owner), dtype=float).reshape(xs.shape)
+        if runs:
+            layout = [(ids, np.full(len(ids), cuts.shape[2] * len(signed))) for ids, cuts, *_ in groups]
+            ys = fn(xs.ravel(), owner, tuple(np.concatenate(x) for x in zip(*layout)))
+        else:
+            ys = fn(xs.ravel(), owner)
+        ys = np.asarray(ys, dtype=float).reshape(xs.shape)
         finite = np.logical_and.reduce(np.isfinite(ys), None)
         grown: dict[int, list[tuple[np.ndarray, ...]]] = {}
         stop = 0
@@ -1484,10 +1705,15 @@ def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction) -> float | 
             hi[i] = max(hi[i], lo[i])  # an empty meet integrates to 0
     index = np.array(ns)
 
-    def integrand(xs: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return f.at(n if scalar else index[which], xs, 0) * psi(xs)
+    def integrand(xs: np.ndarray, which: np.ndarray, runs=None) -> np.ndarray:
+        if scalar:
+            return f.at(n, xs, 0) * psi(xs)
+        # the quadrature's runs of equal indices, handed to the root call
+        intervals, lengths = runs
+        distinct, where = np.unique(index[intervals], return_inverse=True)
+        return f.at(_Indices(index[which], (distinct, where, lengths)), xs, 0) * psi(xs)
 
-    values = _quad_lockstep(integrand, lo, hi)
+    values = _quad_lockstep(integrand, lo, hi, runs=not scalar)
     return float(values[0]) if scalar else values
 
 

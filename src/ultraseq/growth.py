@@ -646,8 +646,9 @@ class _Parser:
             e = op(a, b)
         except OverflowError:
             raise self.error(_OUT_OF_RANGE, i) from None
-        except NotRepresentable as exc:
-            # a parsed coefficient is positive until it underflows
+        except ValueError as exc:
+            # a parsed coefficient is positive until it underflows; a power
+            # of a zero parity branch is an error too
             raise self.error(_OUT_OF_RANGE if exc.args[0] == _NONPOSITIVE else str(exc), i) from None
         if not _finite(e):
             raise self.error(_OUT_OF_RANGE, i)
@@ -821,6 +822,8 @@ class _Parser:
                     raise self.error(_OUT_OF_RANGE, self.i)
                 coeff = product
                 self.i += 1
+            elif self.i > start and tok in (")", "+", "-"):  # a '*' that ends the term
+                raise self.error(f"expected n, log(n) or a number after '*', found {tok!r}", self.i)
             else:
                 break
             if toks[self.i] != "*":

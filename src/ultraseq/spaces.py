@@ -727,6 +727,11 @@ def _channel_in_K(v: UltranormValue, mode: Mode) -> bool | None:
     return {"yes": True, "boundary": False, "no": False, "inconclusive": None}[ans]
 
 
+def _levels(family: WeightFamily, m_max: int) -> list[int]:
+    """The levels `classify` probes: the one weight, or m_max levels."""
+    return [family.m_start] if family.single else list(range(family.m_start, family.m_start + m_max))
+
+
 def classify(
     bundle: Mapping | SeqRep,
     family: WeightFamily,
@@ -751,7 +756,7 @@ def classify(
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}
     mode = mode or family.default_mode
-    levels = [family.m_start] if family.single else list(range(family.m_start, family.m_start + m_max))
+    levels = _levels(family, m_max)
     weights = [family.member(m) for m in levels]
     readers = {key: _level_reader(f, weights) for key, f in bundle.items()}
     per_level = {
@@ -870,6 +875,10 @@ class NumberSpace:
 
     def classify(self, bundle) -> ClassificationReport:
         return classify(bundle, self.family, self.mode, self.m_max)
+
+    def weights(self) -> list[WeightSeq]:
+        """The weight of each level `classify` probes."""
+        return [self.family.member(m) for m in _levels(self.family, self.m_max)]
 
     def single_weight(self) -> WeightSeq:
         if not self.family.single:

@@ -79,3 +79,30 @@ def test_library_results_hold_no_report_text(name):
     for cls in results:
         assert "lines" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
         assert not hasattr(cls, "report_lines"), cls.__name__
+
+
+def test_import_runs_no_package_function():
+    # a fresh interpreter imports the package under a profiler: only module
+    # bodies, class bodies and comprehensions of the package may run, so
+    # no table or grid is built at import; a call after the import is seen
+    pkg = os.path.dirname(ultraseq.__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(pkg), os.environ.get("PYTHONPATH", "")]))
+    code = f"""
+import inspect, sys
+ran = []
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith({os.path.join(pkg, "")!r}):
+        if code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in ("<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"):
+            ran.append(code.co_qualname)
+sys.setprofile(profile)
+import ultraseq, ultraseq.cli, ultraseq.corpus
+imported = list(ran)
+ultraseq.growth.constant(2.0)
+sys.setprofile(None)
+print(repr((imported, ran)))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    imported, ran = ast.literal_eval(out.stdout)
+    assert imported == []
+    assert ran[0] == "constant"

@@ -75,6 +75,19 @@ def test_norm_of_a_number_beyond_float_range_is_a_parse_error(capsys, text, at):
     assert err == f"error: cannot parse '{text}': a number is out of floating-point range (at position {at})\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alt(0,n)^2", "power of the zero sequence (at position 9)"),
+        ("1/alt(0,n)", "power of the zero sequence (at position 1)"),
+        ("exp(n*)", "expected n, log(n) or a number after '*', found ')' (at position 6)"),
+    ],
+)
+def test_norm_of_a_malformed_text_is_a_positioned_parse_error(capsys, text, message):
+    rc, out, err = run(capsys, "norm", text)
+    assert (rc, out, err) == (1, "", f"error: cannot parse '{text}': {message}\n")
+
+
 def test_norm_beyond_float_range_prints_log_domain(capsys):
     # e^(1e300) overflows a float; the value is shown as exp(<log value>)
     rc, out, err = run(capsys, "norm", "n^1e300")
@@ -553,7 +566,7 @@ def test_the_readme_batch_example_runs_as_documented(capsys, tmp_path):
 
 # (exit code or argparse's exit, stdout, stderr) of whole commands: every
 # verdict of classify, on every named space, a weight space and a mode
-# override; extend with estimated bands; the threshold witness of assoc
+# override; extend with growth-law norms; the threshold witness of assoc
 _PINNED_OUTPUT = {
     ("classify", "n^2"): (
         0,
@@ -714,9 +727,9 @@ _PINNED_OUTPUT = {
         (
             "extend(square, delta) in functions/colombeau[standard]/nu<=2:\n"
             "  output: (delta[bump(0,1)])^2\n"
-            "  m=1 channel=p_0: norm=7.3890561 in [7.38890831, 7.38920389] (estimated)\n"
-            "  m=1 channel=p_1: norm=20.0855369 in [20.0849343, 20.0861395] (estimated)\n"
-            "  m=1 channel=p_2: norm=54.59815 in [54.5959661, 54.6003341] (estimated)\n"
+            "  m=1 channel=p_0: norm=7.3890561 (growth law)\n"
+            "  m=1 channel=p_1: norm=20.0855369 (growth law)\n"
+            "  m=1 channel=p_2: norm=54.59815 (growth law)\n"
             "  verdict: moderate\n"
         ),
         "",
@@ -726,54 +739,54 @@ _PINNED_OUTPUT = {
         (
             "extend(derivative, bump) in functions/ultra[standard]/nu<=2:\n"
             "  output: D^1 bump(0,1)\n"
-            "  m=2 channel=p_0: norm=0.999404639 in [0.999221039, 0.999588273] (estimated)\n"
-            "  m=2 channel=p_1: norm=1.00543179 in [1.00375291, 1.00711347] (estimated)\n"
-            "  m=2 channel=p_2: norm=1.01392664 in [1.00960964, 1.01826211] (estimated)\n"
-            "  m=3 channel=p_0: norm=0.997059684 in [0.996441977, 0.997677774] (estimated)\n"
-            "  m=3 channel=p_1: norm=1.02714681 in [1.021373, 1.03295325] (estimated)\n"
-            "  m=3 channel=p_2: norm=1.07077794 in [1.05547748, 1.08630018] (estimated)\n"
-            "  m=4 channel=p_0: norm=0.995170166 in [0.994342356, 0.995998666] (estimated)\n"
-            "  m=4 channel=p_1: norm=1.04502328 in [1.03714274, 1.0529637] (estimated)\n"
-            "  m=4 channel=p_2: norm=1.11900294 in [1.09758458, 1.14083926] (estimated)\n"
-            "  m=5 channel=p_0: norm=0.993884196 in [0.992962107, 0.994807142] (estimated)\n"
-            "  m=5 channel=p_1: norm=1.05738707 in [1.04849711, 1.06635241] (estimated)\n"
-            "  m=5 channel=p_2: norm=1.15311536 in [1.12852471, 1.17824183] (estimated)\n"
-            "  m=6 channel=p_0: norm=0.992989474 in [0.992022455, 0.993957436] (estimated)\n"
-            "  m=6 channel=p_1: norm=1.06608501 in [1.05667846, 1.0755753] (estimated)\n"
-            "  m=6 channel=p_2: norm=1.17748788 in [1.15114367, 1.20443498] (estimated)\n"
-            "  m=7 channel=p_0: norm=0.992340666 in [0.99135129, 0.99333103] (estimated)\n"
-            "  m=7 channel=p_1: norm=1.072442 in [1.06275515, 1.08221714] (estimated)\n"
-            "  m=7 channel=p_2: norm=1.19549731 in [1.16812092, 1.22351529] (estimated)\n"
-            "  m=8 channel=p_0: norm=0.991852013 in [0.990851435, 0.992853602] (estimated)\n"
-            "  m=8 channel=p_1: norm=1.07725757 in [1.06741266, 1.08719328] (estimated)\n"
-            "  m=8 channel=p_2: norm=1.20925076 in [1.18123574, 1.2379302] (estimated)\n"
-            "  m=9 channel=p_0: norm=0.991472143 in [0.990466218, 0.992479088] (estimated)\n"
-            "  m=9 channel=p_1: norm=1.08101769 in [1.07108206, 1.0910455] (estimated)\n"
-            "  m=9 channel=p_2: norm=1.22005642 in [1.19163098, 1.24915992] (estimated)\n"
-            "  m=10 channel=p_0: norm=0.991169036 in [0.990160978, 0.99217812] (estimated)\n"
-            "  m=10 channel=p_1: norm=1.08402842 in [1.07404102, 1.0941087] (estimated)\n"
-            "  m=10 channel=p_2: norm=1.2287507 in [1.20005398, 1.25813364] (estimated)\n"
-            "  m=11 channel=p_0: norm=0.990921906 in [0.989913526, 0.991931314] (estimated)\n"
-            "  m=11 channel=p_1: norm=1.08649003 in [1.07647426, 1.09659898] (estimated)\n"
-            "  m=11 channel=p_2: norm=1.23588717 in [1.20700752, 1.26545781] (estimated)\n"
-            "  m=12 channel=p_0: norm=0.990716749 in [0.98970908, 0.991725445] (estimated)\n"
-            "  m=12 channel=p_1: norm=1.08853826 in [1.07850858, 1.09866121] (estimated)\n"
-            "  m=12 channel=p_2: norm=1.2418444 in [1.21283985, 1.27154259] (estimated)\n"
-            "  m=13 channel=p_0: norm=0.990543822 in [0.98953745, 0.991551217] (estimated)\n"
-            "  m=13 channel=p_1: norm=1.09026805 in [1.08023357, 1.10039575] (estimated)\n"
-            "  m=13 channel=p_2: norm=1.24688904 in [1.21779871, 1.27667427] (estimated)\n"
-            "  m=14 channel=p_0: norm=0.990396151 in [0.989391399, 0.991401924] (estimated)\n"
-            "  m=14 channel=p_1: norm=1.09174762 in [1.08171412, 1.10187418] (estimated)\n"
-            "  m=14 channel=p_2: norm=1.2512138 in [1.22206472, 1.28105816] (estimated)\n"
-            "  m=15 channel=p_0: norm=0.990268625 in [0.989265654, 0.991272612] (estimated)\n"
-            "  m=15 channel=p_1: norm=1.09302714 in [1.08299834, 1.10314881] (estimated)\n"
-            "  m=15 channel=p_2: norm=1.2549612 in [1.22577236, 1.28484511] (estimated)\n"
-            "  m=16 channel=p_0: norm=0.990157413 in [0.989156288, 0.99115955] (estimated)\n"
-            "  m=16 channel=p_1: norm=1.09414434 in [1.08412256, 1.10425875] (estimated)\n"
-            "  m=16 channel=p_2: norm=1.25823876 in [1.22902371, 1.28814827] (estimated)\n"
-            "  m=17 channel=p_0: norm=0.990059592 in [0.98906032, 0.991059874] (estimated)\n"
-            "  m=17 channel=p_1: norm=1.09512805 in [1.08511476, 1.10523375] (estimated)\n"
-            "  m=17 channel=p_2: norm=1.26112902 in [1.23189757, 1.29105411] (estimated)\n"
+            "  m=2 channel=p_0: norm=1 (growth law)\n"
+            "  m=2 channel=p_1: norm=1 (growth law)\n"
+            "  m=2 channel=p_2: norm=1 (growth law)\n"
+            "  m=3 channel=p_0: norm=1 (growth law)\n"
+            "  m=3 channel=p_1: norm=1 (growth law)\n"
+            "  m=3 channel=p_2: norm=1 (growth law)\n"
+            "  m=4 channel=p_0: norm=1 (growth law)\n"
+            "  m=4 channel=p_1: norm=1 (growth law)\n"
+            "  m=4 channel=p_2: norm=1 (growth law)\n"
+            "  m=5 channel=p_0: norm=1 (growth law)\n"
+            "  m=5 channel=p_1: norm=1 (growth law)\n"
+            "  m=5 channel=p_2: norm=1 (growth law)\n"
+            "  m=6 channel=p_0: norm=1 (growth law)\n"
+            "  m=6 channel=p_1: norm=1 (growth law)\n"
+            "  m=6 channel=p_2: norm=1 (growth law)\n"
+            "  m=7 channel=p_0: norm=1 (growth law)\n"
+            "  m=7 channel=p_1: norm=1 (growth law)\n"
+            "  m=7 channel=p_2: norm=1 (growth law)\n"
+            "  m=8 channel=p_0: norm=1 (growth law)\n"
+            "  m=8 channel=p_1: norm=1 (growth law)\n"
+            "  m=8 channel=p_2: norm=1 (growth law)\n"
+            "  m=9 channel=p_0: norm=1 (growth law)\n"
+            "  m=9 channel=p_1: norm=1 (growth law)\n"
+            "  m=9 channel=p_2: norm=1 (growth law)\n"
+            "  m=10 channel=p_0: norm=1 (growth law)\n"
+            "  m=10 channel=p_1: norm=1 (growth law)\n"
+            "  m=10 channel=p_2: norm=1 (growth law)\n"
+            "  m=11 channel=p_0: norm=1 (growth law)\n"
+            "  m=11 channel=p_1: norm=1 (growth law)\n"
+            "  m=11 channel=p_2: norm=1 (growth law)\n"
+            "  m=12 channel=p_0: norm=1 (growth law)\n"
+            "  m=12 channel=p_1: norm=1 (growth law)\n"
+            "  m=12 channel=p_2: norm=1 (growth law)\n"
+            "  m=13 channel=p_0: norm=1 (growth law)\n"
+            "  m=13 channel=p_1: norm=1 (growth law)\n"
+            "  m=13 channel=p_2: norm=1 (growth law)\n"
+            "  m=14 channel=p_0: norm=1 (growth law)\n"
+            "  m=14 channel=p_1: norm=1 (growth law)\n"
+            "  m=14 channel=p_2: norm=1 (growth law)\n"
+            "  m=15 channel=p_0: norm=1 (growth law)\n"
+            "  m=15 channel=p_1: norm=1 (growth law)\n"
+            "  m=15 channel=p_2: norm=1 (growth law)\n"
+            "  m=16 channel=p_0: norm=1 (growth law)\n"
+            "  m=16 channel=p_1: norm=1 (growth law)\n"
+            "  m=16 channel=p_2: norm=1 (growth law)\n"
+            "  m=17 channel=p_0: norm=1 (growth law)\n"
+            "  m=17 channel=p_1: norm=1 (growth law)\n"
+            "  m=17 channel=p_2: norm=1 (growth law)\n"
             "  levels probed: m=2..17 (membership verified up to m_max)\n"
             "  verdict: moderate\n"
         ),
@@ -784,9 +797,9 @@ _PINNED_OUTPUT = {
         (
             "extend(square, poly) in functions/colombeau[standard]/nu<=2:\n"
             "  output: (0.2 + 0.1x)^2\n"
-            "  m=1 channel=p_0: norm=1 in [0.999999999, 1] (estimated)\n"
-            "  m=1 channel=p_1: norm=1 in [0.999999999, 1] (estimated)\n"
-            "  m=1 channel=p_2: norm=1 in [0.999999999, 1] (estimated)\n"
+            "  m=1 channel=p_0: norm=1 (growth law)\n"
+            "  m=1 channel=p_1: norm=1 (growth law)\n"
+            "  m=1 channel=p_2: norm=1 (growth law)\n"
             "  verdict: moderate\n"
         ),
         "",

@@ -1,6 +1,7 @@
 """Smooth-function sequences: seminorms, mollifiers, pairings, weak association."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from ultraseq.genfun import (
 )
 from ultraseq.genfun import TestFunction as TF
 from ultraseq import growth
+from ultraseq.spaces import SeqRep
 
 # reference values computed with scipy.integrate.quad on the bump profile
 # exp(-1/(1-x^2)); quad reports error below 1e-9 on each
@@ -614,14 +616,30 @@ class _RecordingSpace:
 
 
 @pytest.mark.parametrize("nu_max", [2, 3])
-def test_classify_fun_channels_are_the_seminorms(colombeau, nu_max):
-    f = add_seq(standard_mollifier().sequence(), sin_fn())
+def test_classify_fun_channels_are_the_seminorms(colombeau, counting_seq, nu_max):
+    # a user jet has no growth law, so its channels are walked
+    f, _ = counting_seq(add_seq(standard_mollifier().sequence(), sin_fn()))
     space = _RecordingSpace(colombeau)
     classify_fun(f, nu_max, space)
     ns = genfun.DEFAULT_SAMPLE_NS
     for nu in range(nu_max + 1):
         logs = space.bundle[f"p_{nu}"].log_values(np.asarray(ns)).tolist()
         assert logs == [math.log(seminorm(f, n, SeminormSpec(nu=nu))) for n in ns], nu
+
+
+@pytest.mark.parametrize("nu_max", [2, 3])
+def test_classify_fun_law_channels_are_exact(colombeau, lattice_walks, nu_max):
+    # the mollified summand strictly dominates sin, so every channel has a
+    # lower law: p_nu grows as n^(1+nu), with no walk
+    f = add_seq(standard_mollifier().sequence(), sin_fn())
+    report = classify_fun(f, nu_max, colombeau)
+    assert not lattice_walks
+    assert report.verdict == "moderate"
+    _assert_laws_bound_the_walk(f)
+    for nu in range(nu_max + 1):
+        v = report.channel_norms[1, f"p_{nu}"]
+        assert v.exact and v.log_value == 1 + nu, nu
+        assert v.witness == f"growth law: p_{nu} = Theta({growth.format_expr(growth.parse(f'n^{1 + nu} + 1'))})"
 
 
 def test_seminorm_table_walks_each_radius_once(lattice_walks):
@@ -1386,3 +1404,163 @@ def test_a_user_jet_is_only_called_with_an_int_index(counting_seq):
     calls.clear()
     pairing(raw, [64, 64, 128], genfun.default_test_set()[0])
     assert sorted({n for n, _, _, _ in calls}) == [64, 128]
+
+
+def test_a_lockstep_pairing_hands_its_runs_to_the_root_call(monkeypatch):
+    calls = []
+    run_starts = genfun._run_starts
+    monkeypatch.setattr(genfun, "_run_starts", lambda a: calls.append(a.size) or run_starts(a))
+    f, psi = square_seq(standard_mollifier().sequence()), genfun.default_test_set()[2]
+    got = pairing(f, _NS + [64], psi)
+    assert calls == []
+    assert got.tobytes() == np.array([pairing(f, n, psi) for n in _NS + [64]]).tobytes()
+
+
+def _full_width_horner_bound(coeffs, lo, hi):
+    """`_horner_bound` with every row run over every coefficient column."""
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    top = np.maximum(np.abs(lo), np.abs(hi))
+    val, mag, slope = (np.zeros((len(coeffs),) + lo.shape) for _ in range(3))
+    for c in coeffs.T[::-1, :, None]:
+        slope *= top
+        slope += mag
+        val *= mid
+        val += c
+        mag *= top
+        mag += np.abs(c)
+    return np.abs(val) + rad * slope + 6 * coeffs.shape[1] * np.finfo(float).eps * mag
+
+
+@given(
+    st.one_of(
+        st.integers(0, genfun._BUMP_MAX_ORDER).map(lambda k: genfun._bump_coeffs()[: k + 1, : 3 * k + 1]),
+        # rows of any degree, zero rows and inner zeros among them
+        st.lists(
+            st.lists(st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.3, 1e-8]), min_size=6, max_size=6), min_size=1, max_size=5
+        ).map(np.array),
+    ),
+    st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_horner_bound_rows_from_their_leading_coefficient_are_the_full_width_loop_bytewise(coeffs, cells):
+    lo = np.array([a for a, _ in cells])
+    hi = lo + np.array([w for _, w in cells])
+    assert genfun._horner_bound(coeffs, lo, hi).tobytes() == _full_width_horner_bound(coeffs, lo, hi).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# growth laws: the channels of a structured sequence without a walk
+
+
+def _law_spaces():
+    from ultraseq import spaces, weights
+
+    return {
+        "colombeau": spaces.colombeau_space(),
+        "ultra": spaces.NumberSpace(weights.catalog("ultra"), weights.Mode.STANDARD),
+        "scale-power": spaces.NumberSpace(
+            weights.scale_to_weights(weights.power_scale()), weights.Mode.STANDARD
+        ),
+    }
+
+
+def _law_case(kind, seed):
+    """A corpus sequence: a moderate or negligible draw, a named function,
+    or the square map's difference at a drawn pair."""
+    import random
+
+    from ultraseq import corpus, temperate
+
+    rng = random.Random(seed)
+    if kind == "moderate":
+        return corpus.random_smooth(rng)
+    if kind == "negligible":
+        return corpus.random_negligible_smooth(rng)
+    if kind == "named":
+        return corpus.named_function(rng.choice(corpus.function_names()))
+    return temperate.square_map().difference(*corpus.random_smooth_pair(rng))
+
+
+_LAW_CASES = st.tuples(st.sampled_from(["moderate", "negligible", "named", "difference"]), st.integers(0, 2**32 - 1))
+
+
+@given(_LAW_CASES, st.sampled_from(sorted(_law_spaces())))
+@settings(max_examples=40, deadline=None)
+@example(("named", 0), "ultra")
+def test_growth_laws_decide_the_corpus_as_the_walk_does(case, space_name):
+    f, space = _law_case(*case), _law_spaces()[space_name]
+    report = genfun._law_report(f, 2, space)
+    # every corpus input has a law that decides it on colombeau; elsewhere
+    # an upper law alone may leave a norm open, and the input is walked
+    assert report is not None or space_name != "colombeau", f.label
+    if report is None:
+        return
+    assert all(v.exact and v.witness.startswith("growth law") for v in report.channel_norms.values())
+    p, ns = genfun._seminorm_table(f), genfun.DEFAULT_SAMPLE_NS
+    walked = genfun._classify_table(p, f.label, 2, space).verdict
+    if report.verdict == walked:
+        return
+    # where they differ, the walk's evidence misleads it: it reads 0 where
+    # the law's lower bound is positive (float underflow), or the sampled
+    # tier misreads the law's own expressions, read at the same indices
+    laws = genfun._laws(f, 2, genfun._lattices(f, ns, 2))
+    underflow = any(law.lo > 0 and 0.0 in p(ns, nu) for nu, law in enumerate(laws))
+    sampled = {
+        f"p_{nu}": SeqRep(f"p_{nu}", log_evaluator=partial(growth.eval_log, law.expr), n_min=16, sample_ns=ns)
+        for nu, law in enumerate(laws)
+    }
+    assert underflow or space.classify(sampled).verdict == walked, f.label
+
+
+def test_growth_law_verdicts_are_the_exact_tier_where_the_walk_underflows():
+    # e^-n underflows from n = 2^10 on, so the walked channels read 0 there
+    # and the walk calls e^-n sin negligible in ultra; its law is e^-n,
+    # which the exact tier calls moderate in ultra
+    ultra = _law_spaces()["ultra"]
+    f = seq_scale(growth.parse("exp(-n)"), sin_fn())
+    assert classify_fun(f, 2, ultra).verdict == ultra.classify(SeqRep.symbolic("exp(-n)")).verdict == "moderate"
+    assert genfun._classify_table(genfun._seminorm_table(f), f.label, 2, ultra).verdict == "negligible"
+
+
+@given(_LAW_CASES)
+@settings(max_examples=60, deadline=None)
+def test_growth_laws_bound_the_walked_seminorms(case):
+    _assert_laws_bound_the_walk(_law_case(*case))
+
+
+def _assert_laws_bound_the_walk(f):
+    ns = genfun.DEFAULT_SAMPLE_NS
+    laws = genfun._laws(f, 2, genfun._lattices(f, ns, 2))
+    p = genfun._seminorm_table(f)
+    for nu, law in enumerate(laws):
+        walked, e = np.array(p(ns, nu)), growth.eval_value(law.expr, ns)
+        assert np.all(walked <= law.hi * e * (1 + 1e-9) + 1e-300), (f.label, nu)
+        assert np.all(walked >= law.lo * e * (1 - 1e-9) - 1e-300), (f.label, nu)
+        # the walk's log-log slope over n = 1024..16384 is the law's
+        with np.errstate(divide="ignore"):
+            logs = np.log(walked[-5::4])
+        if law.lo > 0 and np.isfinite(logs).all():
+            slope = (logs[1] - logs[0]) / math.log(16.0)
+            want = np.diff(growth.eval_log(law.expr, [1024, 16384]))[0] / math.log(16.0)
+            assert abs(slope - want) <= 0.05 * max(1.0, abs(want)), (f.label, nu, slope, want)
+
+
+def test_corpus_requests_make_no_walk(lattice_walks, colombeau, counting_seq):
+    import random
+
+    from ultraseq import corpus, temperate
+
+    f, j = corpus.random_smooth_pair(random.Random(8))
+    fspace = FunctionSpace(colombeau, nu_max=2)
+    assert classify_fun(f, 2, colombeau).verdict == "moderate"
+    assert classify_fun(j, 2, colombeau).verdict == "negligible"
+    assert temperate.verify_F2(temperate.square_map(), f, j).passed
+    for name in corpus.function_names():
+        element = make_element(corpus.named_function(name), fspace)
+        for phi in (temperate.square_map(), temperate.derivative_map()):
+            temperate.extend(phi, element)
+    assert lattice_walks == []
+    # a user jet has no law: each lattice is walked once
+    user, _ = counting_seq(f)
+    classify_fun(user, 2, colombeau)
+    assert sorted((n, r) for _, n, r in lattice_walks) == [(n, 2) for n in genfun.DEFAULT_SAMPLE_NS]

@@ -152,6 +152,8 @@ _PARSE_ERRORS = [
     ("exp(log(n)^-1)", ParseError, f"{_MUST_GROW} (at position 4)"),
     ("exp(2)", ParseError, f"{_MUST_GROW} (at position 4)"),
     ("exp(n^0)", ParseError, f"{_MUST_GROW} (at position 4)"),
+    ("exp(n*)", ParseError, "expected n, log(n) or a number after '*', found ')' (at position 6)"),
+    ("exp(n* - n)", ParseError, "expected n, log(n) or a number after '*', found '-' (at position 7)"),
     ("exp(log(n)*n^-1)", ParseError, f"{_MUST_GROW} (at position 4)"),
     # powers and quotients
     ("n/0", ParseError, "division by the zero sequence (at position 1)"),
@@ -160,8 +162,8 @@ _PARSE_ERRORS = [
     ("(n+1)^0.5", ParseError, "fractional or negative power of a multi-term sum (at position 6)"),
     ("0^-1", ParseError, "nonpositive power of 0 (at position 3)"),
     ("0^0", ParseError, "nonpositive power of 0 (at position 2)"),
-    ("alt(0, n)^2", ValueError, "power of the zero sequence"),
-    ("1/alt(0, n)", ValueError, "power of the zero sequence"),
+    ("alt(0, n)^2", ParseError, "power of the zero sequence (at position 10)"),
+    ("1/alt(0, n)", ParseError, "power of the zero sequence (at position 1)"),
     # numbers out of float range: a literal, a power's exponent, a product,
     # a quotient, a power or a sum of numbers in range
     ("1e999", ParseError, "a number is out of floating-point range (at position 0)"),
@@ -178,6 +180,10 @@ _PARSE_ERRORS = [
     ("(1e200*n+1)^2", ParseError, "a number is out of floating-point range (at position 12)"),
     ("1e308+1e308", ParseError, "a number is out of floating-point range (at position 0)"),
 ]
+
+
+def test_a_product_of_monomials_in_an_exponent_parses():
+    assert parse("exp(n*n^2)") == parse("exp(n^3)")
 
 
 @pytest.mark.parametrize("text, kind, message", _PARSE_ERRORS)
@@ -256,7 +262,7 @@ class _ReferenceParser:
                     raise ParseError("division by the zero sequence", op[2])
                 try:
                     f = pow_expr(f, -1.0)
-                except NotRepresentable as exc:
+                except ValueError as exc:
                     raise ParseError(str(exc), op[2]) from None
             e = mul(e, f)
         return e
@@ -272,7 +278,7 @@ class _ReferenceParser:
                 continue
             try:
                 e = pow_expr(e, s)
-            except NotRepresentable as exc:
+            except ValueError as exc:
                 raise ParseError(str(exc), pos) from None
         return e
 
@@ -327,7 +333,7 @@ class _ReferenceParser:
             raise ParseError("expected + or - between exponent terms", self.peek()[2])
         coeff = 1.0
         dn = dl = 0.0
-        saw_factor = False
+        saw_factor = after_star = False
         start = self.peek()[2]
         while True:
             kind, val, pos = self.peek()
@@ -354,10 +360,13 @@ class _ReferenceParser:
                     d, _ = self.signed_number()
                 dl += d
                 saw_factor = True
+            elif after_star and val in (")", "+", "-"):
+                raise ParseError(f"expected n, log(n) or a number after '*', found {val!r}", pos)
             else:
                 break
             if self.peek()[1] == "*":
                 self.next()
+                after_star = True
                 continue
             break
         if not saw_factor:
@@ -427,6 +436,9 @@ _texts = st.recursive(_leaves, _grammar_texts, max_leaves=10)
 @example("alt(n, 2*n)*n/log(n)", None)
 @example("exp(n - n)*n^0*n/n", None)
 @example("0.1*n + 0.2*n + 0.3*n", None)  # like terms summed left to right
+@example("exp(n*)", None)
+@example("exp(n* - n)", None)
+@example("alt(0, n)^2", None)
 def test_parse_matches_the_reference_parser(text, cut):
     if cut is not None:
         text = text[:cut]
