@@ -290,8 +290,11 @@ def cmd_assoc(
     lines = [f"assoc({a_rep.label}, {b_rep.label}) {kind.describe()}: {verdict.holds}"]
     if verdict.boundary:
         lines.append("  boundary: ultranorm sits exactly on the threshold")
-    if verdict.witness:
-        lines.append(f"  witness: {_witness_text(verdict.witness)}")
+    witness = dict(verdict.witness)
+    if "log_threshold" in witness:  # the threshold e^-s as text, then its log
+        witness["threshold"], witness["log_threshold"] = f"e^-{kind.s:g}", witness.pop("log_threshold")
+    if witness:
+        lines.append(f"  witness: {_witness_text(witness)}")
     if verdict.notes:
         lines.append(f"  notes: {verdict.notes}")
     code = EXIT_OK if verdict.holds in ("yes", "no") else EXIT_INCONCLUSIVE

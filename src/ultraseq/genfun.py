@@ -36,13 +36,13 @@ the cells left after the finest pass are walked.  The suprema are the
 same floats as a full walk's.
 
 Pairings, mollifier masses and moments are adaptive composite
-Gauss-Legendre integrals over the clipped support.  Each panel carries a
-16- and a 32-node rule; their gap is the panel's error estimate, and a
-panel whose gap exceeds its share of the tolerance is halved.  The
-integrand is vectorized and called once per refinement level.  The
-pairings of several indices run in lockstep: a jet takes an array of
-indices, one per point, so each level evaluates every index at once,
-and each pairing is the same float as alone.
+Gauss-Legendre integrals over the clipped support, from four panels,
+each with a 16- and a 32-node rule; their gap is the panel's error
+estimate, and a panel whose gap exceeds its share of the tolerance is
+halved.  The integrand is vectorized and called once per refinement
+level.  The pairings of several indices, and a profile's moments, run in
+lockstep: a jet takes an array of indices, one per point, so each level
+evaluates every index at once, and each integral is the same float as alone.
 """
 
 from __future__ import annotations
@@ -729,12 +729,8 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
             values *= powers([n]).reshape((-1,) + (1,) * (values.ndim - 1))
             return values
         distinct, where, lengths = n.runs()
-        table = powers(distinct.tolist())
         flat = values.reshape(k + 1, -1)
-        stop = 0
-        for w, length in zip(where.tolist(), lengths.tolist()):
-            start, stop = stop, stop + length
-            flat[:, start:stop] *= table[:, w : w + 1]
+        flat *= np.repeat(powers(distinct.tolist())[:, where], lengths, axis=1)
         return flat.reshape(values.shape)
 
     return _node(
@@ -1473,7 +1469,11 @@ def _quad_lockstep(
     the points of each interval are one run of which, and the runs, in
     order, are those of the intervals with those lengths.
 
-    Each refinement level calls `fn` once, on the nodes of every open panel
+    Every interval starts at the four panels of two halvings, as level 2 (a
+    16/32-node pair on one or two panels of a bump never settles); on one
+    symmetric about 0, samples that cancel with their mirror images there
+    are an odd integrand, and its integral is exactly 0.  Each
+    refinement level calls `fn` once, on the nodes of every open panel
     of every interval.  Each interval is refined as it would be alone: its
     panels keep their order (left halves, then right halves), and its
     accept test and its sums are taken on its own panels, so its integral
@@ -1507,10 +1507,11 @@ def _quad_lockstep(
     # of panels accepted (it has accepted + m panels) and its length
     ids = np.flatnonzero(hi != lo)
     a, b = lo[ids], hi[ids]
-    cuts = np.empty((3, len(ids), 1))
-    cuts[0, :, 0], cuts[2, :, 0] = a, b
+    mid = (a + b) * half_  # then [a, q1], [mid, q3], [q1, mid], [q3, b], as two halvings lay them out
+    q1, q3 = (a + mid) * half_, (mid + b) * half_
+    cuts = np.stack([np.stack([a, mid, q1, q3], 1), np.empty((len(ids), 4)), np.stack([q1, q3, mid, b], 1)])
     groups = [(ids, cuts, np.zeros(len(ids)), np.zeros(len(ids)), np.zeros(len(ids)), b - a)] if len(ids) else []
-    level = 0
+    level = 2
     while groups:
         xs, owner, widths = [], [], []
         for ids, cuts, *_ in groups:
@@ -1536,6 +1537,12 @@ def _quad_lockstep(
             g, m = width.shape
             start, stop = stop, stop + g * m
             y = ys[start:stop].reshape(g, m, -1)
+            done = cuts[0, :, 0] == -cuts[2, :, -1] if level == 2 else np.zeros(g, dtype=bool)
+            if done.any():
+                # on [-b, b] node i of panel j mirrors node -i of panel 3 - j
+                z = y[done].reshape(-1, m, 2, half_nodes)
+                done[done] = (z[:, ::-1, ::-1] + z == 0).all(axis=(1, 2, 3))
+                val[ids[done]] = 0.0
             if not finite:
                 bad = ~np.isfinite(y).all(axis=(1, 2))
                 for i, yi in zip(ids[bad].tolist(), y[bad]):
@@ -1543,10 +1550,12 @@ def _quad_lockstep(
                         val[i] = _nonfinite_integral(yi)
                     except QuadratureError as exc:
                         failures[i] = exc
+                done |= bad
+            if done.any():
                 ids, integral, error, accepted, span, y, width, half = (
-                    x[~bad] for x in (ids, integral, error, accepted, span, y, width, half)
+                    x[~done] for x in (ids, integral, error, accepted, span, y, width, half)
                 )
-                cuts, g = cuts[:, ~bad], len(ids)
+                cuts, g = cuts[:, ~done], len(ids)
                 if not g:
                     continue
             pairs = y[..., :half_nodes] + y[..., half_nodes:]
@@ -1637,17 +1646,22 @@ def moment_class(profile: SmoothSeq) -> tuple[int, float]:
     """
     if profile.support is None:
         raise ValueError("moment analysis needs compact support")
-    lo, hi = profile.support
-    total = _quad(profile, lo, hi)
+    total, *moments = _moments(profile, range(_MOMENT_Q_MAX + 1))
     if abs(total - 1.0) > _MASS_TOL:
         raise ValueError(f"profile integrates to {total:.9g}, not 1: not a mollifier")
-    q = 0
-    for k in range(1, _MOMENT_Q_MAX + 1):
-        mk = _quad(lambda x: x ** k * profile(x), lo, hi)
-        if abs(mk) > _MOMENT_TOL:
-            break
-        q = k
+    q = next((k for k, mk in enumerate(moments) if abs(mk) > _MOMENT_TOL), len(moments))
     return q, total
+
+
+def _moments(profile: SmoothSeq, ks: Sequence[int]) -> list[float]:
+    """The moments ks of a compact profile in one lockstep call, each the float `_quad` gives."""
+    lo, hi = profile.support
+
+    def integrand(xs: np.ndarray, which: np.ndarray, runs) -> np.ndarray:
+        parts = np.split(xs, np.cumsum(runs[1])[:-1])  # x ** k per run: numpy squares x ** 2
+        return np.concatenate([x ** ks[i] for i, x in zip(runs[0].tolist(), parts)]) * profile(xs)
+
+    return _quad_lockstep(integrand, [lo] * len(ks), [hi] * len(ks), runs=True).tolist()
 
 
 def make_mollifier(profile: SmoothSeq) -> Mollifier:
@@ -1672,11 +1686,7 @@ def corrected_mollifier() -> Mollifier:
     1..3 (odd ones vanish by symmetry), so the class comes out >= 3.
     """
     phi = bump(amplitude=1.0 / _bump_mass())
-
-    def moment(k: int) -> float:
-        return _quad(lambda x: x ** k * phi(x), -1.0, 1.0)
-
-    mu2, mu4 = moment(2), moment(4)
+    mu2, mu4 = _moments(phi, (2, 4))
     det = mu4 - mu2 * mu2
     a, b = mu4 / det, -mu2 / det
     x2phi = product_seq(poly_fn([0.0, 0.0, 1.0], label="x^2"), phi)
@@ -1704,14 +1714,14 @@ def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction) -> float | 
             lo[i], hi[i] = max(lo[i], sup[0]), min(hi[i], sup[1])
             hi[i] = max(hi[i], lo[i])  # an empty meet integrates to 0
     index = np.array(ns)
+    distinct, position = np.unique(index, return_inverse=True)
 
     def integrand(xs: np.ndarray, which: np.ndarray, runs=None) -> np.ndarray:
         if scalar:
             return f.at(n, xs, 0) * psi(xs)
         # the quadrature's runs of equal indices, handed to the root call
         intervals, lengths = runs
-        distinct, where = np.unique(index[intervals], return_inverse=True)
-        return f.at(_Indices(index[which], (distinct, where, lengths)), xs, 0) * psi(xs)
+        return f.at(_Indices(index[which], (distinct, position[intervals], lengths)), xs, 0) * psi(xs)
 
     values = _quad_lockstep(integrand, lo, hi, runs=not scalar)
     return float(values[0]) if scalar else values

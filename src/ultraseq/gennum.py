@@ -264,7 +264,6 @@ def _threshold_verdict(v: UltranormValue, s: float, kind: AssocKind) -> AssocVer
     witness = {
         "ultranorm": v,
         "log_ultranorm": v.log_value,
-        "threshold": f"e^-{s:g}",
         "log_threshold": -s,
     }
     if ans == "boundary":

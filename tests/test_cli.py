@@ -164,15 +164,22 @@ def test_check_map_exp_refuted_with_witness(capsys):
     assert "witness: m=1, M=1" in out
 
 
-def test_check_map_egorov_inconclusive(capsys):
+def test_check_map_egorov_decides_from_the_step_weights(capsys):
     rc, out, _ = run(capsys, "check-map", "square", "--space", "egorov")
-    assert rc == 2
-    assert "inconclusive" in out
+    assert rc == 0
+    assert "map square over egorov: certified" in out
+    assert "step weights decide" in out
 
 
 _CERTIFIED_SPOT = [
     "  corpus spot checks: 48 growth, 192 difference",
     "  numeric checks passed on 4 corpus functions",
+]
+# a step-weight family decides every map without spot checks
+_STEP_WEIGHTS = [
+    "  corpus spot checks: 0 growth, 0 difference",
+    "  step weights decide: every sequence is moderate and every negligible k is eventually 0, "
+    "so phi(f+k) - phi(f) is eventually 0",
 ]
 
 # the first line of `check-map MAP --space SPACE` and its lines from the
@@ -181,10 +188,10 @@ _CERTIFIED_SPOT = [
 _PINNED_CHECK_MAP = {
     ("square", "colombeau"): ["map square over colombeau: certified", *_CERTIFIED_SPOT],
     ("square", "ultra"): ["map square over ultra: certified", *_CERTIFIED_SPOT],
-    ("square", "egorov"): ["map square over egorov: inconclusive", *_CERTIFIED_SPOT],
+    ("square", "egorov"): ["map square over egorov: certified", *_STEP_WEIGHTS],
     ("derivative", "colombeau"): ["map derivative over colombeau: certified", *_CERTIFIED_SPOT],
     ("derivative", "ultra"): ["map derivative over ultra: certified", *_CERTIFIED_SPOT],
-    ("derivative", "egorov"): ["map derivative over egorov: inconclusive", *_CERTIFIED_SPOT],
+    ("derivative", "egorov"): ["map derivative over egorov: certified", *_STEP_WEIGHTS],
     ("exp-seq", "colombeau"): [
         "map exp over colombeau: refuted",
         "  corpus spot checks: 0 growth, 0 difference",
@@ -197,27 +204,20 @@ _PINNED_CHECK_MAP = {
         "  witness: m=2, M=2, x=7.3890561, n=16, log_value_exceeds=230",
         "  scalar certificate refuted for 'exp(x)' (moderate)",
     ],
-    ("exp-seq", "egorov"): [
-        "map exp over egorov: refuted",
-        "  corpus spot checks: 48 growth, 69 difference",
-        "  witness: inequality=beta, f=0.5 * sin(1x), k=0.5 * sin(1x), nu=2, n=16, "
-        "lhs=1.89392016, rhs=1.06956056",
-        "  difference inequality fails on the corpus",
-    ],
+    ("exp-seq", "egorov"): ["map exp over egorov: certified", *_STEP_WEIGHTS],
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, space", list(_PINNED_CHECK_MAP), ids=[f"{m}-{s}" for m, s in _PINNED_CHECK_MAP])
 def test_check_map_of_sequence_maps_is_pinned_and_quiet(capsys, cold_spot_checks, name, space):
-    # the first run fills the spot-check memo, the second reads it; an
-    # overflowed spot-check bound (exp over egorov) passes without a warning
+    # the first run fills the spot-check memo, the second reads it
     rc, out, err = run(capsys, "check-map", name, "--space", space)
     assert err == ""
     lines = out.splitlines()
     spot = next(i for i, line in enumerate(lines) if line.startswith("  corpus spot checks"))
     assert [lines[0], *lines[spot:]] == _PINNED_CHECK_MAP[name, space]
-    assert rc == (2 if space == "egorov" and name != "exp-seq" else 0)
+    assert rc == 0
     assert run(capsys, "check-map", name, "--space", space) == (rc, out, "")
 
 
@@ -334,7 +334,7 @@ def test_batch_exit_code_is_worst_of_queries(capsys, tmp_path):
         "\n"
         "[queries]\n"
         "classify f\n"
-        "check square\n"
+        "check exp\n"
     )
     rc, out, _ = run(capsys, "batch", str(path))
     assert rc == 2

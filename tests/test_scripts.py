@@ -33,3 +33,18 @@ def test_answers_prints_one_line_per_request_and_repeats(capsys):
 
     assert runs[0] == runs[1]
     assert len(runs[0].splitlines()) == len(workloads.build("exact_queries", 1).requests)
+
+
+def test_answers_runs_several_cycles_with_a_header_each(capsys):
+    # --workload all and several seeds: each cycle is one run's text after a header
+    answers = _load("answers")
+    assert answers.main(["--workload", "numeric_queries", "--seed", "1", "2"]) == 0
+    both = capsys.readouterr().out
+    singles = []
+    for seed in (1, 2):
+        assert answers.main(["--workload", "numeric_queries", "--seed", str(seed)]) == 0
+        singles.append(capsys.readouterr().out)
+    assert both == "".join(f"# numeric_queries seed {s}\n{text}" for s, text in zip((1, 2), singles))
+    with pytest.raises(SystemExit):
+        answers.main(["--workload", "every", "--seed", "1"])
+    capsys.readouterr()

@@ -419,6 +419,28 @@ def test_exp_seq_map_refuted():
     assert report.witness
 
 
+@pytest.mark.filterwarnings("error")
+def test_exp_seq_spot_checks_find_its_false_difference_bound(cold_spot_checks):
+    # exp's declared difference bound fails on the corpus (ROADMAP 16); an
+    # overflowed bound on the way passes without a warning
+    spot = temperate._spot_checks(exp_seq_map())
+    assert (spot.alpha_checked, spot.beta_checked) == (48, 69)
+    assert spot.witness == {
+        "inequality": "beta", "f": "0.5 * sin(1x)", "k": "0.5 * sin(1x)", "nu": 2, "n": 16,
+        "lhs": pytest.approx(1.89392016, rel=1e-8), "rhs": pytest.approx(1.06956056, rel=1e-8),
+    }
+
+
+def test_check_temperate_decides_every_map_on_step_weights(cold_spot_checks):
+    egorov = catalog("egorov")
+    for make_map in (square_map, derivative_map, exp_seq_map):
+        report = check_temperate(make_map(), egorov)
+        assert (report.status, report.alpha_checked, report.beta_checked, report.witness) == ("certified", 0, 0, {})
+        assert report.notes.startswith("step weights decide")
+    # the family decides alone: no spot check ran
+    assert not temperate._SPOT_CHECKS
+
+
 def _square_with_small_g_alpha():
     # x^2 drops the 2^nu factor: p_2((0.5 sin)^2) = 0.5 > p_2(0.5 sin)^2 = 0.25
     return replace(square_map(), name="square, g_alpha = x^2", g_alpha=power_map(2.0))
