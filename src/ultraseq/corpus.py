@@ -159,7 +159,8 @@ _BASE_BUILDERS: Sequence[Callable[[], SmoothSeq]] = (
     sin_fn,
     lambda: bump(0.0, 1.0),
     lambda: poly_fn([0.3, 0.2, 0.1], label="0.3 + 0.2x + 0.1x^2"),
-    lambda: standard_mollifier().sequence(),
+    # the stock delta: a fresh mollifier would integrate its moment class
+    lambda: _named()["delta"],
 )
 
 _MODERATE_SCALES = ["1", "log(n)", "n^0.5", "n", "2*n^-1"]

@@ -535,8 +535,8 @@ class _Tree(NamedTuple):
     # ancestors that move the index, the order or the points, so equal
     # entries are equal work in one root call
     occurrences: tuple[tuple[tuple, Hashable, int], ...]
-    # the operands, as the combinator was given them
-    operands: tuple[SmoothSeq, ...]
+    # the rule's growth law, as `_node` takes it (None: none, so the node is walked)
+    law: Callable[[int, tuple], _Form | list[_Law] | None] | None
 
 
 def _occurrences(f: SmoothSeq) -> tuple[tuple[tuple, Hashable, int], ...]:
@@ -636,6 +636,7 @@ def _node(
     operands: tuple[SmoothSeq, ...],
     at=_same,
     *,
+    law=None,
     n_free=None,
     max_order=None,
     support_fn=None,
@@ -654,6 +655,8 @@ def _node(
     `_Indices`.  It has the constant rows the combinator derives, none
     unless given.
 
+    `law(k, lattices)`, given with the rule, is its growth law: the node's
+    `_Form` or its laws of p_0..p_k (`_channels`); None walks the node.
     `op` names the rule and its parameters: with the operands' keys it
     makes the node's key."""
     key = (op,) + tuple(f.key for f in operands)
@@ -700,7 +703,7 @@ def _node(
         n_free=all(f.n_free for f in operands) if n_free is None else n_free,
         index_arrays=all(f.index_arrays for f in operands),
         key=key,
-        tree=_Tree(evaluate, occurrences, operands),
+        tree=_Tree(evaluate, occurrences, law),
         const_rows=const_rows,
     )
 
@@ -709,7 +712,8 @@ def constant_seq(fn: SmoothSeq, label: str | None = None) -> SmoothSeq:
     """A function is already the constant sequence f_n = f: this only relabels."""
     if label is None:
         return fn
-    return _node(label, ("relabel",), lambda n, k, bound, f: f, (fn,), const_rows=fn.const_rows)
+    return _node(label, ("relabel",), lambda n, k, bound, f: f, (fn,), law=partial(_channels, fn),
+                 const_rows=fn.const_rows)
 
 
 def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> SmoothSeq:
@@ -739,6 +743,7 @@ def mollified(profile: SmoothSeq, power: int = 1, label: str | None = None) -> S
         scaled,
         (profile,),
         lambda n, k: (1, k, n.points if isinstance(n, _Indices) else n),
+        law=lambda k, lattices: _Form(True, growth.ONE, 1.0, power, profile),
         n_free=False,
         support_fn=lambda n: (a / n, b / n),
     )
@@ -781,6 +786,12 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
 
         scale_label = growth.format_expr(expr)
         op = ("scale", expr)
+
+        def law(k: int, lattices) -> _Form | list[_Law] | None:
+            ch = _channels(seq, k, lattices)
+            if isinstance(ch, _Form):
+                return ch._replace(expr=growth.mul(expr, ch.expr))
+            return None if ch is None else [x._replace(expr=growth.mul(expr, x.expr)) for x in ch]
     elif callable(scale):
         at_indices = _spread_memo(lambda ms: [scale(m) for m in ms.tolist()])
 
@@ -789,12 +800,19 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
 
         scale_label = "c_n"
         op = ("scale", "callable", id(scale))  # the node holds the scale, so the id stays its own
+        law = None
     else:
         c = float(scale)
         scale_fn = lambda n: c
         scale_label = f"{c:g}"
         op = ("scale", c)
         n_free = None  # that of seq
+
+        def law(k: int, lattices) -> _Form | list[_Law] | None:
+            ch = _channels(seq, k, lattices)
+            if isinstance(ch, _Form):
+                return ch._replace(scale=abs(c) * ch.scale)
+            return None if ch is None else [_Law(x.expr, abs(c) * x.lo, abs(c) * x.hi) for x in ch]
 
     def scaled(n, k: int, bound: bool, base: np.ndarray) -> np.ndarray:
         # one scalar, or one per point of an index array
@@ -807,9 +825,8 @@ def seq_scale(scale, seq: SmoothSeq, label: str | None = None) -> SmoothSeq:
         return base
 
     # one scalar at an int index keeps a constant row constant
-    return _node(
-        label or f"{scale_label} * {seq.label}", op, scaled, (seq,), n_free=n_free, const_rows=seq.const_rows
-    )
+    return _node(label or f"{scale_label} * {seq.label}", op, scaled, (seq,), law=law, n_free=n_free,
+                 const_rows=seq.const_rows)
 
 
 def _sum(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
@@ -818,11 +835,16 @@ def _sum(n: int, k: int, bound: bool, fa: np.ndarray, fb: np.ndarray) -> np.ndar
 
 
 def add_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothSeq:
+    def law(k: int, lattices) -> list[_Law] | None:
+        la, lb = _laws(a, k, lattices), _laws(b, k, lattices)
+        return None if la is None or lb is None else [_sum_law(x, y) for x, y in zip(la, lb)]
+
     return _node(
         label or f"{a.label} + {b.label}",
         ("add",),
         _sum,
         (a, b),
+        law=law,
         support_fn=lambda n: _hull(a.support_fn(n), b.support_fn(n)),
         const_rows=a.const_rows & b.const_rows,
     )
@@ -860,11 +882,26 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
     # two constant rows: when rows 0..j of both factors are
     both = a.const_rows & b.const_rows
     prefix = next(j for j in range(len(both) + 1) if j not in both)
+
+    def law(k: int, lattices) -> _Form | list[_Law] | None:
+        # two forms of one kind make a form; else Leibniz bounds the
+        # product, p_nu(f g) <= 2^nu p_nu(f) p_nu(g), with no lower law
+        fa = _channels(a, k, lattices)
+        fb = fa if b is a else _channels(b, k, lattices)
+        if isinstance(fa, _Form) and isinstance(fb, _Form) and fa.stretched == fb.stretched:
+            return _Form(fa.stretched, growth.mul(fa.expr, fb.expr), fa.scale * fb.scale, fa.power + fb.power,
+                         product_seq(fa.h, fb.h))
+        la, lb = (_form_laws(ch, k, lattices) if isinstance(ch, _Form) else ch for ch in (fa, fb))
+        if la is None or lb is None:
+            return None
+        return [_Law(growth.mul(x.expr, y.expr), 0.0, 2**nu * x.hi * y.hi) for nu, (x, y) in enumerate(zip(la, lb))]
+
     return _node(
         label or f"({a.label})*({b.label})",
         ("product",),
         _leibniz,
         (a,) if b is a else (a, b),
+        law=law,
         support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
         const_rows=frozenset(range(prefix)),
     )
@@ -897,12 +934,21 @@ def derivative_seq(a: SmoothSeq, shift: int = 1, label: str | None = None) -> Sm
         raise ValueError(f"derivative shift must be non-negative, not {shift}")
     if shift > a.max_order:
         raise ValueError("derivative shift exceeds the supported order")
+
+    def law(k: int, lattices) -> _Form | list[_Law] | None:
+        # the operand's higher channels bound a derivative's, with no lower law
+        ch = _channels(a, k + shift, lattices)
+        if isinstance(ch, _Form):
+            return ch._replace(power=ch.power + shift * ch.stretched, h=derivative_seq(ch.h, shift))
+        return None if ch is None else [x._replace(lo=0.0) for x in ch[shift:]]
+
     return _node(
         label or f"D^{shift} {a.label}",
         ("derivative", shift),
         lambda n, k, bound, values: values[shift:],
         (a,),
         lambda n, k: (n, k + shift, None),
+        law=law,
         max_order=a.max_order - shift,
         const_rows=frozenset(j - shift for j in a.const_rows if j >= shift),
     )
@@ -943,14 +989,8 @@ _SLACK = 1e-9  # slack of a centered bound, relative to the majorant
 
 
 def _grid_count(lo: float, hi: float, h: float) -> int:
-    """The number of points of `_grid(lo, hi, h)` when hi >= lo."""
+    """The point count of a lattice of step about h on [lo, hi], hi >= lo."""
     return max(min(int((hi - lo) / h) + 1, _MAX_GRID), 2)
-
-
-def _grid(lo: float, hi: float, h: float) -> np.ndarray:
-    if hi < lo:
-        return np.asarray([])
-    return np.linspace(lo, hi, _grid_count(lo, hi, h))
 
 
 def _grid_at(lo, step, hi, last, idx: np.ndarray) -> np.ndarray:
@@ -1247,31 +1287,14 @@ class _Form(NamedTuple):
     h: SmoothSeq
 
 
-def _form(f: SmoothSeq) -> _Form | None:
-    """f as a `_Form`: an n-free or a mollified sequence, and their scales,
-    derivatives and products of two of one kind; the profile of a
-    derivative or a product is built anew on each call."""
+def _channels(f: SmoothSeq, k: int, lattices) -> _Form | list[_Law] | None:
+    """f's `_Form`, or else the laws of p_0..p_k on the lattices (lo, hi,
+    count) at the sample indices, by the law its combinator gave `_node`;
+    None when a rule has none.  A single function is its own form."""
     if f.n_free:
         return _Form(False, growth.ONE, 1.0, 0, f)
-    op = f.key[0] if f._tree is not None else ("jet",)
-    if op[0] == "mollified":
-        return _Form(True, growth.ONE, 1.0, op[1], f._tree.operands[0])
-    if op[0] not in ("relabel", "scale", "derivative", "product") or op[1:2] == ("callable",):
-        return None
-    forms = [_form(g) for g in f._tree.operands]
-    a, b = forms[0], forms[-1]
-    if a is None or b is None or a.stretched != b.stretched:
-        return None
-    if op[0] == "scale" and isinstance(op[1], growth.GrowthExpr):
-        return a._replace(expr=growth.mul(op[1], a.expr))
-    if op[0] == "scale":
-        return a._replace(scale=abs(op[1]) * a.scale)
-    if op[0] == "derivative":
-        return a._replace(power=a.power + op[1] * a.stretched, h=derivative_seq(a.h, op[1]))
-    if op[0] == "product":
-        return _Form(a.stretched, growth.mul(a.expr, b.expr), a.scale * b.scale, a.power + b.power,
-                     product_seq(a.h, b.h))
-    return a
+    law = None if f._tree is None else f._tree.law
+    return None if law is None else law(k, lattices)
 
 
 def _order_bounds(h: SmoothSeq, probe: tuple[float, float], cover: tuple[float, float], half: float, k: int):
@@ -1340,33 +1363,10 @@ def _sum_law(a: _Law, b: _Law) -> _Law:
 
 
 def _laws(f: SmoothSeq, k: int, lattices) -> list[_Law] | None:
-    """The laws of p_0..p_k of f on the lattices at the sample indices, by
-    the rules f was built with; None when a rule has none.  Other than a
-    form, a derivative is bounded by its operand's higher channels, and a
-    product by Leibniz, p_nu(f g) <= 2^nu p_nu(f) p_nu(g); neither has a
-    lower law."""
-    form = _form(f)
-    if form is not None:
-        return _form_laws(form, k, lattices)
-    op = f.key[0] if f._tree is not None else ("jet",)
-    if op[0] not in ("relabel", "scale", "derivative", "add", "product") or op[1:2] == ("callable",):
-        return None
-    shift = op[1] if op[0] == "derivative" else 0
-    parts = [_laws(g, k + shift, lattices) for g in f._tree.operands]
-    a, b = parts[0], parts[-1]
-    if a is None or b is None:
-        return None
-    if op[0] == "scale" and isinstance(op[1], growth.GrowthExpr):
-        return [law._replace(expr=growth.mul(op[1], law.expr)) for law in a]
-    if op[0] == "scale":
-        return [_Law(law.expr, abs(op[1]) * law.lo, abs(op[1]) * law.hi) for law in a]
-    if op[0] == "derivative":
-        return [law._replace(lo=0.0) for law in a[shift:]]
-    if op[0] == "add":
-        return [_sum_law(x, y) for x, y in zip(a, b)]
-    if op[0] == "product":
-        return [_Law(growth.mul(x.expr, y.expr), 0.0, 2.0**nu * x.hi * y.hi) for nu, (x, y) in enumerate(zip(a, b))]
-    return a
+    """The laws of p_0..p_k of f on the lattices at the sample indices;
+    None when a rule f was built with has none."""
+    ch = _channels(f, k, lattices)
+    return _form_laws(ch, k, lattices) if isinstance(ch, _Form) else ch
 
 
 def _law_report(f: SmoothSeq, nu_max: int, space: NumberSpace) -> ClassificationReport | None:
@@ -1401,11 +1401,10 @@ def _law_report(f: SmoothSeq, nu_max: int, space: NumberSpace) -> Classification
 
 
 def _classify_table(
-    p: Callable[[Sequence[int], int], list[float]], label: str, nu_max: int, space: NumberSpace | None = None
+    p: Callable[[Sequence[int], int], list[float]], label: str, nu_max: int, space: NumberSpace
 ) -> ClassificationReport:
     """`classify_fun` on the channels read from the seminorm table p, at
     the indices `DEFAULT_SAMPLE_NS`."""
-    space = space or colombeau_space()
     bundle = {
         f"p_{nu}": _log_abs_channel(partial(p, nu=nu), f"p_{nu}({label})", DEFAULT_SAMPLE_NS)
         for nu in range(nu_max + 1)

@@ -25,7 +25,6 @@ import numpy as np
 
 from ultraseq import genfun, growth
 from ultraseq.genfun import (
-    DEFAULT_SAMPLE_NS,
     FunctionElement,
     FunctionSpace,
     SmoothSeq,
@@ -41,7 +40,7 @@ from ultraseq.genfun import (
     standard_mollifier,
     sub_seq,
 )
-from ultraseq.spaces import NumberSpace, SeqRep, colombeau_space, ultranorm
+from ultraseq.spaces import NumberSpace, SeqRep, colombeau_space
 from ultraseq.weights import Direction, WeightFamily
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "exp_seq_map",
     "extend",
     "verify_F2",
-    "continuity_trend",
     "apply_scalar_map",
 ]
 
@@ -836,9 +834,11 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
 
     The spot checks do not depend on W: they run once per map and are
     memoised with it (see `_spot_checks`), and only when no scalar
-    certificate is refuted.  A family of step weights certifies every map
-    unrun: there every sequence is moderate and every negligible k is
-    eventually 0, so is phi(f + k) - phi(f), as phi works index by index.
+    certificate is refuted.  A failed spot check leaves the map
+    inconclusive: it shows a declared bound false, not that the map fails.
+    A family of step weights certifies every map unrun: there every
+    sequence is moderate and every negligible k is eventually 0, so is
+    phi(f + k) - phi(f), as phi works index by index.
     """
     certs = {
         "g_alpha_cert": check_moderate(phi.g_alpha, W),
@@ -863,9 +863,9 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
     checked = partial(report, alpha_checked=spot.alpha_checked, beta_checked=spot.beta_checked)
     if spot.witness:
         return checked(
-            status="refuted",
+            status="inconclusive",
             witness=dict(spot.witness),
-            notes=f"{_INEQUALITY_NAMES[spot.witness['inequality']]} inequality fails on the corpus",
+            notes=f"declared {_INEQUALITY_NAMES[spot.witness['inequality']]} bound fails on the corpus",
         )
     certified = all(c.status == "certified" for c in certs.values())
     return checked(
@@ -875,7 +875,7 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
 
 
 # ---------------------------------------------------------------------------
-# extension, well-definedness, continuity
+# extension and well-definedness
 
 
 class ExtensionError(RuntimeError):
@@ -928,34 +928,6 @@ def verify_F2(
     dseq = phi.difference(f, j)
     d_report = genfun.classify_fun(dseq, min(nu_max, dseq.max_order), space)
     return F2Report(diff_verdict=d_report.verdict, j_verdict=j_report.verdict)
-
-
-def continuity_trend(
-    phi: SeqMap,
-    f: SmoothSeq,
-    k: SmoothSeq,
-    space: NumberSpace | None = None,
-    steps: int = 4,
-    nu: int = 0,
-) -> list[tuple[float, float]]:
-    """Norms (input perturbation, output difference) along a shrinking ladder.
-
-    Constant rescaling cannot move an ultranorm, so the ladder scales k by
-    n^(-i log 10), which divides the perturbation norm by 10 per step.
-    """
-    space = space or colombeau_space()
-    w = space.single_weight()
-
-    def norm(seq: SmoothSeq) -> float:
-        p = partial(genfun._seminorm_table(seq), nu=nu)
-        return ultranorm(genfun._log_abs_channel(p, f"p_{nu}({seq.label})", DEFAULT_SAMPLE_NS), w).value
-
-    out = []
-    for i in range(steps):
-        scale = growth.term_expr(1.0, pow_n=-i * math.log(10.0))
-        ki = seq_scale(scale, k) if i > 0 else k
-        out.append((norm(ki), norm(phi.difference(f, ki))))
-    return out
 
 
 # ---------------------------------------------------------------------------

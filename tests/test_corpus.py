@@ -56,3 +56,16 @@ def test_random_smooth_pair_split(rng, colombeau):
         f, j = corpus.random_smooth_pair(rng)
         assert classify_fun(f, 1, colombeau).in_moderate is True
         assert classify_fun(j, 1, colombeau).verdict == "negligible"
+
+
+def test_random_smooth_draws_reuse_the_stock_delta(monkeypatch):
+    # a fresh delta would integrate its moment class on every draw of it
+    from ultraseq import genfun
+
+    corpus.named_function("delta")
+    calls = []
+    monkeypatch.setattr(genfun, "moment_class", lambda profile: calls.append(profile) or (1, 1.0))
+    rng = random.Random(3)
+    draws = [corpus.random_smooth(rng) for _ in range(40)]
+    assert calls == []
+    assert sum("delta" in f.label for f in draws) > 5

@@ -542,7 +542,7 @@ def test_seminorm_delta_growth():
 
 def test_chunked_seminorm_covers_the_whole_lattice():
     n, spec = 2 ** 14, SeminormSpec(nu=2)
-    xs = genfun._grid(-2.0, 2.0, spec.lattice(n)[0])
+    xs = _grid(-2.0, 2.0, spec.lattice(n)[0])
     assert len(xs) > 4 * genfun._CHUNK  # 524289 points: 32 full chunks and one point
     f = sin_fn()
     direct = max(float(np.max(np.abs(f.at(n, xs, j)))) for j in range(spec.nu + 1))
@@ -556,7 +556,7 @@ def test_chunked_seminorm_covers_the_whole_lattice():
 @example(-2.0, 4.0, 1.0 / 131072, 0)  # the radius-2 lattice at n = 2^14
 def test_grid_points_by_index_are_the_grid(lo, width, h, seed):
     hi = lo + width
-    xs = genfun._grid(lo, hi, h)
+    xs = _grid(lo, hi, h)
     count = genfun._grid_count(lo, hi, h)
     assert len(xs) == count
     idx = np.concatenate([[0, count - 1], np.random.default_rng(seed).integers(0, count, 200)])
@@ -654,7 +654,7 @@ def _lattice_size(n, nu):
     """Points of the SeminormSpec(nu) lattice at index n, for a sequence
     without compact support."""
     h, radius = SeminormSpec(nu).lattice(n)
-    return len(genfun._grid(-radius, radius, h))
+    return len(_grid(-radius, radius, h))
 
 
 def _chunks(n, nu):
@@ -855,6 +855,13 @@ def _reference_product(a, b):
     return genfun._derived(SmoothSeq("ref-product", jet, p.max_order, p.support_fn), p.n_free, p.index_arrays)
 
 
+def _grid(lo, hi, h):
+    """The lattice of step about h on [lo, hi] that a walk reads."""
+    if hi < lo:
+        return np.asarray([])
+    return np.linspace(lo, hi, genfun._grid_count(lo, hi, h))
+
+
 def _reference_order_sups(f, n, nu):
     sup = f.support_fn(n)
     h, radius = SeminormSpec(nu).lattice(n, None if sup is None else sup[1] - sup[0])
@@ -864,7 +871,7 @@ def _reference_order_sups(f, n, nu):
         lo, hi = max(lo, sup[0]), min(hi, sup[1])
         if hi <= lo:
             return rows
-    xs = genfun._grid(lo, hi, h)
+    xs = _grid(lo, hi, h)
     for start in range(0, len(xs), genfun._CHUNK):
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.abs(f.jet(n, xs[start : start + genfun._CHUNK], nu))
@@ -1034,7 +1041,7 @@ def _lattice(f, n, nu):
     lo, hi = -radius, radius
     if sup is not None:
         lo, hi = max(lo, sup[0]), min(hi, sup[1])
-    return genfun._grid(lo, hi, h)
+    return _grid(lo, hi, h)
 
 
 @given(_all_trees(), st.sampled_from([4096, 16384]), st.integers(0, 3))
@@ -1608,21 +1615,38 @@ def test_growth_laws_bound_the_walked_seminorms(case):
     _assert_laws_bound_the_walk(_law_case(*case))
 
 
-def _assert_laws_bound_the_walk(f):
+def _assert_laws_bound_the_walk(f, slopes=True):
+    """The walked seminorms lie within f's laws and, with `slopes`, the
+    walk's log-log slope over n = 1024..16384 is the law's wherever the law
+    has a lower bound.  The slope holds where the walk resolves the peaks,
+    as on the corpus; a stretched summand next to a wide one gets a coarse
+    lattice whose offset from the peak moves with n."""
     ns = genfun.DEFAULT_SAMPLE_NS
     laws = genfun._laws(f, 2, genfun._lattices(f, ns, 2))
     p = genfun._seminorm_table(f)
     for nu, law in enumerate(laws):
         walked, e = np.array(p(ns, nu)), growth.eval_value(law.expr, ns)
-        assert np.all(walked <= law.hi * e * (1 + 1e-9) + 1e-300), (f.label, nu)
-        assert np.all(walked >= law.lo * e * (1 - 1e-9) - 1e-300), (f.label, nu)
-        # the walk's log-log slope over n = 1024..16384 is the law's
+        # a factor of 0 claims 0, also where the expression overflows
+        upper, lower = (c * e if c else 0.0 for c in (law.hi, law.lo))
+        assert np.all(walked <= upper * (1 + 1e-9) + 1e-300), (f.label, nu)
+        assert np.all(walked >= lower * (1 - 1e-9) - 1e-300), (f.label, nu)
         with np.errstate(divide="ignore"):
             logs = np.log(walked[-5::4])
-        if law.lo > 0 and np.isfinite(logs).all():
+        if slopes and law.lo > 0 and np.isfinite(logs).all():
             slope = (logs[1] - logs[0]) / math.log(16.0)
             want = np.diff(growth.eval_log(law.expr, [1024, 16384]))[0] / math.log(16.0)
             assert abs(slope - want) <= 0.05 * max(1.0, abs(want)), (f.label, nu, slope, want)
+
+
+@given(_all_trees())
+@settings(max_examples=30, deadline=None)
+def test_growth_laws_of_every_tree_bound_the_walk(tree):
+    # every combinator and nesting, not only the corpus's: where a tree
+    # has laws, the walk bears them out
+    f, _ = _build(tree)
+    ns = genfun.DEFAULT_SAMPLE_NS
+    if f.max_order >= 2 and genfun._laws(f, 2, genfun._lattices(f, ns, 2)) is not None:
+        _assert_laws_bound_the_walk(f, slopes=False)
 
 
 def test_corpus_requests_make_no_walk(lattice_walks, colombeau, counting_seq):
@@ -1644,3 +1668,320 @@ def test_corpus_requests_make_no_walk(lattice_walks, colombeau, counting_seq):
     user, _ = counting_seq(f)
     classify_fun(user, 2, colombeau)
     assert sorted((n, r) for _, n, r in lattice_walks) == [(n, 2) for n in genfun.DEFAULT_SAMPLE_NS]
+
+
+def _pinned_law_cases():
+    """One sequence per combinator that has a law, a few nestings, and the
+    four that have none (a user jet, a callable scale, exp of an
+    n-dependent operand, reindexing)."""
+    delta, sin, b = standard_mollifier().sequence(), sin_fn(), bump(0.0, 1.0)
+    n_half, log_n, n_inv = (growth.parse(t) for t in ("n^0.5", "log(n)", "n^-1"))
+    n_inv_delta_sq = seq_scale(n_inv, square_seq(delta))
+    cases = [
+        b, sin, delta, mollified(bump(0.1, 0.8), power=2), exp_seq(sin),
+        constant_seq(delta, "d"), seq_scale(log_n, delta), seq_scale(-1.5, delta),
+        derivative_seq(delta, 2), derivative_seq(seq_scale(growth.parse("n"), sin)),
+        add_seq(delta, sin), sub_seq(n_inv_delta_sq, seq_scale(0.675, delta)),
+        product_seq(delta, derivative_seq(delta)), square_seq(delta),
+        product_seq(seq_scale(log_n, sin), seq_scale(n_half, b)),
+        product_seq(delta, b), seq_scale(n_half, product_seq(sin, delta)), n_inv_delta_sq,
+        derivative_seq(add_seq(delta, seq_scale(n_half, sin))), seq_scale(growth.parse("exp(-n)"), sin),
+        seq_scale(-2.0, add_seq(delta, sin)),
+    ]
+    no_law = [
+        SmoothSeq("user jet", delta.jet, delta.max_order, delta.support_fn, delta.majorant),
+        seq_scale(lambda n: 2.0, delta), exp_seq(delta), reindex(delta, 2),
+    ]
+    return cases, no_law
+
+
+def _law_bits(f, k):
+    laws = genfun._laws(f, k, genfun._lattices(f, genfun.DEFAULT_SAMPLE_NS, k))
+    return None if laws is None else [(growth.format_expr(x.expr), float(x.lo).hex(), float(x.hi).hex()) for x in laws]
+
+
+# each law as (format_expr(expr), lo.hex(), hi.hex()), at orders 0..2 on the
+# radius-2 lattices and 0..3 on the radius-3 ones, as derived before each
+# combinator carried its own law
+_PINNED_LAWS = {
+    'bump(0,1)': (
+        [
+            ('1', '0x1.789b7324a4d49p-2', '0x1.78b57c12eddd8p-2'),
+            ('1', '0x1.974a2a6e20c02p-1', '0x1.14aa5857f6dbbp+0'),
+            ('1', '0x1.dff07979b3695p+2', '0x1.17f3f38850996p+9'),
+        ],
+        [
+            ('1', '0x1.789b7324a4d49p-2', '0x1.78b57c12eddf3p-2'),
+            ('1', '0x1.974a2a6e20c02p-1', '0x1.14aa5857f6dcep+0'),
+            ('1', '0x1.dff07979b3685p+2', '0x1.17f3f388509bdp+9'),
+            ('1', '0x1.65e119319da14p+7', '0x1.f9f02fd76434fp+25'),
+        ],
+    ),
+    'sin(1x)': (
+        [
+            ('1', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+            ('1', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+            ('1', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+        ],
+        [
+            ('1', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('1', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('1', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('1', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+        ],
+    ),
+    'delta[bump(0,1)]': (
+        [
+            ('n', '0x1.a80de86638ca1p-1', '0x1.a83a4898ca490p-1'),
+            ('n^2', '0x1.c9942651ed7edp+0', '0x1.3790822cb5d63p+1'),
+            ('n^3', '0x1.d9fe46884b535p+3', '0x1.3b4446c43d642p+10'),
+        ],
+        [
+            ('n', '0x1.a80de86638ca1p-1', '0x1.a83a4898ca4aep-1'),
+            ('n^2', '0x1.c9942651ed7ebp+0', '0x1.3790822cb5d78p+1'),
+            ('n^3', '0x1.d9fe46884b461p+3', '0x1.3b4446c43d66ep+10'),
+            ('n^4', '0x1.a41c513f8b38fp+6', '0x1.1ce10c8326ce4p+27'),
+        ],
+    ),
+    'n^2*bump(0.1,0.8)(n x)': (
+        [
+            ('n^2', '0x1.788e145be988ap-2', '0x1.78b57c12eddd8p-2'),
+            ('n^3', '0x1.fbe7c155d422fp-1', '0x1.59d4ee6df4933p+0'),
+            ('n^4', '0x1.48d407fcdf0f4p+3', '0x1.b56d2c84fdef9p+9'),
+        ],
+        [
+            ('n^2', '0x1.788e145be988ap-2', '0x1.78b57c12eddf3p-2'),
+            ('n^3', '0x1.fbe7c155d422dp-1', '0x1.59d4ee6df494bp+0'),
+            ('n^4', '0x1.48d407fcdf061p+3', '0x1.b56d2c84fdf36p+9'),
+            ('n^5', '0x1.6c4f41ed56abap+6', '0x1.ee148eb857dbap+26'),
+        ],
+    ),
+    'exp(sin(1x))': (
+        [
+            ('1', '0x1.5be58ab04841ep+1', '0x1.5bf0bf7ebcb3bp+1'),
+            ('1', '0x1.5be58ab04841ep+1', '0x1.5bf0bf7ebcb3bp+1'),
+            ('1', '0x1.5be58ab04841ep+1', '0x1.684b5af967a6cp+1'),
+        ],
+        [
+            ('1', '0x1.5bf080db3bfd6p+1', '0x1.5bf0bf7ebcb3bp+1'),
+            ('1', '0x1.5bf080db3bfd6p+1', '0x1.5bf0bf7ebcb3bp+1'),
+            ('1', '0x1.5bf080db3bfd6p+1', '0x1.705e48b1af2dap+1'),
+            ('1', '0x1.02f5d7727fff7p+2', '0x1.755805a4ca59bp+2'),
+        ],
+    ),
+    'd': (
+        [
+            ('n', '0x1.a80de86638ca1p-1', '0x1.a83a4898ca490p-1'),
+            ('n^2', '0x1.c9942651ed7edp+0', '0x1.3790822cb5d63p+1'),
+            ('n^3', '0x1.d9fe46884b535p+3', '0x1.3b4446c43d642p+10'),
+        ],
+        [
+            ('n', '0x1.a80de86638ca1p-1', '0x1.a83a4898ca4aep-1'),
+            ('n^2', '0x1.c9942651ed7ebp+0', '0x1.3790822cb5d78p+1'),
+            ('n^3', '0x1.d9fe46884b461p+3', '0x1.3b4446c43d66ep+10'),
+            ('n^4', '0x1.a41c513f8b38fp+6', '0x1.1ce10c8326ce4p+27'),
+        ],
+    ),
+    'log(n) * delta[bump(0,1)]': (
+        [
+            ('n*log(n)', '0x1.a80de86638ca1p-1', '0x1.a83a4898ca490p-1'),
+            ('n^2*log(n)', '0x1.c9942651ed7edp+0', '0x1.3790822cb5d63p+1'),
+            ('n^3*log(n)', '0x1.d9fe46884b535p+3', '0x1.3b4446c43d642p+10'),
+        ],
+        [
+            ('n*log(n)', '0x1.a80de86638ca1p-1', '0x1.a83a4898ca4aep-1'),
+            ('n^2*log(n)', '0x1.c9942651ed7ebp+0', '0x1.3790822cb5d78p+1'),
+            ('n^3*log(n)', '0x1.d9fe46884b461p+3', '0x1.3b4446c43d66ep+10'),
+            ('n^4*log(n)', '0x1.a41c513f8b38fp+6', '0x1.1ce10c8326ce4p+27'),
+        ],
+    ),
+    '-1.5 * delta[bump(0,1)]': (
+        [
+            ('n', '0x1.3e0a6e4caa979p+0', '0x1.3e2bb67297b6cp+0'),
+            ('n^2', '0x1.572f1cbd721f2p+1', '0x1.d358c34310c14p+1'),
+            ('n^3', '0x1.637eb4e6387e8p+4', '0x1.d8e66a265c163p+10'),
+        ],
+        [
+            ('n', '0x1.3e0a6e4caa979p+0', '0x1.3e2bb67297b82p+0'),
+            ('n^2', '0x1.572f1cbd721f0p+1', '0x1.d358c34310c34p+1'),
+            ('n^3', '0x1.637eb4e638749p+4', '0x1.d8e66a265c1a5p+10'),
+            ('n^4', '0x1.3b153cefa86abp+7', '0x1.ab5192c4ba356p+27'),
+        ],
+    ),
+    'D^2 delta[bump(0,1)]': (
+        [
+            ('n^3', '0x1.d9fe46884b38dp+3', '0x1.3b4446c43d69ap+10'),
+            ('n^4', '0x1.a41c513f8b27ap+6', '0x1.1ce10c8326d79p+27'),
+            ('n^5', '0x1.42c0e2be830a6p+9', '0x1.a879554c45a1fp+45'),
+        ],
+        [
+            ('n^3', '0x1.d9fe46884b2b9p+3', '0x1.3b4446c43d6c6p+10'),
+            ('n^4', '0x1.a41c513f8b165p+6', '0x1.1ce10c8326e0dp+27'),
+            ('n^5', '0x1.42c0e2be82f9ap+9', '0x1.a879554c45b3ap+45'),
+            ('n^6', '0x1.f0689ecc20ee2p+11', '0x1.076c281b70e17p+65'),
+        ],
+    ),
+    'D^1 n * sin(1x)': (
+        [
+            ('n', '0x1.ffbbc3978b853p-1', '0x1.000010c6f7a0bp+0'),
+            ('n', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+            ('n', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+        ],
+        [
+            ('n', '0x1.ff683636376bap-1', '0x1.000010c6f7a0bp+0'),
+            ('n', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('n', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('n', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+        ],
+    ),
+    'delta[bump(0,1)] + sin(1x)': (
+        [
+            ('n + 1', '0x1.6d180f9c435fbp-1', '0x1.000010c6f7a0bp+0'),
+            ('n^2 + 1', '0x1.9a0d4822f4b77p-1', '0x1.3790822cb5d63p+1'),
+            ('n^3 + 1', '0x1.a36e68a135c4fp+0', '0x1.3b4446c43d642p+10'),
+        ],
+        [
+            ('n + 1', '0x1.6d180f9c435fbp-1', '0x1.000010c6f7a0bp+0'),
+            ('n^2 + 1', '0x1.9a0d4822f4b48p-1', '0x1.3790822cb5d78p+1'),
+            ('n^3 + 1', '0x1.a36e68a135c3dp+0', '0x1.3b4446c43d66ep+10'),
+            ('n^4 + 1', '0x1.57415eb81a197p+0', '0x1.1ce10c8326ce4p+27'),
+        ],
+    ),
+    'n^-1 * (delta[bump(0,1)])^2 - 0.675 * delta[bump(0,1)]': (
+        [
+            ('2*n', '0x0.0p+0', '0x1.5f8077d653164p-1'),
+            ('2*n^2', '0x0.0p+0', '0x1.a49cafbc5be13p+0'),
+            ('2*n^3', '0x0.0p+0', '0x1.a99c2c55b9473p+9'),
+        ],
+        [
+            ('2*n', '0x0.0p+0', '0x1.5f8077d653196p-1'),
+            ('2*n^2', '0x0.0p+0', '0x1.a49cafbc5be2fp+0'),
+            ('2*n^3', '0x0.0p+0', '0x1.a99c2c55b94afp+9'),
+            ('2*n^4', '0x0.0p+0', '0x1.8096374aa7967p+26'),
+        ],
+    ),
+    '(delta[bump(0,1)])*(D^1 delta[bump(0,1)])': (
+        [
+            ('n^3', '0x1.484325d346273p-1', '0x1.8e390fef79062p-1'),
+            ('n^4', '0x1.a7175561d6b7ep+1', '0x1.fe78c66b76749p+2'),
+            ('n^5', '0x1.574764cce9510p+4', '0x1.d0a6299668d5ap+8'),
+        ],
+        [
+            ('n^3', '0x1.484325d346271p-1', '0x1.8e390fef7909ap-1'),
+            ('n^4', '0x1.a7175561d6b69p+1', '0x1.fe78c66b767b8p+2'),
+            ('n^5', '0x1.574764cce922cp+4', '0x1.d0a6299668e42p+8'),
+            ('n^6', '0x1.947faf5f1a525p+6', '0x1.8735999c400a9p+24'),
+        ],
+    ),
+    '(delta[bump(0,1)])^2': (
+        [
+            ('n^2', '0x1.5f371efb113e7p-1', '0x1.5f8077d653164p-1'),
+            ('n^3', '0x1.484325d346274p+0', '0x1.8e390fef79046p+0'),
+            ('n^4', '0x1.a7175561d6b90p+2', '0x1.fe78c66b76700p+3'),
+        ],
+        [
+            ('n^2', '0x1.5f371efb113e7p-1', '0x1.5f8077d653196p-1'),
+            ('n^3', '0x1.484325d346272p+0', '0x1.8e390fef7907fp+0'),
+            ('n^4', '0x1.a7175561d6b7bp+2', '0x1.fe78c66b7676ep+3'),
+            ('n^5', '0x1.574764cce94a0p+5', '0x1.d0a6299668d8bp+9'),
+        ],
+    ),
+    '(log(n) * sin(1x))*(n^0.5 * bump(0,1))': (
+        [
+            ('n^0.5*log(n)', '0x1.0227098bc6f66p-3', '0x1.117e2fc7b2d29p-3'),
+            ('n^0.5*log(n)', '0x1.017ea259d8517p-1', '0x1.ada57bc4388d9p-1'),
+            ('n^0.5*log(n)', '0x1.672254f83544ep+2', '0x1.d7270732cbd70p+8'),
+        ],
+        [
+            ('n^0.5*log(n)', '0x1.0227098bc6f66p-3', '0x1.117e2fc7b2d3cp-3'),
+            ('n^0.5*log(n)', '0x1.017ea259d8517p-1', '0x1.ada57bc4388f6p-1'),
+            ('n^0.5*log(n)', '0x1.672254f835442p+2', '0x1.d7270732cbdb2p+8'),
+            ('n^0.5*log(n)', '0x1.139dbb03b94efp+7', '0x1.a9bd5652b91c6p+25'),
+        ],
+    ),
+    '(delta[bump(0,1)])*(bump(0,1))': (
+        [
+            ('n', '0x0.0p+0', '0x1.38212cb8ab493p-2'),
+            ('n^2', '0x0.0p+0', '0x1.ca791f5ebd645p+0'),
+            ('n^3', '0x0.0p+0', '0x1.d57dd8e06f688p+11'),
+        ],
+        [
+            ('n', '0x0.0p+0', '0x1.38212cb8ab4bfp-2'),
+            ('n^2', '0x0.0p+0', '0x1.ca791f5ebd685p+0'),
+            ('n^3', '0x0.0p+0', '0x1.d57dd8e06f6ebp+11'),
+            ('n^4', '0x0.0p+0', '0x1.a83d1c28550dcp+29'),
+        ],
+    ),
+    'n^0.5 * (sin(1x))*(delta[bump(0,1)])': (
+        [
+            ('n^1.5', '0x0.0p+0', '0x1.a7f3b38904c95p-5'),
+            ('n^2.5', '0x0.0p+0', '0x1.37909697e51dbp+2'),
+            ('n^3.5', '0x0.0p+0', '0x1.3b445b6d8993ep+12'),
+        ],
+        [
+            ('n^1.5', '0x0.0p+0', '0x1.a7f3b38904cb2p-5'),
+            ('n^2.5', '0x0.0p+0', '0x1.37909697e51f0p+2'),
+            ('n^3.5', '0x0.0p+0', '0x1.3b445b6d8996ap+12'),
+            ('n^4.5', '0x0.0p+0', '0x1.1ce11f2ea1361p+30'),
+        ],
+    ),
+    'n^-1 * (delta[bump(0,1)])^2': (
+        [
+            ('n', '0x1.5f371efb113e7p-1', '0x1.5f8077d653164p-1'),
+            ('n^2', '0x1.484325d346274p+0', '0x1.8e390fef79046p+0'),
+            ('n^3', '0x1.a7175561d6b90p+2', '0x1.fe78c66b76700p+3'),
+        ],
+        [
+            ('n', '0x1.5f371efb113e7p-1', '0x1.5f8077d653196p-1'),
+            ('n^2', '0x1.484325d346272p+0', '0x1.8e390fef7907fp+0'),
+            ('n^3', '0x1.a7175561d6b7bp+2', '0x1.fe78c66b7676ep+3'),
+            ('n^4', '0x1.574764cce94a0p+5', '0x1.d0a6299668d8bp+9'),
+        ],
+    ),
+    'D^1 delta[bump(0,1)] + n^0.5 * sin(1x)': (
+        [
+            ('n^2 + n^0.5', '0x0.0p+0', '0x1.3790822cb5d78p+1'),
+            ('n^3 + n^0.5', '0x0.0p+0', '0x1.3b4446c43d66ep+10'),
+            ('n^4 + n^0.5', '0x0.0p+0', '0x1.1ce10c8326ce4p+27'),
+        ],
+        [
+            ('n^2 + n^0.5', '0x0.0p+0', '0x1.3790822cb5d8fp+1'),
+            ('n^3 + n^0.5', '0x0.0p+0', '0x1.3b4446c43d69ap+10'),
+            ('n^4 + n^0.5', '0x0.0p+0', '0x1.1ce10c8326d79p+27'),
+            ('n^5 + n^0.5', '0x0.0p+0', '0x1.a879554c45a1fp+45'),
+        ],
+    ),
+    'exp(-n) * sin(1x)': (
+        [
+            ('exp(-n)', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+            ('exp(-n)', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+            ('exp(-n)', '0x1.ffefa3cce9289p-1', '0x1.000010c6f7a0bp+0'),
+        ],
+        [
+            ('exp(-n)', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('exp(-n)', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('exp(-n)', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+            ('exp(-n)', '0x1.ffffc561683bbp-1', '0x1.000010c6f7a0bp+0'),
+        ],
+    ),
+    '-2 * delta[bump(0,1)] + sin(1x)': (
+        [
+            ('n + 1', '0x1.6d180f9c435fbp+0', '0x1.000010c6f7a0bp+1'),
+            ('n^2 + 1', '0x1.9a0d4822f4b77p+0', '0x1.3790822cb5d63p+2'),
+            ('n^3 + 1', '0x1.a36e68a135c4fp+1', '0x1.3b4446c43d642p+11'),
+        ],
+        [
+            ('n + 1', '0x1.6d180f9c435fbp+0', '0x1.000010c6f7a0bp+1'),
+            ('n^2 + 1', '0x1.9a0d4822f4b48p+0', '0x1.3790822cb5d78p+2'),
+            ('n^3 + 1', '0x1.a36e68a135c3dp+1', '0x1.3b4446c43d66ep+11'),
+            ('n^4 + 1', '0x1.57415eb81a197p+1', '0x1.1ce10c8326ce4p+28'),
+        ],
+    ),
+}
+
+
+def test_growth_laws_are_pinned_bitwise():
+    cases, no_law = _pinned_law_cases()
+    assert [(f.label, (_law_bits(f, 2), _law_bits(f, 3))) for f in cases] == list(_PINNED_LAWS.items())
+    for f in no_law:
+        assert _law_bits(f, 2) is None and _law_bits(f, 3) is None, f.label

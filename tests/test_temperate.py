@@ -21,7 +21,6 @@ from ultraseq.temperate import (
     check_moderate,
     check_temperate,
     compose_maps,
-    continuity_trend,
     derivative_map,
     exp_map,
     exp_seq_map,
@@ -467,20 +466,20 @@ _PINNED_TEMPERATE = [
     (
         _square_with_small_g_alpha,
         (
-            "refuted", 21, 0,
+            "inconclusive", 21, 0,
             {"inequality": "alpha", "f": "0.5 * sin(1x)", "nu": 2, "n": 16, "lhs": 0.5, "rhs": 0.25},
-            "growth inequality fails on the corpus",
+            "declared growth bound fails on the corpus",
         ),
     ),
     (
         _square_with_small_h_beta,
         (
-            "refuted", 48, 25,
+            "inconclusive", 48, 25,
             {
                 "inequality": "beta", "f": "delta[bump(0,1)]", "k": "0.2 + 0.1x", "nu": 0, "n": 16,
                 "lhs": 5.344173495731246, "rhs": 1.8212538750368341,
             },
-            "difference inequality fails on the corpus",
+            "declared difference bound fails on the corpus",
         ),
     ),
 ]
@@ -625,18 +624,6 @@ def test_verify_f2_exp_fails_on_tall_mollifier(colombeau):
     j = named_function("decaying-sin")
     rep = verify_F2(exp_seq_map(), f, j, colombeau)
     assert rep.passed is not True
-
-
-def test_continuity_trend_scales_down(colombeau):
-    from ultraseq.corpus import named_function
-
-    f = named_function("delta")
-    k = seq_scale(0.25, named_function("delta"))
-    steps = continuity_trend(square_map(), f, k, colombeau, steps=3)
-    # each step scales the perturbation by n^-log(10): norms drop 10x
-    for (d1, o1), (d2, o2) in zip(steps, steps[1:]):
-        assert d2 == pytest.approx(d1 / 10.0, rel=1e-6)
-        assert o2 == pytest.approx(o1 / 10.0, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
