@@ -12,10 +12,14 @@ differentiation would lose too much precision, and central differences
 serve only as a cross-check in the tests.
 
 Seminorm values are grid suprema over the lattice spacing
-min(2^-10, 1/(8n)), clipped to the function's support, so the peak of an
-n-scaled mollifier stays resolved at every index.  A grid supremum is a
-lower bound for the true supremum; the scaling laws the classification
-relies on are preserved because the peak region is always sampled.  The
+min(2^-10, 1/(8n)), clipped to the function's support, so the peak of a
+lone n-scaled mollifier stays resolved at every index.  A grid supremum
+is a lower bound for the true supremum.  For a lone stretched profile the
+peak region is always sampled, so its walked suprema keep its scaling
+law; a stretched summand next to a wide one is not resolved so: the hull
+support sets the spacing, and the summand's peak falls between lattice
+points at an offset that moves with n, so the walk under-reads its law
+(ROADMAP 4b).  Sequences with growth laws skip the walk.  The
 lattice depends on nu only through its radius max(nu, 2), and one walk
 yields the suprema of every order 0..nu at every index it is given: its
 jet and majorant calls take an index array, one index per point or cell,
@@ -401,13 +405,15 @@ def bump(center: float = 0.0, width: float = 1.0, amplitude: float = 1.0) -> Smo
 
 def poly_fn(coeffs: Sequence[float], label: str | None = None) -> SmoothSeq:
     # row j: the coefficients of the j-th derivative, each the derivative of
-    # the row before by the step `polyder` takes, i * c[i]
+    # the row before by the step `polyder` takes, i * c[i]; the rows past
+    # the degree stay zeros, trimmed to empty
     d = np.asarray(coeffs, dtype=float)
     matrix = np.zeros((65, len(d)))
-    for row in matrix:
-        row[: len(d)] = d
+    derivs = [d[:0]] * 65
+    for j in range(min(len(d), 65)):
+        matrix[j, : len(d)] = d
+        derivs[j] = _trim(matrix[j])
         d = d[1:] * np.arange(1.0, len(d))
-    derivs = [_trim(row) for row in matrix]
 
     def jet(n: int, xs: np.ndarray, k: int) -> np.ndarray:
         return _horner(derivs[: k + 1], xs, np.empty((k + 1,) + xs.shape))
@@ -1458,15 +1464,13 @@ def _nonfinite_integral(ys: np.ndarray) -> float:
     return total
 
 
-def _quad_lockstep(
-    fn: Callable[..., np.ndarray], lo: Sequence[float], hi: Sequence[float], runs: bool = False
-) -> np.ndarray:
+def _quad_lockstep(fn: Callable[..., np.ndarray], lo: Sequence[float], hi: Sequence[float]) -> np.ndarray:
     """Adaptive composite Gauss-Legendre integrals over the intervals
-    [lo[i], hi[i]] in lockstep, of an integrand fn(xs, which) that is
+    [lo[i], hi[i]] in lockstep, of an integrand fn(xs, which, runs) that is
     vectorized over points and intervals: which[p] is the interval of the
-    point xs[p].  With `runs` it is fn(xs, which, (intervals, lengths)):
-    the points of each interval are one run of which, and the runs, in
-    order, are those of the intervals with those lengths.
+    point xs[p], and runs = (intervals, lengths) says that the points of
+    each interval are one run of which, and the runs, in order, are those
+    of the intervals with those lengths.
 
     Every interval starts at the four panels of two halvings, as level 2 (a
     16/32-node pair on one or two panels of a bump never settles); on one
@@ -1512,36 +1516,40 @@ def _quad_lockstep(
     groups = [(ids, cuts, np.zeros(len(ids)), np.zeros(len(ids)), np.zeros(len(ids)), b - a)] if len(ids) else []
     level = 2
     while groups:
-        xs, owner, widths = [], [], []
+        xs, owner, lengths, widths = [], [], [], []
         for ids, cuts, *_ in groups:
             mid = np.add(cuts[0], cuts[2], out=cuts[1])
             mid *= half_
             width = cuts[2] - cuts[0]
             half = half_ * width
-            xs.append((mid[..., None] + half[..., None] * signed).reshape(-1, len(signed)))
-            owner.append(ids.repeat(cuts.shape[2] * len(signed)))
+            points = cuts.shape[2] * len(signed)
+            xs.append((mid[..., None] + half[..., None] * signed).ravel())
+            owner.append(ids.repeat(points))
+            lengths.append(np.full(len(ids), points))
             widths.append((width, half))
-        xs, owner = (np.concatenate(xs), np.concatenate(owner)) if len(groups) > 1 else (xs[0], owner[0])
-        if runs:
-            layout = [(ids, np.full(len(ids), cuts.shape[2] * len(signed))) for ids, cuts, *_ in groups]
-            ys = fn(xs.ravel(), owner, tuple(np.concatenate(x) for x in zip(*layout)))
+        if len(groups) > 1:
+            runs = (np.concatenate([group[0] for group in groups]), np.concatenate(lengths))
+            xs, owner = np.concatenate(xs), np.concatenate(owner)
         else:
-            ys = fn(xs.ravel(), owner)
-        ys = np.asarray(ys, dtype=float).reshape(xs.shape)
+            runs, xs, owner = (groups[0][0], lengths[0]), xs[0], owner[0]
+        ys = np.asarray(fn(xs, owner, runs), dtype=float)
         finite = np.logical_and.reduce(np.isfinite(ys), None)
         grown: dict[int, list[tuple[np.ndarray, ...]]] = {}
         stop = 0
         for group, (width, half) in zip(groups, widths):
             ids, cuts, integral, error, accepted, span = group
             g, m = width.shape
-            start, stop = stop, stop + g * m
+            start, stop = stop, stop + g * m * len(signed)
             y = ys[start:stop].reshape(g, m, -1)
-            done = cuts[0, :, 0] == -cuts[2, :, -1] if level == 2 else np.zeros(g, dtype=bool)
-            if done.any():
-                # on [-b, b] node i of panel j mirrors node -i of panel 3 - j
-                z = y[done].reshape(-1, m, 2, half_nodes)
-                done[done] = (z[:, ::-1, ::-1] + z == 0).all(axis=(1, 2, 3))
-                val[ids[done]] = 0.0
+            done = None
+            if level == 2:
+                # on [-b, b] node i of panel j mirrors node -i of panel 3 - j;
+                # one such pair screens the intervals worth the full test
+                done = (cuts[0, :, 0] == -cuts[2, :, -1]) & (y[:, 0, 0] == -y[:, -1, half_nodes])
+                if done.any():
+                    z = y[done].reshape(-1, m, 2, half_nodes)
+                    done[done] = (z[:, ::-1, ::-1] + z == 0).all(axis=(1, 2, 3))
+                    val[ids[done]] = 0.0
             if not finite:
                 bad = ~np.isfinite(y).all(axis=(1, 2))
                 for i, yi in zip(ids[bad].tolist(), y[bad]):
@@ -1549,8 +1557,8 @@ def _quad_lockstep(
                         val[i] = _nonfinite_integral(yi)
                     except QuadratureError as exc:
                         failures[i] = exc
-                done |= bad
-            if done.any():
+                done = bad if done is None else done | bad
+            if done is not None and done.any():
                 ids, integral, error, accepted, span, y, width, half = (
                     x[~done] for x in (ids, integral, error, accepted, span, y, width, half)
                 )
@@ -1617,7 +1625,7 @@ def _quad_lockstep(
 def _quad(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """The adaptive integral of a vectorized integrand fn(xs) over [lo, hi]:
     `_quad_lockstep` on one interval."""
-    return float(_quad_lockstep(lambda xs, which: fn(xs), [lo], [hi])[0])
+    return float(_quad_lockstep(lambda xs, which, runs: fn(xs), [lo], [hi])[0])
 
 
 @dataclass(frozen=True)
@@ -1660,7 +1668,7 @@ def _moments(profile: SmoothSeq, ks: Sequence[int]) -> list[float]:
         parts = np.split(xs, np.cumsum(runs[1])[:-1])  # x ** k per run: numpy squares x ** 2
         return np.concatenate([x ** ks[i] for i, x in zip(runs[0].tolist(), parts)]) * profile(xs)
 
-    return _quad_lockstep(integrand, [lo] * len(ks), [hi] * len(ks), runs=True).tolist()
+    return _quad_lockstep(integrand, [lo] * len(ks), [hi] * len(ks)).tolist()
 
 
 def make_mollifier(profile: SmoothSeq) -> Mollifier:
@@ -1715,14 +1723,14 @@ def pairing(f: SmoothSeq, n: int | Sequence[int], psi: TestFunction) -> float | 
     index = np.array(ns)
     distinct, position = np.unique(index, return_inverse=True)
 
-    def integrand(xs: np.ndarray, which: np.ndarray, runs=None) -> np.ndarray:
+    def integrand(xs: np.ndarray, which: np.ndarray, runs) -> np.ndarray:
         if scalar:
             return f.at(n, xs, 0) * psi(xs)
         # the quadrature's runs of equal indices, handed to the root call
         intervals, lengths = runs
         return f.at(_Indices(index[which], (distinct, position[intervals], lengths)), xs, 0) * psi(xs)
 
-    values = _quad_lockstep(integrand, lo, hi, runs=not scalar)
+    values = _quad_lockstep(integrand, lo, hi)
     return float(values[0]) if scalar else values
 
 
@@ -1735,9 +1743,12 @@ def weak_assoc_fun(
 ) -> AssocVerdict:
     """Association of two function sequences through duality pairings.
 
-    Each test function yields the scalar sequence <f_n - g_n, psi>, judged
-    by the matching scalar relation; the verdict is the conjunction over
-    the finite probe set and says so.
+    Each test function yields the scalar sequence <f_n - g_n, psi> on the
+    dyadic indices `_PAIRING_NS` (16..1024, one per window), judged by the
+    matching scalar relation; the verdict is the conjunction over the
+    finite probe set and says so.  The sampled judge reads only the
+    windows it tests, and pairs only at their indices: the null trend of
+    the weak and s-dual kinds reads the last 4 (n = 128..1024).
     """
     space = space or colombeau_space()
     probes = tuple(test_set) if test_set is not None else default_test_set()

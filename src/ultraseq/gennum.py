@@ -240,14 +240,20 @@ def _limit_is_zero(lv) -> bool:
 
 
 _TREND_TOL = 1e-3
+# the trailing dyadic windows each sampled judge reads: the null trend
+# tests the last 4 window maxima, the bounded predicate the last 2
+_TREND_WINDOWS = 4
+_BOUNDED_WINDOWS = 2
 _PROBE_EXPONENTS = (0, 1, 2, 4, 8, 16, 32)  # the n^s probed on a sampled difference
 _S_MAX = _PROBE_EXPONENTS[-1]
 
 
 def _null_trend(maxima: np.ndarray) -> tuple[str, dict]:
     """Does a (possibly reweighted) sampled sequence tend to zero, judged
-    from the dyadic window maxima of its log values?"""
-    tail = [float(v) for v in maxima[-4:]]
+    from the dyadic window maxima of its log values?  Only the last
+    `_TREND_WINDOWS` (4) maxima are read, so a sampled judge reads its
+    sequence in those windows alone (`_dyadic_log_maxima`)."""
+    tail = [float(v) for v in maxima[-_TREND_WINDOWS:]]
     tol_log = math.log(_TREND_TOL)
     witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
     nonincreasing = all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
@@ -315,7 +321,7 @@ def associate(
             holds = _limit_is_zero(lv)
             top = lv.sup if isinstance(lv, ParityLimits) else lv
             return AssocVerdict("yes" if holds else "no", kind, witness={"limit": top})
-        ans, witness = _null_trend(_dyadic_log_maxima(diff))
+        ans, witness = _null_trend(_dyadic_log_maxima(diff, _TREND_WINDOWS))
         return AssocVerdict(ans, kind, witness=witness)
 
     if kind.name == "s-dual":
@@ -337,7 +343,7 @@ def associate(
             except NotRepresentable:
                 pass
         sval = kind.s
-        ans, witness = _null_trend(_dyadic_log_maxima(diff, lambda ns: sval / w.values(ns)))
+        ans, witness = _null_trend(_dyadic_log_maxima(diff, _TREND_WINDOWS, lambda ns: sval / w.values(ns)))
         return AssocVerdict(ans, kind, witness=witness)
 
     if kind.name == "custom-JX":
@@ -370,7 +376,9 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
                 witness={"multipliers": "all n^s, decided exactly"},
             )
         # one read of diff: the shifts s log n of every probe are its rows
-        maxima = _dyadic_log_maxima(diff, lambda ns: np.multiply.outer(_PROBE_EXPONENTS, np.log(ns)))
+        maxima = _dyadic_log_maxima(
+            diff, _TREND_WINDOWS, lambda ns: np.multiply.outer(_PROBE_EXPONENTS, np.log(ns))
+        )
         for s, row in zip(_PROBE_EXPONENTS, maxima):
             ans, wit = _null_trend(row)
             if ans != "yes":
@@ -406,23 +414,26 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
 
 
 def null_predicate(rep: SeqRep) -> bool | None:
-    """J = sequences tending to zero."""
+    """J = sequences tending to zero; a sampled sequence is read in the
+    last `_TREND_WINDOWS` (4) dyadic windows, which `_null_trend` tests."""
     if rep.is_truncated:
         return True
     if rep.is_symbolic:
         return _limit_is_zero(growth.limit_value(rep.expr))
-    ans, _ = _null_trend(_dyadic_log_maxima(rep))
+    ans, _ = _null_trend(_dyadic_log_maxima(rep, _TREND_WINDOWS))
     return {"yes": True, "no": False, "inconclusive": None}[ans]
 
 
 def bounded_predicate(rep: SeqRep) -> bool | None:
-    """J = bounded sequences."""
+    """J = bounded sequences.  A sampled sequence is judged from the
+    maxima of its last `_BOUNDED_WINDOWS` (2) dyadic windows, and read
+    in those alone."""
     if rep.is_truncated:
         return True
     if rep.is_symbolic:
         return growth.is_bounded(rep.expr)
-    sups = _dyadic_log_maxima(rep)
-    if len(sups) < 2:
+    sups = _dyadic_log_maxima(rep, _BOUNDED_WINDOWS)
+    if len(sups) < _BOUNDED_WINDOWS:
         return None
     if sups[-1] <= sups[-2] + 1e-9 and sups[-1] < 50.0:
         return True

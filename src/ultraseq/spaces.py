@@ -373,14 +373,28 @@ def _window_layout(ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ns, np.flatnonzero(opens), np.cumsum(opens) - 1
 
 
-@lru_cache(maxsize=8)
-def _grid_layout(n_min: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The window layout of the dyadic sample grid, built once beside it
-    and shared like it: every array is read-only."""
-    layout = _window_layout(_sample_grid(n_min, n_max))
-    for a in layout:
+@lru_cache(maxsize=16)
+def _layout(
+    n_min: int, n_max: int, sample_ns: tuple[int, ...] | None = None, windows: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window layout of a tail read from n_min on: of the indices
+    sample_ns when given, else of the dyadic sample grid up to n_max; of
+    their last `windows` dyadic windows alone when given (all of them
+    when there are no more), numbered from 0.  Reads ask for the same few
+    layouts over and over, so each is built once and shared beside its
+    grid: every array is read-only."""
+    if sample_ns is None:
+        ns = _sample_grid(n_min, n_max)
+    else:
+        ns = np.asarray(sorted(set(sample_ns)), dtype=np.int64)
+        ns = ns[ns >= n_min]
+    ns, starts, window = _window_layout(ns)
+    if windows is not None and len(starts) > windows:
+        cut = starts[-windows]
+        ns, starts, window = ns[cut:], starts[-windows:] - cut, window[cut:] - (len(starts) - windows)
+    for a in (ns, starts, window):
         a.flags.writeable = False
-    return layout
+    return ns, starts, window
 
 
 class _TailSamples(NamedTuple):
@@ -399,14 +413,11 @@ class _TailSamples(NamedTuple):
     levels: Mapping[int, UltranormValue] | None = None
 
 
-def _tail_samples(f: SeqRep, n_min: int) -> _TailSamples:
+def _tail_samples(f: SeqRep, n_min: int, windows: int | None = None) -> _TailSamples:
     """f's tail samples from n_min on, at f's own sample_ns when it has
-    them, else on the dyadic sample grid; an empty grid evaluates nothing."""
-    if f.sample_ns is None:
-        ns, starts, window = _grid_layout(n_min, f.n_max)
-    else:
-        ns = np.asarray(sorted(set(f.sample_ns)), dtype=np.int64)
-        ns, starts, window = _window_layout(ns[ns >= n_min])
+    them, else on the dyadic sample grid, in only the last `windows`
+    dyadic windows when given; an empty grid evaluates nothing."""
+    ns, starts, window = _layout(n_min, f.n_max, f.sample_ns, windows)
     logs = f.log_values(ns) if len(ns) else np.empty(0)
     return _TailSamples(n_min, ns, logs, starts, window)
 
@@ -438,11 +449,16 @@ def _window_sups(s: _TailSamples, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sups, s.ns[first]
 
 
-def _dyadic_log_maxima(f: SeqRep, shift_log: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """The max of log f_n, plus shift_log(n) when given, over each dyadic
-    window of f's tail samples from f.n_min on; a shift_log that gives
-    one row per shift gives the maxima row by row, from one read of f."""
-    s = _tail_samples(f, f.n_min)
+def _dyadic_log_maxima(
+    f: SeqRep, windows: int, shift_log: Callable[[np.ndarray], np.ndarray] | None = None
+) -> np.ndarray:
+    """The max of log f_n, plus shift_log(n) when given, over each of the
+    last `windows` dyadic windows of f's tail samples from f.n_min on (all
+    of them when there are fewer): a judge reads f only in the windows it
+    tests.  Max is exact, so these are the last maxima of a full read.  A
+    shift_log that gives one row per shift gives the maxima row by row,
+    from one read of f."""
+    s = _tail_samples(f, f.n_min, windows)
     logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
     return _window_sups(s, logs)[0]
 

@@ -84,6 +84,34 @@ def test_poly_and_product_derivatives():
     np.testing.assert_allclose(q(xs, order=1), fd, rtol=1e-6, atol=1e-8)
 
 
+def _poly_rows_all_65(coeffs):
+    """The derivative rows of a polynomial as poly_fn once built them:
+    every one of the 65 rows filled from the one before, then trimmed."""
+    d = np.asarray(coeffs, dtype=float)
+    matrix = np.zeros((65, len(d)))
+    for row in matrix:
+        row[: len(d)] = d
+        d = d[1:] * np.arange(1.0, len(d))
+    return matrix, [genfun._trim(row) for row in matrix]
+
+
+@given(st.lists(st.one_of(st.floats(-100.0, 100.0), st.sampled_from([0.0, 1.0, -2.5])), min_size=1, max_size=70))
+@settings(max_examples=40, deadline=None)
+@example([0.3, 0.0, 0.0])  # trailing zeros, trimmed
+@example([1.0] * 70)  # a degree past the 64 derivative orders kept
+def test_poly_fn_rows_past_the_degree_are_the_65_row_construction(coeffs):
+    matrix, derivs = _poly_rows_all_65(coeffs)
+    f = poly_fn(coeffs)
+    assert f.key == ("poly", tuple(matrix[0].tolist()))
+    assert f.const_rows == frozenset(j for j, row in enumerate(derivs) if len(row) <= 1)
+    xs = np.linspace(-1.5, 1.5, 7)
+    a, b = xs[:-1], xs[1:]
+    for k in sorted({0, 1, 2, min(len(coeffs), 64), 64}):
+        jet = genfun._horner(derivs[: k + 1], xs, np.empty((k + 1,) + xs.shape))
+        assert f.jet(0, xs, k).tobytes() == jet.tobytes()
+        assert f.majorant(0, a, b, k).tobytes() == genfun._horner_bound(matrix[: k + 1], a, b).tobytes()
+
+
 def test_linear_combination():
     f = add_seq(seq_scale(2.0, const_fn(1.0)), seq_scale(-1.0, poly_fn([0.0, 1.0])))
     xs = np.array([0.0, 3.0])
@@ -431,7 +459,7 @@ def test_lockstep_quadrature_is_each_interval_alone_bitwise(cases):
     fns = [_INTEGRANDS[name] for name in names]
     calls = []
 
-    def integrand(xs, which):
+    def integrand(xs, which, runs):
         calls.append(np.unique(which).tolist())
         out = np.empty_like(xs)
         for i, fn in enumerate(fns):
@@ -1333,6 +1361,24 @@ def test_weak_assoc_mollification_converges(colombeau):
     d = standard_mollifier().sequence()
     v = weak_assoc_fun(d, reindex(d, 2), AssocKind.weak(), space=colombeau)
     assert v.holds == "yes"
+
+
+def test_weak_assoc_pairs_only_the_windows_its_judge_reads(colombeau, monkeypatch):
+    # the weak judge tests the last 4 dyadic window maxima, one index each
+    from ultraseq.genfun import weak_assoc_fun
+
+    paired = []
+
+    def recording(f, n, psi):
+        paired.append(list(n))
+        return pairing(f, n, psi)
+
+    monkeypatch.setattr(genfun, "pairing", recording)
+    d = standard_mollifier().sequence()
+    psi = genfun.default_test_set()[0]
+    v = weak_assoc_fun(square_seq(d), const_fn(0.0), AssocKind.weak(), test_set=[psi], space=colombeau)
+    assert v.holds == "no"
+    assert paired == [list(genfun._PAIRING_NS[-4:])] == [[128, 256, 512, 1024]]
 
 
 # ---------------------------------------------------------------------------

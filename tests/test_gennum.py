@@ -1,13 +1,14 @@
 """Arithmetic on generalized numbers and the association hierarchy."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultraseq import gennum, growth
+from ultraseq import gennum, growth, spaces
 from ultraseq.gennum import (
     AssocKind,
     NotModerate,
@@ -288,7 +289,8 @@ def test_sampled_bounded_predicate_uses_sample_ns():
     seen: list[int] = []
     rep = SeqRep.sampled(_counting(lambda ns: 1.0 / ns, seen), "1/n", sample_ns=sample_ns)
     assert bounded_predicate(rep) is True
-    assert sorted(seen) == sample_ns
+    # the predicate tests the last 2 dyadic windows, and reads them alone
+    assert sorted(seen) == sample_ns[-2:]
 
 
 def test_sampled_null_predicate_respects_n_min():
@@ -297,6 +299,75 @@ def test_sampled_null_predicate_respects_n_min():
     rep = SeqRep.sampled(_counting(lambda ns: 1.0 / ns, seen), "1/n", n_min=100, sample_ns=sample_ns)
     assert null_predicate(rep) is True
     assert seen and min(seen) >= 100
+
+
+def _full_read_maxima(f, windows=None, shift_log=None):
+    """The window maxima of a read of every dyadic window of f's tail, as
+    the judges read before they read only the windows they test."""
+    s = spaces._tail_samples(f, f.n_min)
+    logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
+    return spaces._window_sups(s, logs)[0]
+
+
+def _judgements(rep):
+    """Every sampled judge's verdict on rep, with its witness."""
+    kinds = [
+        AssocKind.weak(),
+        AssocKind.s_dual(1.0),
+        AssocKind.custom(null_predicate, PowerXFamily(), "null limit"),
+        AssocKind.custom(null_predicate, [gn("1"), gn("n^2")], "null limit"),
+        AssocKind.custom(bounded_predicate, [gn("log(n)")], "bounded"),
+    ]
+    verdicts = [associate(ZERO_N, ZERO_N, kind, difference=rep) for kind in kinds]
+    return null_predicate(rep), bounded_predicate(rep), [(v.holds, v.witness, v.notes) for v in verdicts]
+
+
+_tails = st.fixed_dictionaries(
+    {
+        "power": st.floats(-3.0, 2.0),
+        "wobble": st.sampled_from([0.0, 0.4, 0.9]),
+        "zero_from": st.sampled_from([None, 300, 70_000]),
+        "scale": st.sampled_from([1.0, 1e-3, 5.0]),
+    }
+)
+
+
+def _tail_values(tail):
+    def values(ns):
+        ns = np.asarray(ns, dtype=float)
+        out = tail["scale"] * ns ** tail["power"] * (1.0 + tail["wobble"] * np.sin(ns))
+        return out if tail["zero_from"] is None else np.where(ns >= tail["zero_from"], 0.0, out)
+
+    return values
+
+
+@given(
+    _tails,
+    st.one_of(
+        # explicit sample_ns, from one to many dyadic windows
+        st.tuples(st.just("sample_ns"), st.lists(st.integers(2, 2**20), min_size=1, max_size=40, unique=True)),
+        # the dyadic grid, its cut-off near n_max for a read of few windows
+        st.tuples(st.just("grid"), st.sampled_from([2, 16, 1000, 300_000, 600_000, 999_000])),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_trailing_read_is_the_tail_of_a_full_read(tail, read):
+    how, arg = read
+    if how == "sample_ns":
+        rep = SeqRep.sampled(_tail_values(tail), "tail", n_min=2, sample_ns=arg)
+    else:
+        rep = SeqRep.sampled(_tail_values(tail), "tail", n_min=arg)
+    shifts = [None, lambda ns: 1.0 / SPACE.single_weight().values(ns),
+              lambda ns: np.multiply.outer(gennum._PROBE_EXPONENTS, np.log(ns))]
+    for shift in shifts:
+        full = _full_read_maxima(rep, shift_log=shift)
+        for windows in (1, gennum._BOUNDED_WINDOWS, gennum._TREND_WINDOWS, 7, 40):
+            got = spaces._dyadic_log_maxima(rep, windows, shift)
+            want = full[..., -windows:]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    trailing = _judgements(rep)
+    with mock.patch.object(gennum, "_dyadic_log_maxima", _full_read_maxima):
+        assert _judgements(rep) == trailing
 
 
 def test_custom_jx_samples_a_table_difference_only_where_it_is_known():
@@ -312,7 +383,8 @@ def test_custom_jx_samples_a_table_difference_only_where_it_is_known():
     kind = AssocKind.custom(null_predicate, [gn("1"), gn("log(n)^2")], "null limit")
     v = associate(ZERO_N, ZERO_N, kind, difference=d)
     assert v.holds == "yes" and v.witness == {"tested": 2}
-    assert set(seen) == set(sample_ns)
+    # null_predicate tests the last 4 dyadic windows, and reads them alone
+    assert set(seen) == set(sample_ns[-4:])
 
     kind = AssocKind.custom(null_predicate, [gn("n^2")], "null limit")
     v = associate(ZERO_N, ZERO_N, kind, difference=d)

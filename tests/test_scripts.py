@@ -48,3 +48,22 @@ def test_answers_runs_several_cycles_with_a_header_each(capsys):
     with pytest.raises(SystemExit):
         answers.main(["--workload", "every", "--seed", "1"])
     capsys.readouterr()
+
+
+def test_kinds_prints_each_kind_and_who_holds_each_percentile(capsys):
+    # one warm-up and one timed cycle: every kind once, shares summing to the cycle
+    assert _load("kinds").main(["--workload", "numeric_queries", "--seed", "1", "--cycles", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    import workloads  # perfbench/workloads.py, on the path the script added
+
+    kinds = {r.kind for r in workloads.build("numeric_queries", 1).requests}
+    assert lines[0].startswith("# numeric_queries seed 1: ")
+    rows = [line.split("\t") for line in lines[2:-4]]
+    assert {row[0] for row in rows} == kinds
+    assert sum(float(row[3].rstrip("%")) for row in rows) == pytest.approx(100.0, abs=0.1 * len(rows))
+    percentiles = [line.split("\t") for line in lines[-4:]]
+    assert [p[0] for p in percentiles] == ["p50", "p75", "p90", "p95"]
+    assert all(p[2] in kinds for p in percentiles)
+    with pytest.raises(SystemExit):
+        _load("kinds").main(["--workload", "numeric_queries", "--seed", "1", "--cycles", "0"])
+    capsys.readouterr()

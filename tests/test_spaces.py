@@ -217,8 +217,8 @@ def test_sample_grid_is_shared_read_only(n_min, n_max):
 
 @pytest.mark.parametrize("n_min, n_max", [(2, 10**6), (16, 10**6), (6, 5)])
 def test_window_layout_is_kept_with_the_grid(n_min, n_max):
-    layout = spaces._grid_layout(n_min, n_max)
-    assert spaces._grid_layout(n_min, n_max) is layout
+    layout = spaces._layout(n_min, n_max)
+    assert spaces._layout(n_min, n_max) is layout
     assert not any(a.flags.writeable for a in layout)
     fresh = spaces._window_layout(_sample_grid.__wrapped__(n_min, n_max))
     assert [a.tobytes() for a in layout] == [a.tobytes() for a in fresh]
