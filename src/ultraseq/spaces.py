@@ -163,12 +163,14 @@ class SeqRep:
 
 def _pointwise(label: str, rule: Callable[..., np.ndarray], *reps: SeqRep) -> SeqRep:
     """The sampled sequence whose log values are rule(*operand log values),
-    read where every operand is defined, on the first operand grid given."""
+    read where every operand is defined, on the first operand grid given.
+    A symbolic operand is defined at every index, so its n_max (a sampling
+    horizon, not a domain) does not cut the range of a sampled one."""
     return SeqRep(
         label=label,
         log_evaluator=lambda ns: rule(*[r.log_values(ns) for r in reps]),
         n_min=max(r.n_min for r in reps),
-        n_max=min(r.n_max for r in reps),
+        n_max=min(r.n_max for r in reps if not r.is_symbolic),
         sample_ns=next((r.sample_ns for r in reps if r.sample_ns is not None), None),
     )
 

@@ -354,7 +354,8 @@ def _tail_values(tail):
 def test_a_trailing_read_is_the_tail_of_a_full_read(tail, read):
     how, arg = read
     if how == "sample_ns":
-        rep = SeqRep.sampled(_tail_values(tail), "tail", n_min=2, sample_ns=arg)
+        # the sequence spans every index the strategy draws, up to 2^20
+        rep = SeqRep.sampled(_tail_values(tail), "tail", n_min=2, n_max=2**20, sample_ns=arg)
     else:
         rep = SeqRep.sampled(_tail_values(tail), "tail", n_min=arg)
     shifts = [None, lambda ns: 1.0 / SPACE.single_weight().values(ns),
@@ -368,6 +369,17 @@ def test_a_trailing_read_is_the_tail_of_a_full_read(tail, read):
     trailing = _judgements(rep)
     with mock.patch.object(gennum, "_dyadic_log_maxima", _full_read_maxima):
         assert _judgements(rep) == trailing
+
+
+def test_a_symbolic_multiplier_does_not_cut_a_table_known_beyond_its_horizon():
+    # a symbolic sequence is defined at every index: its product with a
+    # table known only above 10^6 (the symbolic sampling horizon) is read there
+    sample_ns = [2**20 - 1, 2**20]
+    d = SeqRep.sampled(lambda ns: 1.0 / ns, "table 1/n", n_max=2**20, sample_ns=sample_ns)
+    prod = spaces._product(gn("n").magnitude, d)
+    assert prod.n_max == 2**20 and prod.sample_ns == tuple(sample_ns)
+    kind = AssocKind.custom(bounded_predicate, [gn("n")], "bounded")
+    assert associate(ZERO_N, ZERO_N, kind, difference=d).holds == "yes"
 
 
 def test_custom_jx_samples_a_table_difference_only_where_it_is_known():
