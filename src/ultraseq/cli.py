@@ -252,11 +252,11 @@ def _classification_lines(report: ClassificationReport) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (lines, exit code); single-shot commands
-# and batch queries both call them with parsed sequences
+# command handlers: each returns (lines, whether its answer was decided);
+# single-shot commands and batch queries both call them with parsed sequences
 
 
-def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
+def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], bool]:
     if not space.family.single:
         raise CliError(
             f"norm needs a single-weight space, and {space.family.name} is an indexed family; "
@@ -267,14 +267,13 @@ def cmd_norm(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
     lines = [f"norm({rep.label}) under {w.label}: {norm_text(v)}"]
     if v.witness:
         lines.append(f"  witness: {v.witness}")
-    code = EXIT_OK if (v.exact or v.stable) else EXIT_INCONCLUSIVE
-    return lines, code
+    return lines, v.exact or v.stable
 
 
-def cmd_classify(rep: SeqRep, space: NumberSpace) -> tuple[list[str], int]:
+def cmd_classify(rep: SeqRep, space: NumberSpace) -> tuple[list[str], bool]:
     report = space.classify(rep)
     lines = [f"classify({rep.label}) in {space.name}:", *_classification_lines(report)]
-    return lines, EXIT_OK if report.conclusive else EXIT_INCONCLUSIVE
+    return lines, report.conclusive
 
 
 def cmd_assoc(
@@ -283,7 +282,7 @@ def cmd_assoc(
     kind: AssocKind,
     space: NumberSpace,
     difference: SeqRep | None = None,
-) -> tuple[list[str], int]:
+) -> tuple[list[str], bool]:
     a = gennum.make(a_rep, space)
     b = gennum.make(b_rep, space)
     verdict = gennum.associate(a, b, kind, difference=difference)
@@ -297,11 +296,10 @@ def cmd_assoc(
         lines.append(f"  witness: {_witness_text(witness)}")
     if verdict.notes:
         lines.append(f"  notes: {verdict.notes}")
-    code = EXIT_OK if verdict.holds in ("yes", "no") else EXIT_INCONCLUSIVE
-    return lines, code
+    return lines, verdict.answer is not None
 
 
-def cmd_convert_scale(scale_name: str) -> tuple[list[str], int]:
+def cmd_convert_scale(scale_name: str) -> tuple[list[str], bool]:
     scale = _SCALES[scale_name]()
     fam = scale_to_weights(scale)
     lines = [f"scale {scale.name} -> weight family {fam.name} ({fam.direction.value})"]
@@ -317,10 +315,10 @@ def cmd_convert_scale(scale_name: str) -> tuple[list[str], int]:
     lines.append(f"  axioms hold: {report.holds}")
     for note in report.notes:
         lines.append(f"  note: {note}")
-    return lines, EXIT_OK
+    return lines, True
 
 
-def cmd_check_map(name: str, space: NumberSpace, role: str | None) -> tuple[list[str], int]:
+def cmd_check_map(name: str, space: NumberSpace, role: str | None) -> tuple[list[str], bool]:
     scalar = parse_scalar_map(name)
     seq = parse_seq_map(name) if scalar is None else None
     if scalar is None and seq is None:
@@ -346,8 +344,7 @@ def cmd_check_map(name: str, space: NumberSpace, role: str | None) -> tuple[list
         if cert.witness:
             lines.append(f"  witness: {_witness_text(cert.witness)}")
         lines.append(f"  {cert.notes}")
-        code = EXIT_OK if cert.status in ("certified", "refuted") else EXIT_INCONCLUSIVE
-        return lines, code
+        return lines, cert.answer is not None
 
     if role not in (None, "temperate"):
         raise CliError("sequence maps take role temperate")
@@ -368,11 +365,10 @@ def cmd_check_map(name: str, space: NumberSpace, role: str | None) -> tuple[list
         lines.append(f"  witness: {_witness_text(report.witness)}")
     if report.notes:
         lines.append(f"  {report.notes}")
-    code = EXIT_OK if report.status in ("certified", "refuted") else EXIT_INCONCLUSIVE
-    return lines, code
+    return lines, report.answer is not None
 
 
-def cmd_extend(map_name: str, func_name: str, space: NumberSpace) -> tuple[list[str], int]:
+def cmd_extend(map_name: str, func_name: str, space: NumberSpace) -> tuple[list[str], bool]:
     seq_map = parse_seq_map(map_name)
     if seq_map is None:
         raise CliError(f"unknown sequence map {map_name!r}; use one of {', '.join(_SEQ_MAPS)}")
@@ -388,7 +384,7 @@ def cmd_extend(map_name: str, func_name: str, space: NumberSpace) -> tuple[list[
     out = temperate.extend(seq_map, element)
     lines = [f"extend({map_name}, {func_name}) in {fspace.name}:", f"  output: {out.seq.label}"]
     lines.extend(_classification_lines(out.report))
-    return lines, EXIT_OK if out.report.conclusive else EXIT_INCONCLUSIVE
+    return lines, out.report.conclusive
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +399,7 @@ def _fit_slope(ns: Sequence[int], logs: Sequence[float]) -> float:
     return float(slope)
 
 
-def cmd_demo_delta() -> tuple[list[str], int]:
+def cmd_demo_delta() -> tuple[list[str], bool]:
     space = colombeau_space()
     lines = ["delta walkthrough (colombeau space)"]
     ok = True
@@ -414,7 +410,7 @@ def cmd_demo_delta() -> tuple[list[str], int]:
 
     lines.append("1. seminorm growth p_nu(delta_n), slope of log p vs log n:")
     ns = [16, 32, 64, 128, 256, 512, 1024]
-    p_delta = genfun._seminorm_table(delta)  # shared with the classification below
+    p_delta = genfun._seminorm_table(delta)
     for nu in range(4):
         logs = [math.log(v) for v in p_delta(ns, nu)]
         slope = _fit_slope(ns, logs)
@@ -424,8 +420,8 @@ def cmd_demo_delta() -> tuple[list[str], int]:
         lines.append(f"   nu={nu}: slope={slope:.9g} (target {want}, within 5%: {good})")
 
     lines.append("2. classification:")
-    for label, seq, p in (("delta", delta, p_delta), ("delta^2", delta_sq, genfun._seminorm_table(delta_sq))):
-        rep = genfun._classify_table(p, seq.label, nu_max=2, space=space)
+    for label, seq in (("delta", delta), ("delta^2", delta_sq)):
+        rep = genfun.classify_fun(seq, 2, space)
         good = rep.verdict == "moderate"
         ok = ok and good
         lines.append(f"   {label}: {rep.verdict}")
@@ -457,12 +453,12 @@ def cmd_demo_delta() -> tuple[list[str], int]:
     weak = AssocKind.weak()
     for label, cand in candidates:
         verdict = weak_assoc_fun(delta_sq, cand, weak)
-        good = verdict.holds == "no"
+        good = verdict.answer is False
         ok = ok and good
         lines.append(f"   delta^2 ~ {label}: {verdict.holds}")
     scaled = seq_scale(growth.parse("n^-1"), delta_sq, label="n^-1 delta^2")
     verdict = weak_assoc_fun(scaled, seq_scale(phi_sq_mass, delta), weak)
-    good = verdict.holds == "yes"
+    good = verdict.answer is True
     ok = ok and good
     lines.append(
         f"   n^-1 delta^2 ~ {phi_sq_mass:.6g}*delta: {verdict.holds} "
@@ -470,7 +466,7 @@ def cmd_demo_delta() -> tuple[list[str], int]:
     )
 
     lines.append(f"walkthrough verdicts all as expected: {ok}")
-    return lines, EXIT_OK if ok else EXIT_INCONCLUSIVE
+    return lines, ok
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +552,7 @@ def _resolve(name: str, sequences: dict[str, SeqRep]) -> SeqRep:
 
 def _batch_query(
     words: list[str], opts: dict, sequences: dict[str, SeqRep], space: NumberSpace
-) -> tuple[list[str], int]:
+) -> tuple[list[str], bool]:
     if not words:
         raise CliError("empty query")
     cmd = _BATCH_COMMANDS.get(words[0])
@@ -574,20 +570,20 @@ def _batch_query(
     return _call(cmd, named | opts, lambda: space, lambda name: _resolve(name, sequences))
 
 
-def cmd_batch(path: str) -> tuple[list[str], int]:
+def cmd_batch(path: str) -> tuple[list[str], bool]:
     space_opts, sequences, queries = _parse_batch(path)
     family, family_line = space_opts.get("family", ("colombeau", None))
     mode, mode_line = space_opts.get("mode", (None, None))
     mode = _at_line(path, mode_line, parse_mode, mode)
     space = _at_line(path, family_line, parse_space, family, mode)
     lines: list[str] = [f"space: {space.name}"]
-    worst = EXIT_OK
+    decided = True
     for idx, words, opts in queries:
-        sub, code = _at_line(path, idx, _batch_query, words, opts, sequences, space)
+        sub, sub_decided = _at_line(path, idx, _batch_query, words, opts, sequences, space)
         lines.append(f"-- line {idx}")
         lines.extend(sub)
-        worst = max(worst, code)
-    return lines, worst
+        decided = decided and sub_decided
+    return lines, decided
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +607,7 @@ class Param:
 class Command:
     name: str
     help: str
-    handler: Callable[..., tuple[list[str], int]]
+    handler: Callable[..., tuple[list[str], bool]]
     args: tuple[Param, ...] = ()
     options: tuple[Param, ...] = ()
     space: bool = False  # --space/--mode on the command line, [space] in a batch file
@@ -645,7 +641,7 @@ def _call(
     words: dict[str, str | None],
     space: Callable[[], NumberSpace],
     sequence: Callable[[str], SeqRep] = parse_expr,
-) -> tuple[list[str], int]:
+) -> tuple[list[str], bool]:
     """Convert the words of a command and call its handler: positionals in
     order, options and the space by name.  `sequence` reads a sequence word."""
 
@@ -688,7 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        lines, code = _call(
+        lines, decided = _call(
             _COMMANDS[args.command], vars(args), lambda: parse_space(args.space, parse_mode(args.mode))
         )
     except _ERRORS as e:
@@ -696,7 +692,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     for line in lines:
         print(line)
-    return code
+    return EXIT_OK if decided else EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

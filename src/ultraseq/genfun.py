@@ -67,6 +67,7 @@ from ultraseq.spaces import (
     ClassificationReport,
     NumberSpace,
     SeqRep,
+    _tri_and,
     colombeau_space,
 )
 
@@ -1259,7 +1260,13 @@ def classify_fun(f: SmoothSeq, nu_max: int, space: NumberSpace | None = None) ->
         raise ValueError("nu_max exceeds the sequence's derivative support")
     space = space or colombeau_space()
     report = _law_report(f, nu_max, space)
-    return report if report is not None else _classify_table(_seminorm_table(f), f.label, nu_max, space)
+    if report is not None:
+        return report
+    p = _seminorm_table(f)
+    return space.classify({
+        f"p_{nu}": _log_abs_channel(partial(p, nu=nu), f"p_{nu}({f.label})", DEFAULT_SAMPLE_NS)
+        for nu in range(nu_max + 1)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -1404,18 +1411,6 @@ def _law_report(f: SmoothSeq, nu_max: int, space: NumberSpace) -> Classification
             return None
         norms[m, key] = replace(v, witness=f"{_LAW}: {key} = {rates[int(key[2:])]}")
     return replace(report, channel_norms=norms)
-
-
-def _classify_table(
-    p: Callable[[Sequence[int], int], list[float]], label: str, nu_max: int, space: NumberSpace
-) -> ClassificationReport:
-    """`classify_fun` on the channels read from the seminorm table p, at
-    the indices `DEFAULT_SAMPLE_NS`."""
-    bundle = {
-        f"p_{nu}": _log_abs_channel(partial(p, nu=nu), f"p_{nu}({label})", DEFAULT_SAMPLE_NS)
-        for nu in range(nu_max + 1)
-    }
-    return space.classify(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -1756,18 +1751,15 @@ def weak_assoc_fun(
         raise ValueError("need at least one test function")
     diff = sub_seq(f, g)
     zero = gennum.GenNumber(space=space, magnitude=SeqRep.symbolic(growth.ZERO))
-    per_psi = {}
-    worst = "yes"
-    rank = {"yes": 0, "inconclusive": 1, "no": 2}
+    per_psi, answers = {}, []
     for psi in probes:
         rep = _log_abs_channel(partial(pairing, diff, psi=psi), f"|<{diff.label}, {psi.label}>|", _PAIRING_NS)
         a = gennum.GenNumber(space=space, magnitude=rep)
         v = gennum.associate(a, zero, kind, difference=rep)
         per_psi[psi.label] = v.holds
-        if rank[v.holds] > rank[worst]:
-            worst = v.holds
+        answers.append(v.answer)
     return AssocVerdict(
-        holds=worst,
+        answer=_tri_and(answers),
         kind=kind,
         witness={"per_test_function": per_psi},
         notes=f"with respect to the given test set ({len(probes)} test functions)",

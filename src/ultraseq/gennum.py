@@ -26,6 +26,7 @@ from ultraseq.spaces import (
     _dyadic_log_maxima,
     _product,
     _sum,
+    _tri_and,
     ultranorm,
 )
 
@@ -208,16 +209,25 @@ class AssocKind:
         return self.name
 
 
+# the word an association's answer is printed as
+_HOLDS = {True: "yes", False: "no", None: "inconclusive"}
+
+
 @dataclass(frozen=True)
 class AssocVerdict:
-    holds: str  # yes | no | inconclusive
+    """Whether a relation holds: `answer` is True or False when decided,
+    None when inconclusive."""
+
+    answer: bool | None
     kind: AssocKind
     boundary: bool = False
     witness: dict = field(default_factory=dict)
     notes: str = ""
 
-    def __bool__(self) -> bool:
-        return self.holds == "yes"
+    @property
+    def holds(self) -> str:
+        """The answer as a word: yes, no or inconclusive."""
+        return _HOLDS[self.answer]
 
 
 def _difference_magnitude(
@@ -248,7 +258,7 @@ _PROBE_EXPONENTS = (0, 1, 2, 4, 8, 16, 32)  # the n^s probed on a sampled differ
 _S_MAX = _PROBE_EXPONENTS[-1]
 
 
-def _null_trend(maxima: np.ndarray) -> tuple[str, dict]:
+def _null_trend(maxima: np.ndarray) -> tuple[bool | None, dict]:
     """Does a (possibly reweighted) sampled sequence tend to zero, judged
     from the dyadic window maxima of its log values?  Only the last
     `_TREND_WINDOWS` (4) maxima are read, so a sampled judge reads its
@@ -258,29 +268,28 @@ def _null_trend(maxima: np.ndarray) -> tuple[str, dict]:
     witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
     nonincreasing = all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
     if tail[-1] <= tol_log and nonincreasing:
-        return "yes", witness
+        return True, witness
     # stabilized or rising above tolerance: not tending to zero
     if tail[-1] > tol_log and tail[-1] >= tail[0] - 0.05:
-        return "no", witness
-    return "inconclusive", witness
+        return False, witness
+    return None, witness
 
 
 def _threshold_verdict(v: UltranormValue, s: float, kind: AssocKind) -> AssocVerdict:
-    ans = v.below(-s)
     witness = {
         "ultranorm": v,
         "log_ultranorm": v.log_value,
         "log_threshold": -s,
     }
-    if ans == "boundary":
+    if v.on(-s):
         return AssocVerdict(
-            "no",
+            False,
             kind,
             boundary=True,
             witness=witness,
             notes="ultranorm sits exactly on the threshold; the strict inequality fails",
         )
-    return AssocVerdict(ans, kind, witness=witness)  # yes, no or inconclusive
+    return AssocVerdict(v.below(-s), kind, witness=witness)
 
 
 def associate(
@@ -303,40 +312,32 @@ def associate(
         v = ultranorm(diff, w)
         out = _threshold_verdict(v, kind.s, kind)
         if kind.name == "weak-s":
-            out = AssocVerdict(
-                out.holds,
-                kind,
-                boundary=out.boundary,
-                witness=out.witness,
-                notes=(out.notes + "; " if out.notes else "")
-                + "on scalar sequences this coincides with the strong form",
-            )
+            note = "on scalar sequences this coincides with the strong form"
+            out = replace(out, notes=f"{out.notes}; {note}" if out.notes else note)
         return out
 
     if kind.name == "weak":
         if diff.is_truncated:
-            return AssocVerdict("yes", kind, witness={"limit": 0.0})
+            return AssocVerdict(True, kind, witness={"limit": 0.0})
         if diff.is_symbolic:
             lv = growth.limit_value(diff.expr)
-            holds = _limit_is_zero(lv)
             top = lv.sup if isinstance(lv, ParityLimits) else lv
-            return AssocVerdict("yes" if holds else "no", kind, witness={"limit": top})
+            return AssocVerdict(_limit_is_zero(lv), kind, witness={"limit": top})
         ans, witness = _null_trend(_dyadic_log_maxima(diff, _TREND_WINDOWS))
         return AssocVerdict(ans, kind, witness=witness)
 
     if kind.name == "s-dual":
         w = space.single_weight()
         if diff.is_truncated:
-            return AssocVerdict("yes", kind, witness={"limit": 0.0})
+            return AssocVerdict(True, kind, witness={"limit": 0.0})
         if diff.is_symbolic and w.is_symbolic:
             try:
                 mult = growth.exp_of_reciprocal(w.expr, kind.s)
                 prod = growth.mul(mult, diff.expr) if not diff.expr.is_zero else growth.ZERO
                 lv = growth.limit_value(prod)
-                holds = _limit_is_zero(lv)
                 top = lv.sup if isinstance(lv, ParityLimits) else lv
                 return AssocVerdict(
-                    "yes" if holds else "no",
+                    _limit_is_zero(lv),
                     kind,
                     witness={"limit": top, "multiplier": growth.format_expr(mult)},
                 )
@@ -356,7 +357,7 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
     xs = kind.x_set
     if isinstance(xs, PowerXFamily):
         if diff.is_truncated or (diff.is_symbolic and diff.expr.is_zero):
-            return AssocVerdict("yes", kind, witness={"multipliers": "all n^s"})
+            return AssocVerdict(True, kind, witness={"multipliers": "all n^s"})
         if diff.is_symbolic:
             # n^s * diff -> 0 for every s at once: the weighted log limit
             # against 1/log n must be -inf (faster-than-any-power decay)
@@ -370,18 +371,14 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
                 )
                 if lim != -math.inf:
                     ok = False
-            return AssocVerdict(
-                "yes" if ok else "no",
-                kind,
-                witness={"multipliers": "all n^s, decided exactly"},
-            )
+            return AssocVerdict(ok, kind, witness={"multipliers": "all n^s, decided exactly"})
         # one read of diff: the shifts s log n of every probe are its rows
         maxima = _dyadic_log_maxima(
             diff, _TREND_WINDOWS, lambda ns: np.multiply.outer(_PROBE_EXPONENTS, np.log(ns))
         )
         for s, row in zip(_PROBE_EXPONENTS, maxima):
             ans, wit = _null_trend(row)
-            if ans != "yes":
+            if ans is not True:
                 return AssocVerdict(
                     ans,
                     kind,
@@ -389,7 +386,7 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
                     notes=f"probed exponents up to {_S_MAX}",
                 )
         return AssocVerdict(
-            "yes",
+            True,
             kind,
             witness={"probed_exponents": list(_PROBE_EXPONENTS)},
             notes=f"probed exponents up to {_S_MAX}; exhaustive only on the symbolic tier",
@@ -397,16 +394,10 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
 
     answers = []
     for x in xs:
-        prod = _product(x.magnitude, diff)
-        res = kind.j_predicate(prod)
-        answers.append(res)
-        if res is False:
-            return AssocVerdict(
-                "no", kind, witness={"failing_multiplier": x.magnitude.label}
-            )
-    if any(r is None for r in answers):
-        return AssocVerdict("inconclusive", kind, witness={"tested": len(answers)})
-    return AssocVerdict("yes", kind, witness={"tested": len(answers)})
+        answers.append(kind.j_predicate(_product(x.magnitude, diff)))
+        if answers[-1] is False:
+            return AssocVerdict(False, kind, witness={"failing_multiplier": x.magnitude.label})
+    return AssocVerdict(_tri_and(answers), kind, witness={"tested": len(answers)})
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +411,7 @@ def null_predicate(rep: SeqRep) -> bool | None:
         return True
     if rep.is_symbolic:
         return _limit_is_zero(growth.limit_value(rep.expr))
-    ans, _ = _null_trend(_dyadic_log_maxima(rep, _TREND_WINDOWS))
-    return {"yes": True, "no": False, "inconclusive": None}[ans]
+    return _null_trend(_dyadic_log_maxima(rep, _TREND_WINDOWS))[0]
 
 
 def bounded_predicate(rep: SeqRep) -> bool | None:

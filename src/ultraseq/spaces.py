@@ -274,18 +274,23 @@ class UltranormValue:
         lo, hi = self._band()
         return False if lo > -math.inf else None
 
-    def below(self, threshold_log: float) -> str:
-        """Compare to a log threshold: 'yes', 'no', 'boundary', or 'inconclusive'."""
+    def below(self, threshold_log: float) -> bool | None:
+        """Whether the value lies strictly below a log threshold: None when
+        the band straddles it.  An exact value on the threshold is not
+        below it (`on` tells that case apart)."""
         if self.exact:
-            if self.log_value == threshold_log:
-                return "boundary"
-            return "yes" if self.log_value < threshold_log else "no"
+            return bool(self.log_value < threshold_log)  # a numpy bool is not `is False`
         lo, hi = self._band()
         if hi < threshold_log:
-            return "yes"
+            return True
         if lo > threshold_log:
-            return "no"
-        return "inconclusive"
+            return False
+        return None
+
+    def on(self, threshold_log: float) -> bool:
+        """Whether the value is exactly the log threshold, which only the
+        exact tier can say."""
+        return self.exact and bool(self.log_value == threshold_log)
 
 
 def _exp(log_value: float) -> float:
@@ -493,10 +498,10 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def _tail_fits(s: _TailSamples, tails: np.ndarray, tail_ns: np.ndarray) -> list[UltranormValue]:
+def _tail_fits(tails: np.ndarray, tail_ns: np.ndarray) -> list[UltranormValue]:
     """The limit of each row of `tails`, the last window maxima of one t
-    on the tail samples s, reached first at the indices in the same row
-    of `tail_ns`.  Rows whose bytes are equal are fitted once.
+    on a read of tail samples, reached first at the indices in the same
+    row of `tail_ns`.  Rows whose bytes are equal are fitted once.
 
     Each row is extrapolated against the basis {1, 1/L, log L / L} in
     L = log n, which reproduces the exact tail law for constants, powers
@@ -509,12 +514,13 @@ def _tail_fits(s: _TailSamples, tails: np.ndarray, tail_ns: np.ndarray) -> list[
     keys = [(t.tobytes(), n.tobytes()) for t, n in zip(tails, tail_ns)]
     rows = dict.fromkeys(keys)
     pick = [keys.index(key) for key in rows]
-    tails = tails[pick]
+    tails, tail_ns = tails[pick], tail_ns[pick]
     # fitting at the location of each window sup instead of the window
     # midpoint keeps the asymptote unbiased
-    tail_ls = np.log(tail_ns[pick])
+    tail_ls = np.log(tail_ns)
     finite = np.isfinite(tails)
-    fits = [_unfitted(s, tail, k) for tail, k in zip(tails.tolist(), finite.sum(axis=-1).tolist())]
+    rows_in = zip(tails.tolist(), tail_ns[:, 0].tolist(), finite.sum(axis=-1).tolist())
+    fits = [_unfitted(tail, n0, k) for tail, n0, k in rows_in]
     # the rows left to fit, by their finite windows: one call per mask
     by_mask: dict[bytes, list[int]] = {}
     for i, v in enumerate(fits):
@@ -532,17 +538,18 @@ def _tail_fits(s: _TailSamples, tails: np.ndarray, tail_ns: np.ndarray) -> list[
     return [fitted[key] for key in keys]
 
 
-def _unfitted(s: _TailSamples, tail: list[float], n_finite: int) -> UltranormValue | None:
+def _unfitted(tail: list[float], n0: int, n_finite: int) -> UltranormValue | None:
     """The limit of the tail row `tail`, with n_finite finite windows,
     when it needs no fit: every value vanishes, a clear divergence signal,
-    or too few finite windows."""
+    or too few finite windows.  n0 is where the row's first window reaches
+    its max: the first index judged when every value vanishes."""
     if all(t == -math.inf for t in tail):
         return UltranormValue(
             log_value=-math.inf,
             exact=False,
             band_log=(-math.inf, -math.inf),
             stable=True,
-            witness=f"all sampled tail values vanish beyond n={s.ns[0]}",
+            witness=f"all sampled tail values vanish beyond n={n0}",
         )
     if tail[-1] > _DIVERGE_LOG and (len(tail) < 2 or tail[-1] >= tail[-2]):
         return UltranormValue(
@@ -675,7 +682,7 @@ def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _T
         group = groups[n_min]
         if len(s.ns):
             sups, sup_ns = _window_sups(s, _weighted(s.logs, np.array([r.values(s.ns) for r in group])))
-            fits = _tail_fits(s, sups[:, -_WINDOW_FIT:], sup_ns[:, -_WINDOW_FIT:])
+            fits = _tail_fits(sups[:, -_WINDOW_FIT:], sup_ns[:, -_WINDOW_FIT:])
         else:
             fits = [_no_estimate(f"no sample index at or above the weight's cut-off n={n_min}")] * len(group)
         return s._replace(levels={id(r): v for r, v in zip(group, fits)})
@@ -734,15 +741,13 @@ class ClassificationReport:
 def _channel_in_F(v: UltranormValue, mode: Mode) -> bool | None:
     if mode is Mode.STANDARD:
         return v.is_finite()
-    ans = v.below(0.0)
-    return {"yes": True, "boundary": True, "no": False, "inconclusive": None}[ans]
+    return _tri_or((v.on(0.0), v.below(0.0)))  # the closed unit ball
 
 
 def _channel_in_K(v: UltranormValue, mode: Mode) -> bool | None:
     if mode is Mode.STANDARD:
         return v.is_zero()
-    ans = v.below(0.0)
-    return {"yes": True, "boundary": False, "no": False, "inconclusive": None}[ans]
+    return v.below(0.0)
 
 
 def _levels(family: WeightFamily, m_max: int) -> list[int]:
@@ -799,9 +804,7 @@ def classify(
     if in_F is True and in_K is True:
         verdict = "negligible"
     elif in_F is True and in_K is False:
-        on_ball = mode is Mode.UNIT_BALL and any(
-            v.exact and v.log_value == 0.0 for norms in per_level.values() for v in norms.values()
-        )
+        on_ball = mode is Mode.UNIT_BALL and any(v.on(0.0) for norms in per_level.values() for v in norms.values())
         verdict = "boundary" if on_ball else "moderate"
     elif in_F is False:
         verdict = "divergent"

@@ -40,7 +40,7 @@ from ultraseq.genfun import (
     standard_mollifier,
     sub_seq,
 )
-from ultraseq.spaces import NumberSpace, SeqRep, colombeau_space
+from ultraseq.spaces import NumberSpace, SeqRep, _levels, _tri_and, colombeau_space
 from ultraseq.weights import Direction, WeightFamily
 
 __all__ = [
@@ -249,9 +249,17 @@ def scaled_map(c: float, m: ScalarMap) -> ScalarMap:
 # certificates
 
 
+# the word a certificate's answer is printed as
+_STATUS = {True: "certified", False: "refuted", None: "inconclusive"}
+
+
 @dataclass(frozen=True)
 class TemperateCertificate:
-    status: str  # certified | refuted | inconclusive
+    """Whether a scalar map keeps the moderate cone (role moderate) or
+    collapses the negligible one (role compatible): `answer` is True or
+    False when decided, None when inconclusive."""
+
+    answer: bool | None
     role: str  # moderate | compatible
     case: str  # II | I | single
     map_label: str
@@ -263,8 +271,9 @@ class TemperateCertificate:
     notes: str = ""
 
     @property
-    def certified(self) -> bool:
-        return self.status == "certified"
+    def status(self) -> str:
+        """The answer as a word: certified, refuted or inconclusive."""
+        return _STATUS[self.answer]
 
 
 def _family_case(W: WeightFamily) -> str:
@@ -283,7 +292,7 @@ def _step_guard(
     if not any(W.member(m).is_step for m in levels):
         return None
     return cert(
-        status="inconclusive",
+        answer=None,
         notes="step weights vanish on tails, so x^(1/r_n) is undefined; no decision",
     )
 
@@ -294,12 +303,6 @@ _X_GRID_SMALL = tuple(float(x) for x in np.geomspace(1e-8, 1.0, 17))
 _LOG_CAP = 230.0
 _EPS_UNIFORM = 0.5
 _M_MAX = 16  # levels probed from the family's first level
-
-
-def _levels(W: WeightFamily) -> list[int]:
-    if W.single:
-        return [W.m_start]
-    return list(range(W.m_start, W.m_start + _M_MAX))
 
 
 def _log_g_factory(g: ScalarMap) -> Callable[[np.ndarray], np.ndarray]:
@@ -405,7 +408,7 @@ def _windowless(cert: _Certificate, table: _LevelTable) -> TemperateCertificate 
         return None
     m = table.first + int(table.k.argmin())
     return cert(
-        status="inconclusive",
+        answer=None,
         notes=f"level {m} starts past the last n-window 2^20, so its pairs have no data; no decision",
     )
 
@@ -427,9 +430,9 @@ def _level_search(
         cands = candidates(lead)
         ok = passing(cands)
         if not ok.any():
-            return cert(status="refuted", witness=refutation(*cands[-1]), notes=notes[1])
+            return cert(answer=False, witness=refutation(*cands[-1]), notes=notes[1])
         pairs.append(cands[int(ok.argmax())])
-    return cert(status="certified", pairs=tuple(pairs), notes=notes[0])
+    return cert(answer=True, pairs=tuple(pairs), notes=notes[0])
 
 
 def _r_top(W: WeightFamily, levels: list[int]) -> float:
@@ -441,13 +444,13 @@ def _r_top(W: WeightFamily, levels: list[int]) -> float:
 def _overflowed(cert: _Certificate, a: float, r_top: float) -> TemperateCertificate:
     """The no-decision certificate when a structural bound's factor max(a, 1)^r_top overflows."""
     note = f"the structural bound factor {a:g}^{r_top:g} overflows a float; no decision"
-    return cert(status="inconclusive", notes=note)
+    return cert(answer=None, notes=note)
 
 
 def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     """Decide whether g preserves the moderate cone over the family W."""
     case = _family_case(W)
-    levels = _levels(W)
+    levels = _levels(W, _M_MAX)
     cert = partial(
         TemperateCertificate, role="moderate", case=case, map_label=g.label, family=W.name
     )
@@ -462,7 +465,7 @@ def check_moderate(g: ScalarMap, W: WeightFamily) -> TemperateCertificate:
         if bound == math.inf:
             return _overflowed(cert, a, r_top)
         return cert(
-            status="certified",
+            answer=True,
             pairs=tuple((m, m) for m in levels),
             value_bound=bound,
             exact=True,
@@ -524,7 +527,7 @@ def _refute_exp_moderate(
             n_star = n
             break
     return cert(
-        status="refuted",
+        answer=False,
         witness={"m": m_w, "M": M_w, "x": x, "n": n_star, "log_value_exceeds": _LOG_CAP},
         exact=True,
         notes=note + f"; witness replay: reweighted log value at n={n_star} exceeds {_LOG_CAP:g}",
@@ -565,7 +568,7 @@ def _numeric_moderate(
 def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
     """Decide whether h collapses the negligible cone over the family W."""
     case = _family_case(W)
-    levels = _levels(W)
+    levels = _levels(W, _M_MAX)
     cert = partial(
         TemperateCertificate, role="compatible", case=case, map_label=h.label, family=W.name
     )
@@ -577,7 +580,7 @@ def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
         m = levels[0]
         val = float(_LevelTable.build(_log_g_factory(h), W, [m], [1e-12]).reweighted([(m, m)])[0][0, -1, 0])
         return cert(
-            status="refuted",
+            answer=False,
             witness={
                 "m": m,
                 "M": m,
@@ -601,7 +604,7 @@ def check_compatible(h: ScalarMap, W: WeightFamily) -> TemperateCertificate:
             return _overflowed(cert, a, r_top)
         x_cap = 1.0 if u0 >= 1.0 else u0 ** (1.0 / r_top)
         return cert(
-            status="certified",
+            answer=True,
             pairs=tuple((m, m) for m in levels),
             value_bound=bound,
             exact=True,
@@ -682,24 +685,23 @@ class SeqMap:
 # instance and with it the memo of its corpus spot checks.
 
 
+_SQUARE_NU_MAX = 3  # the highest order the square map's bounds cover
+
+
 @lru_cache(maxsize=None)
-def _square_map(nu_max: int) -> SeqMap:
+def square_map() -> SeqMap:
     # p_nu(2fk + k^2) <= 2^nu (2 p(f) p(k) + p(k)^2) <= 2^(nu+1) (p(f)+1)^2 (p(k) + p(k)^2)
-    c = 2.0 ** (nu_max + 1)
+    c = 2.0 ** (_SQUARE_NU_MAX + 1)
     g_beta = scaled_map(c, compose_maps(power_map(2.0), affine_map(1.0, 1.0)))
     return SeqMap(
         name="square",
         apply=square_seq,
         order_pairing=lambda nu: nu,
-        g_alpha=scaled_map(2.0 ** nu_max, power_map(2.0)),
+        g_alpha=scaled_map(2.0 ** _SQUARE_NU_MAX, power_map(2.0)),
         g_beta=g_beta,
         h_beta=sum_maps(power_map(1.0), power_map(2.0)),
         apply_diff=lambda f, k: add_seq(seq_scale(2.0, product_seq(f, k)), square_seq(k)),
     )
-
-
-def square_map(nu_max: int = 3) -> SeqMap:
-    return _square_map(nu_max)
 
 
 @lru_cache(maxsize=None)
@@ -731,7 +733,11 @@ def exp_seq_map() -> SeqMap:
 
 @dataclass(frozen=True)
 class TemperateMapReport:
-    status: str  # certified | refuted | inconclusive
+    """Whether a map on function sequences extends to the quotient
+    algebra: `answer` is True or False when decided, None when
+    inconclusive."""
+
+    answer: bool | None
     map_name: str
     g_alpha_cert: TemperateCertificate
     g_beta_cert: TemperateCertificate
@@ -742,8 +748,9 @@ class TemperateMapReport:
     notes: str = ""
 
     @property
-    def certified(self) -> bool:
-        return self.status == "certified"
+    def status(self) -> str:
+        """The answer as a word: certified, refuted or inconclusive."""
+        return _STATUS[self.answer]
 
 
 @lru_cache(maxsize=None)
@@ -846,13 +853,13 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
         "h_beta_cert": check_compatible(phi.h_beta, W),
     }
     report = partial(TemperateMapReport, map_name=phi.name, **certs)
-    if all(W.member(m).is_step for m in _levels(W)):
+    if all(W.member(m).is_step for m in _levels(W, _M_MAX)):
         note = "every sequence is moderate and every negligible k is eventually 0, so phi(f+k) - phi(f) is eventually 0"
-        return report(status="certified", alpha_checked=0, beta_checked=0, notes=f"step weights decide: {note}")
-    bad = next((c for c in certs.values() if c.status == "refuted"), None)
+        return report(answer=True, alpha_checked=0, beta_checked=0, notes=f"step weights decide: {note}")
+    bad = next((c for c in certs.values() if c.answer is False), None)
     if bad is not None:
         return report(
-            status="refuted",
+            answer=False,
             alpha_checked=0,
             beta_checked=0,
             witness=dict(bad.witness),
@@ -863,13 +870,12 @@ def check_temperate(phi: SeqMap, W: WeightFamily) -> TemperateMapReport:
     checked = partial(report, alpha_checked=spot.alpha_checked, beta_checked=spot.beta_checked)
     if spot.witness:
         return checked(
-            status="inconclusive",
+            answer=None,
             witness=dict(spot.witness),
             notes=f"declared {_INEQUALITY_NAMES[spot.witness['inequality']]} bound fails on the corpus",
         )
-    certified = all(c.status == "certified" for c in certs.values())
     return checked(
-        status="certified" if certified else "inconclusive",
+        answer=_tri_and(c.answer for c in certs.values()),
         notes=f"numeric checks passed on {len(_corpus())} corpus functions",
     )
 
@@ -912,21 +918,18 @@ class F2Report:
         return {"negligible": True, "inconclusive": None}.get(self.diff_verdict, False)
 
 
-def verify_F2(
-    phi: SeqMap,
-    f: SmoothSeq,
-    j: SmoothSeq,
-    space: NumberSpace | None = None,
-    nu_max: int = 2,
-) -> F2Report:
+_F2_NU_MAX = 2  # the highest seminorm order `verify_F2` classifies
+
+
+def verify_F2(phi: SeqMap, f: SmoothSeq, j: SmoothSeq, space: NumberSpace | None = None) -> F2Report:
     """Ideal stability of the extension: the difference after a negligible
     perturbation must classify negligible."""
     space = space or colombeau_space()
-    j_report = genfun.classify_fun(j, min(nu_max, j.max_order), space)
+    j_report = genfun.classify_fun(j, min(_F2_NU_MAX, j.max_order), space)
     if j_report.verdict != "negligible":
         raise ValueError(f"perturbation {j.label!r} is not negligible: {j_report.verdict}")
     dseq = phi.difference(f, j)
-    d_report = genfun.classify_fun(dseq, min(nu_max, dseq.max_order), space)
+    d_report = genfun.classify_fun(dseq, min(_F2_NU_MAX, dseq.max_order), space)
     return F2Report(diff_verdict=d_report.verdict, j_verdict=j_report.verdict)
 
 

@@ -402,9 +402,10 @@ def test_batch_rejects_a_repeated_space_key_with_position(capsys, tmp_path):
 
 
 def test_demo_delta_walks_each_lattice_once(lattice_walks):
-    # the slope table and the classification of delta share their radius-2 walks
-    lines, code = cli.cmd_demo_delta()
-    assert code == 0 and lines[-1].endswith("True")
+    # the slope table walks delta once per lattice; the classification of
+    # delta and delta^2 reads their growth laws and walks nothing
+    lines, decided = cli.cmd_demo_delta()
+    assert decided is True and lines[-1].endswith("True")
     keys = [(id(f), n, radius) for f, n, radius in lattice_walks]
     assert len(keys) == len(set(keys))
     assert {radius for _, _, radius in keys} == {2, 3}
@@ -871,3 +872,70 @@ def test_batch_norm_on_an_indexed_space_points_to_classify_with_position(capsys,
     path = tmp_path / "norm.batch"
     path.write_text("[space]\nfamily = ultra\n\n[sequences]\nf = n^2\n\n[queries]\nnorm f\n")
     assert run(capsys, "batch", str(path)) == (1, "", f"error: {path}:8: {_NORM_ON_ULTRA}\n")
+
+
+# the words a sweep draws each command's arguments from: (good, bad)
+_SWEEP_EXPRS = (
+    ("n^2", "n^-1", "log(n)^-1", "exp(-n)", "exp(-log(n)^2)", "n*log(n)", "exp(n)", "0", "1", "alt(0, n)"),
+    ("n^", "exp(n*)", "foo(n)", "1/alt(0, n)"),
+)
+_SWEEP_KINDS = (("weak", "strong:1", "weak-s:0.5", "dual:2", "s-dual:1", "power-x"), ("strong", "weak:1", "strong:x", "nope"))
+_SWEEP_MAPS = (
+    ("identity", "exp", "expm1", "log1p", "power:2", "power:0.5", "affine:1:0.5", "affine:1e308:1e308",
+     "square", "derivative", "exp-seq"),
+    ("power", "power:x", "power:-1", "affine:1", "nomap"),
+)
+_SWEEP_FUNCS = (("delta", "delta-sq", "bump", "sin", "poly", "decaying-sin"), ("nofunc",))
+_SWEEP_SPACES = (
+    (None, "colombeau", "infra", "egorov", "ultra", "scale-power", "scale-expdecay", "weight:n^-1", "weight:log(n)^-1"),
+    ("nowhere", "weight:n^"),
+)
+_SWEEP_MODES = ((None, None, None, "standard", "unit-ball"), ("sideways",))
+
+
+def _sweep_argv(rng) -> list[str]:
+    """One drawn command line: every word argparse checks is valid, and
+    each word the library reads is a bad one one time in ten."""
+
+    def draw(words):
+        good, bad = words
+        return rng.choice(bad if rng.random() < 0.1 else good)
+
+    command = rng.choice(["norm", "classify", "assoc", "check-map", "extend", "convert-scale"])
+    if command == "convert-scale":
+        return [command, rng.choice(["power", "expdecay"])]
+    if command in ("norm", "classify"):
+        argv = [command, draw(_SWEEP_EXPRS)]
+    elif command == "assoc":
+        argv = [command, draw(_SWEEP_EXPRS), draw(_SWEEP_EXPRS), "--kind", draw(_SWEEP_KINDS)]
+        if rng.random() < 0.25:
+            argv += ["--difference", draw(_SWEEP_EXPRS)]
+    elif command == "check-map":
+        argv = [command, draw(_SWEEP_MAPS)]
+        role = rng.choice([None, None, "moderate", "compatible", "temperate"])
+        argv += ["--role", role] if role else []
+    else:  # exp-seq extends take 50-180 ms each; check-map covers that map
+        argv = [command, draw((("square", "derivative"), ("nomap",))), draw(_SWEEP_FUNCS)]
+    space, mode = draw(_SWEEP_SPACES), draw(_SWEEP_MODES)
+    return argv + (["--space", space] if space else []) + (["--mode", mode] if mode else [])
+
+
+def _undecided(out: str) -> bool:
+    """Whether printed output shows an undecided answer."""
+    lines = out.splitlines()
+    return "(estimated, unstable)" in out or "  verdict: inconclusive" in lines or lines[0].endswith(": inconclusive")
+
+
+def test_exit_codes_follow_the_printed_decision(capsys):
+    import random
+
+    rng = random.Random(29)
+    codes = []
+    for _ in range(100):
+        argv = _sweep_argv(rng)
+        rc, out, err = run(capsys, *argv)
+        assert rc in (0, 1, 2), argv
+        assert (rc == 1) == (out == "" and err.startswith("error: ")), argv
+        assert rc == 1 or (rc == 2) == _undecided(out), argv
+        codes.append(rc)
+    assert set(codes) == {0, 1, 2}

@@ -2,6 +2,7 @@
 
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1617,6 +1618,12 @@ def _law_case(kind, seed):
 _LAW_CASES = st.tuples(st.sampled_from(["moderate", "negligible", "named", "difference"]), st.integers(0, 2**32 - 1))
 
 
+def _walked(f, space):
+    """`classify_fun(f, 2, space)` as the walk alone decides it."""
+    with mock.patch.object(genfun, "_law_report", return_value=None):
+        return classify_fun(f, 2, space)
+
+
 @given(_LAW_CASES, st.sampled_from(sorted(_law_spaces())))
 @settings(max_examples=40, deadline=None)
 @example(("named", 0), "ultra")
@@ -1629,10 +1636,10 @@ def test_growth_laws_decide_the_corpus_as_the_walk_does(case, space_name):
     if report is None:
         return
     assert all(v.exact and v.witness.startswith("growth law") for v in report.channel_norms.values())
-    p, ns = genfun._seminorm_table(f), genfun.DEFAULT_SAMPLE_NS
-    walked = genfun._classify_table(p, f.label, 2, space).verdict
+    walked = _walked(f, space).verdict
     if report.verdict == walked:
         return
+    p, ns = genfun._seminorm_table(f), genfun.DEFAULT_SAMPLE_NS
     # where they differ, the walk's evidence misleads it: it reads 0 where
     # the law's lower bound is positive (float underflow), or the sampled
     # tier misreads the law's own expressions, read at the same indices
@@ -1652,7 +1659,7 @@ def test_growth_law_verdicts_are_the_exact_tier_where_the_walk_underflows():
     ultra = _law_spaces()["ultra"]
     f = seq_scale(growth.parse("exp(-n)"), sin_fn())
     assert classify_fun(f, 2, ultra).verdict == ultra.classify(SeqRep.symbolic("exp(-n)")).verdict == "moderate"
-    assert genfun._classify_table(genfun._seminorm_table(f), f.label, 2, ultra).verdict == "negligible"
+    assert _walked(f, ultra).verdict == "negligible"
 
 
 @given(_LAW_CASES)

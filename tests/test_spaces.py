@@ -505,7 +505,7 @@ def test_an_egorov_classify_fits_one_tail(monkeypatch):
     assert len(fits) == 16
 
 
-def _reference_tail_fit(s, tail, tail_ns):
+def _reference_tail_fit(tail, tail_ns):
     """One row of `spaces._tail_fits`, fitted alone with np.linalg.lstsq."""
     tail_ls = np.log(tail_ns)
     if np.isneginf(tail).all():
@@ -514,7 +514,7 @@ def _reference_tail_fit(s, tail, tail_ns):
             exact=False,
             band_log=(-math.inf, -math.inf),
             stable=True,
-            witness=f"all sampled tail values vanish beyond n={s.ns[0]}",
+            witness=f"all sampled tail values vanish beyond n={tail_ns[0]}",
         )
     if tail[-1] > 50.0 and (len(tail) < 2 or tail[-1] >= tail[-2]):
         return spaces.UltranormValue(
@@ -648,17 +648,16 @@ def _tail_rows(draw):
             t[j] = draw(_SPECIALS)
         tails.append(t)
         tail_ns.append(ns)
-    s = spaces._TailSamples(2, np.array([2], dtype=np.int64), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))
-    return s, np.array(tails), np.array(tail_ns)
+    return np.array(tails), np.array(tail_ns)
 
 
 @given(_tail_rows())
 @settings(max_examples=400, deadline=None)
 def test_stacked_tail_fits_are_the_row_fits(rows):
-    s, tails, tail_ns = rows
-    fits = spaces._tail_fits(s, tails, tail_ns)
+    tails, tail_ns = rows
+    fits = spaces._tail_fits(tails, tail_ns)
     # repr compares every float bitwise, nan included
-    assert [repr(v) for v in fits] == [repr(_reference_tail_fit(s, t, n)) for t, n in zip(tails, tail_ns)]
+    assert [repr(v) for v in fits] == [repr(_reference_tail_fit(t, n)) for t, n in zip(tails, tail_ns)]
 
 
 def test_the_stacked_solve_is_numpy_lstsq_row_by_row():
@@ -683,9 +682,17 @@ def test_an_overflowing_sample_under_a_step_weight_is_flattened():
     assert v.stable
     assert classify(f, catalog("egorov")).verdict == classify(SeqRep.symbolic("exp(n)"), catalog("egorov")).verdict == "moderate"
     # a tail with no finite window is an unstable nan estimate
-    s = spaces._TailSamples(2, np.array([2], dtype=np.int64), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64))
-    (v,) = spaces._tail_fits(s, np.full((1, 4), math.nan), np.array([[4, 8, 16, 32]]))
+    (v,) = spaces._tail_fits(np.full((1, 4), math.nan), np.array([[4, 8, 16, 32]]))
     assert math.isnan(v.log_value) and not v.stable and v.band_log == (-math.inf, math.inf)
+
+
+def test_a_vanishing_tail_names_the_first_index_judged():
+    # only the last _WINDOW_FIT = 10 dyadic windows are judged: on the
+    # default grid (n = 2..10^6, windows 2^1..2^19) they start at 2^10
+    f = SeqRep.sampled(lambda ns: np.where(ns < 600, 1.0, 0.0), "one below 600")
+    v = ultranorm(f, WeightSeq(label="1/log n", expr=growth.parse("log(n)^-1")))
+    assert (v.log_value, v.stable) == (-math.inf, True)
+    assert v.witness == "all sampled tail values vanish beyond n=1024"
 
 
 def test_no_level_table_outlives_its_classify_call():

@@ -360,7 +360,7 @@ def _reference_log_grid(log_g, W, m, M, xs):
 @pytest.mark.parametrize("label", ["sqrt", "exp", "x*log1p(x)"])
 def test_level_table_gives_each_pair_its_own_grid_bitwise(family, label):
     log_g = temperate._log_g_factory(ScalarMap(label=label, fn=BLACK_BOX[label]))
-    levels = temperate._levels(family)
+    levels = temperate._levels(family, temperate._M_MAX)
     table = temperate._LevelTable.build(log_g, family, levels, temperate._X_GRID_FULL)
     pairs = [(m, M) for m in levels for M in levels]
     values, windows = table.reweighted(pairs)
@@ -385,7 +385,7 @@ def test_a_level_past_the_last_n_window_gives_no_decision(check, label):
 
 def test_a_search_reads_each_level_weights_once(monkeypatch):
     fam = catalog("ultra")
-    levels = temperate._levels(fam)
+    levels = temperate._levels(fam, temperate._M_MAX)
     labels = sorted(fam.member(m).label for m in levels)
     reads = []
     values = WeightSeq.values
@@ -529,8 +529,7 @@ def test_check_temperate_walks_each_lattice_once_over_families(lattice_walks, co
 
 
 def test_named_maps_are_shared():
-    assert square_map() is square_map(3) is square_map(nu_max=3)
-    assert square_map(2) is not square_map()
+    assert square_map() is square_map()
     assert derivative_map() is derivative_map()
     assert exp_seq_map() is exp_seq_map()
 
