@@ -16,6 +16,7 @@ Examples:
 
 import argparse
 import math
+import os
 import sys
 import time
 from collections import defaultdict
@@ -74,4 +75,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: point stdout at
+        # devnull so that the exit's own flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

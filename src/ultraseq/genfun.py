@@ -61,7 +61,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
-from ultraseq import gennum, growth
+from ultraseq import growth
 from ultraseq.gennum import AssocKind, AssocVerdict, NotModerate
 from ultraseq.spaces import (
     ClassificationReport,
@@ -889,6 +889,11 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
     # two constant rows: when rows 0..j of both factors are
     both = a.const_rows & b.const_rows
     prefix = next(j for j in range(len(both) + 1) if j not in both)
+    # a zero factor (every row constant and 0, the zero polynomial) makes
+    # every row 0, also where the other factor overflows: 0 * inf is nan
+    rows = range(min(a.max_order, b.max_order) + 1)
+    zero = any(f.n_free and f.const_rows.issuperset(rows) and not f.jet(0, np.zeros(1), rows[-1]).any()
+               for f in (a, b))
 
     def law(k: int, lattices) -> _Form | list[_Law] | None:
         # two forms of one kind make a form; else Leibniz bounds the
@@ -906,7 +911,7 @@ def product_seq(a: SmoothSeq, b: SmoothSeq, label: str | None = None) -> SmoothS
     return _node(
         label or f"({a.label})*({b.label})",
         ("product",),
-        _leibniz,
+        (lambda n, k, bound, *jets: np.zeros_like(jets[0])) if zero else _leibniz,
         (a,) if b is a else (a, b),
         law=law,
         support_fn=lambda n: _meet(a.support_fn(n), b.support_fn(n)),
@@ -1750,12 +1755,10 @@ def weak_assoc_fun(
     if not probes:
         raise ValueError("need at least one test function")
     diff = sub_seq(f, g)
-    zero = gennum.GenNumber(space=space, magnitude=SeqRep.symbolic(growth.ZERO))
     per_psi, answers = {}, []
     for psi in probes:
         rep = _log_abs_channel(partial(pairing, diff, psi=psi), f"|<{diff.label}, {psi.label}>|", _PAIRING_NS)
-        a = gennum.GenNumber(space=space, magnitude=rep)
-        v = gennum.associate(a, zero, kind, difference=rep)
+        v = kind.judge(rep, space)
         per_psi[psi.label] = v.holds
         answers.append(v.answer)
     return AssocVerdict(

@@ -5,13 +5,17 @@ ideal.  Elements carry a nonnegative magnitude representation (symbolic,
 truncated or sampled) plus a unimodular phase.  Sums and products of
 magnitudes are the pointwise rules of `spaces`.  Every association
 criterion factors through the magnitude of a difference or a scalar
-limit, so phases only matter when building that difference.
+limit, so phases only matter when building that difference.  Each
+`AssocKind` carries its test on that magnitude; the weak and s-dual
+kinds, the n^s family and `null_predicate` share one rule, whether a
+multiple of it tends to zero (`_tends_to_zero`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -22,7 +26,6 @@ from ultraseq.spaces import (
     ClassificationReport,
     NumberSpace,
     SeqRep,
-    UltranormValue,
     _dyadic_log_maxima,
     _product,
     _sum,
@@ -149,10 +152,10 @@ def is_zero(a: GenNumber) -> ClassificationReport:
 
 @dataclass(frozen=True)
 class PowerXFamily:
-    """The countable multiplier family n^s, s = 0, 1, 2, ...
-
-    Symbolic differences admit an exact all-s decision; sampled ones are
-    probed on the exponents 0 and the powers of two up to `_S_MAX`.
+    """The countable multiplier family n^s, s = 0, 1, 2, ..., under the
+    null-limit J.  Symbolic differences admit an exact all-s decision;
+    sampled ones are probed on the exponents 0 and the powers of two up
+    to `_S_MAX`.
     """
 
 
@@ -166,47 +169,90 @@ def _threshold(s: float) -> float:
 
 @dataclass(frozen=True)
 class AssocKind:
-    """Which association relation to test.
+    """Which association relation to test, and its test.
 
-    name is one of strong-s, weak, s-dual, weak-s, custom-JX; the threshold
-    kinds carry s, the custom kind carries a predicate J on magnitude
-    sequences and a multiplier set X.
+    Each constructor builds the relation's test on the magnitude diff of
+    the difference, `test(diff, space)`, which gives the verdict's fields
+    but its kind, and the text `describe()` returns; a threshold kind
+    keeps its s.
     """
 
-    name: str
+    text: str
+    test: Callable[[SeqRep, NumberSpace], dict] = field(repr=False, compare=False)
     s: float | None = None
-    j_predicate: Callable[[SeqRep], bool | None] | None = None
-    x_set: tuple[GenNumber, ...] | PowerXFamily | None = None
-    j_label: str = ""
 
     @staticmethod
     def strong(s: float) -> "AssocKind":
-        return AssocKind(name="strong-s", s=_threshold(s))
+        return _below_threshold("strong-s", s)
 
     @staticmethod
     def weak() -> "AssocKind":
-        return AssocKind(name="weak")
+        return AssocKind("weak", lambda diff, space: _tends_to_zero(diff))
 
     @staticmethod
     def s_dual(s: float) -> "AssocKind":
-        return AssocKind(name="s-dual", s=_threshold(s))
+        s = _threshold(s)
+
+        def test(diff: SeqRep, space: NumberSpace) -> dict:
+            # the multiplier e^(s/r_n); exact where the weight is symbolic
+            # and the multiplier representable
+            w, mult = space.single_weight(), None
+            if diff.is_symbolic and w.is_symbolic:
+                try:
+                    mult = growth.exp_of_reciprocal(w.expr, s)
+                except NotRepresentable:
+                    pass
+            return _tends_to_zero(diff, mult, lambda ns: s / w.values(ns))
+
+        return AssocKind(f"s-dual(s={s:g})", test, s)
 
     @staticmethod
     def weak_s(s: float) -> "AssocKind":
-        return AssocKind(name="weak-s", s=_threshold(s))
+        return _below_threshold("weak-s", s, "on scalar sequences this coincides with the strong form")
 
     @staticmethod
     def custom(j_predicate, x_set, j_label: str = "custom J") -> "AssocKind":
-        xs = x_set if isinstance(x_set, PowerXFamily) else tuple(x_set)
-        return AssocKind(name="custom-JX", j_predicate=j_predicate, x_set=xs, j_label=j_label)
+        """J holds for x·diff at every x of X.  The n^s family is decided
+        for the null-limit J (`null_predicate`) alone."""
+        if isinstance(x_set, PowerXFamily):
+            if j_predicate is not null_predicate:
+                raise ValueError("the n^s family is decided for the null-limit J (null_predicate) alone")
+            return AssocKind(f"custom-JX({j_label}; n^s family)", _every_power_tends_to_zero)
+        xs = tuple(x_set)
+
+        def test(diff: SeqRep, space: NumberSpace) -> dict:
+            answers = []
+            for x in xs:
+                answers.append(j_predicate(_product(x.magnitude, diff)))
+                if answers[-1] is False:
+                    return {"answer": False, "witness": {"failing_multiplier": x.magnitude.label}}
+            return {"answer": _tri_and(answers), "witness": {"tested": len(answers)}}
+
+        return AssocKind(f"custom-JX({j_label}; {len(xs)} multipliers)", test)
 
     def describe(self) -> str:
-        if self.name in ("strong-s", "weak-s", "s-dual"):
-            return f"{self.name}(s={self.s:g})"
-        if self.name == "custom-JX":
-            n = "n^s family" if isinstance(self.x_set, PowerXFamily) else f"{len(self.x_set)} multipliers"
-            return f"custom-JX({self.j_label}; {n})"
-        return self.name
+        return self.text
+
+    def judge(self, diff: SeqRep, space: NumberSpace) -> "AssocVerdict":
+        """The verdict of this relation on the magnitude diff of a difference."""
+        return AssocVerdict(kind=self, **self.test(diff, space))
+
+
+def _below_threshold(name: str, s: float, note: str = "") -> AssocKind:
+    """A threshold kind: is the ultranorm of diff under the space's single
+    weight strictly below e^-s?  `note` ends every verdict's notes."""
+    s = _threshold(s)
+    on = "ultranorm sits exactly on the threshold; the strict inequality fails"
+    on = f"{on}; {note}" if note else on
+
+    def test(diff: SeqRep, space: NumberSpace) -> dict:
+        v = ultranorm(diff, space.single_weight())
+        witness = {"ultranorm": v, "log_ultranorm": v.log_value, "log_threshold": -s}
+        if v.on(-s):
+            return {"answer": False, "boundary": True, "witness": witness, "notes": on}
+        return {"answer": v.below(-s), "witness": witness, "notes": note}
+
+    return AssocKind(f"{name}(s={s:g})", test, s)
 
 
 # the word an association's answer is printed as
@@ -230,25 +276,6 @@ class AssocVerdict:
         return _HOLDS[self.answer]
 
 
-def _difference_magnitude(
-    a: GenNumber, b: GenNumber, difference: SeqRep | GenNumber | None
-) -> SeqRep:
-    if difference is not None:
-        return difference.magnitude if isinstance(difference, GenNumber) else difference
-    try:
-        return sub(a, b).magnitude
-    except NotRepresentable:
-        raise NotRepresentable(
-            "cannot form |a - b| from these representatives; pass difference="
-        ) from None
-
-
-def _limit_is_zero(lv) -> bool:
-    if isinstance(lv, ParityLimits):
-        return lv.even == 0.0 and lv.odd == 0.0
-    return lv == 0.0
-
-
 _TREND_TOL = 1e-3
 # the trailing dyadic windows each sampled judge reads: the null trend
 # tests the last 4 window maxima, the bounded predicate the last 2
@@ -258,38 +285,74 @@ _PROBE_EXPONENTS = (0, 1, 2, 4, 8, 16, 32)  # the n^s probed on a sampled differ
 _S_MAX = _PROBE_EXPONENTS[-1]
 
 
-def _null_trend(maxima: np.ndarray) -> tuple[bool | None, dict]:
+def _null_trend(maxima: np.ndarray) -> dict:
     """Does a (possibly reweighted) sampled sequence tend to zero, judged
     from the dyadic window maxima of its log values?  Only the last
-    `_TREND_WINDOWS` (4) maxima are read, so a sampled judge reads its
-    sequence in those windows alone (`_dyadic_log_maxima`)."""
+    `_TREND_WINDOWS` (4) maxima are read."""
     tail = [float(v) for v in maxima[-_TREND_WINDOWS:]]
     tol_log = math.log(_TREND_TOL)
     witness = {"last_window_sup_log": tail[-1], "tol_log": tol_log}
     nonincreasing = all(tail[i + 1] <= tail[i] + 1e-9 for i in range(len(tail) - 1))
     if tail[-1] <= tol_log and nonincreasing:
-        return True, witness
+        return {"answer": True, "witness": witness}
     # stabilized or rising above tolerance: not tending to zero
     if tail[-1] > tol_log and tail[-1] >= tail[0] - 0.05:
-        return False, witness
-    return None, witness
+        return {"answer": False, "witness": witness}
+    return {"answer": None, "witness": witness}
 
 
-def _threshold_verdict(v: UltranormValue, s: float, kind: AssocKind) -> AssocVerdict:
-    witness = {
-        "ultranorm": v,
-        "log_ultranorm": v.log_value,
-        "log_threshold": -s,
-    }
-    if v.on(-s):
-        return AssocVerdict(
-            False,
-            kind,
-            boundary=True,
-            witness=witness,
-            notes="ultranorm sits exactly on the threshold; the strict inequality fails",
-        )
-    return AssocVerdict(v.below(-s), kind, witness=witness)
+def _tends_to_zero(diff: SeqRep, multiplier: GrowthExpr | None = None, log_multiplier=None):
+    """Does m_n·diff_n tend to 0?  The answer and witness of the weak and
+    s-dual kinds, the n^s family and `null_predicate`.
+
+    m is 1 unless given, as a growth expression for the exact tier and as
+    ns -> log m_n for the sampled one.  A truncated diff tends to 0; a
+    symbolic one, where m has an expression (or is 1) and m·diff is
+    representable, by the exact limit of m·diff; any other by `_null_trend`
+    of log diff + log m.  A log_multiplier with one row per multiplier of a
+    set gives a list of results, one per row, from one read of diff."""
+    if diff.is_truncated:
+        return {"answer": True, "witness": {"limit": 0.0}}
+    if diff.is_symbolic and (multiplier is not None or log_multiplier is None):
+        try:
+            lv = growth.limit_value(
+                diff.expr if multiplier is None or diff.expr.is_zero else growth.mul(multiplier, diff.expr)
+            )
+        except NotRepresentable:
+            if log_multiplier is None:
+                raise
+        else:
+            witness = {"limit": lv.sup if isinstance(lv, ParityLimits) else lv}
+            if multiplier is not None:
+                witness["multiplier"] = growth.format_expr(multiplier)
+            return {"answer": witness["limit"] == 0.0, "witness": witness}
+    maxima = _dyadic_log_maxima(diff, _TREND_WINDOWS, log_multiplier)
+    return _null_trend(maxima) if maxima.ndim == 1 else [_null_trend(row) for row in maxima]
+
+
+@cache
+def _inverse_log() -> GrowthExpr:
+    return growth.parse("log(n)^-1")
+
+
+def _every_power_tends_to_zero(diff: SeqRep, space: NumberSpace) -> dict:
+    """The n^s family's test under the null-limit J: does n^s·diff tend to
+    0 for every s?"""
+    if diff.is_truncated or (diff.is_symbolic and diff.expr.is_zero):
+        return {"answer": True, "witness": {"multipliers": "all n^s"}}
+    if diff.is_symbolic:
+        # every s at once: the log limit against 1/log n must be -inf
+        branches = diff.expr.branches if diff.expr.modulated else (diff.expr,)
+        ok = all(e.is_zero or growth.limit_of_product(_inverse_log(), growth.log_expr(e)) == -math.inf
+                 for e in branches)
+        return {"answer": ok, "witness": {"multipliers": "all n^s, decided exactly"}}
+    notes = f"probed exponents up to {_S_MAX}"
+    rows = _tends_to_zero(diff, log_multiplier=lambda ns: np.multiply.outer(_PROBE_EXPONENTS, np.log(ns)))
+    for s, row in zip(_PROBE_EXPONENTS, rows):
+        if row["answer"] is not True:
+            return {"answer": row["answer"], "witness": {"failing_exponent": s, **row["witness"]}, "notes": notes}
+    witness = {"probed_exponents": list(_PROBE_EXPONENTS)}
+    return {"answer": True, "witness": witness, "notes": f"{notes}; exhaustive only on the symbolic tier"}
 
 
 def associate(
@@ -304,100 +367,12 @@ def associate(
     subtraction nor a supplied difference is available the call raises.
     """
     _check_spaces(a, b)
-    diff = _difference_magnitude(a, b, difference)
-    space = a.space
-
-    if kind.name in ("strong-s", "weak-s"):
-        w = space.single_weight()
-        v = ultranorm(diff, w)
-        out = _threshold_verdict(v, kind.s, kind)
-        if kind.name == "weak-s":
-            note = "on scalar sequences this coincides with the strong form"
-            out = replace(out, notes=f"{out.notes}; {note}" if out.notes else note)
-        return out
-
-    if kind.name == "weak":
-        if diff.is_truncated:
-            return AssocVerdict(True, kind, witness={"limit": 0.0})
-        if diff.is_symbolic:
-            lv = growth.limit_value(diff.expr)
-            top = lv.sup if isinstance(lv, ParityLimits) else lv
-            return AssocVerdict(_limit_is_zero(lv), kind, witness={"limit": top})
-        ans, witness = _null_trend(_dyadic_log_maxima(diff, _TREND_WINDOWS))
-        return AssocVerdict(ans, kind, witness=witness)
-
-    if kind.name == "s-dual":
-        w = space.single_weight()
-        if diff.is_truncated:
-            return AssocVerdict(True, kind, witness={"limit": 0.0})
-        if diff.is_symbolic and w.is_symbolic:
-            try:
-                mult = growth.exp_of_reciprocal(w.expr, kind.s)
-                prod = growth.mul(mult, diff.expr) if not diff.expr.is_zero else growth.ZERO
-                lv = growth.limit_value(prod)
-                top = lv.sup if isinstance(lv, ParityLimits) else lv
-                return AssocVerdict(
-                    _limit_is_zero(lv),
-                    kind,
-                    witness={"limit": top, "multiplier": growth.format_expr(mult)},
-                )
-            except NotRepresentable:
-                pass
-        sval = kind.s
-        ans, witness = _null_trend(_dyadic_log_maxima(diff, _TREND_WINDOWS, lambda ns: sval / w.values(ns)))
-        return AssocVerdict(ans, kind, witness=witness)
-
-    if kind.name == "custom-JX":
-        return _custom_jx(a, b, kind, diff)
-
-    raise ValueError(f"unknown association kind {kind.name!r}")
-
-
-def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> AssocVerdict:
-    xs = kind.x_set
-    if isinstance(xs, PowerXFamily):
-        if diff.is_truncated or (diff.is_symbolic and diff.expr.is_zero):
-            return AssocVerdict(True, kind, witness={"multipliers": "all n^s"})
-        if diff.is_symbolic:
-            # n^s * diff -> 0 for every s at once: the weighted log limit
-            # against 1/log n must be -inf (faster-than-any-power decay)
-            branches = diff.expr.branches if diff.expr.modulated else (diff.expr,)
-            ok = True
-            for e in branches:
-                if e.is_zero:
-                    continue
-                lim = growth.limit_of_product(
-                    growth.parse("log(n)^-1"), growth.log_expr(e)
-                )
-                if lim != -math.inf:
-                    ok = False
-            return AssocVerdict(ok, kind, witness={"multipliers": "all n^s, decided exactly"})
-        # one read of diff: the shifts s log n of every probe are its rows
-        maxima = _dyadic_log_maxima(
-            diff, _TREND_WINDOWS, lambda ns: np.multiply.outer(_PROBE_EXPONENTS, np.log(ns))
-        )
-        for s, row in zip(_PROBE_EXPONENTS, maxima):
-            ans, wit = _null_trend(row)
-            if ans is not True:
-                return AssocVerdict(
-                    ans,
-                    kind,
-                    witness={"failing_exponent": s, **wit},
-                    notes=f"probed exponents up to {_S_MAX}",
-                )
-        return AssocVerdict(
-            True,
-            kind,
-            witness={"probed_exponents": list(_PROBE_EXPONENTS)},
-            notes=f"probed exponents up to {_S_MAX}; exhaustive only on the symbolic tier",
-        )
-
-    answers = []
-    for x in xs:
-        answers.append(kind.j_predicate(_product(x.magnitude, diff)))
-        if answers[-1] is False:
-            return AssocVerdict(False, kind, witness={"failing_multiplier": x.magnitude.label})
-    return AssocVerdict(_tri_and(answers), kind, witness={"tested": len(answers)})
+    if difference is None:
+        try:
+            difference = sub(a, b)
+        except NotRepresentable:
+            raise NotRepresentable("cannot form |a - b| from these representatives; pass difference=") from None
+    return kind.judge(difference.magnitude if isinstance(difference, GenNumber) else difference, a.space)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +380,8 @@ def _custom_jx(a: GenNumber, b: GenNumber, kind: AssocKind, diff: SeqRep) -> Ass
 
 
 def null_predicate(rep: SeqRep) -> bool | None:
-    """J = sequences tending to zero; a sampled sequence is read in the
-    last `_TREND_WINDOWS` (4) dyadic windows, which `_null_trend` tests."""
-    if rep.is_truncated:
-        return True
-    if rep.is_symbolic:
-        return _limit_is_zero(growth.limit_value(rep.expr))
-    return _null_trend(_dyadic_log_maxima(rep, _TREND_WINDOWS))[0]
+    """J = sequences tending to zero (`_tends_to_zero`)."""
+    return _tends_to_zero(rep)["answer"]
 
 
 def bounded_predicate(rep: SeqRep) -> bool | None:

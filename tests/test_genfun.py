@@ -1692,6 +1692,8 @@ def _assert_laws_bound_the_walk(f, slopes=True):
 
 
 @given(_all_trees())
+# the zero polynomial times a sequence whose scale overflows from n = 1024 on
+@example(("product", ("poly", [0.0]), ("scale", "exp(n)", ("bump", (0.0, 1.0, 1.0)))))
 @settings(max_examples=30, deadline=None)
 def test_growth_laws_of_every_tree_bound_the_walk(tree):
     # every combinator and nesting, not only the corpus's: where a tree

@@ -20,7 +20,8 @@ from ultraseq.gennum import (
     make,
     null_predicate,
 )
-from ultraseq.spaces import SeqRep, colombeau_space, ultranorm
+from ultraseq.spaces import NumberSpace, SeqRep, UltranormValue, colombeau_space, ultranorm
+from ultraseq.weights import Mode, WeightSeq, single_family
 
 SPACE = colombeau_space()
 
@@ -207,6 +208,140 @@ def test_strong_threshold_on_an_estimated_difference():
 
 
 # ---------------------------------------------------------------------------
+# every kind's full verdict, pinned
+
+
+INF = math.inf
+_TOL_LOG = -6.907755278982137  # log 1e-3, the null trend's tolerance
+_ON_THRESHOLD = "ultranorm sits exactly on the threshold; the strict inequality fails"
+_STRONG_FORM = "on scalar sequences this coincides with the strong form"
+_PROBED = "probed exponents up to 32"
+_FIT = "tail fit over 10 dyadic windows; last window sup -1, extrapolated -1"
+_FALLING = "weighted log values fall below -50 and still falling"
+
+
+def _exact(log_value, witness="exact limit of weighted log values"):
+    return UltranormValue(log_value, True, None, True, witness)
+
+
+def _norm(value):
+    """A threshold kind's witness at s = 2."""
+    return {"ultranorm": value, "log_ultranorm": value.log_value, "log_threshold": -2.0}
+
+
+def _trend(last):
+    """The null trend's witness."""
+    return {"last_window_sup_log": last, "tol_log": _TOL_LOG}
+
+
+_PINNED_DESCRIPTIONS = {
+    "weak": "weak",
+    "strong:2": "strong-s(s=2)",
+    "weak-s:2": "weak-s(s=2)",
+    "s-dual:2": "s-dual(s=2)",
+    "power-x": "custom-JX(null limit; n^s family)",
+    "finite X": "custom-JX(null limit; 2 multipliers)",
+}
+
+_SAMPLED_N_INV = UltranormValue(
+    -0.9999999999999917, False, (-1.0000100009999917, -0.9999899989999916), True, _FIT
+)
+_SAMPLED_FAST = UltranormValue(-INF, False, (-INF, -50.0), True, _FALLING)
+_THRESHOLD_WITNESSES = {
+    "0": (True, False, _norm(_exact(-INF))),
+    "n^-1": (False, False, _norm(_exact(-1.0))),
+    "n^-2": (False, True, _norm(_exact(-2.0))),
+    "exp(-n)": (True, False, _norm(_exact(-INF))),
+    "alt(n^-3, 1)": (False, False, _norm(_exact(0.0, "upper limit over parity branches: even -3, odd 0"))),
+    "truncated": (True, False, _norm(_exact(-INF, "sequence vanishes beyond n=40"))),
+    "sampled n^-1": (False, False, _norm(_SAMPLED_N_INV)),
+    "sampled exp(-sqrt n)": (True, False, _norm(_SAMPLED_FAST)),
+}
+
+# (kind, difference) -> (answer, boundary, witness, notes)
+_PINNED_VERDICTS = {
+    **{("strong:2", d): (*v, _ON_THRESHOLD if v[1] else "") for d, v in _THRESHOLD_WITNESSES.items()},
+    **{
+        ("weak-s:2", d): (*v, f"{_ON_THRESHOLD}; {_STRONG_FORM}" if v[1] else _STRONG_FORM)
+        for d, v in _THRESHOLD_WITNESSES.items()
+    },
+    ("weak", "0"): (True, False, {"limit": 0.0}, ""),
+    ("weak", "n^-1"): (True, False, {"limit": 0.0}, ""),
+    ("weak", "n^-2"): (True, False, {"limit": 0.0}, ""),
+    ("weak", "exp(-n)"): (True, False, {"limit": 0.0}, ""),
+    ("weak", "alt(n^-3, 1)"): (False, False, {"limit": 1.0}, ""),
+    ("weak", "truncated"): (True, False, {"limit": 0.0}, ""),
+    ("weak", "sampled n^-1"): (True, False, _trend(-13.16979643063896), ""),
+    ("weak", "sampled exp(-sqrt n)"): (True, False, _trend(-690.7755278982137), ""),
+    ("s-dual:2", "0"): (True, False, {"limit": 0.0, "multiplier": "n^2"}, ""),
+    ("s-dual:2", "n^-1"): (False, False, {"limit": INF, "multiplier": "n^2"}, ""),
+    ("s-dual:2", "n^-2"): (False, False, {"limit": 1.0, "multiplier": "n^2"}, ""),
+    ("s-dual:2", "exp(-n)"): (True, False, {"limit": 0.0, "multiplier": "n^2"}, ""),
+    ("s-dual:2", "alt(n^-3, 1)"): (False, False, {"limit": INF, "multiplier": "n^2"}, ""),
+    ("s-dual:2", "truncated"): (True, False, {"limit": 0.0}, ""),
+    ("s-dual:2", "sampled n^-1"): (False, False, _trend(13.815510557964277), ""),
+    ("s-dual:2", "sampled exp(-sqrt n)"): (True, False, _trend(-664.4359350369358), ""),
+    ("power-x", "0"): (True, False, {"multipliers": "all n^s"}, ""),
+    ("power-x", "n^-1"): (False, False, {"multipliers": "all n^s, decided exactly"}, ""),
+    ("power-x", "n^-2"): (False, False, {"multipliers": "all n^s, decided exactly"}, ""),
+    ("power-x", "exp(-n)"): (True, False, {"multipliers": "all n^s, decided exactly"}, ""),
+    ("power-x", "alt(n^-3, 1)"): (False, False, {"multipliers": "all n^s, decided exactly"}, ""),
+    ("power-x", "truncated"): (True, False, {"multipliers": "all n^s"}, ""),
+    ("power-x", "sampled n^-1"): (False, False, {"failing_exponent": 1, **_trend(0.0)}, _PROBED),
+    ("power-x", "sampled exp(-sqrt n)"): (
+        True, False, {"probed_exponents": [0, 1, 2, 4, 8, 16, 32]},
+        f"{_PROBED}; exhaustive only on the symbolic tier",
+    ),
+    ("finite X", "0"): (True, False, {"tested": 2}, ""),
+    ("finite X", "n^-1"): (False, False, {"failing_multiplier": "n^2"}, ""),
+    ("finite X", "n^-2"): (False, False, {"failing_multiplier": "n^2"}, ""),
+    ("finite X", "exp(-n)"): (True, False, {"tested": 2}, ""),
+    ("finite X", "alt(n^-3, 1)"): (False, False, {"failing_multiplier": "1"}, ""),
+    ("finite X", "truncated"): (True, False, {"tested": 2}, ""),
+    ("finite X", "sampled n^-1"): (False, False, {"failing_multiplier": "n^2"}, ""),
+    ("finite X", "sampled exp(-sqrt n)"): (True, False, {"tested": 2}, ""),
+    # s-dual under a weight given by an evaluator: the sampled judge reads
+    # a symbolic difference
+    ("s-dual:2 evaluated", "0"): (True, False, _trend(-INF), ""),
+    ("s-dual:2 evaluated", "n^-1"): (False, False, _trend(13.815510557964274), ""),
+    ("s-dual:2 evaluated", "exp(-n)"): (True, False, _trend(-524261.6604071387), ""),
+    ("s-dual:2 evaluated", "alt(n^-3, 1)"): (False, False, _trend(27.11445092472656), ""),
+}
+
+
+def _pinned_difference(text):
+    if text == "truncated":
+        return SeqRep.truncated(40)
+    if text == "sampled n^-1":
+        return SeqRep.sampled_from_expr("n^-1")
+    if text == "sampled exp(-sqrt n)":
+        return SeqRep.sampled(lambda ns: np.exp(-np.sqrt(ns)), "exp(-sqrt n)")
+    return SeqRep.symbolic(text)
+
+
+def test_every_kind_gives_its_pinned_verdict():
+    kinds = {
+        "weak": AssocKind.weak(),
+        "strong:2": AssocKind.strong(2.0),
+        "weak-s:2": AssocKind.weak_s(2.0),
+        "s-dual:2": AssocKind.s_dual(2.0),
+        "power-x": AssocKind.custom(null_predicate, PowerXFamily(), "null limit"),
+        "finite X": AssocKind.custom(null_predicate, [gn("1"), gn("n^2")], "null limit"),
+    }
+    assert {name: kind.describe() for name, kind in kinds.items()} == _PINNED_DESCRIPTIONS
+    evaluated = WeightSeq("1/log(n), evaluated", evaluator=lambda ns: 1.0 / np.log(np.asarray(ns, dtype=float)))
+    spaces_ = {"s-dual:2 evaluated": NumberSpace(single_family(evaluated, "evaluated"), Mode.STANDARD)}
+    kinds["s-dual:2 evaluated"] = kinds["s-dual:2"]
+    got = {}
+    for name, diff in _PINNED_VERDICTS:
+        zero = make("0", spaces_.get(name, SPACE))
+        v = associate(zero, zero, kinds[name], difference=_pinned_difference(diff))
+        got[name, diff] = (v.answer, v.boundary, v.witness, v.notes)
+    # repr tells 0 from 0.0 and -0.0, and a numpy float from a float
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in _PINNED_VERDICTS.items()}
+
+
+# ---------------------------------------------------------------------------
 # custom J,X association
 
 
@@ -223,6 +358,18 @@ def test_custom_jx_with_power_probes():
     a2 = make(d2, SPACE)
     v2 = associate(a2, ZERO_N, kind, difference=d2)
     assert v2.holds == "no"  # x = n^2 sends it to n, not null
+
+
+def test_the_power_family_is_decided_for_the_null_limit_alone():
+    # J = eventually zero: n^s e^-n is never eventually zero, yet a test
+    # that decides the null limit for every J would answer yes
+    def eventually_zero(rep):
+        return rep.is_truncated or (rep.is_symbolic and rep.expr.is_zero)
+
+    with pytest.raises(ValueError, match="null-limit J"):
+        AssocKind.custom(eventually_zero, PowerXFamily(), "eventually zero")
+    kind = AssocKind.custom(eventually_zero, [gn("1"), gn("n")], "eventually zero")
+    assert associate(gn("exp(-n)"), ZERO_N, kind).holds == "no"
 
 
 def test_power_probes_on_a_sampled_difference():

@@ -1,6 +1,9 @@
 """The command-line scripts under scripts/ still run and pass their own checks."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,18 @@ def test_kinds_prints_each_kind_and_who_holds_each_percentile(capsys):
     with pytest.raises(SystemExit):
         _load("kinds").main(["--workload", "numeric_queries", "--seed", "1", "--cycles", "0"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("script", ["kinds", "answers"])
+def test_a_script_whose_output_is_cut_exits_quietly(script):
+    # the reader closes the pipe before the script writes, as `| head` may
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, str(SCRIPTS / f"{script}.py"), "--workload", "function_algebra", "--seed", "1"]
+    if script == "kinds":
+        argv += ["--cycles", "1"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1 and err == ""
