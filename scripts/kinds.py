@@ -6,12 +6,16 @@ request's time is its minimum over the timed cycles.  For each request
 kind it prints the count, the summed time, its share of the cycle and
 its time per request; then, for p50, p75, p90 and p95 of the request
 times (nearest rank), the time and the kind of the request there.
-Timings depend on the machine; compare only runs on one host.  Nothing
-under perfbench/ is written.
+`--split KIND` splits that kind into one row per space or weight that
+ends its requests' labels (`classify:ultra`, `classify:egorov`, ...), so
+a change can show which of them its time comes from.  Timings depend on
+the machine; compare only runs on one host.  Nothing under perfbench/ is
+written.
 
 Examples:
     python scripts/kinds.py --workload function_algebra --seed 1
     python scripts/kinds.py --workload exact_queries --seed 2 --cycles 5
+    python scripts/kinds.py --workload exact_queries --seed 1 --split classify
 """
 
 import argparse
@@ -42,11 +46,20 @@ def _times(requests, cycles: int) -> list[float]:
     return best
 
 
+def _row(req, split: str | None) -> str:
+    """The row of a request: its kind, and for the kind `split` the space
+    or weight after the last "; " of its label too, as in "classify:ultra"."""
+    if req.kind != split or "; " not in req.label:
+        return req.kind
+    return f"{req.kind}:{req.label.rpartition('; ')[2].removesuffix(')')}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--cycles", type=int, default=3)
+    ap.add_argument("--split", metavar="KIND", help="one row per space or weight of this request kind")
     args = ap.parse_args(argv)
     if args.cycles < 1:
         ap.error("--cycles must be at least 1")
@@ -60,7 +73,7 @@ def main(argv=None) -> int:
     total = sum(times)
     by_kind: dict[str, list[float]] = defaultdict(list)
     for req, t in zip(requests, times):
-        by_kind[req.kind].append(t)
+        by_kind[_row(req, args.split)].append(t)
 
     print(f"# {args.workload} seed {args.seed}: {len(requests)} requests, "
           f"warm cycle {1e3 * total:.2f} ms (minimum of {args.cycles} per request)")
@@ -70,7 +83,7 @@ def main(argv=None) -> int:
     order = sorted(range(len(times)), key=times.__getitem__)
     for pct in PERCENTILES:
         i = order[max(1, math.ceil(pct / 100 * len(order))) - 1]
-        print(f"p{pct}\t{1e3 * times[i]:.3f} ms\t{requests[i].kind}\t{requests[i].label}")
+        print(f"p{pct}\t{1e3 * times[i]:.3f} ms\t{_row(requests[i], args.split)}\t{requests[i].label}")
     return 0
 
 

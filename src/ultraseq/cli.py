@@ -291,7 +291,8 @@ def cmd_assoc(
         lines.append("  boundary: ultranorm sits exactly on the threshold")
     witness = dict(verdict.witness)
     if "log_threshold" in witness:  # the threshold e^-s as text, then its log
-        witness["threshold"], witness["log_threshold"] = f"e^-{kind.s:g}", witness.pop("log_threshold")
+        log_t = witness.pop("log_threshold")
+        witness["threshold"], witness["log_threshold"] = f"e^{log_t:g}", log_t
     if witness:
         lines.append(f"  witness: {_witness_text(witness)}")
     if verdict.notes:

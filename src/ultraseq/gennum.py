@@ -164,7 +164,7 @@ def _threshold(s: float) -> float:
     s = float(s)
     if not math.isfinite(s):
         raise ValueError(f"association threshold s must be finite, got {s!r}")
-    return s
+    return s + 0.0  # -0 reads as 0
 
 
 @dataclass(frozen=True)
@@ -245,12 +245,14 @@ def _below_threshold(name: str, s: float, note: str = "") -> AssocKind:
     on = "ultranorm sits exactly on the threshold; the strict inequality fails"
     on = f"{on}; {note}" if note else on
 
+    log_t = 0.0 - s  # -s, but 0 for s = 0, not -0
+
     def test(diff: SeqRep, space: NumberSpace) -> dict:
         v = ultranorm(diff, space.single_weight())
-        witness = {"ultranorm": v, "log_ultranorm": v.log_value, "log_threshold": -s}
-        if v.on(-s):
+        witness = {"ultranorm": v, "log_ultranorm": v.log_value, "log_threshold": log_t}
+        if v.on(log_t):
             return {"answer": False, "boundary": True, "witness": witness, "notes": on}
-        return {"answer": v.below(-s), "witness": witness, "notes": note}
+        return {"answer": v.below(log_t), "witness": witness, "notes": note}
 
     return AssocKind(f"{name}(s={s:g})", test, s)
 

@@ -33,7 +33,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ __all__ = [
     "log_expr",
     "compare",
     "limit_of_product",
+    "limits_of_product",
     "limit_value",
     "is_bounded",
     "exp_of_reciprocal",
@@ -224,18 +225,6 @@ class GrowthExpr:
                 raise NotRepresentable("triple-log factors are not numerically evaluable")
         return n_min
 
-    def __str__(self) -> str:
-        return format_expr(self)
-
-    def __add__(self, other: "GrowthExpr") -> "GrowthExpr":
-        return add(self, other)
-
-    def __mul__(self, other: "GrowthExpr") -> "GrowthExpr":
-        return mul(self, other)
-
-    def __pow__(self, s: float) -> "GrowthExpr":
-        return pow_expr(self, s)
-
 
 def _mk(terms: Iterable[GrowthTerm]) -> GrowthExpr:
     merged: dict[Comb, float] = {}
@@ -376,24 +365,34 @@ class ParityLimits:
 
 def _limit(coeff: float, growth_sign: int) -> float:
     """Limit of coeff * g for a g that tends to inf, 1 or 0 as growth_sign
-    is +1, 0 or -1; coeff may have either sign."""
+    is +1, 0 or -1; coeff may have either sign.  No limit is -0: a
+    coefficient that underflowed to -0 gives 0."""
     if growth_sign > 0:
         return math.copysign(math.inf, coeff)
-    return coeff if growth_sign == 0 else 0.0
+    return coeff + 0.0 if growth_sign == 0 else 0.0
 
 
-def _limit_plain(r: GrowthExpr, comb: LogCombination) -> float:
+def limits_of_product(rs: Sequence[GrowthExpr], comb: LogCombination) -> list[float]:
+    """Exact limit of r_n * L(n) for each weight expression r in rs and one
+    unmodulated log combination L, whose dominance key is built once.
+    Each r must be nonzero and unmodulated, as a weight's expression is.
+
+    r * L is led by k * r * mu for L's dominant monomial
+    mu = n^a * log(n)^b * loglog(n)^c * logloglog(n)^d, and r * mu grows as
+    exp(R) dominates 1/mu = exp(-a*log n - b*loglog n - c*logloglog n) *
+    logloglog(n)^-d.  The last factor lies below every basis monomial, so d
+    decides only a tie.
+    """
     if comb.is_zero:
-        return 0.0
-    # r * L is led by k * r * mu for L's dominant monomial
-    # mu = n^a * log(n)^b * loglog(n)^c * logloglog(n)^d, and r * mu grows
-    # as exp(R) dominates 1/mu = exp(-a*log n - b*loglog n - c*logloglog n)
-    # * logloglog(n)^-d.  The last factor lies below every basis monomial, so
-    # d decides only a tie.
-    rt = r.dominant
+        return [0.0] * len(rs)
     (a, b, c, d), k = comb.monos[0]
     inv_mu = tuple((m, -p) for m, p in zip(_POWER_MONOS, (a, b, c)) if p != 0.0)
-    return _limit(rt.coeff * k, _cmp(rt.exponent, inv_mu) or (d > 0) - (d < 0))
+    tie = (d > 0) - (d < 0)
+    out = []
+    for r in rs:
+        rt = r.dominant
+        out.append(_limit(rt.coeff * k, _cmp(rt.exponent, inv_mu) or tie))
+    return out
 
 
 def limit_of_product(
@@ -410,11 +409,11 @@ def limit_of_product(
     if r.is_zero:
         raise ValueError("weights must be positive")
     if isinstance(comb, tuple):
-        even, odd = (_limit_plain(r, c) for c in comb)
+        (even,), (odd,) = (limits_of_product((r,), c) for c in comb)
         if even == odd:
             return even
         return ParityLimits(even, odd)
-    return _limit_plain(r, comb)
+    return limits_of_product((r,), comb)[0]
 
 
 def limit_value(a: GrowthExpr) -> float | ParityLimits:

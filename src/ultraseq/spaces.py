@@ -8,9 +8,12 @@ Sequences come in three representations.  Symbolic ones carry a growth
 expression and admit exact answers.  Truncated ones are zero beyond a
 cutoff, which forces the ultranorm to zero under every weight.  Sampled
 ones expose only a log-evaluator; their ultranorms are estimated from
-dyadic tail windows and returned with an uncertainty band.  Sums,
-products and distances of representatives are pointwise rules that stay
-exact when both operands are.
+dyadic tail windows and returned with an uncertainty band.  One pass
+gives a sequence's ultranorm at every level of a weight family
+(`_level_norms`): `ultranorm` is its one-level case, and `classify`
+reads every level from it.  Sums, products and distances of
+representatives are pointwise rules that stay exact when both operands
+are.
 """
 
 from __future__ import annotations
@@ -305,26 +308,38 @@ def _exp(log_value: float) -> float:
 # exact ultranorms for symbolic input
 
 
-def _exact_limit(e: GrowthExpr, r: WeightSeq) -> float:
-    """lim r_n log e_n for an unmodulated expression e."""
-    if e.is_zero:
-        return -math.inf
-    if r.is_step:
-        # beyond the step the exponent is 0, and a nonzero symbolic
-        # expression is eventually positive: log 1 = 0 (norm 1)
-        return 0.0
-    return growth.limit_of_product(r.expr, growth.log_expr(e))
+def _exact_norms(e: GrowthExpr, weights: Sequence[WeightSeq]) -> list[UltranormValue]:
+    """The exact ultranorm of the symbolic sequence e against each weight,
+    symbolic or a step (any weight when e is zero).
 
-
-def _exact_ultranorm(f: SeqRep, r: WeightSeq) -> UltranormValue:
-    if f.expr.modulated:
-        parts = [_exact_limit(branch, r) for branch in f.expr.branches]
-        lim = max(parts)
-        witness = f"upper limit over parity branches: even {parts[0]:g}, odd {parts[1]:g}"
-    else:
-        lim = _exact_limit(f.expr, r)
-        witness = "exact limit of weighted log values"
-    return UltranormValue(log_value=lim, exact=True, witness=witness)
+    Each parity branch takes one log, and every symbolic weight's limit is
+    taken against its one dominance key.  A step weight is 0 beyond its
+    step, where a nonzero symbolic branch is eventually positive: log 1 = 0
+    (norm 1).  Levels with equal limits share one value.
+    """
+    branches = e.branches if e.modulated else (e,)
+    exprs = [r.expr for r in weights if r.expr is not None]
+    per_branch = []
+    for b in branches:
+        if b.is_zero:
+            lims = [-math.inf] * len(weights)
+        elif len(exprs) == len(weights):
+            lims = growth.limits_of_product(exprs, growth.log_expr(b))
+        else:
+            symbolic = iter(growth.limits_of_product(exprs, growth.log_expr(b)) if exprs else ())
+            lims = [next(symbolic) if r.expr is not None else 0.0 for r in weights]
+        per_branch.append(lims)
+    values: dict[tuple, UltranormValue] = {}
+    out = []
+    for parts in zip(*per_branch):  # no limit is -0, so equal parts have equal bits
+        v = values.get(parts)
+        if v is None:
+            witness = "exact limit of weighted log values"
+            if e.modulated:
+                witness = f"upper limit over parity branches: even {parts[0]:g}, odd {parts[1]:g}"
+            v = values[parts] = UltranormValue(log_value=max(parts), exact=True, witness=witness)
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +422,13 @@ def _layout(
 class _TailSamples(NamedTuple):
     """A sequence's tail read once from the cut-off n_min on: the sorted
     grid, the log values on it, the position in ns of each dyadic
-    window's first point, and the window number (0, 1, ...) of each point.
-
-    A read of an estimate (`_level_reader`) also holds, by the id of each
-    weight estimated at this cut-off, the finished estimate against it."""
+    window's first point, and the window number (0, 1, ...) of each point."""
 
     n_min: int
     ns: np.ndarray
     logs: np.ndarray
     starts: np.ndarray
     window: np.ndarray
-    levels: Mapping[int, UltranormValue] | None = None
 
 
 def _tail_samples(f: SeqRep, n_min: int, windows: int | None = None) -> _TailSamples:
@@ -468,12 +479,6 @@ def _dyadic_log_maxima(
     s = _tail_samples(f, f.n_min, windows)
     logs = s.logs if shift_log is None else s.logs + shift_log(s.ns)
     return _window_sups(s, logs)[0]
-
-
-def _tail_estimate(s: _TailSamples, r: WeightSeq) -> UltranormValue:
-    """The estimate of exp(limsup r_n log f_n) that the read s of f's tail
-    samples (`_level_reader`) made for the weight r."""
-    return s.levels[id(r)]
 
 
 def _no_estimate(witness: str) -> UltranormValue:
@@ -633,61 +638,50 @@ def _fitted(ys: np.ndarray, Ls: np.ndarray, alpha: float, resid: float) -> Ultra
     )
 
 
-def _estimated(f: SeqRep, r: WeightSeq) -> bool:
-    """Whether the ultranorm of f against r is estimated from tail samples."""
-    return not f.is_truncated and not (f.is_symbolic and (r.is_symbolic or r.is_step or f.expr.is_zero))
-
-
-def _cut_off(f: SeqRep, r: WeightSeq) -> int:
-    """The first index of an estimate's tail, where both f and r are
-    defined (a step weight everywhere from 2 on)."""
-    return max(f.n_min, r.n_min if not r.is_step else 2)
-
-
-def ultranorm(
-    f: SeqRep, r: WeightSeq, *, _samples: Callable[[int], _TailSamples] | None = None
-) -> UltranormValue:
-    """The ultranorm of f against weight r: exact when both sides allow it,
-    and for a vanishing f under every weight.
-
-    An estimate reads f's tail samples from the cut-off of f and r on,
-    through a `_level_reader`: its own, or the one `_samples` gives
-    (`classify` passes one that keeps what it read and the estimates of
-    every level for the other levels of one call).
-    """
-    if f.is_truncated:
-        return UltranormValue(
-            log_value=-math.inf, exact=True, witness=f"sequence vanishes beyond n={f.cutoff}"
-        )
-    if not _estimated(f, r):
-        return _exact_ultranorm(f, r)
-    read = _samples if _samples is not None else _level_reader(f, (r,))
-    return _tail_estimate(read(_cut_off(f, r)), r)
-
-
-def _level_reader(f: SeqRep, weights: Sequence[WeightSeq]) -> Callable[[int], _TailSamples]:
-    """A reader of f's tail samples for the estimates of its ultranorms
-    against the levels `weights`: at each cut-off f is read once, and the
-    window maxima of every level estimated there are taken in one pass,
-    one row per level, and fitted together (`_tail_fits`).  The weights
-    stay referenced here, so their ids key the estimates of a read."""
-    groups: dict[int, list[WeightSeq]] = {}
-    for r in weights:
-        if _estimated(f, r):
-            groups.setdefault(_cut_off(f, r), []).append(r)
-
-    @cache
-    def read(n_min: int) -> _TailSamples:
+def _estimate_norms(f: SeqRep, weights: Sequence[WeightSeq]) -> list[UltranormValue]:
+    """The estimate of f's ultranorm against each weight, from f's tail
+    samples: at each cut-off, where both f and the weight are defined (a
+    step weight everywhere from 2 on), f is read once, the window maxima of
+    every weight cut off there are taken in one pass, one row per weight,
+    and their tails are fitted together (`_tail_fits`)."""
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(weights):
+        groups.setdefault(max(f.n_min, r.n_min if not r.is_step else 2), []).append(i)
+    out: dict[int, UltranormValue] = {}
+    for n_min, group in groups.items():
         s = _tail_samples(f, n_min)
-        group = groups[n_min]
         if len(s.ns):
-            sups, sup_ns = _window_sups(s, _weighted(s.logs, np.array([r.values(s.ns) for r in group])))
+            sups, sup_ns = _window_sups(s, _weighted(s.logs, np.array([weights[i].values(s.ns) for i in group])))
             fits = _tail_fits(sups[:, -_WINDOW_FIT:], sup_ns[:, -_WINDOW_FIT:])
         else:
             fits = [_no_estimate(f"no sample index at or above the weight's cut-off n={n_min}")] * len(group)
-        return s._replace(levels={id(r): v for r, v in zip(group, fits)})
+        out.update(zip(group, fits))
+    return [out[i] for i in range(len(weights))]
 
-    return read
+
+def _level_norms(f: SeqRep, weights: Sequence[WeightSeq]) -> list[UltranormValue]:
+    """f's ultranorm against each weight in `weights`, in one pass: exact
+    when both sides allow it (`_exact_norms`), and for a vanishing f under
+    every weight; estimated from f's tail samples otherwise
+    (`_estimate_norms`)."""
+    if f.is_truncated:
+        v = UltranormValue(log_value=-math.inf, exact=True, witness=f"sequence vanishes beyond n={f.cutoff}")
+        return [v] * len(weights)
+    if not f.is_symbolic:
+        return _estimate_norms(f, weights)
+    # a weight given by an evaluator is estimated, unless f is zero
+    numeric = [r.evaluator is not None and not f.expr.is_zero for r in weights]
+    if not any(numeric):
+        return _exact_norms(f.expr, weights)
+    exact_norms = iter(_exact_norms(f.expr, [r for r, x in zip(weights, numeric) if not x]))
+    estimates = iter(_estimate_norms(f, [r for r, x in zip(weights, numeric) if x]))
+    return [next(estimates) if x else next(exact_norms) for x in numeric]
+
+
+def ultranorm(f: SeqRep, r: WeightSeq, *, _value: UltranormValue | None = None) -> UltranormValue:
+    """The ultranorm of f against weight r (`_level_norms` at one level),
+    or `_value`: `classify` hands in each level's value from its one pass."""
+    return _value if _value is not None else _level_norms(f, (r,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -769,42 +763,44 @@ def classify(
     the level quantifier follows the family direction (exists-m for
     decreasing levels, for-all-m for increasing ones), probed up to m_max.
 
-    Each sampled channel is read once per cut-off, and one pass over that
-    read takes the window maxima of every level estimated there; one
-    least-squares call then fits all their tails, once per distinct tail.
-    Every level still goes through `ultranorm`, and the tables live only
-    for the call.  The report holds the verdict and every level's norm;
-    it builds no text.
+    Each channel's norms at every level come from one pass
+    (`_level_norms`): a symbolic channel takes one log per parity branch
+    and every level's limit against one dominance key; a sampled channel
+    is read once per cut-off and its tails are fitted together.  Levels
+    with equal norms share one value, judged once.  Each level's finished
+    value is still handed through `ultranorm`, and nothing read outlives
+    the call.  The report holds the verdict and every level's norm; it
+    builds no text.
     """
     if isinstance(bundle, SeqRep):
         bundle = {"value": bundle}
     mode = mode or family.default_mode
     levels = _levels(family, m_max)
     weights = [family.member(m) for m in levels]
-    readers = {key: _level_reader(f, weights) for key, f in bundle.items()}
-    per_level = {
-        m: {key: ultranorm(f, r, _samples=readers[key]) for key, f in bundle.items()}
-        for m, r in zip(levels, weights)
+    norms = {key: _level_norms(f, weights) for key, f in bundle.items()}
+    # each level's value still goes through `ultranorm`, where tracers see it
+    channel_norms = {
+        (m, key): ultranorm(f, r, _value=norms[key][i])
+        for i, (m, r) in enumerate(zip(levels, weights))
+        for key, f in bundle.items()
     }
-
-    def level_in_F(m: int) -> bool | None:
-        return _tri_and(_channel_in_F(v, mode) for v in per_level[m].values())
-
-    def level_in_K(m: int) -> bool | None:
-        return _tri_and(_channel_in_K(v, mode) for v in per_level[m].values())
-
+    # levels with equal norms share one value, which is judged once; the
+    # quantifiers read each distinct level once
+    distinct = {id(v): v for v in channel_norms.values()}
+    judged = {i: (_channel_in_F(v, mode), _channel_in_K(v, mode)) for i, v in distinct.items()}
+    level_reads = set(zip(*([judged[id(v)] for v in vs] for vs in norms.values())))
+    level_in_F = [_tri_and(F for F, _ in level) for level in level_reads]
+    level_in_K = [_tri_and(K for _, K in level) for level in level_reads]
     # a single level reads the same under either quantifier
     if family.direction is Direction.DECREASING:
-        in_F = _tri_or(level_in_F(m) for m in levels)
-        in_K = _tri_and(level_in_K(m) for m in levels)
+        in_F, in_K = _tri_or(level_in_F), _tri_and(level_in_K)
     else:
-        in_F = _tri_and(level_in_F(m) for m in levels)
-        in_K = _tri_or(level_in_K(m) for m in levels)
+        in_F, in_K = _tri_and(level_in_F), _tri_or(level_in_K)
 
     if in_F is True and in_K is True:
         verdict = "negligible"
     elif in_F is True and in_K is False:
-        on_ball = mode is Mode.UNIT_BALL and any(v.on(0.0) for norms in per_level.values() for v in norms.values())
+        on_ball = mode is Mode.UNIT_BALL and any(v.on(0.0) for v in distinct.values())
         verdict = "boundary" if on_ball else "moderate"
     elif in_F is False:
         verdict = "divergent"
@@ -817,7 +813,7 @@ def classify(
         mode=mode,
         family=family.name,
         m_probed=tuple(levels),
-        channel_norms={(m, key): v for m, norms in per_level.items() for key, v in norms.items()},
+        channel_norms=channel_norms,
     )
 
 

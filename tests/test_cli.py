@@ -136,6 +136,21 @@ def test_assoc_weak_s_boundary_no(capsys):
     assert "ultranorm=0.135335283" in out
 
 
+@pytest.mark.parametrize(
+    "a, kind, s, witness",
+    [
+        ("0", "strong:-1", "-1", "ultranorm=0, log_ultranorm=-inf, threshold=e^1, log_threshold=1"),
+        ("n^-1", "strong:0", "0", "ultranorm=0.367879441, log_ultranorm=-1, threshold=e^0, log_threshold=0"),
+        ("n^-1", "strong:-0", "0", "ultranorm=0.367879441, log_ultranorm=-1, threshold=e^0, log_threshold=0"),
+    ],
+    ids=["s=-1", "s=0", "s=-0"],
+)
+def test_assoc_threshold_at_a_nonpositive_s_is_e_to_minus_s(capsys, a, kind, s, witness):
+    rc, out, err = run(capsys, "assoc", a, "0", "--kind", kind)
+    assert (rc, err) == (0, "")
+    assert out == f"assoc({a}, 0) strong-s(s={s}): yes\n  witness: {witness}\n"
+
+
 def test_assoc_rejects_non_moderate_input(capsys):
     rc, out, err = run(capsys, "assoc", "exp(n)", "0", "--kind", "weak")
     assert rc == 1

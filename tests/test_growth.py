@@ -28,6 +28,7 @@ from ultraseq.growth import (
     format_expr,
     limit_of_product,
     limit_value,
+    limits_of_product,
     log_expr,
     mul,
     parse,
@@ -652,6 +653,18 @@ def test_limit_of_product_power_weight():
     assert limit_of_product(r, log_expr(parse("exp(2*n)"))) == 2.0
     assert limit_of_product(r, log_expr(parse("n^7"))) == 0.0
     assert limit_of_product(r, log_expr(parse("exp(n^2)"))) == math.inf
+
+
+def test_limits_of_product_are_each_weights_limit():
+    # the ultra ladder n^(-m/(m-1)) against exp(n^1.5): divergent from m = 4 on
+    rs = [term_expr(1.0, pow_n=-m / (m - 1)) for m in range(2, 18)]
+    for text in ("exp(n^1.5)", "exp(-2*n)", "n^3", "5"):
+        comb = log_expr(parse(text))
+        assert limits_of_product(rs, comb) == [limit_of_product(r, comb) for r in rs]
+    assert limits_of_product(rs, log_expr(parse("exp(n^1.5)")))[:3] == [0.0, 1.0, math.inf]
+    # a coefficient that underflows gives the limit 0, not -0
+    (lim,) = limits_of_product([parse("1e-200*n^-1")], log_expr(parse("exp(-1e-200*n)")))
+    assert math.copysign(1.0, lim) == 1.0 and lim == 0.0
 
 
 def test_exp_of_reciprocal():

@@ -72,6 +72,28 @@ def test_kinds_prints_each_kind_and_who_holds_each_percentile(capsys):
     capsys.readouterr()
 
 
+def test_kinds_split_rows_of_a_kind_sum_to_its_row(capsys, monkeypatch):
+    # every request gets a fixed time, so the two runs time the same cycle
+    kinds = _load("kinds")
+    monkeypatch.setattr(kinds, "_times", lambda requests, cycles: [1e-4 * (1 + i % 7) for i in range(len(requests))])
+
+    def rows(*split):
+        assert kinds.main(["--workload", "numeric_queries", "--seed", "1", *split]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return lines[0], {row[0]: row[1:] for row in (line.split("\t") for line in lines[2:-4])}
+
+    head, whole = rows()
+    split_head, split = rows("--split", "classify")
+    assert split_head == head
+    parts = {name: row for name, row in split.items() if name.startswith("classify:")}
+    assert sorted(parts) == [f"classify:{s}" for s in ("colombeau", "egorov", "infra", "scale-expdecay", "scale-power", "ultra")]
+    assert sum(int(row[0]) for row in parts.values()) == int(whole["classify"][0])
+    assert sum(float(row[1]) for row in parts.values()) == pytest.approx(float(whole["classify"][1]), abs=0.005 * len(parts))
+    assert {name: row for name, row in split.items() if name not in parts} == {
+        name: row for name, row in whole.items() if name != "classify"
+    }
+
+
 @pytest.mark.parametrize("script", ["kinds", "answers"])
 def test_a_script_whose_output_is_cut_exits_quietly(script):
     # the reader closes the pipe before the script writes, as `| head` may

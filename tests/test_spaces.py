@@ -505,6 +505,74 @@ def test_an_egorov_classify_fits_one_tail(monkeypatch):
     assert len(fits) == 16
 
 
+def _evaluator_space() -> NumberSpace:
+    """The single weight 1/(2 log n), given by an evaluator."""
+    w = WeightSeq(label="1/(2 log n)", evaluator=lambda ns: 0.5 / np.log(ns))
+    return NumberSpace(family=single_family(w, "evaluator"), mode=Mode.STANDARD)
+
+
+_CATALOG_SPACES = {
+    "colombeau": colombeau_space,
+    "infra": infra_space,
+    "egorov": lambda: NumberSpace(family=catalog("egorov"), mode=Mode.STANDARD),
+    "ultra": lambda: NumberSpace(family=catalog("ultra"), mode=Mode.STANDARD),
+    "scale-power": lambda: NumberSpace(family=scale_to_weights(power_scale()), mode=Mode.STANDARD),
+    "scale-expdecay": lambda: NumberSpace(family=scale_to_weights(expdecay_scale()), mode=Mode.STANDARD),
+    "evaluator": _evaluator_space,
+}
+
+
+@st.composite
+def _corpus_channels(draw):
+    """A corpus channel: symbolic, parity-modulated, zero, truncated, or a
+    sampled view of a corpus expression."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(["symbolic", "modulated", "zero", "truncated", "sampled"]))
+    if kind == "symbolic":
+        return SeqRep.symbolic(corpus.random_expr(rng))
+    if kind == "modulated":
+        return SeqRep.symbolic(corpus.random_modulated(rng))
+    if kind == "zero":
+        return SeqRep.symbolic(growth.ZERO)
+    if kind == "truncated":
+        return corpus.random_truncated(rng)
+    return SeqRep.sampled_from_expr(corpus.random_expr(rng))
+
+
+@given(
+    st.sampled_from(sorted(_CATALOG_SPACES)),
+    st.lists(_corpus_channels(), min_size=1, max_size=2),
+)
+@settings(max_examples=120, deadline=None)
+@example("ultra", [SeqRep.symbolic("alt(n^2, exp(n^0.5))"), SeqRep.symbolic("exp(-n^2)")])
+@example("evaluator", [SeqRep.symbolic("n^3"), SeqRep.symbolic(growth.ZERO)])
+def test_every_level_of_a_classify_is_its_ultranorm(space, channels):
+    sp = _CATALOG_SPACES[space]()
+    bundle = {f"p{i}": f for i, f in enumerate(channels)}
+    report = sp.classify(bundle)
+    for m in report.m_probed:
+        for key, f in bundle.items():
+            # repr compares every field, and every float bitwise
+            assert repr(report.channel_norms[(m, key)]) == repr(ultranorm(f, sp.family.member(m)))
+    ref = _reference_classify(bundle, sp.family, sp.mode, sp.m_max)
+    assert (report.verdict, report.in_moderate, report.in_negligible) == (ref.verdict, ref.in_moderate, ref.in_negligible)
+
+
+@pytest.mark.parametrize("text, calls", [("n^2 * log(n)", 1), ("alt(n^2, exp(-n))", 2)])
+def test_a_symbolic_classify_takes_one_log_per_branch(monkeypatch, text, calls):
+    seen = []
+    log_expr = growth.log_expr
+
+    def counting(e):
+        seen.append(e)
+        return log_expr(e)
+
+    monkeypatch.setattr(growth, "log_expr", counting)
+    report = classify(SeqRep.symbolic(text), catalog("ultra"))
+    assert len(report.m_probed) == 16
+    assert len(seen) == calls
+
+
 def _reference_tail_fit(tail, tail_ns):
     """One row of `spaces._tail_fits`, fitted alone with np.linalg.lstsq."""
     tail_ls = np.log(tail_ns)
@@ -605,7 +673,7 @@ _SPECIALS = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @st.composite
 def _tail_rows(draw):
-    """Tail rows of one read, as `_level_reader` passes them to
+    """Tail rows of one read, as `_estimate_norms` passes them to
     `_tail_fits`: one row per level, each of the read's last windows (at
     most `_WINDOW_FIT`, fewer on a short grid) with its first index.
 
@@ -701,7 +769,7 @@ def test_no_level_table_outlives_its_classify_call():
     report = classify(SeqRep.sampled_from_expr("n^2"), catalog("ultra"))
     assert len(report.m_probed) == 16
     gc.collect()
-    assert not [o for o in gc.get_objects() if isinstance(o, spaces._TailSamples) and o.levels is not None]
+    assert not [o for o in gc.get_objects() if isinstance(o, spaces._TailSamples)]
 
 
 # ---------------------------------------------------------------------------
